@@ -5,6 +5,11 @@ package. This module opens an already-extracted copy of that layout
 (plain directory or zip archive), enumerates the per-app roots, and gives
 hashed read access for chain-of-custody. Nothing here ever writes to the
 container.
+
+A zip is opened once and stays open, with a name -> member index, until
+the source is closed. Every read records the SHA-256 of the bytes it
+returns, so the custody digests describe exactly the bytes analysed and
+no file is read a second time to hash it.
 """
 
 from __future__ import annotations
@@ -12,8 +17,7 @@ from __future__ import annotations
 import hashlib
 import os
 import zipfile
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CorruptArchiveError, NotFoundError, UnsupportedContainerError
@@ -43,14 +47,31 @@ class AppDataRoot:
 
 @dataclass(frozen=True)
 class EvidenceSource:
-    """An opened evidence container. Immutable; all operations are pure reads."""
+    """An opened evidence container; all operations on it are pure reads.
+
+    A zip source holds its archive open: close it, or use the source as a
+    context manager. `digests` fills in as files are read.
+    """
 
     origin: str
     container_kind: str
     root_listing: frozenset[str]
-    opened_at: str
     top_level_dirs: tuple[str, ...] = ()
     skipped_entries: tuple[str, ...] = ()
+    archive: zipfile.ZipFile | None = field(default=None, compare=False, repr=False)
+    members: dict[str, zipfile.ZipInfo] = field(default_factory=dict, compare=False,
+                                                repr=False)
+    digests: dict[str, FileDigest] = field(default_factory=dict, compare=False, repr=False)
+
+    def close(self) -> None:
+        if self.archive is not None:
+            self.archive.close()
+
+    def __enter__(self) -> EvidenceSource:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def _safe_relpath(name: str) -> str | None:
@@ -89,28 +110,32 @@ def _open_directory(path: Path) -> tuple[frozenset[str], tuple[str, ...], tuple[
     return frozenset(listing), tuple(sorted(top_dirs)), tuple(sorted(skipped))
 
 
-def _open_zip(path: Path) -> tuple[frozenset[str], tuple[str, ...], tuple[str, ...]]:
-    listing: set[str] = set()
-    skipped: list[str] = []
-    top_dirs: set[str] = set()
+def _open_zip(path: Path) -> tuple[zipfile.ZipFile, dict[str, zipfile.ZipInfo],
+                                   tuple[str, ...], tuple[str, ...]]:
     try:
-        with zipfile.ZipFile(path) as zf:
-            for info in zf.infolist():
-                safe = _safe_relpath(info.filename)
-                if safe is None:
-                    skipped.append(f"{info.filename} (unsafe path)")
-                    continue
-                if info.is_dir():
-                    top_dirs.add(safe.split("/")[0])
-                    continue
-                listing.add(safe)
-                if "/" in safe:
-                    top_dirs.add(safe.split("/")[0])
+        zf = zipfile.ZipFile(path)
     except zipfile.BadZipFile as exc:
         raise CorruptArchiveError(f"{path}: {exc}") from exc
+    members: dict[str, zipfile.ZipInfo] = {}
+    skipped: list[str] = []
+    top_dirs: set[str] = set()
+    for info in zf.infolist():
+        safe = _safe_relpath(info.filename)
+        if safe is None:
+            skipped.append(f"{info.filename} (unsafe path)")
+            continue
+        if info.is_dir():
+            top_dirs.add(safe.split("/")[0])
+            continue
+        if safe in members:  # the first member of a name is the one analysed
+            skipped.append(f"{info.filename} (duplicate name)")
+            continue
+        members[safe] = info
+        if "/" in safe:
+            top_dirs.add(safe.split("/")[0])
     # a top-level plain file is not an app root
-    top_dirs = {d for d in top_dirs if d not in listing}
-    return frozenset(listing), tuple(sorted(top_dirs)), tuple(sorted(skipped))
+    top_dirs = {d for d in top_dirs if d not in members}
+    return zf, members, tuple(sorted(top_dirs)), tuple(sorted(skipped))
 
 
 def open_source(path: str | Path) -> EvidenceSource:
@@ -118,25 +143,19 @@ def open_source(path: str | Path) -> EvidenceSource:
     path = Path(path)
     if not path.exists():
         raise NotFoundError(f"evidence path does not exist: {path}")
-    opened_at = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     if path.is_dir():
         listing, top_dirs, skipped = _open_directory(path)
-        kind = CONTAINER_DIRECTORY
-    elif zipfile.is_zipfile(path):
-        listing, top_dirs, skipped = _open_zip(path)
-        kind = CONTAINER_ZIP
-    elif path.suffix.lower() == ".zip":
+        return EvidenceSource(origin=str(path), container_kind=CONTAINER_DIRECTORY,
+                              root_listing=listing, top_level_dirs=top_dirs,
+                              skipped_entries=skipped)
+    if zipfile.is_zipfile(path):
+        archive, members, top_dirs, skipped = _open_zip(path)
+        return EvidenceSource(origin=str(path), container_kind=CONTAINER_ZIP,
+                              root_listing=frozenset(members), top_level_dirs=top_dirs,
+                              skipped_entries=skipped, archive=archive, members=members)
+    if path.suffix.lower() == ".zip":
         raise CorruptArchiveError(f"{path}: zip central directory unreadable")
-    else:
-        raise UnsupportedContainerError(f"{path}: neither a directory nor a zip archive")
-    return EvidenceSource(
-        origin=str(path),
-        container_kind=kind,
-        root_listing=listing,
-        opened_at=opened_at,
-        top_level_dirs=top_dirs,
-        skipped_entries=skipped,
-    )
+    raise UnsupportedContainerError(f"{path}: neither a directory nor a zip archive")
 
 
 def evidence_label(source: EvidenceSource) -> str:
@@ -152,27 +171,31 @@ def evidence_label(source: EvidenceSource) -> str:
 
 
 def read_file(source: EvidenceSource, relative_path: str) -> bytes:
-    """Return the exact stored bytes of one file in the container."""
+    """Return the exact stored bytes of one file, recording their digest."""
     if relative_path not in source.root_listing:
         raise NotFoundError(f"not in evidence listing: {relative_path}")
     if source.container_kind == CONTAINER_DIRECTORY:
-        return (Path(source.origin) / relative_path).read_bytes()
-    with zipfile.ZipFile(source.origin) as zf:
-        for info in zf.infolist():
-            if _safe_relpath(info.filename) == relative_path and not info.is_dir():
-                return zf.read(info)
-    raise NotFoundError(f"not in evidence listing: {relative_path}")
-
-
-def hash_file(source: EvidenceSource, relative_path: str) -> FileDigest:
-    """SHA-256 digest over the exact file bytes, for chain-of-custody."""
-    data = read_file(source, relative_path)
-    return FileDigest(
+        data = (Path(source.origin) / relative_path).read_bytes()
+    else:
+        data = source.archive.read(source.members[relative_path])
+    source.digests[relative_path] = FileDigest(
         relative_path=relative_path,
         algorithm=DIGEST_ALGORITHM,
         hex_digest=hashlib.sha256(data).hexdigest(),
         byte_length=len(data),
     )
+    return data
+
+
+def hash_file(source: EvidenceSource, relative_path: str) -> FileDigest:
+    """SHA-256 digest over the exact file bytes, for chain-of-custody.
+
+    A file already read is not read again: its digest is the one recorded
+    over the bytes that read returned.
+    """
+    if relative_path not in source.digests:
+        read_file(source, relative_path)
+    return source.digests[relative_path]
 
 
 def enumerate_app_roots(source: EvidenceSource, registry=None) -> list[AppDataRoot]:

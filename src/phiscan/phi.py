@@ -317,9 +317,13 @@ def _sorted_locators(findings: list[PhiFinding]) -> tuple[SourceLocator, ...]:
 
 
 def evaluate_security_rule(app: str, records: list[ArtifactRecord],
+                           findings: list[PhiFinding],
                            db_statuses: list[DatabaseStatus] | None = None, *,
                            redact: bool = True) -> list[SecurityViolation]:
     """Security-Rule outcomes for one app.
+
+    `findings` are the app's records already classified (classify_record);
+    records are read only for their credentials.
 
     plaintext-ephi-at-rest: health-condition findings originating from a
     plaintext sqlite/xml container. plaintext-credential: a recovered
@@ -327,7 +331,6 @@ def evaluate_security_rule(app: str, records: list[ArtifactRecord],
     (informational): identity data alone in plaintext containers.
     """
     db_statuses = db_statuses or []
-    findings = [f for r in records for f in classify_record(r)]
     plaintext = [f for f in findings if f.locator.container in _PLAINTEXT_CONTAINERS]
     violations: list[SecurityViolation] = []
 

@@ -65,42 +65,44 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
     """
     if registry is None:
         registry = default_registry()
-    source = open_source(path)
-    generated_at = fixed_clock or utc_now()
-    roots = enumerate_app_roots(source, registry)
-    by_id = {p.parser_id: p for p in registry}
+    with open_source(path) as source:
+        generated_at = fixed_clock or utc_now()
+        roots = enumerate_app_roots(source, registry)
+        by_id = {p.parser_id: p for p in registry}
 
-    records_by_app: dict[str, list[ArtifactRecord]] = {}
-    statuses_by_app: dict[str, list] = {}
-    warnings: list[str] = []
-    warnings.extend(f"skipped container entry: {e}" for e in source.skipped_entries)
-    matched_apps: list[str] = []
+        records_by_app: dict[str, list[ArtifactRecord]] = {}
+        statuses_by_app: dict[str, list] = {}
+        warnings: list[str] = []
+        warnings.extend(f"skipped container entry: {e}" for e in source.skipped_entries)
+        matched_apps: list[str] = []
 
-    for root in roots:
-        parser = by_id.get(root.matched_parser) if root.matched_parser else None
-        consumed: frozenset[str] = frozenset()
-        if parser is not None:
-            app = parser.display_name
-            matched_apps.append(app)
-            result = parser.parse(root, source, recovered_at=generated_at,
-                                  code_map=code_map)
-            records_by_app.setdefault(app, []).extend(result.records)
-            warnings.extend(result.warnings)
-            if result.db_statuses:
-                statuses_by_app.setdefault(app, []).extend(result.db_statuses)
-            consumed = result.consumed
-        else:
-            app = root.package_name
-        # generic sweep over whatever no structured parser consumed
-        for rel in files_under(source, root):
-            if rel in consumed:
-                continue
-            base = SourceLocator(package_name=root.package_name, relative_path=rel,
-                                 container=CONTAINER_RAW, detail="sweep")
-            hits = scan_raw(read_file(source, rel), base)
-            if hits:
-                records_by_app.setdefault(app, []).extend(
-                    dataclasses.replace(h, recovered_at=generated_at) for h in hits)
+        for root in roots:
+            parser = by_id.get(root.matched_parser) if root.matched_parser else None
+            consumed: frozenset[str] = frozenset()
+            if parser is not None:
+                app = parser.display_name
+                matched_apps.append(app)
+                result = parser.parse(root, source, recovered_at=generated_at,
+                                      code_map=code_map)
+                records_by_app.setdefault(app, []).extend(result.records)
+                warnings.extend(result.warnings)
+                if result.db_statuses:
+                    statuses_by_app.setdefault(app, []).extend(result.db_statuses)
+                consumed = result.consumed
+            else:
+                app = root.package_name
+            # generic sweep over whatever no structured parser consumed
+            for rel in files_under(source, root):
+                if rel in consumed:
+                    continue
+                base = SourceLocator(package_name=root.package_name, relative_path=rel,
+                                     container=CONTAINER_RAW, detail="sweep")
+                hits = scan_raw(read_file(source, rel), base)
+                if hits:
+                    records_by_app.setdefault(app, []).extend(
+                        dataclasses.replace(h, recovered_at=generated_at) for h in hits)
+        # files neither parsed nor swept are read here, once, for custody
+        digests = tuple(hash_file(source, rel) for rel in sorted(source.root_listing))
 
     findings_by_app: dict[str, list[PhiFinding]] = {}
     for app, records in records_by_app.items():
@@ -113,6 +115,7 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
     violations = {}
     for app in matrix_apps:
         found = evaluate_security_rule(app, records_by_app.get(app, []),
+                                       findings_by_app.get(app, []),
                                        statuses_by_app.get(app, []), redact=redact)
         if found:
             violations[app] = tuple(found)
@@ -123,7 +126,6 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
                     for f in findings]
     findings.sort(key=finding_sort_key)
 
-    digests = tuple(hash_file(source, rel) for rel in sorted(source.root_listing))
     origin = evidence_label(source)
     report = ComplianceReport(
         scan_id=_scan_id(origin, generated_at, digests),

@@ -1,21 +1,26 @@
 """Open SQLite databases from raw recovered bytes.
 
 Forensic input is a byte string, not a live database file: the main file
-is read as extracted, with no WAL/journal sidecars. Bytes are staged to a
-private temp file and opened read-only and immutable, so a scan can never
-mutate evidence or look for sidecar files that were not extracted.
+is read as extracted, with no WAL/journal sidecars. A private copy of the
+bytes is deserialized into an in-memory database marked query-only, so a
+scan can never mutate evidence, look for sidecar files that were not
+extracted, or leave a copy of the data on disk.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import sqlite3
-import tempfile
 
 from .errors import MissingTableError, NotSqliteError
 
 SQLITE_MAGIC = b"SQLite format 3\x00"
+
+# Header bytes 18-19 are the file-format write/read versions: 1 is rollback
+# journal, 2 is WAL. An in-memory database cannot open in WAL mode, and no
+# WAL sidecar was extracted, so the copy is marked as a rollback-journal one.
+_WAL_VERSIONS = b"\x02\x02"
+_JOURNAL_VERSIONS = b"\x01\x01"
 
 
 def is_sqlite(data: bytes) -> bool:
@@ -32,17 +37,15 @@ def connect_bytes(data: bytes):
     """
     if not is_sqlite(data):
         raise NotSqliteError("missing SQLite-3 header magic (database may be encrypted)")
-    fd, path = tempfile.mkstemp(suffix=".db", prefix="phiscan-")
+    if data[18:20] == _WAL_VERSIONS:
+        data = data[:18] + _JOURNAL_VERSIONS + data[20:]
+    conn = sqlite3.connect(":memory:")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        conn = sqlite3.connect(f"file:{path}?mode=ro&immutable=1", uri=True)
-        try:
-            yield conn
-        finally:
-            conn.close()
+        conn.deserialize(data)  # SQLite takes its own copy of the bytes
+        conn.execute("PRAGMA query_only=ON")
+        yield conn
     finally:
-        os.unlink(path)
+        conn.close()
 
 
 def select_rows(conn: sqlite3.Connection, table: str, columns: list[str],

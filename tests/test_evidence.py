@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import warnings
 import zipfile
 
 import pytest
@@ -205,6 +206,42 @@ def test_zip_listing_never_escapes_root(tmp_path_factory, names):
         assert not rel.startswith("/")
         assert "\\" not in rel
         assert ".." not in rel.split("/")
+
+
+def test_duplicate_zip_member_is_skipped_with_its_name(tmp_path):
+    path = tmp_path / "dup.zip"
+    with zipfile.ZipFile(path, "w") as zf, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # zipfile warns on the duplicate
+        zf.writestr("com.x/a.txt", b"first")
+        zf.writestr("com.x/a.txt", b"second")
+        zf.writestr("com.x/./b.txt", b"third")
+        zf.writestr("com.x/b.txt", b"fourth")
+    with open_source(path) as src:
+        assert src.root_listing == frozenset({"com.x/a.txt", "com.x/b.txt"})
+        assert src.skipped_entries == ("com.x/a.txt (duplicate name)",
+                                       "com.x/b.txt (duplicate name)")
+        assert read_file(src, "com.x/a.txt") == b"first"
+        assert read_file(src, "com.x/b.txt") == b"third"
+
+
+def test_zip_source_closes_its_archive(tmp_path):
+    with open_source(_zip_of(tmp_path, SAMPLE)) as src:
+        assert read_file(src, "appA/data/one.bin") == SAMPLE["appA/data/one.bin"]
+    with pytest.raises(ValueError):
+        read_file(src, "appA/data/one.bin")
+    open_source(_tree_with_files(tmp_path, SAMPLE)).close()  # no-op for a directory
+
+
+def test_read_records_the_digest_hash_file_returns(tmp_path):
+    for path in (_tree_with_files(tmp_path, SAMPLE), _zip_of(tmp_path, SAMPLE)):
+        with open_source(path) as src:
+            assert src.digests == {}
+            data = read_file(src, "appA/data/one.bin")
+            recorded = src.digests["appA/data/one.bin"]
+            assert recorded.hex_digest == hashlib.sha256(data).hexdigest()
+            assert hash_file(src, "appA/data/one.bin") is recorded
+            assert hash_file(src, "appA/empty.txt").hex_digest == SHA256_EMPTY
+            assert set(src.digests) == {"appA/data/one.bin", "appA/empty.txt"}
 
 
 def test_symlinks_are_treated_as_absent(tmp_path):

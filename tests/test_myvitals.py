@@ -53,6 +53,18 @@ def test_bp_row_round_trip(db_bytes):
     assert records[0].kind == "blood-pressure"
 
 
+def test_wal_mode_database_parses(tmp_path):
+    path = make_myvitals_db(tmp_path / "androidNin.db", spo2=FIG1_SPO2_ROWS[:2])
+    conn = sqlite3.connect(path)
+    assert conn.execute("PRAGMA journal_mode=WAL").fetchone() == ("wal",)
+    conn.close()
+    data = path.read_bytes()
+    assert data[18:20] == b"\x02\x02"  # WAL write/read format versions
+    records, warnings = parse_spo2_results(data)
+    assert warnings == []
+    assert [r.payload.result_spo2 for r in records] == [97, 96]
+
+
 def test_bp_empty_table(db_bytes):
     records, warnings = parse_bp_results(db_bytes())
     assert records == [] and warnings == []

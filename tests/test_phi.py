@@ -241,15 +241,20 @@ def credential_record(password=None):
         payload=CredentialSet(account="a@b.co", password_plaintext=password))
 
 
+def _security(app, records, statuses=(), **kwargs):
+    findings = [f for r in records for f in classify_record(r)]
+    return evaluate_security_rule(app, records, findings, list(statuses), **kwargs)
+
+
 def test_security_health_in_sqlite_is_ephi_at_rest():
-    violations = evaluate_security_rule("App", [oximetry_record()], [])
+    violations = _security("App", [oximetry_record()])
     assert [v.kind for v in violations] == ["plaintext-ephi-at-rest"]
     assert violations[0].evidence
 
 
 def test_security_credential_with_password():
-    violations = evaluate_security_rule(
-        "App", [oximetry_record(), credential_record("MedExp2018")], [], redact=False)
+    violations = _security(
+        "App", [oximetry_record(), credential_record("MedExp2018")], redact=False)
     kinds = [v.kind for v in violations]
     assert kinds == ["plaintext-ephi-at-rest", "plaintext-credential"]
     cred = violations[1]
@@ -259,7 +264,7 @@ def test_security_credential_with_password():
 
 
 def test_security_credential_redacted_by_default():
-    violations = evaluate_security_rule("App", [credential_record("MedExp2018")], [])
+    violations = _security("App", [credential_record("MedExp2018")])
     assert "MedExp2018" not in violations[0].description
     assert "Me******18" in violations[0].description
 
@@ -268,19 +273,19 @@ def test_security_identity_only_is_weak_note():
     gluco = ArtifactRecord(kind="user-profile", locator=XML_LOC, payload=GlucoProfile(
         username="u@example.com", device_identifier="BG5-1"))
     statuses = [DatabaseStatus("p/a.db", "encrypted-or-opaque", False, 7.9)]
-    violations = evaluate_security_rule("Gluco-Smart", [gluco], statuses)
+    violations = _security("Gluco-Smart", [gluco], statuses)
     assert [v.kind for v in violations] == ["weak-safeguard-note"]
 
 
 def test_security_no_records_no_violations():
-    assert evaluate_security_rule("App", [], []) == []
+    assert evaluate_security_rule("App", [], [], []) == []
 
 
 @given(st.lists(st.one_of(
     st.booleans().map(lambda has_pw: credential_record("pw" if has_pw else None)),
     st.just(oximetry_record())), max_size=6))
 def test_credential_violation_soundness(records):
-    violations = evaluate_security_rule("App", records, [])
+    violations = _security("App", records)
     expects = any(r.kind == "credential" and r.payload.password_plaintext is not None
                   for r in records)
     emitted = any(v.kind == "plaintext-credential" for v in violations)

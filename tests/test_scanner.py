@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import sqlite3
+import tempfile
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 
-from phiscan.evidence import enumerate_app_roots, open_source, read_file
+import pytest
+
+import phiscan.phi
+import phiscan.scanner
+from phiscan.evidence import enumerate_app_roots, hash_file, open_source, read_file
 from phiscan.fixtures import (
     FixtureSpec,
     HealthMateBlock,
     MyVitalsBlock,
     generate_fixture,
+    paper_replica_spec,
 )
 from phiscan.parsers.base import AppParser
 from phiscan.scanner import scan_evidence
@@ -132,11 +141,96 @@ def test_report_orderings_are_canonical(tmp_path):
 
 
 def test_skipped_container_entries_surface_as_warnings(tmp_path):
-    import zipfile
-
     path = tmp_path / "evil.zip"
     with zipfile.ZipFile(path, "w") as zf:
         zf.writestr("../outside.txt", b"escape")
         zf.writestr("ok/file.txt", b"fine")
+        zf.writestr("ok/./file.txt", b"shadowed")
     report = scan_evidence(path, fixed_clock=CLOCK).report
-    assert any("skipped container entry" in w for w in report.warnings)
+    assert report.warnings == ("skipped container entry: ../outside.txt (unsafe path)",
+                               "skipped container entry: ok/./file.txt (duplicate name)")
+
+
+def _replica_with_sweep(tmp_path, output_kind):
+    """The replica spec plus a swept app and a top-level plain file."""
+    spec = dataclasses.replace(paper_replica_spec(), output_kind=output_kind)
+    out = tmp_path / ("replica.zip" if output_kind == "zip" else "replica")
+    generate_fixture(spec, out)
+    extra = {"com.example.notes/scratch.txt": b"ssn 123-45-6789 noted",
+             "README.txt": b"top-level note"}
+    if output_kind == "zip":
+        with zipfile.ZipFile(out, "a") as zf:
+            for name, data in extra.items():
+                zf.writestr(name, data)
+    else:
+        for name, data in extra.items():
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_bytes(data)
+    return out
+
+
+def test_zip_scan_opens_the_archive_once_and_reads_each_member_once(tmp_path, monkeypatch):
+    out = _replica_with_sweep(tmp_path, "zip")
+    archives = []
+    reads = collections.Counter()
+
+    class CountingZipFile(zipfile.ZipFile):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            archives.append(self)
+
+        def open(self, name, *args, **kwargs):
+            reads[getattr(name, "filename", name)] += 1
+            return super().open(name, *args, **kwargs)
+
+    monkeypatch.setattr(zipfile, "ZipFile", CountingZipFile)
+    result = scan_evidence(out, fixed_clock=CLOCK)
+    assert len(archives) == 1
+    assert reads == collections.Counter(result.source.root_listing)
+    with pytest.raises(ValueError):  # the scan closed the archive
+        read_file(result.source, "README.txt")
+
+
+def test_report_digests_match_a_fresh_hash_of_the_evidence(tmp_path):
+    for output_kind in ("directory", "zip"):
+        out = _replica_with_sweep(tmp_path / output_kind, output_kind)
+        report = scan_evidence(out, fixed_clock=CLOCK).report
+        with open_source(out) as fresh:
+            expected = tuple(hash_file(fresh, rel) for rel in sorted(fresh.root_listing))
+        assert report.file_digests == expected
+        assert "README.txt" in {d.relative_path for d in expected}
+
+
+def test_each_record_is_classified_once(tmp_path, monkeypatch):
+    out = _replica_with_sweep(tmp_path, "directory")
+    calls = []
+    classify = phiscan.phi.classify_record
+
+    def counting_classify(record):
+        calls.append(record)
+        return classify(record)
+
+    monkeypatch.setattr(phiscan.phi, "classify_record", counting_classify)
+    monkeypatch.setattr(phiscan.scanner, "classify_record", counting_classify)
+    result = scan_evidence(out, fixed_clock=CLOCK)
+    assert result.report.violations  # the Security Rule ran over classified records
+    assert len(calls) == len(result.records)
+
+
+def test_scan_stages_no_database_copy_in_tmpdir(tmp_path, monkeypatch):
+    out = _replica_with_sweep(tmp_path, "directory")
+    staging = tmp_path / "staging"
+    staging.mkdir()
+    monkeypatch.setenv("TMPDIR", str(staging))
+    monkeypatch.setattr(tempfile, "tempdir", str(staging))
+    seen = []
+    connect = sqlite3.connect
+
+    def spying_connect(*args, **kwargs):
+        seen.append(sorted(p.name for p in staging.iterdir()))
+        return connect(*args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", spying_connect)
+    scan_evidence(out, fixed_clock=CLOCK)
+    assert seen and all(names == [] for names in seen)
+    assert list(staging.iterdir()) == []
