@@ -39,6 +39,10 @@ class NotSqliteError(ScanError):
     """File bytes lack the SQLite-3 header magic (possibly encrypted)."""
 
 
+class CorruptDatabaseError(ScanError):
+    """SQLite reports the database file as malformed or not a database."""
+
+
 class MissingTableError(ScanError):
     """Expected table (or column) absent from the database schema."""
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from ..artifacts import (
     ArtifactRecord,
-    CONTAINER_SQLITE,
     EpochInstant,
     KIND_BLOOD_PRESSURE,
     KIND_DEVICE_REGISTRATION,
@@ -27,19 +26,25 @@ from ..artifacts import (
     KIND_USER_PROFILE,
     KIND_WEIGHT,
     RawHit,
-    looks_like_email,
-    make_locator,
-    normalize_timestamp,
 )
-from ..errors import InvalidSpecError, MalformedRowError, ScanError
+from ..errors import InvalidSpecError, MalformedRowError
 from ..evidence import AppDataRoot, EvidenceSource, files_under, read_file
-from ..sqlite_bytes import connect_bytes, select_rows
 from .base import AppParser, ParseResult
+from .tables import (
+    Table,
+    declare,
+    email,
+    optional_text,
+    parse_tables,
+    require_instant,
+    require_int,
+    require_num,
+    text,
+)
 
 PACKAGE_FOLDER = "com.withings.wiscale2"
 DISPLAY_NAME = "Health Mate"
 DB_NAME = "withings-wiscale.db"
-DEFAULT_DB_PATH = f"{PACKAGE_FOLDER}/databases/{DB_NAME}"
 
 MEASUREMENT_KINDS = ("weight", "body-fat", "body-water", "pulse", "bone-mass",
                      "muscle-mass", "bmi", "systolic", "diastolic")
@@ -113,149 +118,62 @@ def _default_code_map() -> dict[int, str]:
 DEFAULT_CODE_MAP: dict[int, str] = _default_code_map()
 
 
-def _require_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedRowError(f"{name} is not an integer: {value!r}")
-    return value
+def _mac(value, column: str) -> str:
+    """Colon-hex MAC address, normalized to lowercase."""
+    mac = str(value or "").lower()
+    if not _MAC_RE.match(mac):
+        raise MalformedRowError(f"{column} not colon-hex: {value!r}")
+    return mac
 
 
-def _require_instant(value, name: str) -> EpochInstant:
-    try:
-        return normalize_timestamp(_require_int(value, name))
-    except ScanError as exc:
-        raise MalformedRowError(f"{name}: {exc}") from exc
+# The MAC is converted first, so a row with a bad MAC reports that.
+DEVICES = declare("devices", KIND_DEVICE_REGISTRATION, DeviceRegistration, (
+    ("macAddress", "mac_address", _mac),
+    ("id", "id", require_int),
+    ("associationDate", "association_date", require_instant),
+    ("lastUseDate", "last_use_date", require_instant),
+    ("modifiedDate", "modified_date", require_instant),
+    ("firmware", "firmware", require_int),
+    ("timezone", "timezone", optional_text),
+    ("battery", "battery_pct", require_int),
+    ("type", "device_type", require_int),
+    ("model", "device_model", require_int),
+), checks=(
+    (lambda r: not 0 <= r.battery_pct <= 100, "battery out of [0,100]: {0.battery_pct}"),
+), order_by="id", id_column="id")
+
+USERS = declare("users", KIND_USER_PROFILE, HealthMateUser, (
+    ("name", "name", text),
+    ("gender", "gender", text),
+    ("birthday", "birthday", text),
+    ("email", "email", email),
+), order_by="id", id_column="id")
 
 
-def parse_devices(db: bytes, *, package: str = PACKAGE_FOLDER,
-                  relative_path: str = DEFAULT_DB_PATH,
-                  recovered_at: str = "") -> tuple[list[ArtifactRecord], list[str]]:
-    """Device registrations; NULL timezone stays absent, MACs normalize to lowercase."""
-    records: list[ArtifactRecord] = []
-    warnings: list[str] = []
-    with connect_bytes(db) as conn:
-        rows = select_rows(
-            conn, "devices",
-            ["id", "associationDate", "lastUseDate", "modifiedDate", "macAddress",
-             "firmware", "timezone", "battery", "type", "model"],
-            order_by="id",
-        )
-    for (rowid, dev_id, assoc, last_use, modified, mac, firmware,
-         tz, battery, dev_type, model) in rows:
-        detail_id = dev_id if dev_id is not None else rowid
-        try:
-            mac_norm = str(mac or "").lower()
-            if not _MAC_RE.match(mac_norm):
-                raise MalformedRowError(f"macAddress not colon-hex: {mac!r}")
-            registration = DeviceRegistration(
-                id=_require_int(dev_id, "id"),
-                association_date=_require_instant(assoc, "associationDate"),
-                last_use_date=_require_instant(last_use, "lastUseDate"),
-                modified_date=_require_instant(modified, "modifiedDate"),
-                mac_address=mac_norm,
-                firmware=_require_int(firmware, "firmware"),
-                timezone=None if tz is None else str(tz),
-                battery_pct=_require_int(battery, "battery"),
-                device_type=_require_int(dev_type, "type"),
-                device_model=_require_int(model, "model"),
-            )
-            if not 0 <= registration.battery_pct <= 100:
-                raise MalformedRowError(f"battery out of [0,100]: {registration.battery_pct}")
-        except MalformedRowError as exc:
-            warnings.append(f"devices:{detail_id}: malformed row ({exc}), row skipped")
-            continue
-        records.append(ArtifactRecord(
-            kind=KIND_DEVICE_REGISTRATION,
-            payload=registration,
-            locator=make_locator(package, relative_path, CONTAINER_SQLITE,
-                                 f"devices:{registration.id}"),
-            recovered_at=recovered_at,
-        ))
-    return records, warnings
+def measure_table(code_map: dict[int, str]) -> Table:
+    """The measure table, its type codes decoded with `code_map`.
 
-
-def parse_measures(db: bytes, code_map: dict[int, str] | None = None, *,
-                   package: str = PACKAGE_FOLDER,
-                   relative_path: str = DEFAULT_DB_PATH,
-                   recovered_at: str = "") -> tuple[list[ArtifactRecord], list[str]]:
-    """One record per measure row: typed measurement, or raw hit for unknown codes."""
-    if code_map is None:
-        code_map = DEFAULT_CODE_MAP
-    records: list[ArtifactRecord] = []
-    warnings: list[str] = []
-    with connect_bytes(db) as conn:
-        rows = select_rows(conn, "measure", ["id", "date", "type", "value", "deviceid"],
-                           order_by="id")
-    for rowid, row_id, date, type_code, value, device_ref in rows:
-        detail_id = row_id if row_id is not None else rowid
-        locator = make_locator(package, relative_path, CONTAINER_SQLITE,
-                               f"measure:{detail_id}")
-        try:
-            code = _require_int(type_code, "type")
-        except MalformedRowError as exc:
-            warnings.append(f"measure:{detail_id}: malformed row ({exc}), row skipped")
-            continue
+    A row's record kind follows its decoded measurement kind; a code the
+    map does not know is kept as a raw hit, never dropped.
+    """
+    def row(cells: list) -> tuple[str, object]:
+        date, type_code, value, device_ref = cells
+        code = require_int(type_code, "type")
         kind = code_map.get(code)
         if kind is None:
-            # unknown type code: preserved, never dropped
-            records.append(ArtifactRecord(
-                kind=KIND_RAW_HIT,
-                payload=RawHit(pattern="measure-type-code", value=str(code)),
-                locator=locator,
-                recovered_at=recovered_at,
-            ))
-            continue
-        try:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise MalformedRowError(f"value is not numeric: {value!r}")
-            measurement = HealthMateMeasurement(
-                kind=kind,
-                value=float(value),
-                measured_at=_require_instant(date, "date"),
-                device_ref=None if device_ref is None else _require_int(device_ref, "deviceid"),
-            )
-            if measurement.value <= 0:
-                raise MalformedRowError(f"value not positive: {measurement.value}")
-        except MalformedRowError as exc:
-            warnings.append(f"measure:{detail_id}: malformed row ({exc}), row skipped")
-            continue
-        records.append(ArtifactRecord(
-            kind=KIND_BLOOD_PRESSURE if kind in _PRESSURE_KINDS else KIND_WEIGHT,
-            payload=measurement,
-            locator=locator,
-            recovered_at=recovered_at,
-        ))
-    return records, warnings
-
-
-def parse_users(db: bytes, *, package: str = PACKAGE_FOLDER,
-                relative_path: str = DEFAULT_DB_PATH,
-                recovered_at: str = "") -> tuple[list[ArtifactRecord], list[str]]:
-    """Account-holder profiles from the users table."""
-    records: list[ArtifactRecord] = []
-    warnings: list[str] = []
-    with connect_bytes(db) as conn:
-        rows = select_rows(conn, "users", ["id", "name", "gender", "birthday", "email"],
-                           order_by="id")
-    for rowid, row_id, name, gender, birthday, email in rows:
-        detail_id = row_id if row_id is not None else rowid
-        email_s = "" if email is None else str(email)
-        if email_s and not looks_like_email(email_s):
-            warnings.append(f"users:{detail_id}: malformed row (bad email {email_s!r}), row skipped")
-            continue
-        user = HealthMateUser(
-            name="" if name is None else str(name),
-            gender="" if gender is None else str(gender),
-            birthday="" if birthday is None else str(birthday),
-            email=email_s,
+            return KIND_RAW_HIT, RawHit(pattern="measure-type-code", value=str(code))
+        measurement = HealthMateMeasurement(
+            kind=kind,
+            value=require_num(value, "value"),
+            measured_at=require_instant(date, "date"),
+            device_ref=None if device_ref is None else require_int(device_ref, "deviceid"),
         )
-        records.append(ArtifactRecord(
-            kind=KIND_USER_PROFILE,
-            payload=user,
-            locator=make_locator(package, relative_path, CONTAINER_SQLITE,
-                                 f"users:{detail_id}"),
-            recovered_at=recovered_at,
-        ))
-    return records, warnings
+        if measurement.value <= 0:
+            raise MalformedRowError(f"value not positive: {measurement.value}")
+        return (KIND_BLOOD_PRESSURE if kind in _PRESSURE_KINDS else KIND_WEIGHT), measurement
+
+    return Table("measure", ("date", "type", "value", "deviceid"), row,
+                 order_by="id", id_column="id")
 
 
 class HealthMateParser(AppParser):
@@ -271,6 +189,8 @@ class HealthMateParser(AppParser):
 
     def parse(self, root: AppDataRoot, source: EvidenceSource, *,
               recovered_at: str = "", code_map: dict[int, str] | None = None) -> ParseResult:
+        tables = (DEVICES, measure_table(DEFAULT_CODE_MAP if code_map is None else code_map),
+                  USERS)
         records: list[ArtifactRecord] = []
         warnings: list[str] = []
         consumed: set[str] = set()
@@ -278,18 +198,10 @@ class HealthMateParser(AppParser):
             if db_path.rsplit("/", 1)[-1] != DB_NAME:
                 continue
             consumed.add(db_path)
-            db = read_file(source, db_path)
-            for op, kwargs in ((parse_devices, {}),
-                               (parse_measures, {"code_map": code_map}),
-                               (parse_users, {})):
-                try:
-                    recs, warns = op(db, package=root.package_name,
-                                     relative_path=db_path, recovered_at=recovered_at,
-                                     **kwargs)
-                except ScanError as exc:
-                    warnings.append(f"{db_path}: {exc}")
-                    continue
-                records.extend(recs)
-                warnings.extend(warns)
+            recs, warns = parse_tables(read_file(source, db_path), tables,
+                                       package=root.package_name, relative_path=db_path,
+                                       recovered_at=recovered_at)
+            records.extend(recs)
+            warnings.extend(warns)
         return ParseResult(records=tuple(records), warnings=tuple(warnings),
                            consumed=frozenset(consumed))

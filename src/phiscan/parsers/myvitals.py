@@ -6,14 +6,9 @@ account's authentication material (password included, in plaintext) in a
 shared-preferences file named sp_user_region_host_info.xml.
 
 Column names for TB_SPO2Result are documented artifacts; the remaining
-four tables are bound to the fixture schema below. Real-device schema
-drift surfaces as MissingTable/malformed-row warnings, never as a guess.
-
-  TB_BPResult(Sys, Dia, Pulse, MeasureTime, DeviceID, Note, Account)
-  TB_WeightOnlineResult(Weight, BMI, BodyFat, BodyWater, MuscleMass,
-                        DailyCalorie, BoneMass, MeasureTime, Account)
-  TB_TemperatureHumidity(Humidity, Temperature, Lighting, MeasureTime)
-  TB_Userinfo(Name, Birthday, TimeZone, Email)
+four tables are bound to the fixture schema declared in TABLES. Real-device
+schema drift surfaces as MissingTable/malformed-row warnings, never as a
+guess.
 """
 
 from __future__ import annotations
@@ -30,28 +25,28 @@ from ..artifacts import (
     KIND_OXIMETRY,
     KIND_USER_PROFILE,
     KIND_WEIGHT,
-    CONTAINER_SQLITE,
     CONTAINER_XML,
     looks_like_email,
     make_locator,
-    normalize_timestamp,
 )
-from ..errors import (
-    MalformedRowError,
-    MissingTableError,
-    NoCredentialKeysError,
-    NotSqliteError,
-    ScanError,
-)
+from ..errors import NoCredentialKeysError, ScanError
 from ..evidence import AppDataRoot, EvidenceSource, files_under, read_file
 from ..shared_prefs import parse_shared_prefs
-from ..sqlite_bytes import connect_bytes, select_rows
 from .base import AppParser, ParseResult
+from .tables import (
+    declare,
+    email,
+    optional_text,
+    parse_tables,
+    require_instant,
+    require_int,
+    require_num,
+    text,
+)
 
 PACKAGE_FOLDER = "iHealthMyVitals.V2"
 DISPLAY_NAME = "iHealth MyVitals"
 DB_SUBPATH = "Databases/androidNin.db"
-DEFAULT_DB_PATH = f"{PACKAGE_FOLDER}/{DB_SUBPATH}"
 CREDENTIAL_XML_NAME = "sp_user_region_host_info.xml"
 DEFAULT_XML_PATH = f"{PACKAGE_FOLDER}/shared_prefs/{CREDENTIAL_XML_NAME}"
 
@@ -121,231 +116,74 @@ class MyVitalsProfile:
     email: str
 
 
-def _require_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedRowError(f"{name} is not an integer: {value!r}")
-    return value
+def _int_or_zero(value, column: str) -> int:
+    return require_int(0 if value is None else value, column)
 
 
-def _require_num(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedRowError(f"{name} is not numeric: {value!r}")
-    return float(value)
-
-
-def _require_instant(value, name: str) -> EpochInstant:
-    try:
-        return normalize_timestamp(_require_int(value, name))
-    except ScanError as exc:
-        raise MalformedRowError(f"{name}: {exc}") from exc
-
-
-def _text(value) -> str:
-    return "" if value is None else str(value)
-
-
-def parse_bp_results(db: bytes, *, package: str = PACKAGE_FOLDER,
-                     relative_path: str = DEFAULT_DB_PATH,
-                     recovered_at: str = "") -> tuple[list[ArtifactRecord], list[str]]:
-    """One blood-pressure record per TB_BPResult row; bad rows are tallied."""
-    records: list[ArtifactRecord] = []
-    warnings: list[str] = []
-    with connect_bytes(db) as conn:
-        rows = select_rows(conn, "TB_BPResult",
-                           ["Sys", "Dia", "Pulse", "MeasureTime", "DeviceID", "Note", "Account"])
-    for rowid, sys_v, dia_v, pulse_v, mtime, device_id, note, account in rows:
-        if None in (sys_v, dia_v, pulse_v, mtime):
-            warnings.append(f"TB_BPResult:{rowid}: null vital columns, row skipped")
-            continue
-        try:
-            reading = BloodPressureReading(
-                systolic=_require_int(sys_v, "Sys"),
-                diastolic=_require_int(dia_v, "Dia"),
-                pulse=_require_int(pulse_v, "Pulse"),
-                measured_at=_require_instant(mtime, "MeasureTime"),
-                device_id=_text(device_id),
-                note=None if note is None else str(note),
-                account=_text(account),
-            )
-            if not (reading.systolic > reading.diastolic > 0):
-                raise MalformedRowError(
-                    f"systolic/diastolic out of order: {reading.systolic}/{reading.diastolic}"
-                )
-            if reading.pulse <= 0:
-                raise MalformedRowError(f"pulse not positive: {reading.pulse}")
-        except MalformedRowError as exc:
-            warnings.append(f"TB_BPResult:{rowid}: malformed row ({exc}), row skipped")
-            continue
-        records.append(ArtifactRecord(
-            kind=KIND_BLOOD_PRESSURE,
-            payload=reading,
-            locator=make_locator(package, relative_path, CONTAINER_SQLITE,
-                                 f"TB_BPResult:{rowid}"),
-            recovered_at=recovered_at,
-        ))
-    return records, warnings
-
-
-def parse_spo2_results(db: bytes, *, package: str = PACKAGE_FOLDER,
-                       relative_path: str = DEFAULT_DB_PATH,
-                       recovered_at: str = "") -> tuple[list[ArtifactRecord], list[str]]:
-    """Oximetry records from TB_SPO2Result, ordered by MeasureTime ascending."""
-    records: list[ArtifactRecord] = []
-    warnings: list[str] = []
-    with connect_bytes(db) as conn:
-        rows = select_rows(
-            conn, "TB_SPO2Result",
-            ["UsedUserID", "PhoneDataID", "iHealthID", "MachineType", "MachineDeviceID",
-             "MeasureTime", "LastChangeTime", "PhoneCreateTime", "Result", "PR", "PI"],
-            order_by="MeasureTime, rowid",
-        )
-    for (rowid, used_user, phone_data, health_id, machine_type, machine_dev,
-         mtime, ctime, ptime, result, pr, pi) in rows:
-        if None in (result, pr, pi, mtime):
-            warnings.append(f"TB_SPO2Result:{rowid}: null vital columns, row skipped")
-            continue
-        try:
-            reading = OximetryReading(
-                result_spo2=_require_int(result, "Result"),
-                pulse_rate=_require_int(pr, "PR"),
-                perfusion_index=_require_num(pi, "PI"),
-                measured_at=_require_instant(mtime, "MeasureTime"),
-                last_change_at=_require_instant(ctime, "LastChangeTime"),
-                phone_created_at=_require_instant(ptime, "PhoneCreateTime"),
-                health_id=_text(health_id),
-                machine_type=_text(machine_type),
-                machine_device_id=_text(machine_dev),
-                used_user_id=_require_int(used_user if used_user is not None else 0, "UsedUserID"),
-                phone_data_id=_text(phone_data),
-            )
-            if not 0 < reading.result_spo2 <= 100:
-                raise MalformedRowError(f"Result out of range: {reading.result_spo2}")
-            if reading.pulse_rate <= 0:
-                raise MalformedRowError(f"PR not positive: {reading.pulse_rate}")
-            if reading.perfusion_index < 0:
-                raise MalformedRowError(f"PI negative: {reading.perfusion_index}")
-        except MalformedRowError as exc:
-            warnings.append(f"TB_SPO2Result:{rowid}: malformed row ({exc}), row skipped")
-            continue
-        records.append(ArtifactRecord(
-            kind=KIND_OXIMETRY,
-            payload=reading,
-            locator=make_locator(package, relative_path, CONTAINER_SQLITE,
-                                 f"TB_SPO2Result:{rowid}"),
-            recovered_at=recovered_at,
-        ))
-    return records, warnings
-
-
-def parse_weight_results(db: bytes, *, package: str = PACKAGE_FOLDER,
-                         relative_path: str = DEFAULT_DB_PATH,
-                         recovered_at: str = "") -> tuple[list[ArtifactRecord], list[str]]:
-    """Scale readings from TB_WeightOnlineResult."""
-    records: list[ArtifactRecord] = []
-    warnings: list[str] = []
-    with connect_bytes(db) as conn:
-        rows = select_rows(
-            conn, "TB_WeightOnlineResult",
-            ["Weight", "BMI", "BodyFat", "BodyWater", "MuscleMass",
-             "DailyCalorie", "BoneMass", "MeasureTime", "Account"],
-        )
-    for (rowid, weight, bmi, fat, water, muscle, calorie, bone, mtime, account) in rows:
-        if None in (weight, bmi, fat, water, muscle, calorie, bone, mtime):
-            warnings.append(f"TB_WeightOnlineResult:{rowid}: null vital columns, row skipped")
-            continue
-        try:
-            reading = WeightReading(
-                weight=_require_num(weight, "Weight"),
-                bmi=_require_num(bmi, "BMI"),
-                body_fat_pct=_require_num(fat, "BodyFat"),
-                body_water_pct=_require_num(water, "BodyWater"),
-                muscle_mass=_require_num(muscle, "MuscleMass"),
-                daily_calorie_intake=_require_num(calorie, "DailyCalorie"),
-                bone_mass=_require_num(bone, "BoneMass"),
-                measured_at=_require_instant(mtime, "MeasureTime"),
-                account=_text(account),
-            )
-            if reading.weight <= 0:
-                raise MalformedRowError(f"Weight not positive: {reading.weight}")
-            for pct_name, pct in (("BodyFat", reading.body_fat_pct),
-                                  ("BodyWater", reading.body_water_pct)):
-                if not 0 <= pct <= 100:
-                    raise MalformedRowError(f"{pct_name} out of [0,100]: {pct}")
-        except MalformedRowError as exc:
-            warnings.append(f"TB_WeightOnlineResult:{rowid}: malformed row ({exc}), row skipped")
-            continue
-        records.append(ArtifactRecord(
-            kind=KIND_WEIGHT,
-            payload=reading,
-            locator=make_locator(package, relative_path, CONTAINER_SQLITE,
-                                 f"TB_WeightOnlineResult:{rowid}"),
-            recovered_at=recovered_at,
-        ))
-    return records, warnings
-
-
-def parse_environment(db: bytes, *, package: str = PACKAGE_FOLDER,
-                      relative_path: str = DEFAULT_DB_PATH,
-                      recovered_at: str = "") -> tuple[list[ArtifactRecord], list[str]]:
-    """Scale environment rows (humidity, temperature, lighting)."""
-    records: list[ArtifactRecord] = []
-    warnings: list[str] = []
-    with connect_bytes(db) as conn:
-        rows = select_rows(conn, "TB_TemperatureHumidity",
-                           ["Humidity", "Temperature", "Lighting", "MeasureTime"])
-    for rowid, humidity, temperature, lighting, mtime in rows:
-        if None in (humidity, temperature, lighting, mtime):
-            warnings.append(f"TB_TemperatureHumidity:{rowid}: null columns, row skipped")
-            continue
-        try:
-            reading = EnvironmentReading(
-                humidity=_require_num(humidity, "Humidity"),
-                temperature=_require_num(temperature, "Temperature"),
-                lighting_level=_require_num(lighting, "Lighting"),
-                measured_at=_require_instant(mtime, "MeasureTime"),
-            )
-            if not 0 <= reading.humidity <= 100:
-                raise MalformedRowError(f"Humidity out of [0,100]: {reading.humidity}")
-        except MalformedRowError as exc:
-            warnings.append(f"TB_TemperatureHumidity:{rowid}: malformed row ({exc}), row skipped")
-            continue
-        records.append(ArtifactRecord(
-            kind=KIND_ENVIRONMENT,
-            payload=reading,
-            locator=make_locator(package, relative_path, CONTAINER_SQLITE,
-                                 f"TB_TemperatureHumidity:{rowid}"),
-            recovered_at=recovered_at,
-        ))
-    return records, warnings
-
-
-def parse_user_info(db: bytes, *, package: str = PACKAGE_FOLDER,
-                    relative_path: str = DEFAULT_DB_PATH,
-                    recovered_at: str = "") -> tuple[list[ArtifactRecord], list[str]]:
-    """Account-holder profiles from TB_Userinfo."""
-    records: list[ArtifactRecord] = []
-    warnings: list[str] = []
-    with connect_bytes(db) as conn:
-        rows = select_rows(conn, "TB_Userinfo", ["Name", "Birthday", "TimeZone", "Email"])
-    for rowid, name, birthday, tz, email in rows:
-        email_s = _text(email)
-        if email_s and not looks_like_email(email_s):
-            warnings.append(f"TB_Userinfo:{rowid}: malformed row (bad email {email_s!r}), row skipped")
-            continue
-        profile = MyVitalsProfile(
-            name=_text(name),
-            date_of_birth=_text(birthday),
-            timezone_location=_text(tz),
-            email=email_s,
-        )
-        records.append(ArtifactRecord(
-            kind=KIND_USER_PROFILE,
-            payload=profile,
-            locator=make_locator(package, relative_path, CONTAINER_SQLITE,
-                                 f"TB_Userinfo:{rowid}"),
-            recovered_at=recovered_at,
-        ))
-    return records, warnings
+# androidNin.db, in parse order; TB_SPO2Result comes back MeasureTime-ascending.
+TABLES = (
+    declare("TB_BPResult", KIND_BLOOD_PRESSURE, BloodPressureReading, (
+        ("Sys", "systolic", require_int),
+        ("Dia", "diastolic", require_int),
+        ("Pulse", "pulse", require_int),
+        ("MeasureTime", "measured_at", require_instant),
+        ("DeviceID", "device_id", text),
+        ("Note", "note", optional_text),
+        ("Account", "account", text),
+    ), required=("Sys", "Dia", "Pulse", "MeasureTime"), checks=(
+        (lambda r: not (r.systolic > r.diastolic > 0),
+         "systolic/diastolic out of order: {0.systolic}/{0.diastolic}"),
+        (lambda r: r.pulse <= 0, "pulse not positive: {0.pulse}"),
+    )),
+    declare("TB_SPO2Result", KIND_OXIMETRY, OximetryReading, (
+        ("Result", "result_spo2", require_int),
+        ("PR", "pulse_rate", require_int),
+        ("PI", "perfusion_index", require_num),
+        ("MeasureTime", "measured_at", require_instant),
+        ("LastChangeTime", "last_change_at", require_instant),
+        ("PhoneCreateTime", "phone_created_at", require_instant),
+        ("iHealthID", "health_id", text),
+        ("MachineType", "machine_type", text),
+        ("MachineDeviceID", "machine_device_id", text),
+        ("UsedUserID", "used_user_id", _int_or_zero),
+        ("PhoneDataID", "phone_data_id", text),
+    ), required=("Result", "PR", "PI", "MeasureTime"), checks=(
+        (lambda r: not 0 < r.result_spo2 <= 100, "Result out of range: {0.result_spo2}"),
+        (lambda r: r.pulse_rate <= 0, "PR not positive: {0.pulse_rate}"),
+        (lambda r: r.perfusion_index < 0, "PI negative: {0.perfusion_index}"),
+    ), order_by="MeasureTime, rowid"),
+    declare("TB_WeightOnlineResult", KIND_WEIGHT, WeightReading, (
+        ("Weight", "weight", require_num),
+        ("BMI", "bmi", require_num),
+        ("BodyFat", "body_fat_pct", require_num),
+        ("BodyWater", "body_water_pct", require_num),
+        ("MuscleMass", "muscle_mass", require_num),
+        ("DailyCalorie", "daily_calorie_intake", require_num),
+        ("BoneMass", "bone_mass", require_num),
+        ("MeasureTime", "measured_at", require_instant),
+        ("Account", "account", text),
+    ), required=("Weight", "BMI", "BodyFat", "BodyWater", "MuscleMass", "DailyCalorie",
+                 "BoneMass", "MeasureTime"), checks=(
+        (lambda r: r.weight <= 0, "Weight not positive: {0.weight}"),
+        (lambda r: not 0 <= r.body_fat_pct <= 100, "BodyFat out of [0,100]: {0.body_fat_pct}"),
+        (lambda r: not 0 <= r.body_water_pct <= 100,
+         "BodyWater out of [0,100]: {0.body_water_pct}"),
+    )),
+    declare("TB_TemperatureHumidity", KIND_ENVIRONMENT, EnvironmentReading, (
+        ("Humidity", "humidity", require_num),
+        ("Temperature", "temperature", require_num),
+        ("Lighting", "lighting_level", require_num),
+        ("MeasureTime", "measured_at", require_instant),
+    ), required=("Humidity", "Temperature", "Lighting", "MeasureTime"), checks=(
+        (lambda r: not 0 <= r.humidity <= 100, "Humidity out of [0,100]: {0.humidity}"),
+    ), null_text="null columns"),
+    declare("TB_Userinfo", KIND_USER_PROFILE, MyVitalsProfile, (
+        ("Name", "name", text),
+        ("Birthday", "date_of_birth", text),
+        ("TimeZone", "timezone_location", text),
+        ("Email", "email", email),
+    )),
+)
 
 
 def parse_region_host_xml(xml: bytes, *, package: str = PACKAGE_FOLDER,
@@ -380,14 +218,13 @@ def parse_region_host_xml(xml: bytes, *, package: str = PACKAGE_FOLDER,
         fields = by_account[account]
         if not looks_like_email(account):
             warnings.append(f"credential key prefix is not an email address: {account!r}")
-        password = fields.get("password_plaintext")
         flag = fields.get("is_online_flag")
         credential = CredentialSet(
             account=account,
-            password_plaintext=str(password) if password is not None else None,
-            refresh_token=_opt_str(fields.get("refresh_token")),
-            access_token=_opt_str(fields.get("access_token")),
-            region_host=_opt_str(fields.get("region_host")),
+            password_plaintext=optional_text(fields.get("password_plaintext"), "password"),
+            refresh_token=optional_text(fields.get("refresh_token"), "refresh_token"),
+            access_token=optional_text(fields.get("access_token"), "access_token"),
+            region_host=optional_text(fields.get("region_host"), "region_host"),
             is_online_flag=bool(flag) if flag is not None else None,
         )
         records.append(ArtifactRecord(
@@ -398,10 +235,6 @@ def parse_region_host_xml(xml: bytes, *, package: str = PACKAGE_FOLDER,
             recovered_at=recovered_at,
         ))
     return records, warnings
-
-
-def _opt_str(value) -> str | None:
-    return None if value is None else str(value)
 
 
 class MyVitalsParser(AppParser):
@@ -416,27 +249,11 @@ class MyVitalsParser(AppParser):
 
     def parse(self, root: AppDataRoot, source: EvidenceSource, *,
               recovered_at: str = "", code_map=None) -> ParseResult:
-        records: list[ArtifactRecord] = []
-        warnings: list[str] = []
-        consumed: set[str] = set()
-
         db_path = f"{root.relative_path}/{DB_SUBPATH}"
-        db = read_file(source, db_path)
-        consumed.add(db_path)
-        table_ops = (parse_bp_results, parse_spo2_results, parse_weight_results,
-                     parse_environment, parse_user_info)
-        for op in table_ops:
-            try:
-                recs, warns = op(db, package=root.package_name,
-                                 relative_path=db_path, recovered_at=recovered_at)
-            except NotSqliteError:
-                warnings.append(f"{db_path}: not a SQLite database (possibly encrypted)")
-                break
-            except MissingTableError as exc:
-                warnings.append(f"{db_path}: {exc}")
-                continue
-            records.extend(recs)
-            warnings.extend(warns)
+        consumed = {db_path}
+        records, warnings = parse_tables(read_file(source, db_path), TABLES,
+                                         package=root.package_name, relative_path=db_path,
+                                         recovered_at=recovered_at)
 
         for xml_path in files_under(source, root):
             if xml_path.rsplit("/", 1)[-1] != CREDENTIAL_XML_NAME:

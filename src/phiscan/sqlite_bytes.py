@@ -12,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import sqlite3
 
-from .errors import MissingTableError, NotSqliteError
+from .errors import CorruptDatabaseError, MissingTableError, NotSqliteError
 
 SQLITE_MAGIC = b"SQLite format 3\x00"
 
@@ -50,16 +50,16 @@ def connect_bytes(data: bytes):
 
 def select_rows(conn: sqlite3.Connection, table: str, columns: list[str],
                 order_by: str = "rowid") -> list[tuple]:
-    """SELECT the named columns (rowid prepended) or raise MissingTableError."""
+    """SELECT the named columns (rowid prepended).
+
+    Raises MissingTableError when the table or a column is absent, and
+    CorruptDatabaseError when SQLite finds the file damaged (a damaged
+    schema can make SQLite's error message itself undecodable).
+    """
     sql = f'SELECT rowid, {", ".join(columns)} FROM "{table}" ORDER BY {order_by}'
     try:
         return list(conn.execute(sql))
     except sqlite3.OperationalError as exc:
         raise MissingTableError(f"{table}: {exc}") from exc
-
-
-def list_tables(conn: sqlite3.Connection) -> list[str]:
-    rows = conn.execute(
-        "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"
-    )
-    return [r[0] for r in rows]
+    except (sqlite3.DatabaseError, UnicodeDecodeError) as exc:
+        raise CorruptDatabaseError(f"{table}: {exc}") from exc

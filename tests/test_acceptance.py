@@ -21,8 +21,9 @@ from phiscan.fixtures import (
     random_spec,
     verify_scan_against_manifest,
 )
-from phiscan.parsers.myvitals import EnvironmentReading, parse_spo2_results
-from phiscan.parsers.healthmate import parse_devices
+from phiscan.parsers import healthmate, myvitals
+from phiscan.parsers.myvitals import EnvironmentReading
+from phiscan.parsers.tables import parse_tables
 from phiscan.phi import MATRIX_KEY_LINE, PHI_CATEGORIES
 from phiscan.report import build_timeline, render_report
 from phiscan.scanner import scan_evidence
@@ -75,9 +76,11 @@ def test_c3_oximetry_rows_parse_exactly(replica):
     from phiscan.evidence import open_source, read_file
 
     src = open_source(tree)
-    db = read_file(src, "iHealthMyVitals.V2/Databases/androidNin.db")
-    records, warnings = parse_spo2_results(db)
+    db_path = "iHealthMyVitals.V2/Databases/androidNin.db"
+    records, warnings = parse_tables(read_file(src, db_path), myvitals.TABLES,
+                                     package="iHealthMyVitals.V2", relative_path=db_path)
     assert warnings == []
+    records = [r for r in records if r.locator.detail.startswith("TB_SPO2Result:")]
     assert len(records) == 5
     first = records[0].payload
     assert first.result_spo2 == 97
@@ -94,9 +97,13 @@ def test_c4_device_rows_parse_exactly(replica):
     from phiscan.evidence import open_source, read_file
 
     src = open_source(tree)
-    db = read_file(src, "com.withings.wiscale2/databases/withings-wiscale.db")
-    records, warnings = parse_devices(db)
+    db_path = "com.withings.wiscale2/databases/withings-wiscale.db"
+    tables = (healthmate.DEVICES, healthmate.measure_table(healthmate.DEFAULT_CODE_MAP),
+              healthmate.USERS)
+    records, warnings = parse_tables(read_file(src, db_path), tables,
+                                     package="com.withings.wiscale2", relative_path=db_path)
     assert warnings == []
+    records = [r for r in records if r.locator.detail.startswith("devices:")]
     assert len(records) == 2
     by_mac = {r.payload.mac_address: r.payload for r in records}
     assert set(by_mac) == {"00:24:e4:5a:ee:6c", "00:24:e4:57:12:c4"}

@@ -7,16 +7,17 @@ import sqlite3
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phiscan.errors import InvalidSpecError, MissingTableError
+from phiscan.errors import InvalidSpecError
 from phiscan.evidence import enumerate_app_roots, open_source
 from phiscan.parsers.healthmate import (
     DEFAULT_CODE_MAP,
+    DEVICES,
+    USERS,
     HealthMateParser,
     load_code_map,
-    parse_devices,
-    parse_measures,
-    parse_users,
+    measure_table,
 )
+from phiscan.parsers.tables import parse_tables
 
 from conftest import FIG3_DEVICE_ROWS, make_healthmate_db
 
@@ -33,8 +34,17 @@ def db_bytes(tmp_path):
     return build
 
 
+DB_PATH = "com.withings.wiscale2/databases/withings-wiscale.db"
+
+
+def parse(data: bytes, code_map=DEFAULT_CODE_MAP):
+    """Every withings-wiscale.db table, through the app's declared-table loop."""
+    return parse_tables(data, (DEVICES, measure_table(code_map), USERS),
+                        package="com.withings.wiscale2", relative_path=DB_PATH)
+
+
 def test_documented_device_rows(db_bytes):
-    records, warnings = parse_devices(db_bytes(devices=FIG3_DEVICE_ROWS))
+    records, warnings = parse(db_bytes(devices=FIG3_DEVICE_ROWS))
     assert warnings == []
     assert len(records) == 2
     by_id = {r.payload.id: r.payload for r in records}
@@ -63,7 +73,7 @@ def test_documented_device_rows(db_bytes):
 
 
 def test_devices_empty_table(db_bytes):
-    records, warnings = parse_devices(db_bytes())
+    records, warnings = parse(db_bytes())
     assert records == [] and warnings == []
 
 
@@ -73,7 +83,7 @@ def test_device_malformed_rows_tallied(db_bytes):
         (2, 1541806236000, 1542127729662, 1542127635000, "00:24:e4:5a:ee:6c",
          1, None, 150, 1, 1),  # battery out of range
     ]
-    records, warnings = parse_devices(db_bytes(devices=rows))
+    records, warnings = parse(db_bytes(devices=rows))
     assert records == []
     assert len(warnings) == 2
 
@@ -81,12 +91,12 @@ def test_device_malformed_rows_tallied(db_bytes):
 def test_device_mac_normalized_to_lowercase(db_bytes):
     rows = [(3, 1541806236000, 1542127729662, 1542127635000, "00:24:E4:5A:EE:6C",
              1, None, 50, 1, 1)]
-    records, _ = parse_devices(db_bytes(devices=rows))
+    records, _ = parse(db_bytes(devices=rows))
     assert records[0].payload.mac_address == "00:24:e4:5a:ee:6c"
 
 
 def test_measure_known_code(db_bytes):
-    records, warnings = parse_measures(
+    records, warnings = parse(
         db_bytes(measures=[(1, 1541807000000, 1, 80.5, 5595648)]))
     assert warnings == []
     m = records[0].payload
@@ -99,14 +109,14 @@ def test_measure_known_code(db_bytes):
 
 
 def test_measure_pressure_codes_are_blood_pressure_records(db_bytes):
-    records, _ = parse_measures(db_bytes(measures=[
+    records, _ = parse(db_bytes(measures=[
         (1, 1541807000000, 4, 120.0, None), (2, 1541807000000, 11, 64.0, None)]))
     assert [r.kind for r in records] == ["blood-pressure", "blood-pressure"]
     assert [r.payload.kind for r in records] == ["systolic", "pulse"]
 
 
 def test_measure_unknown_code_becomes_raw_hit(db_bytes):
-    records, warnings = parse_measures(
+    records, warnings = parse(
         db_bytes(measures=[(1, 1541807000000, 999, 42.0, None)]))
     assert warnings == []
     assert records[0].kind == "raw-hit"
@@ -115,9 +125,9 @@ def test_measure_unknown_code_becomes_raw_hit(db_bytes):
 
 
 def test_measure_empty_and_invalid_value(db_bytes):
-    records, warnings = parse_measures(db_bytes())
+    records, warnings = parse(db_bytes())
     assert records == [] and warnings == []
-    records, warnings = parse_measures(
+    records, warnings = parse(
         db_bytes(measures=[(1, 1541807000000, 1, -5.0, None)]))
     assert records == [] and len(warnings) == 1
 
@@ -132,20 +142,20 @@ def test_code_map_totality(tmp_path_factory, rows):
     path = tmp / "m.db"
     make_healthmate_db(path, measures=[
         (i + 1, 1541807000000, code, value, None) for i, (code, value) in enumerate(rows)])
-    records, warnings = parse_measures(path.read_bytes())
+    records, warnings = parse(path.read_bytes())
     assert len(records) + len(warnings) == len(rows)
     assert len(warnings) == 0  # all values positive by construction
 
 
 def test_users_round_trip(db_bytes):
-    records, warnings = parse_users(db_bytes(users=[
+    records, warnings = parse(db_bytes(users=[
         (1, "Pat Example", "F", "1985-06-15", "pat@example.com")]))
     assert warnings == []
     user = records[0].payload
     assert (user.name, user.gender, user.birthday, user.email) == (
         "Pat Example", "F", "1985-06-15", "pat@example.com")
 
-    assert parse_users(db_bytes())[0] == []
+    assert parse(db_bytes())[0] == []
 
 
 def test_users_missing_email_column_is_schema_error(tmp_path):
@@ -162,8 +172,9 @@ def test_users_missing_email_column_is_schema_error(tmp_path):
                  " type INTEGER, value REAL, deviceid INTEGER)")
     conn.commit()
     conn.close()
-    with pytest.raises(MissingTableError):
-        parse_users(path.read_bytes())
+    records, warnings = parse(path.read_bytes())
+    assert records == []
+    assert warnings == [f"{DB_PATH}: users: no such column: email"]
 
     # at the app-parser level the schema error is tallied, not fatal
     tree = tmp_path / "tree" / "com.withings.wiscale2" / "databases"
@@ -174,6 +185,26 @@ def test_users_missing_email_column_is_schema_error(tmp_path):
     result = HealthMateParser().parse(root, src)
     assert any("users" in w for w in result.warnings)
     assert result.records == ()
+
+
+def test_not_sqlite_database_is_one_warning(tmp_path):
+    tree = tmp_path / "tree" / "com.withings.wiscale2" / "databases"
+    tree.mkdir(parents=True)
+    tree.joinpath("withings-wiscale.db").write_bytes(b"\x13\x37" * 64)
+    src = open_source(tmp_path / "tree")
+    result = HealthMateParser().parse(enumerate_app_roots(src)[0], src)
+    assert result.records == ()
+    assert result.warnings == (f"{DB_PATH}: not a SQLite database (possibly encrypted)",)
+
+
+def test_undecodable_schema_error_is_one_corrupt_warning(tmp_path):
+    data = make_healthmate_db(tmp_path / "w.db", users=[(1, "A", "F", "1980-01-01", "a@b.co")])
+    damaged = data.read_bytes().replace(b"tablemeasuremeasure", b"tablemeasur\xe5measure", 1)
+    assert damaged != data.read_bytes()
+    records, warnings = parse(damaged)
+    assert records == []
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"{DB_PATH}: corrupt SQLite database, not parsed (devices: ")
 
 
 def test_detect_requires_folder_and_database(tmp_path):
@@ -208,6 +239,6 @@ def test_load_code_map_round_trip_and_errors(tmp_path):
 
 
 def test_custom_code_map_overrides_default(db_bytes):
-    records, _ = parse_measures(db_bytes(measures=[(1, 1541807000000, 42, 70.0, None)]),
+    records, _ = parse(db_bytes(measures=[(1, 1541807000000, 42, 70.0, None)]),
                                 code_map={42: "pulse"})
     assert records[0].payload.kind == "pulse"

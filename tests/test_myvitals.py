@@ -7,22 +7,10 @@ import sqlite3
 import pytest
 from hypothesis import given, strategies as st
 
-from phiscan.errors import (
-    MalformedXmlError,
-    MissingTableError,
-    NoCredentialKeysError,
-    NotSqliteError,
-)
+from phiscan.errors import MalformedXmlError, NoCredentialKeysError
 from phiscan.evidence import enumerate_app_roots, open_source
-from phiscan.parsers.myvitals import (
-    MyVitalsParser,
-    parse_bp_results,
-    parse_environment,
-    parse_region_host_xml,
-    parse_spo2_results,
-    parse_user_info,
-    parse_weight_results,
-)
+from phiscan.parsers.myvitals import TABLES, MyVitalsParser, parse_region_host_xml
+from phiscan.parsers.tables import parse_tables
 
 from conftest import FIG1_SPO2_ROWS, FIG2_CREDENTIAL_XML, make_myvitals_db
 
@@ -39,10 +27,18 @@ def db_bytes(tmp_path):
     return build
 
 
+DB_PATH = "iHealthMyVitals.V2/Databases/androidNin.db"
+
+
+def parse(data: bytes):
+    """Every androidNin.db table, through the app's declared-table loop."""
+    return parse_tables(data, TABLES, package="iHealthMyVitals.V2", relative_path=DB_PATH)
+
+
 def test_bp_row_round_trip(db_bytes):
     data = db_bytes(bp=[(120, 80, 65, 1530829549, "7C669D51AA04", "after run",
                          "medicaldevices2018exper@gmail.com")])
-    records, warnings = parse_bp_results(data)
+    records, warnings = parse(data)
     assert warnings == []
     assert len(records) == 1
     reading = records[0].payload
@@ -60,20 +56,20 @@ def test_wal_mode_database_parses(tmp_path):
     conn.close()
     data = path.read_bytes()
     assert data[18:20] == b"\x02\x02"  # WAL write/read format versions
-    records, warnings = parse_spo2_results(data)
+    records, warnings = parse(data)
     assert warnings == []
     assert [r.payload.result_spo2 for r in records] == [97, 96]
 
 
 def test_bp_empty_table(db_bytes):
-    records, warnings = parse_bp_results(db_bytes())
+    records, warnings = parse(db_bytes())
     assert records == [] and warnings == []
 
 
 def test_bp_null_vitals_tallied(db_bytes):
     data = db_bytes(bp=[(None, 80, 65, 1530829549, "d", None, "a@b.co"),
                         (120, 80, 65, 1530829549, "d", None, "a@b.co")])
-    records, warnings = parse_bp_results(data)
+    records, warnings = parse(data)
     assert len(records) == 1
     assert len(warnings) == 1 and "TB_BPResult:1" in warnings[0]
 
@@ -82,29 +78,32 @@ def test_bp_invariant_violations_tallied(db_bytes):
     data = db_bytes(bp=[(80, 120, 65, 1530829549, "d", None, "a@b.co"),      # sys < dia
                         (120, 80, 0, 1530829549, "d", None, "a@b.co"),       # pulse 0
                         (120, 80, "fast", 1530829549, "d", None, "a@b.co")])  # non-integer
-    records, warnings = parse_bp_results(data)
+    records, warnings = parse(data)
     assert records == []
     assert len(warnings) == 3
     assert all("malformed row" in w for w in warnings)
 
 
-def test_not_sqlite_raises(db_bytes):
-    with pytest.raises(NotSqliteError):
-        parse_bp_results(b"\x13\x37" * 64)
+def test_not_sqlite_is_one_warning(db_bytes):
+    records, warnings = parse(b"\x13\x37" * 64)
+    assert records == []
+    assert warnings == [f"{DB_PATH}: not a SQLite database (possibly encrypted)"]
 
 
-def test_missing_table_raises(tmp_path):
+def test_missing_table_is_a_warning_per_table(tmp_path):
     path = tmp_path / "other.db"
     conn = sqlite3.connect(path)
     conn.execute("CREATE TABLE unrelated (x)")
     conn.commit()
     conn.close()
-    with pytest.raises(MissingTableError):
-        parse_bp_results(path.read_bytes())
+    records, warnings = parse(path.read_bytes())
+    assert records == []
+    assert warnings == [f"{DB_PATH}: {table.name}: no such table: {table.name}"
+                        for table in TABLES]
 
 
 def test_spo2_first_documented_row(db_bytes):
-    records, warnings = parse_spo2_results(db_bytes(spo2=FIG1_SPO2_ROWS[:1]))
+    records, warnings = parse(db_bytes(spo2=FIG1_SPO2_ROWS[:1]))
     assert warnings == []
     reading = records[0].payload
     assert reading.result_spo2 == 97
@@ -121,7 +120,7 @@ def test_spo2_all_rows_ordered_by_measure_time(db_bytes):
     # insert out of order; parse must come back MeasureTime-ascending
     shuffled = [FIG1_SPO2_ROWS[3], FIG1_SPO2_ROWS[0], FIG1_SPO2_ROWS[4],
                 FIG1_SPO2_ROWS[1], FIG1_SPO2_ROWS[2]]
-    records, _ = parse_spo2_results(db_bytes(spo2=shuffled))
+    records, _ = parse(db_bytes(spo2=shuffled))
     times = [r.payload.measured_at.raw_value for r in records]
     assert times == sorted(times)
     assert times[0] == 1530829549 and times[-1] == 1531259730
@@ -131,7 +130,7 @@ def test_spo2_all_rows_ordered_by_measure_time(db_bytes):
 def test_spo2_zero_result_tallied(db_bytes):
     row = list(FIG1_SPO2_ROWS[0])
     row[8] = 0  # Result
-    records, warnings = parse_spo2_results(db_bytes(spo2=[tuple(row)]))
+    records, warnings = parse(db_bytes(spo2=[tuple(row)]))
     assert records == []
     assert len(warnings) == 1 and "malformed row" in warnings[0]
 
@@ -139,7 +138,7 @@ def test_spo2_zero_result_tallied(db_bytes):
 def test_weight_row_round_trip(db_bytes):
     data = db_bytes(weight=[(80.5, 24.1, 18.2, 55.0, 60.3, 2200.0, 3.1,
                              1530845000, "a@b.co")])
-    records, warnings = parse_weight_results(data)
+    records, warnings = parse(data)
     assert warnings == []
     reading = records[0].payload
     assert reading.weight == pytest.approx(80.5)
@@ -151,30 +150,30 @@ def test_weight_row_round_trip(db_bytes):
 def test_weight_percentage_bound(db_bytes):
     data = db_bytes(weight=[(80.5, 24.1, 120.0, 55.0, 60.3, 2200.0, 3.1,
                              1530845000, "a@b.co")])
-    records, warnings = parse_weight_results(data)
+    records, warnings = parse(data)
     assert records == [] and len(warnings) == 1
 
 
 def test_environment_row_and_bounds(db_bytes):
-    records, warnings = parse_environment(
+    records, warnings = parse(
         db_bytes(env=[(45.0, 22.5, 300.0, 1530845000)]))
     assert warnings == []
     assert records[0].payload.humidity == pytest.approx(45.0)
 
-    records, warnings = parse_environment(
+    records, warnings = parse(
         db_bytes(env=[(101.0, 22.5, 300.0, 1530845000)]))
     assert records == [] and len(warnings) == 1
 
 
 def test_user_info_rows(db_bytes):
-    records, _ = parse_user_info(db_bytes(users=[
+    records, _ = parse(db_bytes(users=[
         ("Pat One", "1980-01-02", "America/Chicago", "medicaldevices2018exper@gmail.com")]))
     assert records[0].payload.email == "medicaldevices2018exper@gmail.com"
 
-    records, _ = parse_user_info(db_bytes())
+    records, _ = parse(db_bytes())
     assert records == []
 
-    records, _ = parse_user_info(db_bytes(users=[
+    records, _ = parse(db_bytes(users=[
         ("A", "1980-01-02", "UTC", "a@b.co"), ("B", "1981-02-03", "UTC", "b@c.co")]))
     assert len(records) == 2
 
@@ -190,8 +189,8 @@ def test_parse_is_layout_independent(tmp_path, db_bytes):
     conn.execute("VACUUM")
     conn.commit()
     conn.close()
-    before = [r.payload for r in parse_bp_results(data)[0]]
-    after = [r.payload for r in parse_bp_results(path.read_bytes())[0]]
+    before = [r.payload for r in parse(data)[0]]
+    after = [r.payload for r in parse(path.read_bytes())[0]]
     assert before == after
 
 

@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 from phiscan.artifacts import ArtifactRecord, SourceLocator, normalize_timestamp
 from phiscan.evidence import FileDigest
 from phiscan.parsers.glucosmart import DatabaseStatus
-from phiscan.parsers.myvitals import EnvironmentReading, parse_spo2_results
-from phiscan.parsers.healthmate import parse_devices
+from phiscan.parsers import healthmate, myvitals
+from phiscan.parsers.myvitals import EnvironmentReading
+from phiscan.parsers.tables import parse_tables
 from phiscan.phi import (
     MATRIX_KEY_LINE,
     PHI_CATEGORIES,
@@ -122,8 +123,11 @@ def test_canonical_round_trip(report):
 def _documented_records(tmp_path):
     mv = make_myvitals_db(tmp_path / "androidNin.db", spo2=FIG1_SPO2_ROWS)
     hm = make_healthmate_db(tmp_path / "withings-wiscale.db", devices=FIG3_DEVICE_ROWS)
-    spo2, _ = parse_spo2_results(mv.read_bytes())
-    devices, _ = parse_devices(hm.read_bytes())
+    spo2, _ = parse_tables(mv.read_bytes(), myvitals.TABLES, package="iHealthMyVitals.V2",
+                           relative_path="iHealthMyVitals.V2/Databases/androidNin.db")
+    devices, _ = parse_tables(hm.read_bytes(), (healthmate.DEVICES,),
+                              package="com.withings.wiscale2",
+                              relative_path="com.withings.wiscale2/databases/withings-wiscale.db")
     return spo2 + devices
 
 

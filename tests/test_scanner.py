@@ -234,3 +234,24 @@ def test_scan_stages_no_database_copy_in_tmpdir(tmp_path, monkeypatch):
     scan_evidence(out, fixed_clock=CLOCK)
     assert seen and all(names == [] for names in seen)
     assert list(staging.iterdir()) == []
+
+
+@pytest.mark.parametrize("db_path, app, first_table", [
+    ("iHealthMyVitals.V2/Databases/androidNin.db", "iHealth MyVitals", "TB_BPResult"),
+    ("com.withings.wiscale2/databases/withings-wiscale.db", "Health Mate", "devices"),
+])
+def test_corrupt_database_costs_one_warning(replica_tree, db_path, app, first_table):
+    tree, _ = replica_tree
+    intact = scan_evidence(tree, fixed_clock=CLOCK)
+    target = tree / db_path
+    data = target.read_bytes()
+    target.write_bytes(data[:100] + bytes(len(data) - 100))  # valid header, zeroed body
+
+    damaged = scan_evidence(tree, fixed_clock=CLOCK)
+    assert [w for w in damaged.report.warnings if db_path in w] == [
+        f"{db_path}: corrupt SQLite database, not parsed"
+        f" ({first_table}: database disk image is malformed)"]
+    assert len(damaged.report.warnings) == len(intact.report.warnings) + 1
+    assert [r.kind for r in damaged.records if r.kind == "credential"] == ["credential"]
+    assert ([row for row in damaged.report.matrix if row.app_name != app]
+            == [row for row in intact.report.matrix if row.app_name != app])
