@@ -36,7 +36,6 @@ KIND_BLOOD_PRESSURE = "blood-pressure"
 KIND_OXIMETRY = "oximetry"
 KIND_WEIGHT = "weight"
 KIND_ENVIRONMENT = "environment"
-KIND_GLUCOSE_STATUS = "glucose-status"
 KIND_USER_PROFILE = "user-profile"
 KIND_CREDENTIAL = "credential"
 KIND_DEVICE_REGISTRATION = "device-registration"
@@ -46,7 +45,6 @@ RECORD_KINDS = frozenset({
     KIND_OXIMETRY,
     KIND_WEIGHT,
     KIND_ENVIRONMENT,
-    KIND_GLUCOSE_STATUS,
     KIND_USER_PROFILE,
     KIND_CREDENTIAL,
     KIND_DEVICE_REGISTRATION,

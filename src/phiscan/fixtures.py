@@ -389,7 +389,6 @@ _MEASURE_VALUE_RANGES = {
 }
 
 _KIND_BY_CODE = dict(healthmate.DEFAULT_CODE_MAP)
-_CODE_BY_KIND = {kind: code for code, kind in _KIND_BY_CODE.items()}
 
 
 def _gen_measure_row(rng: random.Random, device_ids: list[int]) -> dict:

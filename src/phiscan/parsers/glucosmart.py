@@ -50,6 +50,9 @@ class GlucoProfile:
     username: str
     device_identifier: str
 
+    def phi_excerpts(self) -> dict[str, str]:
+        return {"profile_name": self.username} if self.username else {}
+
 
 def shannon_entropy(data: bytes) -> float:
     """Shannon entropy in bits per byte, rounded for stable serialization."""

@@ -70,6 +70,9 @@ class DeviceRegistration:
     device_type: int
     device_model: int
 
+    def phi_excerpts(self) -> dict[str, str]:
+        return {"device_usage": f"device {self.mac_address}, last used {self.last_use_date.utc}"}
+
 
 @dataclass(frozen=True)
 class HealthMateMeasurement:
@@ -78,6 +81,11 @@ class HealthMateMeasurement:
     measured_at: EpochInstant
     device_ref: int | None
 
+    def phi_excerpts(self) -> dict[str, str]:
+        prefix = f"device {self.device_ref} " if self.device_ref is not None else ""
+        return {"vital_reading": f"{self.kind} {self.value}",
+                "device_usage": f"{prefix}measured at {self.measured_at.utc}"}
+
 
 @dataclass(frozen=True)
 class HealthMateUser:
@@ -85,6 +93,10 @@ class HealthMateUser:
     gender: str
     birthday: str
     email: str
+
+    def phi_excerpts(self) -> dict[str, str]:
+        excerpts = {"profile_name": self.name, "profile_birth_date": self.birthday}
+        return {predicate: value for predicate, value in excerpts.items() if value}
 
 
 def load_code_map(text: str) -> dict[int, str]:

@@ -71,6 +71,10 @@ class BloodPressureReading:
     note: str | None
     account: str
 
+    def phi_excerpts(self) -> dict[str, str]:
+        return {"vital_reading": f"{self.systolic}/{self.diastolic} mmHg, pulse {self.pulse} bpm",
+                "device_usage": f"device {self.device_id or 'unknown'} at {self.measured_at.utc}"}
+
 
 @dataclass(frozen=True)
 class OximetryReading:
@@ -86,6 +90,12 @@ class OximetryReading:
     used_user_id: int
     phone_data_id: str
 
+    def phi_excerpts(self) -> dict[str, str]:
+        return {"vital_reading": (f"SpO2 {self.result_spo2}%, pulse {self.pulse_rate} bpm, "
+                                  f"PI {self.perfusion_index}"),
+                "device_usage": (f"device {self.machine_device_id} ({self.machine_type}) "
+                                 f"at {self.measured_at.utc}")}
+
 
 @dataclass(frozen=True)
 class WeightReading:
@@ -99,6 +109,10 @@ class WeightReading:
     measured_at: EpochInstant
     account: str
 
+    def phi_excerpts(self) -> dict[str, str]:
+        return {"vital_reading": f"weight {self.weight}, BMI {self.bmi}",
+                "device_usage": f"measured at {self.measured_at.utc}"}
+
 
 @dataclass(frozen=True)
 class EnvironmentReading:
@@ -107,6 +121,9 @@ class EnvironmentReading:
     lighting_level: float
     measured_at: EpochInstant
 
+    def phi_excerpts(self) -> dict[str, str]:
+        return {"device_usage": f"measured at {self.measured_at.utc}"}
+
 
 @dataclass(frozen=True)
 class MyVitalsProfile:
@@ -114,6 +131,11 @@ class MyVitalsProfile:
     date_of_birth: str
     timezone_location: str
     email: str
+
+    def phi_excerpts(self) -> dict[str, str]:
+        excerpts = {"profile_name": self.name, "profile_birth_date": self.date_of_birth,
+                    "timezone_address_proxy": self.timezone_location}
+        return {predicate: value for predicate, value in excerpts.items() if value}
 
 
 def _int_or_zero(value, column: str) -> int:

@@ -120,20 +120,21 @@ def parse_tables(db: bytes, tables: tuple[Table, ...], *, package: str, relative
     """Records and warnings from every table of one database's bytes.
 
     The bytes are opened once, and every table is selected before any row
-    is converted. A missing table or column costs that table a warning;
-    bytes that are not SQLite, or that SQLite finds corrupt, cost one
-    warning and yield no records.
+    is converted. A missing table or column costs that table a warning,
+    and so does text that is not valid UTF-8, which keeps the table's rows
+    with the undecodable bytes replaced. Bytes that are not SQLite, or that
+    SQLite finds corrupt, cost one warning and yield no records.
     """
     selected = []
     try:
         with connect_bytes(db) as conn:
             for table in tables:
                 try:
-                    rows = select_rows(conn, table.name, [table.id_column, *table.columns],
-                                       table.order_by)
+                    rows, note = select_rows(conn, table.name,
+                                             [table.id_column, *table.columns], table.order_by)
                 except MissingTableError as exc:
-                    rows = exc
-                selected.append((table, rows))
+                    rows, note = [], str(exc)
+                selected.append((table, rows, note))
     except NotSqliteError:
         return [], [f"{relative_path}: not a SQLite database (possibly encrypted)"]
     except CorruptDatabaseError as exc:
@@ -143,10 +144,9 @@ def parse_tables(db: bytes, tables: tuple[Table, ...], *, package: str, relative
     make_locator(package, relative_path, CONTAINER_SQLITE, relative_path)
     records: list[ArtifactRecord] = []
     warnings: list[str] = []
-    for table, rows in selected:
-        if isinstance(rows, MissingTableError):
-            warnings.append(f"{relative_path}: {rows}")
-            continue
+    for table, rows, note in selected:
+        if note is not None:
+            warnings.append(f"{relative_path}: {note}")
         name, row, required = table.name, table.row, table.required
         for rowid, key, *cells in rows:
             detail = f"{name}:{rowid if key is None else key}"

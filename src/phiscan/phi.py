@@ -6,6 +6,11 @@ condition, provision of healthcare, payment, and the common identifiers
 through a published rule table (data/phi_rules_v1.tsv); each finding
 carries the id of the rule that fired so the classification is auditable.
 
+This module knows no payload type. A typed rule's excerpt comes from the
+payload itself: each structured payload's phi_excerpts() maps the typed
+predicates it fires to their excerpts. The two pattern rules (SSN, Luhn-valid
+card number) scan every string field of any payload, raw-sweep hits included.
+
 The Security-Rule evaluation asks two questions of each app: did health
 data sit in plaintext containers at rest, and was an account password
 recoverable in plaintext.
@@ -24,19 +29,10 @@ from .artifacts import (
     CONTAINER_SQLITE,
     CONTAINER_XML,
     KIND_CREDENTIAL,
-    KIND_GLUCOSE_STATUS,
     RawHit,
     SourceLocator,
 )
-from .parsers.glucosmart import DatabaseStatus, GlucoProfile
-from .parsers.healthmate import DeviceRegistration, HealthMateMeasurement, HealthMateUser
-from .parsers.myvitals import (
-    BloodPressureReading,
-    EnvironmentReading,
-    MyVitalsProfile,
-    OximetryReading,
-    WeightReading,
-)
+from .parsers.glucosmart import DatabaseStatus
 
 RULES_VERSION = "1"
 
@@ -136,92 +132,21 @@ def luhn_ok(digits: str) -> bool:
 
 
 # -- rule predicates ---------------------------------------------------------
-# Each predicate returns the excerpt(s) that fired, or nothing.
 
-def vital_reading(record: ArtifactRecord) -> list[str]:
-    p = record.payload
-    if isinstance(p, BloodPressureReading):
-        return [f"{p.systolic}/{p.diastolic} mmHg, pulse {p.pulse} bpm"]
-    if isinstance(p, OximetryReading):
-        return [f"SpO2 {p.result_spo2}%, pulse {p.pulse_rate} bpm, PI {p.perfusion_index}"]
-    if isinstance(p, WeightReading):
-        return [f"weight {p.weight}, BMI {p.bmi}"]
-    if isinstance(p, HealthMateMeasurement):
-        return [f"{p.kind} {p.value}"]
-    if record.kind == KIND_GLUCOSE_STATUS:
-        return ["glucose reading"]
-    return []
+# The keys a payload's phi_excerpts() may use.
+TYPED_PREDICATES = frozenset({"vital_reading", "device_usage", "profile_name",
+                              "profile_birth_date", "timezone_address_proxy"})
 
 
-def device_usage(record: ArtifactRecord) -> list[str]:
-    p = record.payload
-    if isinstance(p, DeviceRegistration):
-        return [f"device {p.mac_address}, last used {p.last_use_date.utc}"]
-    if isinstance(p, BloodPressureReading):
-        return [f"device {p.device_id or 'unknown'} at {p.measured_at.utc}"]
-    if isinstance(p, OximetryReading):
-        return [f"device {p.machine_device_id} ({p.machine_type}) at {p.measured_at.utc}"]
-    if isinstance(p, (WeightReading, EnvironmentReading)):
-        return [f"measured at {p.measured_at.utc}"]
-    if isinstance(p, HealthMateMeasurement):
-        prefix = f"device {p.device_ref} " if p.device_ref is not None else ""
-        return [f"{prefix}measured at {p.measured_at.utc}"]
-    return []
+def _ssn_hits(texts: list[str]) -> list[str]:
+    return sorted({m for text in texts for m in _SSN_RE.findall(text)})
 
 
-def profile_name(record: ArtifactRecord) -> list[str]:
-    p = record.payload
-    if isinstance(p, (MyVitalsProfile, HealthMateUser)) and p.name:
-        return [p.name]
-    if isinstance(p, GlucoProfile) and p.username:
-        return [p.username]
-    return []
+def _card_hits(texts: list[str]) -> list[str]:
+    return sorted({m for text in texts for m in _CARD_RE.findall(text) if luhn_ok(m)})
 
 
-def profile_birth_date(record: ArtifactRecord) -> list[str]:
-    p = record.payload
-    if isinstance(p, MyVitalsProfile) and p.date_of_birth:
-        return [p.date_of_birth]
-    if isinstance(p, HealthMateUser) and p.birthday:
-        return [p.birthday]
-    return []
-
-
-def timezone_address_proxy(record: ArtifactRecord) -> list[str]:
-    p = record.payload
-    if isinstance(p, MyVitalsProfile) and p.timezone_location:
-        return [p.timezone_location]
-    return []
-
-
-def _string_fields(record: ArtifactRecord) -> list[str]:
-    p = record.payload
-    if not dataclasses.is_dataclass(p):
-        return []
-    return [v for f in dataclasses.fields(p)
-            if isinstance(v := getattr(p, f.name), str)]
-
-
-def ssn_pattern(record: ArtifactRecord) -> list[str]:
-    hits = [m for text in _string_fields(record) for m in _SSN_RE.findall(text)]
-    return sorted(set(hits))
-
-
-def payment_pattern(record: ArtifactRecord) -> list[str]:
-    hits = [m for text in _string_fields(record)
-            for m in _CARD_RE.findall(text) if luhn_ok(m)]
-    return sorted(set(hits))
-
-
-_PREDICATES = {
-    "vital_reading": vital_reading,
-    "device_usage": device_usage,
-    "profile_name": profile_name,
-    "profile_birth_date": profile_birth_date,
-    "timezone_address_proxy": timezone_address_proxy,
-    "ssn_pattern": ssn_pattern,
-    "payment_pattern": payment_pattern,
-}
+_PATTERN_PREDICATES = {"ssn_pattern": _ssn_hits, "payment_pattern": _card_hits}
 
 
 def _load_rule_table() -> tuple[PhiRule, ...]:
@@ -232,7 +157,7 @@ def _load_rule_table() -> tuple[PhiRule, ...]:
         if not line or line.startswith("#"):
             continue
         rule_id, predicate, category = line.split("\t")
-        if predicate not in _PREDICATES:
+        if predicate not in TYPED_PREDICATES and predicate not in _PATTERN_PREDICATES:
             raise ValueError(f"rule {rule_id}: unknown predicate {predicate}")
         if category not in PHI_CATEGORIES:
             raise ValueError(f"rule {rule_id}: unknown category {category}")
@@ -243,11 +168,27 @@ def _load_rule_table() -> tuple[PhiRule, ...]:
 RULE_TABLE = _load_rule_table()
 
 
+def _string_fields(payload: object) -> list[str]:
+    if not dataclasses.is_dataclass(payload):
+        return []
+    return [v for f in dataclasses.fields(payload)
+            if isinstance(v := getattr(payload, f.name), str)]
+
+
 def classify_record(record: ArtifactRecord) -> list[PhiFinding]:
     """Apply every published rule to one record. Unrecognized records yield []."""
+    payload = record.payload
+    typed = payload.phi_excerpts() if hasattr(payload, "phi_excerpts") else {}
+    texts = _string_fields(payload)
     findings = []
     for rule in RULE_TABLE:
-        for excerpt in _PREDICATES[rule.predicate](record):
+        if rule.predicate in _PATTERN_PREDICATES:
+            excerpts = _PATTERN_PREDICATES[rule.predicate](texts)
+        elif rule.predicate in typed:
+            excerpts = [typed[rule.predicate]]
+        else:
+            continue
+        for excerpt in excerpts:
             findings.append(PhiFinding(
                 category=rule.category,
                 value_excerpt=excerpt,

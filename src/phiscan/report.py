@@ -114,11 +114,6 @@ def _instant_dict(instant: EpochInstant) -> dict:
             "utc": instant.utc, "millis_remainder": instant.millis_remainder}
 
 
-def _instant_from(d: dict) -> EpochInstant:
-    return EpochInstant(raw_value=d["raw_value"], unit=d["unit"], utc=d["utc"],
-                        millis_remainder=d["millis_remainder"])
-
-
 def _locator_dict(loc: SourceLocator) -> dict:
     return {"package_name": loc.package_name, "relative_path": loc.relative_path,
             "container": loc.container, "detail": loc.detail}

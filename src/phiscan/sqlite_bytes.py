@@ -10,6 +10,7 @@ extracted, or leave a copy of the data on disk.
 from __future__ import annotations
 
 import contextlib
+import re
 import sqlite3
 
 from .errors import CorruptDatabaseError, MissingTableError, NotSqliteError
@@ -21,6 +22,9 @@ SQLITE_MAGIC = b"SQLite format 3\x00"
 # WAL sidecar was extracted, so the copy is marked as a rollback-journal one.
 _WAL_VERSIONS = b"\x02\x02"
 _JOURNAL_VERSIONS = b"\x01\x01"
+
+# The sqlite3 module's error for a text cell that is not valid UTF-8.
+_UNDECODABLE_RE = re.compile(r"Could not decode to UTF-8 column '(.*?)' with text")
 
 
 def is_sqlite(data: bytes) -> bool:
@@ -49,17 +53,30 @@ def connect_bytes(data: bytes):
 
 
 def select_rows(conn: sqlite3.Connection, table: str, columns: list[str],
-                order_by: str = "rowid") -> list[tuple]:
-    """SELECT the named columns (rowid prepended).
+                order_by: str = "rowid") -> tuple[list[tuple], str | None]:
+    """SELECT the named columns (rowid prepended), and a note if text was lossy.
 
-    Raises MissingTableError when the table or a column is absent, and
-    CorruptDatabaseError when SQLite finds the file damaged (a damaged
-    schema can make SQLite's error message itself undecodable).
+    A text cell that is not valid UTF-8 has the table selected again with
+    the bad bytes replaced; the note names the table and the column, never
+    the cell's text. Raises MissingTableError when the table or a column is
+    absent, and CorruptDatabaseError when SQLite finds the file damaged (a
+    damaged schema can make SQLite's error message itself undecodable).
     """
     sql = f'SELECT rowid, {", ".join(columns)} FROM "{table}" ORDER BY {order_by}'
     try:
-        return list(conn.execute(sql))
+        try:
+            return list(conn.execute(sql)), None
+        except sqlite3.OperationalError as exc:
+            if not (undecodable := _UNDECODABLE_RE.match(str(exc))):
+                raise
+        conn.text_factory = lambda data: data.decode("utf-8", "replace")
+        try:
+            rows = list(conn.execute(sql))
+        finally:
+            conn.text_factory = str
     except sqlite3.OperationalError as exc:
         raise MissingTableError(f"{table}: {exc}") from exc
     except (sqlite3.DatabaseError, UnicodeDecodeError) as exc:
         raise CorruptDatabaseError(f"{table}: {exc}") from exc
+    return rows, (f"{table}: column {undecodable[1]} holds text that is not valid UTF-8, "
+                  "undecodable bytes replaced")

@@ -127,8 +127,7 @@ def test_c5_glucosmart_behavior(replica):
         assert status.entropy_bits_per_byte > 7.5
 
     gluco_records = result.records_by_app["Gluco-Smart"]
-    reading_kinds = {"blood-pressure", "oximetry", "weight", "environment",
-                     "glucose-status"}
+    reading_kinds = {"blood-pressure", "oximetry", "weight", "environment"}
     assert not any(r.kind in reading_kinds for r in gluco_records)
 
     gluco_findings = [f for f in result.report.findings

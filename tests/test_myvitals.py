@@ -61,6 +61,20 @@ def test_wal_mode_database_parses(tmp_path):
     assert [r.payload.result_spo2 for r in records] == [97, 96]
 
 
+def test_undecodable_text_cell_keeps_the_table(tmp_path):
+    path = make_myvitals_db(tmp_path / "androidNin.db", bp=[
+        (120, 80, 65, 1530829549, "d", None, "a@b.co"),
+        (118, 79, 64, 1530829600, "d", "ok", "a@b.co")])
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE TB_BPResult SET Note = CAST(x'41ff42' AS TEXT) WHERE rowid = 1")
+    conn.commit()
+    conn.close()
+    records, warnings = parse(path.read_bytes())
+    assert [r.payload.note for r in records] == ["A\ufffdB", "ok"]
+    assert warnings == [f"{DB_PATH}: TB_BPResult: column Note holds text that is not "
+                        "valid UTF-8, undecodable bytes replaced"]
+
+
 def test_bp_empty_table(db_bytes):
     records, warnings = parse(db_bytes())
     assert records == [] and warnings == []

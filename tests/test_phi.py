@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from phiscan.artifacts import (
     ArtifactRecord,
     CredentialSet,
+    RawHit,
     SourceLocator,
     normalize_timestamp,
 )
@@ -16,7 +17,13 @@ from phiscan.parsers.healthmate import (
     HealthMateMeasurement,
     HealthMateUser,
 )
-from phiscan.parsers.myvitals import MyVitalsProfile, OximetryReading
+from phiscan.parsers.myvitals import (
+    BloodPressureReading,
+    EnvironmentReading,
+    MyVitalsProfile,
+    OximetryReading,
+    WeightReading,
+)
 from phiscan.phi import (
     CATEGORY_LABELS,
     PHI_CATEGORIES,
@@ -28,6 +35,7 @@ from phiscan.phi import (
     redact_value,
     scan_raw,
 )
+from phiscan.scanner import scan_evidence
 
 SQLITE_LOC = SourceLocator("iHealthMyVitals.V2",
                            "iHealthMyVitals.V2/Databases/androidNin.db",
@@ -119,6 +127,23 @@ def test_ssn_pattern_in_string_field():
     assert "ssn" in cats
 
 
+def test_payload_excerpts_and_rule_table_agree(replica_tree):
+    # Every payload type a parser emits: the declared tables' payloads
+    # (MyVitals' five, Health Mate's devices and users), the Health Mate
+    # measure table's HealthMateMeasurement and Gluco-Smart's GlucoProfile.
+    emitted = {BloodPressureReading, OximetryReading, WeightReading, EnvironmentReading,
+               MyVitalsProfile, DeviceRegistration, HealthMateUser,
+               HealthMateMeasurement, GlucoProfile}
+    for payload_type in emitted:
+        assert callable(getattr(payload_type, "phi_excerpts", None)), payload_type
+    tree, _ = replica_tree
+    records = [r for rs in scan_evidence(tree).records_by_app.values() for r in rs]
+    assert {type(r.payload) for r in records} == emitted | {CredentialSet}
+    typed = {key for r in records if type(r.payload) in emitted
+             for key in r.payload.phi_excerpts()}
+    assert typed | {"ssn_pattern", "payment_pattern"} == {r.predicate for r in RULE_TABLE}
+
+
 def test_every_finding_references_published_rule():
     known = {r.rule_id for r in RULE_TABLE}
     for record in (oximetry_record(),):
@@ -186,6 +211,10 @@ def test_raw_ssn_hit_classifies_as_ssn():
     ssn_hits = [h for h in hits if h.payload.pattern == "ssn"]
     cats = {f.category for h in ssn_hits for f in classify_record(h)}
     assert cats == {"ssn"}
+    # A raw hit has no typed excerpts: only the pattern rules run on it.
+    hit = ArtifactRecord(kind="raw-hit", locator=RAW_LOC,
+                         payload=RawHit(pattern="ssn", value="id 123-45-6789"))
+    assert [f.rule_id for f in classify_record(hit)] == ["ssn-pattern"]
 
 
 def test_raw_email_hit_is_not_a_phi_category():
