@@ -5,6 +5,10 @@ with `file_digests` and `scan_id` removed. Forge databases carry SQLite's
 version number in header bytes 96-99, so the file digests (and the scan id
 derived from them) vary with the SQLite build; the rest of the report does
 not. A directory and a zip of the same spec must both match the pin.
+The timeline JSON is pinned whole, and the same for both containers. The
+manifest is pinned by its canonical JSON with `files` (the forge's file
+digests) removed; its `spec` names the output kind, so a directory and a
+zip each have their own pin.
 
 The hostile tree is built with conftest's independent builders and holds
 one row per fault each table tallies, so its warning text is pinned in
@@ -16,12 +20,13 @@ from __future__ import annotations
 import collections
 import dataclasses
 import hashlib
+import json
 import sqlite3
 
 import pytest
 
-from phiscan.fixtures import generate_fixture, paper_replica_spec, random_spec
-from phiscan.report import canonical_json, report_to_dict
+from phiscan.fixtures import generate_fixture, paper_replica_spec, random_spec, render_manifest
+from phiscan.report import build_timeline, canonical_json, render_report, render_timeline
 from phiscan.scanner import scan_evidence
 
 from conftest import make_healthmate_db, make_myvitals_db
@@ -53,20 +58,103 @@ GOLDEN = {
 }
 
 
-def _report_sha(path) -> str:
-    doc = report_to_dict(scan_evidence(path, fixed_clock=CLOCK).report)
+GOLDEN_TIMELINE = {
+    "replica": "ed9edecbaf8bf060aa010c8c39d4de0ff65a9ed0c0510b5937dbeccee5dd31f8",
+    "seed0": "bfafae8e756eb714b013cbadd7c12045081cc7e5fd1c2f2779ac67059d81880c",
+    "seed1": "4514c846ad7a35d60a614d1c42a0c2b78e64d87f8d4be9aabaefecdbbfe072a9",
+    "seed2": "bb5c40d12ef9f1ade4a4977a4bcd94d32590b3c8a46faad55d12b1e9b14b5fe5",
+    "seed3": "9628f4310081bc7b95d5db8081e268153d9d3cc4ce14be87ed282b1d74309ad4",
+    "seed4": "61c61944f9d759a5092595ecc311ee2731bb9c95e6ee3ec769f5b0c9ebf2ce70",
+    "seed5": "02c71781ccce9e1ffd4cb344ef998aa2f95d69a60460dfc259ed90902926e622",
+    "seed6": "42a3b24274ba1fa38b24e5acd334dd67d28e7c7f3e422c2d202a982f4c81dedc",
+    "seed7": "c8e3be49e837cdc6700517cbe5c01e09d06c362a0f1a0b0ad1aaee4bcb1ee467",
+    "seed8": "fa0cbcdfd3ca72422456d6454fe95bf65babf5fbcca830500813891d1f674d1e",
+    "seed9": "ee7b1933db3fadac00aaa58bcd5aabe2d37b62dea7e9b879804339f39fd34a5e",
+    "seed10": "4bfaafcae6dd5af856fab14ab11120464d3bf59be0e8b5459eec3133d015b9b8",
+    "seed11": "40bd9f7d7cce647136c084d8cd81458898b2b58501b23b3c9a0c16ffebaa0ba1",
+    "seed12": "f5c0bc194082af5cef4b6da191082c610eca5584e0dc893612d0a628ebf8b531",
+    "seed13": "f8b80c2a47f6d51d36e0cb9c1754b2f8d8e15fe5e4598743e5b5931137c57ff3",
+    "seed14": "e67d84bbb571d7c380ed373e040e747d9f1769ffb947a5cd3011d6108aa45469",
+    "seed15": "ad32a7ef933d81f66a0ea9ae1a280ca67e269f9a0ea3cb86251aea83711ca0f0",
+    "seed16": "c5ec7101c6fe316c0896943de6b54d9eb6ac5ee17e8ec614f8d31f5b5d8a1700",
+    "seed17": "cc18cf82caf76060a61c7bb14d38a1c270d39052f6c650aa2efdfaa58c3b6000",
+    "seed18": "f0937cfbd539de68c66cca78abb764677cfe53ef63b7ec8a77eae749e54c3e5b",
+    "seed19": "4616ebfb5584e26bba11ccfd18805090221d42bccffff3b5600449fa96d460de",
+}
+
+GOLDEN_MANIFEST = {
+    "replica": ("3f4fdda2da7596981231ea791e9d939b412c362fb3f0969b5682b9504c35bcb0",
+               "6a5fec461df977b1af67166927572bb156605f88b20617adfe7f6b0fa13fde19"),
+    "seed0": ("da4e0955873a3dc1201a5a76ea9702f065a697d87cbb2ddc6e8a2b5852b2dad9",
+             "c311fdb94e17c4a7604a4136aabb6414af0e3f7f242bc6b619700d1b7dcaa797"),
+    "seed1": ("23e526fcdc6a2189474c6a45ccbe47ebf0a069924ee76967278d64b81604c8b0",
+             "3bc313c4e983fde67b3f4de222f5b2a5189befe2003ef8723ef5b7fd772461f4"),
+    "seed2": ("298961bca804a09840d7ca6bd4b228e0f6593df74761aca92098fc29f6fd7fa2",
+             "af944e401def40ba0fb525eb902a96217227b97048b5864d494810b840f8b473"),
+    "seed3": ("aa798df2c1146b605dcdbbecbde0eb2957bdc7ad67b587482176f4b41211248b",
+             "3fec6911957417c9cbf1c5f5b93cc89f18d9726cbe44c87b633782983a62c120"),
+    "seed4": ("c5f68046f130fd919112d6bdbe233c83a97a4b89d4195339cf136e764026005c",
+             "5d113acf91cc750b4be941be5421b5c2dacf90e86d927f6e3bb6bdc54499bc3b"),
+    "seed5": ("ea2589477f4c5be2fa1fee11e613859ddb126bf4d8f6ea8d8ee5eee3a8d77178",
+             "b388f3aaf4390c10c725ab8299319c9a8777b477dcfc487769582ca6615d0d81"),
+    "seed6": ("c8de7494fac9a69b841032e2d30c1689e46c923abe7d4ca471a0da0afc69e6bb",
+             "9535083639f3b36ce8fd5b3ab2b8d502a4ebc5f04d67205a1eadd7ef89c86c51"),
+    "seed7": ("a2a717e7a2e1e3099a31fffcc056b0b423dada1775958f7bbbe96946f6d9a3fa",
+             "989d867a1cf9b20354e47d94bdab36d36f91ebba4d4104f16e58748f512e913a"),
+    "seed8": ("27cd3e6a7d2d6a1270022a3bdd32de691999967957631c23f3a8b72f01fa0c54",
+             "2ab8439906f5c4b1ac72da22ad7cc2376ea41d4e9ed9439c53aa9777a66f9141"),
+    "seed9": ("041bf2ff8abd31fdb4222f54b264c3f6f5e1983a401817673f65c94acd25deb1",
+             "1e7f2de8f3a505d4c2c1a92cbac73fb117c1f8b5f5c001a6d747a7638b836daf"),
+    "seed10": ("e49752bb75b52badb7be4f2e45ec092af6bf414551fc18a6761787b8f681ab01",
+              "483326344f209632141ccbdc54c260cc5a1c544cf9c9215301b7c5679c048762"),
+    "seed11": ("cb092c75007dd26537ece68a69e9021b0797ce6e109fd940d3bfa41ec9ffbd49",
+              "322871e99a1f39f5f8233e18c8aba8819aec81db825380641e48c47fcf73a5b1"),
+    "seed12": ("029b1700d099275eda5d40b984ad3fbadd6409ac8606b6f732890d4a1937ffb2",
+              "c58d048cfc460c2e83bc9cc7c1cbb8213abf1590db8498d9f06b00502389a18b"),
+    "seed13": ("9faf08524d6467865010fc944fad12677df89847055da8b75c169a27307ba64c",
+              "6e315118664df3753966850615c74f990f04be891c180298c3a2f6657d197948"),
+    "seed14": ("3bac5aa2fd649306d6d5262d9607ca84e1eb4deb2c6601ccff876cb8fe30b530",
+              "31c2f59cb9b2e718cf952ffbc93095df464a36bf7f50f54ed599954ff850137d"),
+    "seed15": ("d8ce8af8d7f2e9aa9c77c6041dd57a22e1cb2ee88690b61092c82e98d8db0f7a",
+              "be53c10a5b8ae1cfd9203dbba926e73ba4a83c8d6c191704d27b309eb4e5f068"),
+    "seed16": ("f6dab3e7b4c2a17fc5f2bff02a8f50a87f500884061c847919c47d0ffe235583",
+              "8b5c53febd4197dba19592f952cbcd60f0438e14d52b70fe22379d880d26ea28"),
+    "seed17": ("1c6646f1712a09c528abc23d000d5cd1f0ee0919c923aeb59f6a6ff62038d4d5",
+              "b673ad7ce44dc8b5412cbd8edb834bc3d718dfa4092ec8c56b34305c25d334f1"),
+    "seed18": ("f10345b9d4ab7b09a8fbf66ba036c65de467abebc5c9e70c32291aa9ec6e9748",
+              "12da72cbd42bf6e73a8e081d88177b563116e71a307b1d0ddb534e404490aed5"),
+    "seed19": ("117dc83702f30b31a353d0c9d19e6b7cc2b21c5c238acbef7cf01f80d9123ce9",
+              "2a23cc244d5b6722a52bfaf6fbd148fbe0ac9a00c918d0ad74cc8f367e1b9251"),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _report_sha(report) -> str:
+    doc = json.loads(render_report(report))
     del doc["file_digests"], doc["scan_id"]
-    return hashlib.sha256(canonical_json(doc)).hexdigest()
+    return _sha(canonical_json(doc))
+
+
+def _pins(spec, output_kind: str, out) -> tuple[str, str, str]:
+    manifest = generate_fixture(dataclasses.replace(spec, output_kind=output_kind), out)
+    doc = json.loads(render_manifest(manifest))
+    del doc["files"]
+    result = scan_evidence(out, fixed_clock=CLOCK)
+    timeline = render_timeline(build_timeline(list(result.records)), "json")
+    return _report_sha(result.report), _sha(timeline), _sha(canonical_json(doc))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_forge_reports_match_golden(tmp_path, name):
     spec = paper_replica_spec() if name == "replica" else random_spec(int(name[4:]))
-    out = tmp_path / name
-    generate_fixture(dataclasses.replace(spec, output_kind="directory"), out)
-    zip_out = tmp_path / f"{name}.zip"
-    generate_fixture(dataclasses.replace(spec, output_kind="zip"), zip_out)
-    assert (_report_sha(out), _report_sha(zip_out)) == (GOLDEN[name], GOLDEN[name])
+    dir_pins = _pins(spec, "directory", tmp_path / name)
+    zip_pins = _pins(spec, "zip", tmp_path / f"{name}.zip")
+    assert (dir_pins[0], zip_pins[0]) == (GOLDEN[name], GOLDEN[name])
+    assert (dir_pins[1], zip_pins[1]) == (GOLDEN_TIMELINE[name], GOLDEN_TIMELINE[name])
+    assert (dir_pins[2], zip_pins[2]) == GOLDEN_MANIFEST[name]
 
 
 def _hostile_tree(tmp_path):
