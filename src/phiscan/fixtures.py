@@ -955,51 +955,8 @@ def generate_fixture(spec: FixtureSpec, out: Path) -> FixtureManifest:
 
 # -- manifest serialization --------------------------------------------------
 
-def manifest_to_dict(manifest: FixtureManifest) -> dict:
-    return {
-        "spec": manifest.spec,
-        "files": manifest.files,
-        "planted": [
-            {"app": p.app, "kind": p.kind,
-             "locator": {"package_name": p.locator.package_name,
-                         "relative_path": p.locator.relative_path,
-                         "container": p.locator.container,
-                         "detail": p.locator.detail},
-             "payload": p.payload,
-             "expected_findings": [
-                 {"category": f.category, "rule_id": f.rule_id, "excerpt": f.excerpt}
-                 for f in p.expected_findings]}
-            for p in manifest.planted],
-        "expected_matrix": manifest.expected_matrix,
-        "expected_violations": manifest.expected_violations,
-        "encrypted_dbs": list(manifest.encrypted_dbs),
-    }
-
-
-def manifest_from_dict(doc: dict) -> FixtureManifest:
-    planted = tuple(
-        PlantedRecord(
-            app=p["app"], kind=p["kind"],
-            locator=SourceLocator(package_name=p["locator"]["package_name"],
-                                  relative_path=p["locator"]["relative_path"],
-                                  container=p["locator"]["container"],
-                                  detail=p["locator"]["detail"]),
-            payload=p["payload"],
-            expected_findings=tuple(
-                ExpectedFinding(category=f["category"], rule_id=f["rule_id"],
-                                excerpt=f["excerpt"])
-                for f in p["expected_findings"]))
-        for p in doc["planted"])
-    return FixtureManifest(
-        spec=doc["spec"], files=doc["files"], planted=planted,
-        expected_matrix=doc["expected_matrix"],
-        expected_violations=doc["expected_violations"],
-        encrypted_dbs=tuple(doc["encrypted_dbs"]),
-    )
-
-
 def render_manifest(manifest: FixtureManifest) -> bytes:
-    return canonical_json(manifest_to_dict(manifest))
+    return canonical_json(manifest)
 
 
 # -- verification ------------------------------------------------------------

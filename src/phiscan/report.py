@@ -1,21 +1,23 @@
 """Compliance report assembly, canonical serialization, and the timeline.
 
 JSON output is canonical: UTF-8, LF, sorted keys, compact separators,
-shortest round-trip float formatting. Rendering the parse of a rendered
-report reproduces it byte for byte, which is what makes golden-file and
-container-equivalence testing meaningful.
+shortest round-trip float formatting. Reports, timelines and fixture
+manifests are encoded straight from their dataclasses: an instance becomes
+an object of its fields, so the JSON keys are the field names, and adding
+a field adds a key (which needs a schema_version bump). Re-encoding the
+parse of a rendered document reproduces it byte for byte, which is what
+makes golden-file and container-equivalence testing meaningful.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 from .artifacts import ArtifactRecord, EpochInstant, SourceLocator
 from .errors import ScanError
 from .evidence import FileDigest
 from .parsers import display_name_for
-from .parsers.glucosmart import DatabaseStatus
 from .parsers.healthmate import DeviceRegistration, HealthMateMeasurement
 from .phi import (
     CATEGORY_LABELS,
@@ -24,7 +26,6 @@ from .phi import (
     PHI_CATEGORIES,
     PhiFinding,
     PhiMatrixRow,
-    SecurityViolation,
 )
 
 SCHEMA_VERSION = "1"
@@ -109,123 +110,26 @@ def build_timeline(records: list[ArtifactRecord]) -> list[TimelineEvent]:
 
 # -- serialization -----------------------------------------------------------
 
-def _instant_dict(instant: EpochInstant) -> dict:
-    return {"raw_value": instant.raw_value, "unit": instant.unit,
-            "utc": instant.utc, "millis_remainder": instant.millis_remainder}
-
-
-def _locator_dict(loc: SourceLocator) -> dict:
-    return {"package_name": loc.package_name, "relative_path": loc.relative_path,
-            "container": loc.container, "detail": loc.detail}
-
-
-def _locator_from(d: dict) -> SourceLocator:
-    return SourceLocator(package_name=d["package_name"], relative_path=d["relative_path"],
-                         container=d["container"], detail=d["detail"])
-
-
-def _digest_dict(d: FileDigest) -> dict:
-    return {"relative_path": d.relative_path, "algorithm": d.algorithm,
-            "hex_digest": d.hex_digest, "byte_length": d.byte_length}
-
-
-def _digest_from(d: dict) -> FileDigest:
-    return FileDigest(relative_path=d["relative_path"], algorithm=d["algorithm"],
-                      hex_digest=d["hex_digest"], byte_length=d["byte_length"])
-
-
-def _finding_dict(f: PhiFinding) -> dict:
-    return {"category": f.category, "value_excerpt": f.value_excerpt,
-            "locator": _locator_dict(f.locator), "rule_id": f.rule_id}
-
-
-def _finding_from(d: dict) -> PhiFinding:
-    return PhiFinding(category=d["category"], value_excerpt=d["value_excerpt"],
-                      locator=_locator_from(d["locator"]), rule_id=d["rule_id"])
-
-
-def _violation_dict(v: SecurityViolation) -> dict:
-    return {"kind": v.kind, "evidence": [_locator_dict(loc) for loc in v.evidence],
-            "description": v.description}
-
-
-def _violation_from(d: dict) -> SecurityViolation:
-    return SecurityViolation(kind=d["kind"],
-                             evidence=tuple(_locator_from(e) for e in d["evidence"]),
-                             description=d["description"])
-
-
-def _status_dict(s: DatabaseStatus) -> dict:
-    return {"relative_path": s.relative_path, "status": s.status,
-            "header_magic_present": s.header_magic_present,
-            "entropy_bits_per_byte": s.entropy_bits_per_byte}
-
-
-def _status_from(d: dict) -> DatabaseStatus:
-    return DatabaseStatus(relative_path=d["relative_path"], status=d["status"],
-                          header_magic_present=d["header_magic_present"],
-                          entropy_bits_per_byte=d["entropy_bits_per_byte"])
-
-
-def report_to_dict(report: ComplianceReport) -> dict:
-    return {
-        "schema_version": report.schema_version,
-        "scan_id": report.scan_id,
-        "tool_version": report.tool_version,
-        "evidence_origin": report.evidence_origin,
-        "generated_at": report.generated_at,
-        "redacted": report.redacted,
-        "file_digests": [_digest_dict(d) for d in report.file_digests],
-        "matrix": [{"app_name": row.app_name, "cells": dict(row.cells)}
-                   for row in report.matrix],
-        "findings": [_finding_dict(f) for f in report.findings],
-        "violations": {app: [_violation_dict(v) for v in vs]
-                       for app, vs in report.violations.items()},
-        "database_statuses": {app: [_status_dict(s) for s in ss]
-                              for app, ss in report.database_statuses.items()},
-        "warnings": list(report.warnings),
-    }
-
-
-def report_from_dict(d: dict) -> ComplianceReport:
-    return ComplianceReport(
-        schema_version=d["schema_version"],
-        scan_id=d["scan_id"],
-        tool_version=d["tool_version"],
-        evidence_origin=d["evidence_origin"],
-        generated_at=d["generated_at"],
-        redacted=d["redacted"],
-        file_digests=tuple(_digest_from(x) for x in d["file_digests"]),
-        matrix=tuple(PhiMatrixRow(app_name=row["app_name"],
-                                  cells={cat: row["cells"][cat] for cat in PHI_CATEGORIES})
-                     for row in d["matrix"]),
-        findings=tuple(_finding_from(x) for x in d["findings"]),
-        violations={app: tuple(_violation_from(v) for v in vs)
-                    for app, vs in d["violations"].items()},
-        database_statuses={app: tuple(_status_from(s) for s in ss)
-                           for app, ss in d["database_statuses"].items()},
-        warnings=tuple(d["warnings"]),
-    )
+def _encode(obj) -> dict:
+    # json.dumps calls this for any object it cannot encode itself.
+    if is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> bytes:
     text = json.dumps(obj, sort_keys=True, ensure_ascii=False,
-                      separators=(",", ":"), allow_nan=False)
+                      separators=(",", ":"), allow_nan=False, default=_encode)
     return text.encode("utf-8") + b"\n"
 
 
 def render_report(report: ComplianceReport, fmt: str = FORMAT_JSON) -> bytes:
     """Serialize a report canonically (json) or as an analyst table (text)."""
     if fmt == FORMAT_JSON:
-        return canonical_json(report_to_dict(report))
+        return canonical_json(report)
     if fmt == FORMAT_TEXT:
         return _render_report_text(report).encode("utf-8")
     raise ScanError(f"unknown report format: {fmt!r}")
-
-
-def parse_report(data: bytes) -> ComplianceReport:
-    """Inverse of the json rendering; parse(render(r)) == r."""
-    return report_from_dict(json.loads(data.decode("utf-8")))
 
 
 def _render_report_text(report: ComplianceReport) -> str:
@@ -289,15 +193,9 @@ def _render_report_text(report: ComplianceReport) -> str:
     return "\n".join(lines)
 
 
-def timeline_to_dicts(events: list[TimelineEvent]) -> list[dict]:
-    return [{"at": _instant_dict(e.at), "app": e.app, "kind": e.kind,
-             "summary": e.summary, "locator": _locator_dict(e.locator)}
-            for e in events]
-
-
 def render_timeline(events: list[TimelineEvent], fmt: str = FORMAT_JSON) -> bytes:
     if fmt == FORMAT_JSON:
-        return canonical_json(timeline_to_dicts(events))
+        return canonical_json(events)
     if fmt == FORMAT_TEXT:
         lines = [f"{e.at.utc}  {e.app}  {e.summary}  "
                  f"({e.locator.relative_path} {e.locator.detail})" for e in events]

@@ -17,14 +17,13 @@ from phiscan.fixtures import (
     build_tree,
     generate_fixture,
     load_spec,
-    manifest_from_dict,
-    manifest_to_dict,
     paper_replica_spec,
     random_spec,
     render_manifest,
     spec_to_dict,
     verify_scan_against_manifest,
 )
+from phiscan.report import canonical_json
 from phiscan.scanner import scan_evidence
 
 CLOCK = "2020-01-01T00:00:00Z"
@@ -116,9 +115,20 @@ def test_generated_database_opens_in_independent_reader(tmp_path):
 
 def test_manifest_serialization_round_trip():
     _, manifest = build_tree(random_spec(11))
-    doc = json.loads(render_manifest(manifest))
-    assert manifest_from_dict(doc) == manifest
-    assert manifest_to_dict(manifest) == doc
+    rendered = render_manifest(manifest)
+    doc = json.loads(rendered)
+    assert canonical_json(doc) == rendered
+    assert set(doc) == {"spec", "files", "planted", "expected_matrix",
+                        "expected_violations", "encrypted_dbs"}
+    assert (doc["spec"], doc["files"]) == (manifest.spec, manifest.files)
+    assert len(doc["planted"]) == len(manifest.planted)
+    for planted in doc["planted"]:
+        assert set(planted) == {"app", "kind", "locator", "payload", "expected_findings"}
+        assert set(planted["locator"]) == {"package_name", "relative_path", "container",
+                                           "detail"}
+        for finding in planted["expected_findings"]:
+            assert set(finding) == {"category", "rule_id", "excerpt"}
+    assert any(planted["expected_findings"] for planted in doc["planted"])
 
 
 def test_verify_passes_on_clean_scan(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 
+import pytest
 from hypothesis import given, strategies as st
 
 from phiscan.artifacts import ArtifactRecord, SourceLocator, normalize_timestamp
@@ -24,7 +25,7 @@ from phiscan.phi import (
 from phiscan.report import (
     ComplianceReport,
     build_timeline,
-    parse_report,
+    canonical_json,
     render_report,
     render_timeline,
 )
@@ -47,7 +48,6 @@ def test_empty_report_renders_valid_canonical_json():
     assert doc["matrix"] == []
     assert doc["schema_version"] == "1"
     assert data.endswith(b"\n")
-    assert parse_report(data) == _empty_report()
 
 
 def test_render_is_deterministic():
@@ -110,12 +110,44 @@ _reports = st.builds(
 )
 
 
+# The key sets of the README "Report schema": a report's JSON keys are its
+# dataclasses' field names, so a new field shows up here as a new key.
+REPORT_KEYS = {"schema_version", "scan_id", "tool_version", "evidence_origin",
+               "generated_at", "redacted", "file_digests", "matrix", "findings",
+               "violations", "database_statuses", "warnings"}
+DIGEST_KEYS = {"relative_path", "algorithm", "hex_digest", "byte_length"}
+MATRIX_ROW_KEYS = {"app_name", "cells"}
+FINDING_KEYS = {"category", "value_excerpt", "locator", "rule_id"}
+LOCATOR_KEYS = {"package_name", "relative_path", "container", "detail"}
+VIOLATION_KEYS = {"kind", "evidence", "description"}
+STATUS_KEYS = {"relative_path", "status", "header_magic_present", "entropy_bits_per_byte"}
+
+
 @given(_reports)
 def test_canonical_round_trip(report):
     rendered = render_report(report)
-    parsed = parse_report(rendered)
-    assert parsed == report
-    assert render_report(parsed) == rendered
+    doc = json.loads(rendered)
+    assert canonical_json(doc) == rendered
+    assert set(doc) == REPORT_KEYS
+    for digest in doc["file_digests"]:
+        assert set(digest) == DIGEST_KEYS
+    for row in doc["matrix"]:
+        assert set(row) == MATRIX_ROW_KEYS
+        assert set(row["cells"]) == set(PHI_CATEGORIES)
+    for finding in doc["findings"]:
+        assert set(finding) == FINDING_KEYS
+        assert set(finding["locator"]) == LOCATOR_KEYS
+    for violations in doc["violations"].values():
+        for violation in violations:
+            assert set(violation) == VIOLATION_KEYS
+            assert all(set(loc) == LOCATOR_KEYS for loc in violation["evidence"])
+    for statuses in doc["database_statuses"].values():
+        assert all(set(status) == STATUS_KEYS for status in statuses)
+
+
+def test_canonical_json_refuses_objects_that_are_not_dataclasses():
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        canonical_json(object())
 
 
 # -- timeline ------------------------------------------------------------------
@@ -195,6 +227,9 @@ def test_render_timeline_formats(tmp_path):
     doc = json.loads(render_timeline(events, "json"))
     assert isinstance(doc, list) and len(doc) == 7
     assert doc[0]["at"]["unit"] == "seconds"
+    assert set(doc[0]) == {"at", "app", "kind", "summary", "locator"}
+    assert set(doc[0]["at"]) == {"raw_value", "unit", "utc", "millis_remainder"}
+    assert set(doc[0]["locator"]) == LOCATOR_KEYS
     text = render_timeline(events, "text").decode()
     assert text.splitlines()[0].startswith("2018-07-05T22:25:49Z")
     assert render_timeline([], "text") == b""
