@@ -19,6 +19,10 @@ class CorruptArchiveError(ScanError):
     """Zip central directory is unreadable."""
 
 
+class UnreadableFileError(ScanError):
+    """One file's bytes cannot be read (damaged zip member, I/O error)."""
+
+
 # -- timestamps and locators ------------------------------------------------
 
 class NonPositiveTimestampError(ScanError):

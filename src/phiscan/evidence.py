@@ -9,7 +9,8 @@ container.
 A zip is opened once and stays open, with a name -> member index, until
 the source is closed. Every read records the SHA-256 of the bytes it
 returns, so the custody digests describe exactly the bytes analysed and
-no file is read a second time to hash it.
+no file is read a second time to hash it. A read that fails raises
+UnreadableFileError and is remembered, so the file is not tried again.
 """
 
 from __future__ import annotations
@@ -17,15 +18,27 @@ from __future__ import annotations
 import hashlib
 import os
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import CorruptArchiveError, NotFoundError, UnsupportedContainerError
+from .errors import (
+    CorruptArchiveError,
+    NotFoundError,
+    UnreadableFileError,
+    UnsupportedContainerError,
+)
 
 CONTAINER_DIRECTORY = "directory"
 CONTAINER_ZIP = "zip-archive"
 
 DIGEST_ALGORITHM = "sha-256"
+
+# What reading one file can raise: zipfile.BadZipFile covers a bad CRC,
+# NotImplementedError an unsupported compression method, RuntimeError an
+# encrypted member.
+_READ_ERRORS = (OSError, EOFError, NotImplementedError, RuntimeError,
+                zipfile.BadZipFile, zlib.error)
 
 
 @dataclass(frozen=True)
@@ -50,7 +63,8 @@ class EvidenceSource:
     """An opened evidence container; all operations on it are pure reads.
 
     A zip source holds its archive open: close it, or use the source as a
-    context manager. `digests` fills in as files are read.
+    context manager. `digests` fills in as files are read, and
+    `unreadable` with the files whose read failed.
     """
 
     origin: str
@@ -62,6 +76,7 @@ class EvidenceSource:
     members: dict[str, zipfile.ZipInfo] = field(default_factory=dict, compare=False,
                                                 repr=False)
     digests: dict[str, FileDigest] = field(default_factory=dict, compare=False, repr=False)
+    unreadable: set[str] = field(default_factory=set, compare=False, repr=False)
 
     def close(self) -> None:
         if self.archive is not None:
@@ -171,13 +186,23 @@ def evidence_label(source: EvidenceSource) -> str:
 
 
 def read_file(source: EvidenceSource, relative_path: str) -> bytes:
-    """Return the exact stored bytes of one file, recording their digest."""
+    """Return the exact stored bytes of one file, recording their digest.
+
+    Raises UnreadableFileError, naming the path, if the bytes cannot be
+    read, and records the path in `source.unreadable`.
+    """
     if relative_path not in source.root_listing:
         raise NotFoundError(f"not in evidence listing: {relative_path}")
-    if source.container_kind == CONTAINER_DIRECTORY:
-        data = (Path(source.origin) / relative_path).read_bytes()
-    else:
-        data = source.archive.read(source.members[relative_path])
+    try:
+        if source.container_kind == CONTAINER_DIRECTORY:
+            data = (Path(source.origin) / relative_path).read_bytes()
+        else:
+            data = source.archive.read(source.members[relative_path])
+    except _READ_ERRORS as exc:
+        source.unreadable.add(relative_path)
+        # an OSError's text names the absolute path; the report names only the relative one
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise UnreadableFileError(f"{relative_path}: unreadable ({reason})") from exc
     source.digests[relative_path] = FileDigest(
         relative_path=relative_path,
         algorithm=DIGEST_ALGORITHM,

@@ -18,7 +18,7 @@ from ..artifacts import (
     KIND_USER_PROFILE,
     make_locator,
 )
-from ..errors import MissingFieldsError, ScanError
+from ..errors import MissingFieldsError, ScanError, UnreadableFileError
 from ..evidence import AppDataRoot, EvidenceSource, files_under, read_file
 from ..shared_prefs import parse_shared_prefs
 from ..sqlite_bytes import is_sqlite
@@ -89,9 +89,9 @@ def classify_databases(root: AppDataRoot, source: EvidenceSource
             continue
         try:
             data = read_file(source, path)
-        except (OSError, ScanError) as exc:
+        except UnreadableFileError as exc:
             statuses.append(DatabaseStatus(path, STATUS_ENCRYPTED, False, 0.0))
-            warnings.append(f"{path}: unreadable ({exc}), treated as opaque")
+            warnings.append(f"{exc}, treated as opaque")
             continue
         status = classify_database(path, data)
         statuses.append(status)
@@ -173,6 +173,8 @@ class GlucoSmartParser(AppParser):
                 records.append(parse_user_info_xml(
                     read_file(source, xml_path), package=root.package_name,
                     relative_path=xml_path, recovered_at=recovered_at))
+            except UnreadableFileError as exc:
+                warnings.append(str(exc))
             except ScanError as exc:
                 warnings.append(f"{xml_path}: {exc}")
         return ParseResult(records=tuple(records), warnings=tuple(warnings),

@@ -27,7 +27,7 @@ from ..artifacts import (
     KIND_WEIGHT,
     RawHit,
 )
-from ..errors import InvalidSpecError, MalformedRowError
+from ..errors import InvalidSpecError, MalformedRowError, UnreadableFileError
 from ..evidence import AppDataRoot, EvidenceSource, files_under, read_file
 from .base import AppParser, ParseResult
 from .tables import (
@@ -210,7 +210,12 @@ class HealthMateParser(AppParser):
             if db_path.rsplit("/", 1)[-1] != DB_NAME:
                 continue
             consumed.add(db_path)
-            recs, warns = parse_tables(read_file(source, db_path), tables,
+            try:
+                data = read_file(source, db_path)
+            except UnreadableFileError as exc:
+                warnings.append(str(exc))
+                continue
+            recs, warns = parse_tables(data, tables,
                                        package=root.package_name, relative_path=db_path,
                                        recovered_at=recovered_at)
             records.extend(recs)

@@ -29,7 +29,7 @@ from ..artifacts import (
     looks_like_email,
     make_locator,
 )
-from ..errors import NoCredentialKeysError, ScanError
+from ..errors import NoCredentialKeysError, ScanError, UnreadableFileError
 from ..evidence import AppDataRoot, EvidenceSource, files_under, read_file
 from ..shared_prefs import parse_shared_prefs
 from .base import AppParser, ParseResult
@@ -273,9 +273,12 @@ class MyVitalsParser(AppParser):
               recovered_at: str = "", code_map=None) -> ParseResult:
         db_path = f"{root.relative_path}/{DB_SUBPATH}"
         consumed = {db_path}
-        records, warnings = parse_tables(read_file(source, db_path), TABLES,
-                                         package=root.package_name, relative_path=db_path,
-                                         recovered_at=recovered_at)
+        try:
+            records, warnings = parse_tables(read_file(source, db_path), TABLES,
+                                             package=root.package_name,
+                                             relative_path=db_path, recovered_at=recovered_at)
+        except UnreadableFileError as exc:
+            records, warnings = [], [str(exc)]
 
         for xml_path in files_under(source, root):
             if xml_path.rsplit("/", 1)[-1] != CREDENTIAL_XML_NAME:
@@ -287,6 +290,8 @@ class MyVitalsParser(AppParser):
                     relative_path=xml_path, recovered_at=recovered_at)
                 records.extend(recs)
                 warnings.extend(warns)
+            except UnreadableFileError as exc:
+                warnings.append(str(exc))
             except ScanError as exc:
                 warnings.append(f"{xml_path}: {exc}")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, is_dataclass
 from .artifacts import ArtifactRecord, EpochInstant, SourceLocator
 from .errors import ScanError
 from .evidence import FileDigest
-from .parsers import display_name_for
+from .parsers import default_registry, display_name_for
 from .parsers.healthmate import DeviceRegistration, HealthMateMeasurement
 from .phi import (
     CATEGORY_LABELS,
@@ -90,6 +90,7 @@ def build_timeline(records: list[ArtifactRecord]) -> list[TimelineEvent]:
     timestamp (profiles, credentials, raw hits) are simply absent; the
     caller can count them as len(records) - len(events).
     """
+    registry = default_registry()
     events = []
     for record in records:
         instant = _timeline_instant(record)
@@ -97,7 +98,7 @@ def build_timeline(records: list[ArtifactRecord]) -> list[TimelineEvent]:
             continue
         events.append(TimelineEvent(
             at=instant,
-            app=display_name_for(record.locator.package_name),
+            app=display_name_for(record.locator.package_name, registry),
             kind=record.kind,
             summary=_timeline_summary(record),
             locator=record.locator,

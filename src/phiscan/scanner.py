@@ -10,6 +10,7 @@ from pathlib import Path
 
 from . import __version__
 from .artifacts import ArtifactRecord, CONTAINER_RAW, SourceLocator
+from .errors import UnreadableFileError
 from .evidence import (
     AppDataRoot,
     EvidenceSource,
@@ -97,12 +98,25 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
                     continue
                 base = SourceLocator(package_name=root.package_name, relative_path=rel,
                                      container=CONTAINER_RAW, detail="sweep")
-                hits = scan_raw(read_file(source, rel), base)
+                try:
+                    data = read_file(source, rel)
+                except UnreadableFileError as exc:
+                    warnings.append(str(exc))
+                    continue
+                hits = scan_raw(data, base)
                 if hits:
                     records_by_app.setdefault(app, []).extend(
                         dataclasses.replace(h, recovered_at=generated_at) for h in hits)
-        # files neither parsed nor swept are read here, once, for custody
-        digests = tuple(hash_file(source, rel) for rel in sorted(source.root_listing))
+        # files neither parsed nor swept are read here, once, for custody;
+        # a file whose read failed has its warning and no digest
+        digests = []
+        for rel in sorted(source.root_listing):
+            if rel in source.unreadable:
+                continue
+            try:
+                digests.append(hash_file(source, rel))
+            except UnreadableFileError as exc:
+                warnings.append(str(exc))
 
     findings_by_app: dict[str, list[PhiFinding]] = {}
     for app, records in records_by_app.items():
@@ -133,7 +147,7 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
         evidence_origin=origin,
         generated_at=generated_at,
         redacted=redact,
-        file_digests=digests,
+        file_digests=tuple(digests),
         matrix=matrix,
         findings=tuple(findings),
         violations=violations,

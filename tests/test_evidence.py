@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pathlib
 import warnings
 import zipfile
 
 import pytest
 from hypothesis import given, strategies as st
 
-from phiscan.errors import CorruptArchiveError, NotFoundError, UnsupportedContainerError
+from phiscan.errors import (
+    CorruptArchiveError,
+    NotFoundError,
+    UnreadableFileError,
+    UnsupportedContainerError,
+)
 from phiscan.evidence import (
     enumerate_app_roots,
     evidence_label,
@@ -242,6 +248,51 @@ def test_read_records_the_digest_hash_file_returns(tmp_path):
             assert hash_file(src, "appA/data/one.bin") is recorded
             assert hash_file(src, "appA/empty.txt").hex_digest == SHA256_EMPTY
             assert set(src.digests) == {"appA/data/one.bin", "appA/empty.txt"}
+
+
+def _patched(data: bytes, offset: int, value: int) -> bytes:
+    return data[:offset] + bytes([value]) + data[offset + 1:]
+
+
+# Each damage to a one-member zip: the member's stored bytes, then the
+# central-directory header (general-purpose flags at +8, method at +10).
+DAMAGED_MEMBERS = {
+    "bad CRC": (lambda d: _patched(d, 40, d[40] ^ 0xFF), "Bad CRC-32"),
+    "bad deflate data": (lambda d: _patched(d, 39, 0xFF), "Error -3 while decompressing"),
+    "encrypted": (lambda d: _patched(d, d.index(b"PK\x01\x02") + 8, 1), "is encrypted"),
+    "unknown method": (lambda d: _patched(d, d.index(b"PK\x01\x02") + 10, 99),
+                       "compression method is not supported"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_MEMBERS))
+def test_unreadable_zip_member_raises_a_scan_error_naming_it(tmp_path, damage):
+    patch, reason = DAMAGED_MEMBERS[damage]
+    path = tmp_path / "one.zip"
+    compression = zipfile.ZIP_DEFLATED if damage == "bad deflate data" else zipfile.ZIP_STORED
+    with zipfile.ZipFile(path, "w", compression) as zf:
+        zf.writestr("app/f.txt", b"0123456789" * 4)  # the data starts at byte 39
+    path.write_bytes(patch(path.read_bytes()))
+    with open_source(path) as src:
+        with pytest.raises(UnreadableFileError, match=reason) as err:
+            read_file(src, "app/f.txt")
+        assert str(err.value).startswith("app/f.txt: unreadable (")
+        assert src.unreadable == {"app/f.txt"}
+        assert src.digests == {}
+
+
+def test_unreadable_directory_file_names_only_the_relative_path(tmp_path, monkeypatch):
+    root = _tree_with_files(tmp_path, SAMPLE)
+
+    def denied(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", denied)
+    src = open_source(root)
+    with pytest.raises(UnreadableFileError) as err:
+        read_file(src, "appA/data/one.bin")
+    assert str(err.value) == "appA/data/one.bin: unreadable (Permission denied)"
+    assert src.unreadable == {"appA/data/one.bin"}
 
 
 def test_symlinks_are_treated_as_absent(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import sqlite3
+import struct
 import tempfile
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
@@ -255,3 +256,38 @@ def test_corrupt_database_costs_one_warning(replica_tree, db_path, app, first_ta
     assert [r.kind for r in damaged.records if r.kind == "credential"] == ["credential"]
     assert ([row for row in damaged.report.matrix if row.app_name != app]
             == [row for row in intact.report.matrix if row.app_name != app])
+
+
+def _flip_member_byte(path, name):
+    """Flip one byte in the middle of a zip member's stored data."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(name)
+    data = bytearray(path.read_bytes())
+    name_len, extra_len = struct.unpack("<HH", data[info.header_offset + 26:
+                                                    info.header_offset + 30])
+    data[info.header_offset + 30 + name_len + extra_len + info.compress_size // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("member, package, app", [
+    ("iHealthMyVitals.V2/shared_prefs/sp_user_region_host_info.xml", "iHealthMyVitals.V2",
+     "iHealth MyVitals"),
+    ("iHealthMyVitals.V2/Databases/androidNin.db", "iHealthMyVitals.V2", "iHealth MyVitals"),
+    ("com.example.notes/scratch.txt", "com.example.notes", "com.example.notes"),  # swept
+    ("README.txt", None, None),  # read only for custody
+])
+def test_damaged_zip_member_costs_one_warning(tmp_path, member, package, app):
+    out = _replica_with_sweep(tmp_path, "zip")
+    intact = scan_evidence(out, fixed_clock=CLOCK).report
+    _flip_member_byte(out, member)
+
+    damaged = scan_evidence(out, fixed_clock=CLOCK).report
+    named = [w for w in damaged.warnings if member in w]
+    assert len(named) == 1 and named[0].startswith(f"{member}: unreadable (")
+    assert [w for w in damaged.warnings if w not in named] == list(intact.warnings)
+    assert damaged.file_digests == tuple(d for d in intact.file_digests
+                                         if d.relative_path != member)
+    assert ([row for row in damaged.matrix if row.app_name != app]
+            == [row for row in intact.matrix if row.app_name != app])
+    assert ([f for f in damaged.findings if f.locator.package_name != package]
+            == [f for f in intact.findings if f.locator.package_name != package])
