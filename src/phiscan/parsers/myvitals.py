@@ -274,11 +274,12 @@ class MyVitalsParser(AppParser):
         db_path = f"{root.relative_path}/{DB_SUBPATH}"
         consumed = {db_path}
         try:
-            records, warnings = parse_tables(read_file(source, db_path), TABLES,
-                                             package=root.package_name,
-                                             relative_path=db_path, recovered_at=recovered_at)
+            data = read_file(source, db_path)
         except UnreadableFileError as exc:
             records, warnings = [], [str(exc)]
+        else:
+            records, warnings = parse_tables(data, TABLES, package=root.package_name,
+                                             relative_path=db_path, recovered_at=recovered_at)
 
         for xml_path in files_under(source, root):
             if xml_path.rsplit("/", 1)[-1] != CREDENTIAL_XML_NAME:

@@ -112,7 +112,9 @@ def build_timeline(records: list[ArtifactRecord]) -> list[TimelineEvent]:
 # -- serialization -----------------------------------------------------------
 
 def _encode(obj) -> dict:
-    # json.dumps calls this for any object it cannot encode itself.
+    # json.dumps calls this for any object it cannot encode itself. vars() is
+    # the fastest encoding; on CPython 3.11 it materializes the instance's
+    # __dict__, which costs memory and slows later attribute reads.
     if is_dataclass(obj):
         return vars(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
