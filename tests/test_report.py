@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from datetime import datetime, timezone
 
@@ -128,6 +129,7 @@ def test_canonical_round_trip(report):
     rendered = render_report(report)
     doc = json.loads(rendered)
     assert canonical_json(doc) == rendered
+    assert doc == json.loads(json.dumps(dataclasses.asdict(report)))  # no value lost
     assert set(doc) == REPORT_KEYS
     for digest in doc["file_digests"]:
         assert set(digest) == DIGEST_KEYS
