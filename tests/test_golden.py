@@ -10,6 +10,11 @@ manifest is pinned by its canonical JSON with `files` (the forge's file
 digests) removed; its `spec` names the output kind, so a directory and a
 zip each have their own pin.
 
+The forge's own output is pinned by content: for each database, its
+`sqlite_master` entries and every row, each cell with its `typeof` storage
+class; for every other file, its bytes. Raw database bytes are not pinned,
+for the same header reason.
+
 The hostile tree is built with conftest's independent builders and holds
 one row per fault each table tallies, so its warning text is pinned in
 full.
@@ -25,7 +30,13 @@ import sqlite3
 
 import pytest
 
-from phiscan.fixtures import generate_fixture, paper_replica_spec, random_spec, render_manifest
+from phiscan.fixtures import (
+    build_tree,
+    generate_fixture,
+    paper_replica_spec,
+    random_spec,
+    render_manifest,
+)
 from phiscan.report import build_timeline, canonical_json, render_report, render_timeline
 from phiscan.scanner import scan_evidence
 
@@ -128,6 +139,31 @@ GOLDEN_MANIFEST = {
 }
 
 
+GOLDEN_CONTENT = {
+    "replica": "aa1e6bbc2be1e5ec443ba534fba4421223001c66c16933d1470a9192008006a6",
+    "seed0": "d213c1cd533cd50f5d34298c6d9360c27f64817c0791e35ccefdaba8948ecd1f",
+    "seed1": "5facd36c6149cbe4a2dab39621c3746f357ab88012e4be2a23edee5dafa05477",
+    "seed2": "d7d5f8deae834fc19eb44b653000a9f0f9847403bb2506cb38693532d885c792",
+    "seed3": "21d0c85694f396673964d27393bf6154f67b7f9f4e51e61209a4e2ad3ca083e9",
+    "seed4": "40af4af0a881f0a27df1f262526974909bcd5bb9e409f4d25f8df0fa7324d2f8",
+    "seed5": "309c3d47b7cb271a8feafe37722bf8674c49e7db1bf18ed7ccbe1df5276f0499",
+    "seed6": "b469536399c6d7d55dcc82bce44e51e244003593300ecebdddf35c18abab5956",
+    "seed7": "56b6a43ef4905d0fe57ee8018b20463a5bffdc17a30f2c90e796eb6c4bb125f7",
+    "seed8": "ea784e4d31830a42df369cca9d35cb7d083c86f7e7692884f4eeee89d8e79ca3",
+    "seed9": "caee722cec0f6d46d8b2a38bd020255441031909f44813e8bfba49ce88ef4820",
+    "seed10": "e197315cefe6a9cd1d212e3e9e2f4484373263bfd085b99007760624f5ab07c9",
+    "seed11": "a165b1e5695cdbbcc58f652aed825695fd7ed9a4185eccfa0e770184021bc0e3",
+    "seed12": "cbe6b1f1ec6207cbf220eb65f1fedee54a949daf3d0891a0403ea9e3a3cdde95",
+    "seed13": "302332565e42ef3351a78e8e1f796d9ddd8e9cfa13a1892e99bbdac392a07549",
+    "seed14": "a24a28458f3aca7990120247c6aec5261c2e835465062d7a6f7d8f829e006034",
+    "seed15": "bfb4ff9c767c7bd653e9cdea91c45032278217e3d1f5b3a91f7cc79e01144fec",
+    "seed16": "ead62b3f7f2ef6fbd4c0931b1d48089d11a8026337da31b66a9c54ae0960d342",
+    "seed17": "ed6c695f5bcc188aa5f31b825b4a7c1b23a559e4921e3cfd86b74278ce2fe6c4",
+    "seed18": "70bba28d3c650a3ed277ec115de6838db09cb30746bb59b43bc340210be39c20",
+    "seed19": "13ee91592814f41f589f1852ab46aad0c68ae21291986ba0b0df9c6329333532",
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -155,6 +191,37 @@ def test_forge_reports_match_golden(tmp_path, name):
     assert (dir_pins[0], zip_pins[0]) == (GOLDEN[name], GOLDEN[name])
     assert (dir_pins[1], zip_pins[1]) == (GOLDEN_TIMELINE[name], GOLDEN_TIMELINE[name])
     assert (dir_pins[2], zip_pins[2]) == GOLDEN_MANIFEST[name]
+
+
+def _forge_content_sha(spec) -> str:
+    tree, _ = build_tree(spec)
+    digest = hashlib.sha256()
+    for path in sorted(tree):
+        data = tree[path]
+        digest.update(repr((path, len(data))).encode())
+        if data[:16] != b"SQLite format 3\x00":
+            digest.update(data)
+            continue
+        conn = sqlite3.connect(":memory:")
+        conn.deserialize(data)
+        master = conn.execute("SELECT type, name, tbl_name, sql FROM sqlite_master"
+                              " ORDER BY rowid").fetchall()
+        digest.update(repr(master).encode())
+        for kind, name, _, _ in master:
+            if kind != "table":
+                continue
+            columns = [info[1] for info in conn.execute(f'PRAGMA table_info("{name}")')]
+            cells = ", ".join(f'"{c}", typeof("{c}")' for c in columns)
+            rows = conn.execute(f'SELECT rowid, {cells} FROM "{name}" ORDER BY rowid').fetchall()
+            digest.update(repr((name, rows)).encode())
+        conn.close()
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_forge_content_matches_golden(name):
+    spec = paper_replica_spec() if name == "replica" else random_spec(int(name[4:]))
+    assert _forge_content_sha(spec) == GOLDEN_CONTENT[name]
 
 
 def _hostile_tree(tmp_path):
