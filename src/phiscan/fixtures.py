@@ -29,18 +29,20 @@ import sqlite3
 import tempfile
 import zipfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 from xml.sax.saxutils import escape, quoteattr
 
 from .artifacts import (
     CONTAINER_SQLITE,
     CONTAINER_XML,
     SourceLocator,
-    looks_like_email,
     normalize_timestamp,
 )
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, MalformedRowError
 from .parsers import glucosmart, healthmate, myvitals
+from .parsers.tables import Table
 from .phi import (
     CAT_ADDRESS,
     CAT_DATE_OF_BIRTH,
@@ -165,6 +167,11 @@ def _rows_field(value, field_name: str) -> int | tuple:
     raise InvalidSpecError(f"{field_name}: expected a count or row list")
 
 
+def _rows_fields(db: _ForgeDb, block: dict) -> dict:
+    return {table.field: _rows_field(block.get(table.field, 0), f"{db.app}.{table.field}")
+            for table in db.tables}
+
+
 def spec_from_dict(doc: dict) -> FixtureSpec:
     if not isinstance(doc, dict):
         raise InvalidSpecError("spec document must be a JSON object")
@@ -192,14 +199,8 @@ def spec_from_dict(doc: dict) -> FixtureSpec:
             if not isinstance(credential, dict):
                 raise InvalidSpecError("myvitals.credential must be an object")
             _validate_credential(credential)
-        mv = MyVitalsBlock(
-            bp_rows=_rows_field(block.get("bp_rows", 0), "myvitals.bp_rows"),
-            spo2_rows=_rows_field(block.get("spo2_rows", 0), "myvitals.spo2_rows"),
-            weight_rows=_rows_field(block.get("weight_rows", 0), "myvitals.weight_rows"),
-            env_rows=_rows_field(block.get("env_rows", 0), "myvitals.env_rows"),
-            user_rows=_rows_field(block.get("user_rows", 0), "myvitals.user_rows"),
-            credential=dict(credential) if credential else None,
-        )
+        mv = MyVitalsBlock(**_rows_fields(_MYVITALS, block),
+                           credential=dict(credential) if credential else None)
 
     gs = None
     if "glucosmart" in apps:
@@ -215,12 +216,7 @@ def spec_from_dict(doc: dict) -> FixtureSpec:
 
     hm = None
     if "healthmate" in apps:
-        block = apps["healthmate"]
-        hm = HealthMateBlock(
-            device_rows=_rows_field(block.get("device_rows", 0), "healthmate.device_rows"),
-            measure_rows=_rows_field(block.get("measure_rows", 0), "healthmate.measure_rows"),
-            user_rows=_rows_field(block.get("user_rows", 0), "healthmate.user_rows"),
-        )
+        hm = HealthMateBlock(**_rows_fields(_HEALTHMATE, apps["healthmate"]))
     return FixtureSpec(seed=seed, output_kind=output_kind,
                        myvitals=mv, glucosmart=gs, healthmate=hm, version=version)
 
@@ -235,30 +231,11 @@ def load_spec(text: str) -> FixtureSpec:
 
 
 def spec_to_dict(spec: FixtureSpec) -> dict:
-    def rows(value):
-        return list(value) if isinstance(value, tuple) else value
-
-    apps = {}
-    if spec.myvitals:
-        apps["myvitals"] = {
-            "bp_rows": rows(spec.myvitals.bp_rows),
-            "spo2_rows": rows(spec.myvitals.spo2_rows),
-            "weight_rows": rows(spec.myvitals.weight_rows),
-            "env_rows": rows(spec.myvitals.env_rows),
-            "user_rows": rows(spec.myvitals.user_rows),
-            "credential": spec.myvitals.credential,
-        }
-    if spec.glucosmart:
-        apps["glucosmart"] = {
-            "encrypted_db_count": spec.glucosmart.encrypted_db_count,
-            "user_info": spec.glucosmart.user_info,
-        }
-    if spec.healthmate:
-        apps["healthmate"] = {
-            "device_rows": rows(spec.healthmate.device_rows),
-            "measure_rows": rows(spec.healthmate.measure_rows),
-            "user_rows": rows(spec.healthmate.user_rows),
-        }
+    blocks = {"myvitals": spec.myvitals, "glucosmart": spec.glucosmart,
+              "healthmate": spec.healthmate}
+    apps = {app: {key: list(value) if isinstance(value, tuple) else value
+                  for key, value in vars(block).items()}
+            for app, block in blocks.items() if block is not None}
     return {"version": spec.version, "seed": spec.seed,
             "output_kind": spec.output_kind, "apps": apps}
 
@@ -450,13 +427,149 @@ def random_spec(seed: int) -> FixtureSpec:
                        glucosmart=gluco_block, healthmate=healthmate_block)
 
 
-# -- row validation (explicit rows must satisfy the domain invariants) -------
+# -- forge tables ------------------------------------------------------------
 
-def _need(row: dict, keys: tuple[str, ...], where: str) -> None:
-    missing = [k for k in keys if k not in row]
-    if missing:
-        raise InvalidSpecError(f"{where}: missing fields {missing}")
+_Planting = tuple[str, tuple[ExpectedFinding, ...]]     # (record kind, expected findings)
 
+
+def _usage(kind: str, usage: str) -> _Planting:
+    return kind, (ExpectedFinding(CAT_PROVISION, "device-usage", usage),)
+
+
+def _vitals(kind: str, reading: str, usage: str) -> _Planting:
+    return kind, (ExpectedFinding(CAT_HEALTH_CONDITION, "vital-reading", reading),
+                  ExpectedFinding(CAT_PROVISION, "device-usage", usage))
+
+
+def _profile(fields: tuple[tuple[str, str, str], ...], row: dict) -> _Planting:
+    return "user-profile", tuple(ExpectedFinding(category, rule_id, row[key])
+                                 for category, rule_id, key in fields if row[key])
+
+
+def _utc(value: int) -> str:
+    return normalize_timestamp(value).utc
+
+
+def _plant_measure(r: dict) -> _Planting:
+    kind = _KIND_BY_CODE.get(r["code"])
+    if kind is None:
+        return "raw-hit", ()
+    prefix = f"device {r['device_ref']} " if r.get("device_ref") is not None else ""
+    return _vitals("blood-pressure" if kind in ("systolic", "diastolic", "pulse") else "weight",
+                   f"{kind} {float(r['value'])}", f"{prefix}measured at {_utc(r['measured_at'])}")
+
+
+@dataclass(frozen=True)
+class _ForgeTable:
+    """One planted SQLite table, declared once for writing, checking and planting.
+
+    columns are (column, SQL type, row key) triples in file order; a None
+    key is the row's 1-based position. plant(row) gives the planted
+    record's kind and the findings a scan must report for it, written
+    here independently of the parsers. Planted records follow spec order,
+    or (row[order_key], position) when order_key is set.
+    """
+
+    field: str
+    name: str
+    columns: tuple[tuple[str, str, str | None], ...]
+    epoch_keys: tuple[str, ...]
+    plant: Callable[[dict], _Planting]
+    optional: tuple[str, ...] = ()
+    order_key: str | None = None
+
+    def key_of(self, column: str) -> str | None:
+        return next((key for name, _, key in self.columns if name == column), None)
+
+
+@dataclass(frozen=True)
+class _ForgeDb:
+    """One app database: where it goes, its epoch scale and its tables in file order."""
+
+    app: str
+    display_name: str
+    package: str
+    path: str
+    unit: str
+    tables: tuple[_ForgeTable, ...]
+    parsed: dict[str, Table]      # the parser's declaration of each table, by name
+
+
+_MYVITALS = _ForgeDb("myvitals", myvitals.DISPLAY_NAME, myvitals.PACKAGE_FOLDER,
+                     f"{myvitals.PACKAGE_FOLDER}/{myvitals.DB_SUBPATH}", "seconds", (
+    _ForgeTable("bp_rows", "TB_BPResult", (
+        ("Sys", "INTEGER", "systolic"), ("Dia", "INTEGER", "diastolic"),
+        ("Pulse", "INTEGER", "pulse"), ("MeasureTime", "INTEGER", "measure_time"),
+        ("DeviceID", "TEXT", "device_id"), ("Note", "TEXT", "note"),
+        ("Account", "TEXT", "account"),
+    ), ("measure_time",), lambda r: _vitals(
+        "blood-pressure", f"{r['systolic']}/{r['diastolic']} mmHg, pulse {r['pulse']} bpm",
+        f"device {r['device_id'] or 'unknown'} at {_utc(r['measure_time'])}"),
+        optional=("note",)),
+    _ForgeTable("spo2_rows", "TB_SPO2Result", (
+        ("UsedUserID", "INTEGER", "used_user_id"), ("PhoneDataID", "TEXT", "phone_data_id"),
+        ("iHealthID", "TEXT", "health_id"), ("MachineType", "TEXT", "machine_type"),
+        ("MachineDeviceID", "TEXT", "machine_device_id"),
+        ("MeasureTime", "INTEGER", "measure_time"),
+        ("LastChangeTime", "INTEGER", "last_change_time"),
+        ("PhoneCreateTime", "INTEGER", "phone_create_time"),
+        ("Result", "INTEGER", "result_spo2"), ("PR", "INTEGER", "pulse_rate"),
+        ("PI", "REAL", "perfusion_index"),
+    ), ("measure_time", "last_change_time", "phone_create_time"), lambda r: _vitals(
+        "oximetry", f"SpO2 {r['result_spo2']}%, pulse {r['pulse_rate']} bpm, "
+                    f"PI {float(r['perfusion_index'])}",
+        f"device {r['machine_device_id']} ({r['machine_type']}) at {_utc(r['measure_time'])}"),
+        order_key="measure_time"),
+    _ForgeTable("weight_rows", "TB_WeightOnlineResult", (
+        ("Weight", "REAL", "weight"), ("BMI", "REAL", "bmi"),
+        ("BodyFat", "REAL", "body_fat_pct"), ("BodyWater", "REAL", "body_water_pct"),
+        ("MuscleMass", "REAL", "muscle_mass"), ("DailyCalorie", "REAL", "daily_calorie_intake"),
+        ("BoneMass", "REAL", "bone_mass"), ("MeasureTime", "INTEGER", "measure_time"),
+        ("Account", "TEXT", "account"),
+    ), ("measure_time",), lambda r: _vitals(
+        "weight", f"weight {float(r['weight'])}, BMI {float(r['bmi'])}",
+        f"measured at {_utc(r['measure_time'])}")),
+    _ForgeTable("env_rows", "TB_TemperatureHumidity", (
+        ("Humidity", "REAL", "humidity"), ("Temperature", "REAL", "temperature"),
+        ("Lighting", "REAL", "lighting_level"), ("MeasureTime", "INTEGER", "measure_time"),
+    ), ("measure_time",),
+        lambda r: _usage("environment", f"measured at {_utc(r['measure_time'])}")),
+    _ForgeTable("user_rows", "TB_Userinfo", (
+        ("Name", "TEXT", "name"), ("Birthday", "TEXT", "date_of_birth"),
+        ("TimeZone", "TEXT", "timezone_location"), ("Email", "TEXT", "email"),
+    ), (), partial(_profile, ((CAT_NAME, "profile-name", "name"),
+                              (CAT_DATE_OF_BIRTH, "profile-birth-date", "date_of_birth"),
+                              (CAT_ADDRESS, "address-timezone-proxy", "timezone_location")))),
+), {t.name: t for t in myvitals.TABLES})
+
+_HEALTHMATE = _ForgeDb("healthmate", healthmate.DISPLAY_NAME, healthmate.PACKAGE_FOLDER,
+                       f"{healthmate.PACKAGE_FOLDER}/databases/{healthmate.DB_NAME}",
+                       "milliseconds", (
+    _ForgeTable("device_rows", "devices", (
+        ("id", "INTEGER PRIMARY KEY", "id"), ("associationDate", "INTEGER", "association_date"),
+        ("lastUseDate", "INTEGER", "last_use_date"), ("modifiedDate", "INTEGER", "modified_date"),
+        ("macAddress", "TEXT", "mac_address"), ("firmware", "INTEGER", "firmware"),
+        ("timezone", "TEXT", "timezone"), ("battery", "INTEGER", "battery_pct"),
+        ("type", "INTEGER", "device_type"), ("model", "INTEGER", "device_model"),
+    ), ("association_date", "last_use_date", "modified_date"), lambda r: _usage(
+        "device-registration",
+        f"device {r['mac_address'].lower()}, last used {_utc(r['last_use_date'])}"),
+        optional=("timezone",)),
+    _ForgeTable("measure_rows", "measure", (
+        ("id", "INTEGER PRIMARY KEY", None), ("date", "INTEGER", "measured_at"),
+        ("type", "INTEGER", "code"), ("value", "REAL", "value"),
+        ("deviceid", "INTEGER", "device_ref"),
+    ), ("measured_at",), _plant_measure, optional=("device_ref",)),
+    _ForgeTable("user_rows", "users", (
+        ("id", "INTEGER PRIMARY KEY", None), ("name", "TEXT", "name"),
+        ("gender", "TEXT", "gender"), ("birthday", "TEXT", "birthday"),
+        ("email", "TEXT", "email"),
+    ), (), partial(_profile, ((CAT_NAME, "profile-name", "name"),
+                              (CAT_DATE_OF_BIRTH, "profile-birth-date", "birthday")))),
+), {t.name: t for t in (healthmate.DEVICES, healthmate.measure_table(healthmate.DEFAULT_CODE_MAP),
+                        healthmate.USERS)})
+
+# -- row validation (explicit rows must pass the parsers' own checks) --------
 
 def _check_ts(value, where: str, unit: str) -> None:
     try:
@@ -467,152 +580,57 @@ def _check_ts(value, where: str, unit: str) -> None:
         raise InvalidSpecError(f"{where}: timestamp {value} is not {unit}-scale")
 
 
-def _validate_rows(kind: str, rows: tuple, app: str) -> None:
-    for i, row in enumerate(rows):
-        where = f"{app}.{kind}[{i}]"
-        if kind == "bp_rows":
-            _need(row, ("systolic", "diastolic", "pulse", "measure_time",
-                        "device_id", "account"), where)
-            if not row["systolic"] > row["diastolic"] > 0 or row["pulse"] <= 0:
-                raise InvalidSpecError(f"{where}: vitals violate invariants")
-            _check_ts(row["measure_time"], where, "seconds")
-        elif kind == "spo2_rows":
-            _need(row, ("used_user_id", "phone_data_id", "health_id", "machine_type",
-                        "machine_device_id", "measure_time", "last_change_time",
-                        "phone_create_time", "result_spo2", "pulse_rate",
-                        "perfusion_index"), where)
-            if not (0 < row["result_spo2"] <= 100 and row["pulse_rate"] > 0
-                    and row["perfusion_index"] >= 0):
-                raise InvalidSpecError(f"{where}: vitals violate invariants")
-            for key in ("measure_time", "last_change_time", "phone_create_time"):
-                _check_ts(row[key], where, "seconds")
-        elif kind == "weight_rows":
-            _need(row, ("weight", "bmi", "body_fat_pct", "body_water_pct", "muscle_mass",
-                        "daily_calorie_intake", "bone_mass", "measure_time", "account"), where)
-            if row["weight"] <= 0 or not (0 <= row["body_fat_pct"] <= 100
-                                          and 0 <= row["body_water_pct"] <= 100):
-                raise InvalidSpecError(f"{where}: values violate invariants")
-            _check_ts(row["measure_time"], where, "seconds")
-        elif kind == "env_rows":
-            _need(row, ("humidity", "temperature", "lighting_level", "measure_time"), where)
-            if not 0 <= row["humidity"] <= 100:
-                raise InvalidSpecError(f"{where}: humidity out of [0,100]")
-            _check_ts(row["measure_time"], where, "seconds")
-        elif kind == "user_rows":
-            _need(row, ("name", "date_of_birth", "timezone_location", "email"), where)
-            if row["email"] and not looks_like_email(row["email"]):
-                raise InvalidSpecError(f"{where}: bad email {row['email']!r}")
-        elif kind == "device_rows":
-            _need(row, ("id", "association_date", "last_use_date", "modified_date",
-                        "mac_address", "firmware", "battery_pct",
-                        "device_type", "device_model"), where)
-            if not 0 <= row["battery_pct"] <= 100:
-                raise InvalidSpecError(f"{where}: battery out of [0,100]")
-            for key in ("association_date", "last_use_date", "modified_date"):
-                _check_ts(row[key], where, "milliseconds")
-        elif kind == "measure_rows":
-            _need(row, ("code", "value", "measured_at"), where)
-            if row["code"] in _KIND_BY_CODE and row["value"] <= 0:
-                raise InvalidSpecError(f"{where}: value must be positive")
-            _check_ts(row["measured_at"], where, "milliseconds")
-        elif kind == "hm_user_rows":
-            _need(row, ("name", "gender", "birthday", "email"), where)
-            if row["email"] and not looks_like_email(row["email"]):
-                raise InvalidSpecError(f"{where}: bad email {row['email']!r}")
+def _resolve_rows(db: _ForgeDb, table: _ForgeTable, value: int | tuple, gen) -> list[dict]:
+    """`value` rows from gen(), or the explicit rows, each checked as the parser would.
 
-
-def _resolve_rows(value: int | tuple, kind: str, app: str, gen) -> list[dict]:
-    if isinstance(value, tuple):
-        _validate_rows(kind, value, app)
-        return [dict(r) for r in value]
-    return [gen() for _ in range(value)]
+    A row with a missing key, an epoch off the app's scale, a null required
+    cell or a failed parser check is rejected, naming `<app>.<field>[i]`.
+    """
+    if not isinstance(value, tuple):
+        return [gen() for _ in range(value)]
+    parsed = db.parsed[table.name]
+    cell_keys = list(map(table.key_of, parsed.columns))
+    needed = [key for _, _, key in table.columns if key is not None and key not in table.optional]
+    for i, row in enumerate(value):
+        where = f"{db.app}.{table.field}[{i}]"
+        missing = [key for key in needed if key not in row]
+        if missing:
+            raise InvalidSpecError(f"{where}: missing fields {missing}")
+        for key in table.epoch_keys:
+            _check_ts(row[key], where, db.unit)
+        cells = list(map(row.get, cell_keys))
+        if None in cells[:parsed.required]:
+            raise InvalidSpecError(f"{where}: {parsed.null_text}")
+        try:
+            parsed.row(cells)
+        except MalformedRowError as exc:
+            raise InvalidSpecError(f"{where}: {exc}") from exc
+    return [dict(r) for r in value]
 
 
 # -- file builders -----------------------------------------------------------
 
-def _sqlite_file(build) -> bytes:
+def _sqlite_file(db: _ForgeDb, rows: dict[str, list[dict]]) -> bytes:
+    """The database of `db` holding `rows`: every CREATE, then every INSERT."""
     fd, path = tempfile.mkstemp(suffix=".db", prefix="phiscan-forge-")
     os.close(fd)
     try:
         conn = sqlite3.connect(path)
         try:
-            build(conn)
+            for table in db.tables:
+                columns = ", ".join(f"{column} {type_}" for column, type_, _ in table.columns)
+                conn.execute(f"CREATE TABLE {table.name} ({columns})")
+            for table in db.tables:
+                # a None key inserts NULL, which an INTEGER PRIMARY KEY turns into the position
+                keys = [key for _, _, key in table.columns]
+                conn.executemany(f"INSERT INTO {table.name} VALUES ({','.join('?' * len(keys))})",
+                                 [tuple(map(row.get, keys)) for row in rows[table.field]])
             conn.commit()
         finally:
             conn.close()
         return Path(path).read_bytes()
     finally:
         os.unlink(path)
-
-
-def _myvitals_db(rows: dict) -> bytes:
-    def build(conn: sqlite3.Connection) -> None:
-        conn.execute("CREATE TABLE TB_BPResult (Sys INTEGER, Dia INTEGER, Pulse INTEGER,"
-                     " MeasureTime INTEGER, DeviceID TEXT, Note TEXT, Account TEXT)")
-        conn.execute("CREATE TABLE TB_SPO2Result (UsedUserID INTEGER, PhoneDataID TEXT,"
-                     " iHealthID TEXT, MachineType TEXT, MachineDeviceID TEXT,"
-                     " MeasureTime INTEGER, LastChangeTime INTEGER, PhoneCreateTime INTEGER,"
-                     " Result INTEGER, PR INTEGER, PI REAL)")
-        conn.execute("CREATE TABLE TB_WeightOnlineResult (Weight REAL, BMI REAL,"
-                     " BodyFat REAL, BodyWater REAL, MuscleMass REAL, DailyCalorie REAL,"
-                     " BoneMass REAL, MeasureTime INTEGER, Account TEXT)")
-        conn.execute("CREATE TABLE TB_TemperatureHumidity (Humidity REAL, Temperature REAL,"
-                     " Lighting REAL, MeasureTime INTEGER)")
-        conn.execute("CREATE TABLE TB_Userinfo (Name TEXT, Birthday TEXT, TimeZone TEXT,"
-                     " Email TEXT)")
-        conn.executemany(
-            "INSERT INTO TB_BPResult VALUES (?,?,?,?,?,?,?)",
-            [(r["systolic"], r["diastolic"], r["pulse"], r["measure_time"],
-              r["device_id"], r.get("note"), r["account"]) for r in rows["bp"]])
-        conn.executemany(
-            "INSERT INTO TB_SPO2Result VALUES (?,?,?,?,?,?,?,?,?,?,?)",
-            [(r["used_user_id"], r["phone_data_id"], r["health_id"], r["machine_type"],
-              r["machine_device_id"], r["measure_time"], r["last_change_time"],
-              r["phone_create_time"], r["result_spo2"], r["pulse_rate"],
-              float(r["perfusion_index"])) for r in rows["spo2"]])
-        conn.executemany(
-            "INSERT INTO TB_WeightOnlineResult VALUES (?,?,?,?,?,?,?,?,?)",
-            [(float(r["weight"]), float(r["bmi"]), float(r["body_fat_pct"]),
-              float(r["body_water_pct"]), float(r["muscle_mass"]),
-              float(r["daily_calorie_intake"]), float(r["bone_mass"]),
-              r["measure_time"], r["account"]) for r in rows["weight"]])
-        conn.executemany(
-            "INSERT INTO TB_TemperatureHumidity VALUES (?,?,?,?)",
-            [(float(r["humidity"]), float(r["temperature"]), float(r["lighting_level"]),
-              r["measure_time"]) for r in rows["env"]])
-        conn.executemany(
-            "INSERT INTO TB_Userinfo VALUES (?,?,?,?)",
-            [(r["name"], r["date_of_birth"], r["timezone_location"], r["email"])
-             for r in rows["user"]])
-
-    return _sqlite_file(build)
-
-
-def _healthmate_db(rows: dict) -> bytes:
-    def build(conn: sqlite3.Connection) -> None:
-        conn.execute("CREATE TABLE devices (id INTEGER PRIMARY KEY, associationDate INTEGER,"
-                     " lastUseDate INTEGER, modifiedDate INTEGER, macAddress TEXT,"
-                     " firmware INTEGER, timezone TEXT, battery INTEGER,"
-                     " type INTEGER, model INTEGER)")
-        conn.execute("CREATE TABLE measure (id INTEGER PRIMARY KEY, date INTEGER,"
-                     " type INTEGER, value REAL, deviceid INTEGER)")
-        conn.execute("CREATE TABLE users (id INTEGER PRIMARY KEY, name TEXT, gender TEXT,"
-                     " birthday TEXT, email TEXT)")
-        conn.executemany(
-            "INSERT INTO devices VALUES (?,?,?,?,?,?,?,?,?,?)",
-            [(r["id"], r["association_date"], r["last_use_date"], r["modified_date"],
-              r["mac_address"], r["firmware"], r.get("timezone"), r["battery_pct"],
-              r["device_type"], r["device_model"]) for r in rows["devices"]])
-        conn.executemany(
-            "INSERT INTO measure VALUES (?,?,?,?,?)",
-            [(i + 1, r["measured_at"], r["code"], float(r["value"]), r.get("device_ref"))
-             for i, r in enumerate(rows["measures"])])
-        conn.executemany(
-            "INSERT INTO users VALUES (?,?,?,?,?)",
-            [(i + 1, r["name"], r["gender"], r["birthday"], r["email"])
-             for i, r in enumerate(rows["users"])])
-
-    return _sqlite_file(build)
 
 
 def _prefs_xml(entries: list[tuple[str, str, object]]) -> bytes:
@@ -657,67 +675,19 @@ def _encrypted_db_bytes(rng: random.Random) -> bytes:
 
 # -- manifest expectations ---------------------------------------------------
 
-def _planted_myvitals(rows: dict, account: str) -> list[PlantedRecord]:
-    app = myvitals.DISPLAY_NAME
-    pkg = myvitals.PACKAGE_FOLDER
-    db_path = f"{pkg}/{myvitals.DB_SUBPATH}"
-
-    def loc(detail: str) -> SourceLocator:
-        return SourceLocator(pkg, db_path, CONTAINER_SQLITE, detail)
-
+def _planted(db: _ForgeDb, rows: dict[str, list[dict]]) -> list[PlantedRecord]:
     planted = []
-    for i, r in enumerate(rows["bp"], start=1):
-        utc = normalize_timestamp(r["measure_time"]).utc
-        planted.append(PlantedRecord(
-            app=app, kind="blood-pressure", locator=loc(f"TB_BPResult:{i}"), payload=dict(r),
-            expected_findings=(
-                ExpectedFinding(CAT_HEALTH_CONDITION, "vital-reading",
-                                f"{r['systolic']}/{r['diastolic']} mmHg, pulse {r['pulse']} bpm"),
-                ExpectedFinding(CAT_PROVISION, "device-usage",
-                                f"device {r['device_id'] or 'unknown'} at {utc}"),
-            )))
-    spo2_sorted = sorted(enumerate(rows["spo2"], start=1), key=lambda p: (p[1]["measure_time"], p[0]))
-    for i, r in spo2_sorted:
-        utc = normalize_timestamp(r["measure_time"]).utc
-        pi = float(r["perfusion_index"])
-        planted.append(PlantedRecord(
-            app=app, kind="oximetry", locator=loc(f"TB_SPO2Result:{i}"), payload=dict(r),
-            expected_findings=(
-                ExpectedFinding(CAT_HEALTH_CONDITION, "vital-reading",
-                                f"SpO2 {r['result_spo2']}%, pulse {r['pulse_rate']} bpm, PI {pi}"),
-                ExpectedFinding(CAT_PROVISION, "device-usage",
-                                f"device {r['machine_device_id']} ({r['machine_type']}) at {utc}"),
-            )))
-    for i, r in enumerate(rows["weight"], start=1):
-        utc = normalize_timestamp(r["measure_time"]).utc
-        planted.append(PlantedRecord(
-            app=app, kind="weight", locator=loc(f"TB_WeightOnlineResult:{i}"), payload=dict(r),
-            expected_findings=(
-                ExpectedFinding(CAT_HEALTH_CONDITION, "vital-reading",
-                                f"weight {float(r['weight'])}, BMI {float(r['bmi'])}"),
-                ExpectedFinding(CAT_PROVISION, "device-usage", f"measured at {utc}"),
-            )))
-    for i, r in enumerate(rows["env"], start=1):
-        utc = normalize_timestamp(r["measure_time"]).utc
-        planted.append(PlantedRecord(
-            app=app, kind="environment", locator=loc(f"TB_TemperatureHumidity:{i}"),
-            payload=dict(r),
-            expected_findings=(
-                ExpectedFinding(CAT_PROVISION, "device-usage", f"measured at {utc}"),
-            )))
-    for i, r in enumerate(rows["user"], start=1):
-        expected = []
-        if r["name"]:
-            expected.append(ExpectedFinding(CAT_NAME, "profile-name", r["name"]))
-        if r["date_of_birth"]:
-            expected.append(ExpectedFinding(CAT_DATE_OF_BIRTH, "profile-birth-date",
-                                            r["date_of_birth"]))
-        if r["timezone_location"]:
-            expected.append(ExpectedFinding(CAT_ADDRESS, "address-timezone-proxy",
-                                            r["timezone_location"]))
-        planted.append(PlantedRecord(
-            app=app, kind="user-profile", locator=loc(f"TB_Userinfo:{i}"), payload=dict(r),
-            expected_findings=tuple(expected)))
+    for table in db.tables:
+        id_key = table.key_of(db.parsed[table.name].id_column)
+        numbered = list(enumerate(rows[table.field], start=1))
+        if table.order_key is not None:
+            numbered.sort(key=lambda p: (p[1][table.order_key], p[0]))
+        for i, r in numbered:
+            kind, expected = table.plant(r)
+            detail = f"{table.name}:{i if id_key is None else r[id_key]}"
+            planted.append(PlantedRecord(
+                app=db.display_name, kind=kind, payload=dict(r), expected_findings=expected,
+                locator=SourceLocator(db.package, db.path, CONTAINER_SQLITE, detail)))
     return planted
 
 
@@ -741,55 +711,6 @@ def _planted_gluco(user_info: dict) -> PlantedRecord:
         expected_findings=(
             ExpectedFinding(CAT_NAME, "profile-name", user_info["username"]),
         ))
-
-
-def _planted_healthmate(rows: dict) -> list[PlantedRecord]:
-    app = healthmate.DISPLAY_NAME
-    pkg = healthmate.PACKAGE_FOLDER
-    db_path = f"{pkg}/databases/{healthmate.DB_NAME}"
-
-    def loc(detail: str) -> SourceLocator:
-        return SourceLocator(pkg, db_path, CONTAINER_SQLITE, detail)
-
-    planted = []
-    for r in rows["devices"]:
-        utc = normalize_timestamp(r["last_use_date"]).utc
-        planted.append(PlantedRecord(
-            app=app, kind="device-registration", locator=loc(f"devices:{r['id']}"),
-            payload=dict(r),
-            expected_findings=(
-                ExpectedFinding(CAT_PROVISION, "device-usage",
-                                f"device {r['mac_address'].lower()}, last used {utc}"),
-            )))
-    for i, r in enumerate(rows["measures"], start=1):
-        utc = normalize_timestamp(r["measured_at"]).utc
-        kind = _KIND_BY_CODE.get(r["code"])
-        if kind is None:
-            planted.append(PlantedRecord(
-                app=app, kind="raw-hit", locator=loc(f"measure:{i}"), payload=dict(r),
-                expected_findings=()))
-            continue
-        prefix = (f"device {r['device_ref']} " if r.get("device_ref") is not None else "")
-        record_kind = "blood-pressure" if kind in ("systolic", "diastolic", "pulse") else "weight"
-        planted.append(PlantedRecord(
-            app=app, kind=record_kind, locator=loc(f"measure:{i}"), payload=dict(r),
-            expected_findings=(
-                ExpectedFinding(CAT_HEALTH_CONDITION, "vital-reading",
-                                f"{kind} {float(r['value'])}"),
-                ExpectedFinding(CAT_PROVISION, "device-usage",
-                                f"{prefix}measured at {utc}"),
-            )))
-    for i, r in enumerate(rows["users"], start=1):
-        expected = []
-        if r["name"]:
-            expected.append(ExpectedFinding(CAT_NAME, "profile-name", r["name"]))
-        if r["birthday"]:
-            expected.append(ExpectedFinding(CAT_DATE_OF_BIRTH, "profile-birth-date",
-                                            r["birthday"]))
-        planted.append(PlantedRecord(
-            app=app, kind="user-profile", locator=loc(f"users:{i}"), payload=dict(r),
-            expected_findings=tuple(expected)))
-    return planted
 
 
 def _expected_matrix(apps: list[str], planted: list[PlantedRecord]) -> dict:
@@ -834,21 +755,14 @@ def build_tree(spec: FixtureSpec) -> tuple[dict[str, bytes], FixtureManifest]:
         if account is None and isinstance(block.user_rows, tuple) and block.user_rows:
             account = block.user_rows[0].get("email")
         account = account or "patient01@example.com"
-        rows = {
-            "bp": _resolve_rows(block.bp_rows, "bp_rows", "myvitals",
-                                lambda: _gen_bp_row(rng, account)),
-            "spo2": _resolve_rows(block.spo2_rows, "spo2_rows", "myvitals",
-                                  lambda: _gen_spo2_row(rng, account)),
-            "weight": _resolve_rows(block.weight_rows, "weight_rows", "myvitals",
-                                    lambda: _gen_weight_row(rng, account)),
-            "env": _resolve_rows(block.env_rows, "env_rows", "myvitals",
-                                 lambda: _gen_env_row(rng)),
-            "user": _resolve_rows(block.user_rows, "user_rows", "myvitals",
-                                  lambda: _gen_mv_user_row(rng, account)),
-        }
-        tree[f"{myvitals.PACKAGE_FOLDER}/{myvitals.DB_SUBPATH}"] = _myvitals_db(rows)
-        apps.append(myvitals.DISPLAY_NAME)
-        planted.extend(_planted_myvitals(rows, account))
+        gens = (lambda: _gen_bp_row(rng, account), lambda: _gen_spo2_row(rng, account),
+                lambda: _gen_weight_row(rng, account), lambda: _gen_env_row(rng),
+                lambda: _gen_mv_user_row(rng, account))
+        rows = {table.field: _resolve_rows(_MYVITALS, table, getattr(block, table.field), gen)
+                for table, gen in zip(_MYVITALS.tables, gens)}
+        tree[_MYVITALS.path] = _sqlite_file(_MYVITALS, rows)
+        apps.append(_MYVITALS.display_name)
+        planted.extend(_planted(_MYVITALS, rows))
         if block.credential is not None:
             _validate_credential(block.credential)
             xml_path = f"{myvitals.PACKAGE_FOLDER}/shared_prefs/{myvitals.CREDENTIAL_XML_NAME}"
@@ -877,20 +791,21 @@ def build_tree(spec: FixtureSpec) -> tuple[dict[str, bytes], FixtureManifest]:
 
     if spec.healthmate is not None:
         block = spec.healthmate
+        devices_table, measure_table, users_table = _HEALTHMATE.tables
         used_ids: set[int] = set()
-        devices = _resolve_rows(block.device_rows, "device_rows", "healthmate",
+        devices = _resolve_rows(_HEALTHMATE, devices_table, block.device_rows,
                                 lambda: _gen_device_row(rng, used_ids))
         device_ids = [d["id"] for d in devices]
         rows = {
-            "devices": devices,
-            "measures": _resolve_rows(block.measure_rows, "measure_rows", "healthmate",
-                                      lambda: _gen_measure_row(rng, device_ids)),
-            "users": _resolve_rows(block.user_rows, "hm_user_rows", "healthmate",
-                                   lambda: _gen_hm_user_row(rng)),
+            "device_rows": devices,
+            "measure_rows": _resolve_rows(_HEALTHMATE, measure_table, block.measure_rows,
+                                          lambda: _gen_measure_row(rng, device_ids)),
+            "user_rows": _resolve_rows(_HEALTHMATE, users_table, block.user_rows,
+                                       lambda: _gen_hm_user_row(rng)),
         }
-        tree[f"{healthmate.PACKAGE_FOLDER}/databases/{healthmate.DB_NAME}"] = _healthmate_db(rows)
-        apps.append(healthmate.DISPLAY_NAME)
-        planted.extend(_planted_healthmate(rows))
+        tree[_HEALTHMATE.path] = _sqlite_file(_HEALTHMATE, rows)
+        apps.append(_HEALTHMATE.display_name)
+        planted.extend(_planted(_HEALTHMATE, rows))
 
     files = {path: {"sha256": hashlib.sha256(data).hexdigest(), "byte_length": len(data)}
              for path, data in tree.items()}
