@@ -617,6 +617,8 @@ def _sqlite_file(db: _ForgeDb, rows: dict[str, list[dict]]) -> bytes:
     try:
         conn = sqlite3.connect(path)
         try:
+            # a scratch file, read back by this process and unlinked: no need to sync
+            conn.execute("PRAGMA synchronous=OFF")
             for table in db.tables:
                 columns = ", ".join(f"{column} {type_}" for column, type_, _ in table.columns)
                 conn.execute(f"CREATE TABLE {table.name} ({columns})")
