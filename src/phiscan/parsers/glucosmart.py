@@ -110,7 +110,8 @@ def parse_user_info_xml(xml: bytes, *, package: str = PACKAGE_FOLDER,
 
     The app's key names are fixture-normative ("UserName", "DeviceID");
     fallback matching is by key substring (user/name, device/id). Missing
-    either field raises MissingFieldsError.
+    either field raises MissingFieldsError, which names only the missing
+    fields: the caller adds the path, and a recovered value is PHI.
     """
     entries = parse_shared_prefs(xml)
     strings = {k: v for k, v in entries.items() if isinstance(v, str) and v}
@@ -132,10 +133,7 @@ def parse_user_info_xml(xml: bytes, *, package: str = PACKAGE_FOLDER,
                 break
     missing = [n for n, v in (("username", username), ("device identifier", device_id)) if not v]
     if missing:
-        raise MissingFieldsError(
-            f"{relative_path}: {' and '.join(missing)} not present "
-            f"(recovered: username={username!r}, device={device_id!r})"
-        )
+        raise MissingFieldsError(f"{' and '.join(missing)} not present")
     return ArtifactRecord(
         kind=KIND_USER_PROFILE,
         payload=GlucoProfile(username=username, device_identifier=device_id),

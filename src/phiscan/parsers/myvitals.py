@@ -226,9 +226,7 @@ def parse_region_host_xml(xml: bytes, *, package: str = PACKAGE_FOLDER,
                 by_account.setdefault(prefix, {})[field_name] = value
                 break
     if not by_account:
-        raise NoCredentialKeysError(
-            f"{relative_path}: no recognized credential key suffixes in map"
-        )
+        raise NoCredentialKeysError("no recognized credential key suffixes in map")
     warnings: list[str] = []
     if len(by_account) > 1:
         warnings.append(

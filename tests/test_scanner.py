@@ -258,6 +258,22 @@ def test_corrupt_database_costs_one_warning(replica_tree, db_path, app, first_ta
             == [row for row in intact.report.matrix if row.app_name != app])
 
 
+def test_damaged_xml_warnings_name_the_path_once_and_quote_no_value(replica_tree):
+    tree, _ = replica_tree
+    credential = "iHealthMyVitals.V2/shared_prefs/sp_user_region_host_info.xml"
+    user_info = "jiuana-androidBg.start/shared_prefs/user_info.xml"
+    (tree / credential).write_bytes(b'<map><string name="theme">dark</string></map>')
+    (tree / user_info).write_bytes(b'<map><string name="UserName">Pat Smith</string></map>')
+
+    report = scan_evidence(tree, fixed_clock=CLOCK).report
+    assert report.redacted
+    assert [w for w in report.warnings if "shared_prefs" in w] == [
+        f"{credential}: no recognized credential key suffixes in map",
+        f"{user_info}: device identifier not present",
+    ]
+    assert not any("Pat Smith" in w for w in report.warnings)
+
+
 def _flip_member_byte(path, name):
     """Flip one byte in the middle of a zip member's stored data."""
     with zipfile.ZipFile(path) as zf:
