@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
+import re
 import sqlite3
 
 import pytest
 
 from phiscan.errors import InvalidSpecError
 from phiscan.fixtures import (
+    _HEALTHMATE,
+    _MYVITALS,
     FixtureSpec,
     GlucoSmartBlock,
     HealthMateBlock,
@@ -23,6 +27,7 @@ from phiscan.fixtures import (
     spec_to_dict,
     verify_scan_against_manifest,
 )
+from phiscan.parsers import healthmate, myvitals
 from phiscan.report import canonical_json
 from phiscan.scanner import scan_evidence
 
@@ -200,6 +205,79 @@ def test_explicit_rows_validated():
         # seconds-scale epoch in a milliseconds field
         build_tree(FixtureSpec(seed=1, healthmate=HealthMateBlock(
             measure_rows=({"code": 1, "value": 80.0, "measured_at": 1541806236},))))
+
+    # one bad row per remaining parser check; each good row builds
+    good = {
+        ("myvitals", "bp_rows"): {"systolic": 120, "diastolic": 80, "pulse": 65,
+                                  "measure_time": 1530756000, "device_id": "7C669D51AA04",
+                                  "account": "a@b.co"},
+        ("myvitals", "spo2_rows"): {"used_user_id": 0, "phone_data_id": "5CF821DED2ED",
+                                    "health_id": "a@b.co", "machine_type": "PO3M",
+                                    "machine_device_id": "5CF821DED2ED",
+                                    "measure_time": 1530829549, "last_change_time": 1530829596,
+                                    "phone_create_time": 1530829549, "result_spo2": 97,
+                                    "pulse_rate": 89, "perfusion_index": 9.7},
+        ("myvitals", "weight_rows"): {"weight": 80.5, "bmi": 24.1, "body_fat_pct": 18.2,
+                                      "body_water_pct": 55.0, "muscle_mass": 60.3,
+                                      "daily_calorie_intake": 2200.0, "bone_mass": 3.1,
+                                      "measure_time": 1530845000, "account": "a@b.co"},
+        ("myvitals", "env_rows"): {"humidity": 45.0, "temperature": 22.5,
+                                   "lighting_level": 300.0, "measure_time": 1530845000},
+        ("myvitals", "user_rows"): {"name": "Pat Example", "date_of_birth": "1985-06-15",
+                                    "timezone_location": "UTC", "email": "a@b.co"},
+        ("healthmate", "device_rows"): {"id": 1, "association_date": 1541806236000,
+                                        "last_use_date": 1542127729662,
+                                        "modified_date": 1542127635000,
+                                        "mac_address": "00:24:e4:5a:ee:6c", "firmware": 1,
+                                        "battery_pct": 77, "device_type": 1, "device_model": 1},
+        ("healthmate", "measure_rows"): {"code": 1, "value": 80.0,
+                                         "measured_at": 1541806236000},
+        ("healthmate", "user_rows"): {"name": "Pat Example", "gender": "F",
+                                      "birthday": "1985-06-15", "email": "a@b.co"},
+    }
+    blocks = {"myvitals": MyVitalsBlock, "healthmate": HealthMateBlock}
+
+    def build(app, field, row):
+        build_tree(FixtureSpec(seed=1, **{app: blocks[app](**{field: (row,)})}))
+
+    for (app, field), row in good.items():
+        build(app, field, row)
+    bad = (
+        ("myvitals", "spo2_rows", {"result_spo2": 101}, "Result out of range: 101"),
+        ("myvitals", "weight_rows", {"weight": 0}, "Weight not positive: 0.0"),
+        ("myvitals", "env_rows", {"humidity": 101}, "Humidity out of [0,100]: 101.0"),
+        ("myvitals", "user_rows", {"email": "not-an-email"}, "bad email 'not-an-email'"),
+        ("healthmate", "user_rows", {"email": "not-an-email"}, "bad email 'not-an-email'"),
+        ("healthmate", "measure_rows", {"value": 0}, "value not positive: 0.0"),
+        ("healthmate", "device_rows", {"mac_address": "00-24-e4"},
+         "macAddress not colon-hex: '00-24-e4'"),
+    )
+    for app, field, change, message in bad:
+        with pytest.raises(InvalidSpecError, match=re.escape(f"{app}.{field}[0]: {message}")):
+            build(app, field, {**good[app, field], **change})
+    row = {k: v for k, v in good["myvitals", "bp_rows"].items() if k != "device_id"}
+    with pytest.raises(InvalidSpecError,
+                       match=re.escape("myvitals.bp_rows[0]: missing fields ['device_id']")):
+        build("myvitals", "bp_rows", row)
+
+
+def test_forge_tables_match_the_parser_declarations():
+    parsed = {"myvitals": myvitals.TABLES,
+              "healthmate": (healthmate.DEVICES,
+                             healthmate.measure_table(healthmate.DEFAULT_CODE_MAP),
+                             healthmate.USERS)}
+    blocks = {"myvitals": MyVitalsBlock, "healthmate": HealthMateBlock}
+    for db in (_MYVITALS, _HEALTHMATE):
+        forge = collections.Counter(table.name for table in db.tables)
+        assert forge == collections.Counter(table.name for table in parsed[db.app])
+        for table in parsed[db.app]:
+            (entry,) = [t for t in db.tables if t.name == table.name]
+            columns = [column for column, _, _ in entry.columns]
+            id_column = [] if table.id_column == "rowid" else [table.id_column]
+            assert sorted(columns) == sorted({*table.columns, *id_column}), table.name
+            assert len(columns) == len(set(columns)), table.name
+        assert [table.field for table in db.tables] == [
+            f.name for f in dataclasses.fields(blocks[db.app]) if f.name.endswith("_rows")]
 
 
 def test_credential_without_material_rejected():
