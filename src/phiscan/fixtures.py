@@ -9,6 +9,14 @@ compliance matrix/violations, and a digest of every written file.
 verify_scan_against_manifest closes the loop: generate -> scan -> verify
 is the central round-trip property of the whole artifact.
 
+Each planted SQLite table is declared once, as a _ForgeTable: one loop
+writes every table from those declarations, one checks explicit rows and
+one plants the manifest records. An explicit row must carry its table's
+keys, give epochs on the app's scale and pass the parser's own declared
+checks; generated rows are not checked, so the round trip still tests
+the parsers against independent data. The expected findings are written
+here by hand, never derived from the parsers.
+
 Encrypted Gluco-Smart databases are simulated as seeded pseudorandom
 bytes. The scanner only ever classifies them, never decrypts, so random
 bytes are behaviorally equivalent to ciphertext.
