@@ -19,6 +19,7 @@ recoverable in plaintext.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -168,11 +169,16 @@ def _load_rule_table() -> tuple[PhiRule, ...]:
 RULE_TABLE = _load_rule_table()
 
 
+@functools.cache
+def _field_names(payload_type: type) -> tuple[str, ...]:
+    if not dataclasses.is_dataclass(payload_type):
+        return ()
+    return tuple(f.name for f in dataclasses.fields(payload_type))
+
+
 def _string_fields(payload: object) -> list[str]:
-    if not dataclasses.is_dataclass(payload):
-        return []
-    return [v for f in dataclasses.fields(payload)
-            if isinstance(v := getattr(payload, f.name), str)]
+    return [v for name in _field_names(type(payload))
+            if isinstance(v := getattr(payload, name), str)]
 
 
 def classify_record(record: ArtifactRecord) -> list[PhiFinding]:
@@ -200,7 +206,9 @@ def classify_record(record: ArtifactRecord) -> list[PhiFinding]:
 
 # -- generic raw sweep -------------------------------------------------------
 
-_PRINTABLE_RUN = re.compile(rb"[\x20-\x7e]{6,}")
+# A hit must sit in a run of at least this many printable ASCII bytes.
+_MIN_RUN = 6
+_MIN_RUN_RE = re.compile(rb"[\x20-\x7e]{%d}" % _MIN_RUN)
 
 RAW_PATTERNS: tuple[tuple[str, re.Pattern], ...] = (
     ("email", re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")),
@@ -212,31 +220,49 @@ RAW_PATTERNS: tuple[tuple[str, re.Pattern], ...] = (
     ("payment-card", _CARD_RE),
 )
 
+# The same patterns over bytes. None consumes a byte outside \x20-\x7e, and
+# an ASCII \b treats every other byte as a non-word, so a match never
+# crosses the edge of a printable run.
+_RAW_BYTE_PATTERNS = tuple(
+    (name, re.compile(rx.pattern.encode("ascii"), rx.flags & ~re.UNICODE))
+    for name, rx in RAW_PATTERNS)
 
-def scan_raw(data: bytes, locator: SourceLocator) -> list[ArtifactRecord]:
-    """Sweep printable regions of arbitrary bytes for PHI-adjacent tokens.
+
+def _in_min_run(data: bytes, start: int, end: int) -> bool:
+    # Any _MIN_RUN printable bytes in this window cover data[start:end].
+    need = _MIN_RUN - (end - start)
+    return need <= 0 or _MIN_RUN_RE.search(data, max(0, start - need), end + need) is not None
+
+
+def scan_raw(data: bytes, locator: SourceLocator, *,
+             recovered_at: str = "") -> list[ArtifactRecord]:
+    """Sweep arbitrary bytes for PHI-adjacent tokens.
 
     Catches what the structured parsers do not cover: emails, MAC
     addresses, date-like tokens, password/token key names, SSNs, card
-    numbers. Each hit's locator detail records the pattern and byte
-    offset.
+    numbers. A hit is a pattern match inside a run of 6 or more printable
+    ASCII bytes; each pattern is matched once over the whole of `data`.
+    Each hit keeps `locator`'s package and path, and its detail records the
+    pattern and byte offset.
     """
     hits: list[tuple[int, str, str]] = []
-    for run in _PRINTABLE_RUN.finditer(data):
-        text = run.group().decode("ascii")
-        for pattern_name, rx in RAW_PATTERNS:
-            for match in rx.finditer(text):
-                value = match.group()
-                if pattern_name == "payment-card" and not luhn_ok(value):
-                    continue
-                hits.append((run.start() + match.start(), pattern_name, value))
+    for pattern_name, rx in _RAW_BYTE_PATTERNS:
+        for match in rx.finditer(data):
+            start, end = match.span()
+            if not _in_min_run(data, start, end):
+                continue
+            value = match.group().decode("ascii")
+            if pattern_name == "payment-card" and not luhn_ok(value):
+                continue
+            hits.append((start, pattern_name, value))
     hits.sort()
+    package, path = locator.package_name, locator.relative_path
     return [
         ArtifactRecord(
             kind="raw-hit",
             payload=RawHit(pattern=pattern, value=value),
-            locator=dataclasses.replace(
-                locator, container=CONTAINER_RAW, detail=f"{pattern}@{offset}"),
+            locator=SourceLocator(package, path, CONTAINER_RAW, f"{pattern}@{offset}"),
+            recovered_at=recovered_at,
         )
         for offset, pattern, value in hits
     ]

@@ -103,10 +103,9 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
                 except UnreadableFileError as exc:
                     warnings.append(str(exc))
                     continue
-                hits = scan_raw(data, base)
+                hits = scan_raw(data, base, recovered_at=generated_at)
                 if hits:
-                    records_by_app.setdefault(app, []).extend(
-                        dataclasses.replace(h, recovered_at=generated_at) for h in hits)
+                    records_by_app.setdefault(app, []).extend(hits)
         # files neither parsed nor swept are read here, once, for custody;
         # a file whose read failed has its warning and no digest
         digests = []

@@ -12,7 +12,9 @@ def parse_shared_prefs(xml: bytes) -> dict[str, object]:
 
     Supported entry tags: string (element text), boolean, int, long,
     float (value attribute). Unknown tags are ignored; entries without a
-    name are malformed.
+    name are malformed. An error names an entry by its tag and 1-based
+    position, never by its name: a credential file's names start with the
+    account email.
     """
     try:
         root = ET.fromstring(xml)
@@ -21,7 +23,7 @@ def parse_shared_prefs(xml: bytes) -> dict[str, object]:
     if root.tag != "map":
         raise MalformedXmlError(f"expected <map> root, found <{root.tag}>")
     entries: dict[str, object] = {}
-    for child in root:
+    for position, child in enumerate(root, 1):
         name = child.get("name")
         if name is None:
             raise MalformedXmlError(f"<{child.tag}> entry without a name attribute")
@@ -33,11 +35,13 @@ def parse_shared_prefs(xml: bytes) -> dict[str, object]:
             try:
                 entries[name] = int(child.get("value", ""))
             except ValueError as exc:
-                raise MalformedXmlError(f"bad integer value for {name!r}") from exc
+                raise MalformedXmlError(
+                    f"bad integer value in <{child.tag}> entry {position}") from exc
         elif child.tag == "float":
             try:
                 entries[name] = float(child.get("value", ""))
             except ValueError as exc:
-                raise MalformedXmlError(f"bad float value for {name!r}") from exc
+                raise MalformedXmlError(
+                    f"bad float value in <{child.tag}> entry {position}") from exc
         # other tags (set, etc.) carry nothing we recover
     return entries

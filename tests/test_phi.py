@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from hypothesis import given, strategies as st
+import re
+
+import pytest
+from hypothesis import example, given, strategies as st
 
 from phiscan.artifacts import (
     ArtifactRecord,
@@ -27,6 +30,7 @@ from phiscan.parsers.myvitals import (
 from phiscan.phi import (
     CATEGORY_LABELS,
     PHI_CATEGORIES,
+    RAW_PATTERNS,
     RULE_TABLE,
     classify_record,
     evaluate_privacy_rule,
@@ -177,6 +181,26 @@ def test_scan_raw_empty_input():
     assert scan_raw(b"", RAW_LOC) == []
 
 
+def _hits(data):
+    return [(h.payload.pattern, h.payload.value, h.locator.detail)
+            for h in scan_raw(data, RAW_LOC)]
+
+
+@pytest.mark.parametrize("data, expected", [
+    (b"\x00token\x00", []),  # a 5-byte match alone in a 5-byte run
+    (b"token", []),
+    (b"\x00tokens\x00", [("credential-key", "tokens", "credential-key@1")]),
+    (b"a token", [("credential-key", "token", "credential-key@2")]),
+    (b"token \xff", [("credential-key", "token", "credential-key@0")]),
+    (b"\x00\x00 token", [("credential-key", "token", "credential-key@3")]),
+    (b"\n123-45-6789\n", [("ssn", "123-45-6789", "ssn@1")]),
+    (b"x@y.com\ntoken!", [("email", "x@y.com", "email@0"),
+                          ("credential-key", "token", "credential-key@8")]),
+])
+def test_scan_raw_hits_sit_in_printable_runs_of_six(data, expected):
+    assert _hits(data) == expected
+
+
 def test_scan_raw_offsets_point_at_match():
     data = b"\x00\x00AAAA 123-45-6789\x00"
     hits = [h for h in scan_raw(data, RAW_LOC) if h.payload.pattern == "ssn"]
@@ -198,6 +222,38 @@ def test_scan_raw_card_requires_luhn():
     epoch = scan_raw(b"ts 1541806236000 end", RAW_LOC)
     assert not any(h.payload.pattern == "payment-card" for h in epoch)
     assert any(h.payload.pattern == "epoch-token" for h in epoch)
+
+
+_PRINTABLE_RUN = re.compile(rb"[\x20-\x7e]{6,}")
+
+
+def run_by_run_scan_raw(data):
+    """The earlier sweep: every pattern over each printable run of 6+ bytes."""
+    hits = []
+    for run in _PRINTABLE_RUN.finditer(data):
+        text = run.group().decode("ascii")
+        for pattern_name, rx in RAW_PATTERNS:
+            for match in rx.finditer(text):
+                value = match.group()
+                if pattern_name == "payment-card" and not luhn_ok(value):
+                    continue
+                hits.append((run.start() + match.start(), pattern_name, value))
+    hits.sort()
+    return [(pattern, value, f"{pattern}@{offset}") for offset, pattern, value in hits]
+
+
+_SWEEP_TOKENS = [b"token", b"TOKEN", b"password", b"x_user_Password", b"123-45-6789",
+                 b"4111111111111111", b"4111 1111 1111 1111", b"4111111111111112",
+                 b"1541806236", b"1541806236000", b"2018-07-05", b"2018-07-05T22:25:49Z",
+                 b"00:24:e4:5a:ee:6c", b"pat@example.com", b"a@b.co", b"ab", b"7"]
+_SWEEP_SEPARATORS = [b"\x00", b"\n", b"\x7f", b"\xff", b" ", b"-", b"@", b"."]
+
+
+@given(st.lists(st.sampled_from(_SWEEP_TOKENS + _SWEEP_SEPARATORS), max_size=30)
+       .map(b"".join))
+@example(b"token\x00tokens\ntoken")
+def test_scan_raw_equals_the_run_by_run_sweep(data):
+    assert _hits(data) == run_by_run_scan_raw(data)
 
 
 def test_luhn():

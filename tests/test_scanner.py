@@ -23,6 +23,7 @@ from phiscan.fixtures import (
     paper_replica_spec,
 )
 from phiscan.parsers.base import AppParser
+from phiscan.report import render_report
 from phiscan.scanner import scan_evidence
 
 CLOCK = "2020-01-01T00:00:00Z"
@@ -218,6 +219,14 @@ def test_each_record_is_classified_once(tmp_path, monkeypatch):
     assert len(calls) == len(result.records)
 
 
+@pytest.mark.parametrize("output_kind", ["directory", "zip"])
+def test_raw_hits_carry_the_scan_clock(tmp_path, output_kind):
+    out = _replica_with_sweep(tmp_path, output_kind)
+    hits = [r for r in scan_evidence(out, fixed_clock=CLOCK).records if r.kind == "raw-hit"]
+    assert {h.locator.package_name for h in hits} >= {"com.example.notes"}
+    assert {(h.recovered_at, h.locator.container) for h in hits} == {(CLOCK, "raw-bytes")}
+
+
 def test_scan_stages_no_database_copy_in_tmpdir(tmp_path, monkeypatch):
     out = _replica_with_sweep(tmp_path, "directory")
     staging = tmp_path / "staging"
@@ -272,6 +281,23 @@ def test_damaged_xml_warnings_name_the_path_once_and_quote_no_value(replica_tree
         f"{user_info}: device identifier not present",
     ]
     assert not any("Pat Smith" in w for w in report.warnings)
+
+
+@pytest.mark.parametrize("tag, problem", [("int", "bad integer value"),
+                                          ("float", "bad float value")])
+def test_bad_shared_prefs_value_is_named_by_tag_and_position(replica_tree, tag, problem):
+    tree, _ = replica_tree
+    credential = "iHealthMyVitals.V2/shared_prefs/sp_user_region_host_info.xml"
+    (tree / credential).write_text(f'<map><string name="theme">dark</string>'
+                                   f'<{tag} name="pat.smith@example.com_user_flag" value="x" />'
+                                   f'</map>')
+
+    report = scan_evidence(tree, fixed_clock=CLOCK).report
+    assert report.redacted
+    assert [w for w in report.warnings if credential in w] == [
+        f"{credential}: {problem} in <{tag}> entry 2"]
+    for fmt in ("json", "text"):
+        assert b"pat.smith" not in render_report(report, fmt)
 
 
 def _flip_member_byte(path, name):
