@@ -18,8 +18,10 @@ recoverable in plaintext.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -208,7 +210,10 @@ def classify_record(record: ArtifactRecord) -> list[PhiFinding]:
 
 # A hit must sit in a run of at least this many printable ASCII bytes.
 _MIN_RUN = 6
-_MIN_RUN_RE = re.compile(rb"[\x20-\x7e]{%d}" % _MIN_RUN)
+# Printable ASCII bytes become b"p" and all others NUL, so the runs are found
+# by a literal search over the mask, not by a class test at every byte.
+_PRINTABLE_MASK = bytes(0x70 if 0x20 <= b <= 0x7e else 0 for b in range(256))
+_MASKED_RUN = re.compile(b"p" * _MIN_RUN + b"p*")
 
 RAW_PATTERNS: tuple[tuple[str, re.Pattern], ...] = (
     ("email", re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")),
@@ -222,46 +227,46 @@ RAW_PATTERNS: tuple[tuple[str, re.Pattern], ...] = (
 
 # The same patterns over bytes. None consumes a byte outside \x20-\x7e, and
 # an ASCII \b treats every other byte as a non-word, so a match never
-# crosses the edge of a printable run.
+# crosses the NUL that scan_raw puts between two printable runs.
 _RAW_BYTE_PATTERNS = tuple(
     (name, re.compile(rx.pattern.encode("ascii"), rx.flags & ~re.UNICODE))
     for name, rx in RAW_PATTERNS)
 
 
-def _in_min_run(data: bytes, start: int, end: int) -> bool:
-    # Any _MIN_RUN printable bytes in this window cover data[start:end].
-    need = _MIN_RUN - (end - start)
-    return need <= 0 or _MIN_RUN_RE.search(data, max(0, start - need), end + need) is not None
-
-
-def scan_raw(data: bytes, locator: SourceLocator, *,
+def scan_raw(data: bytes, package_name: str, relative_path: str, *,
              recovered_at: str = "") -> list[ArtifactRecord]:
     """Sweep arbitrary bytes for PHI-adjacent tokens.
 
     Catches what the structured parsers do not cover: emails, MAC
     addresses, date-like tokens, password/token key names, SSNs, card
     numbers. A hit is a pattern match inside a run of 6 or more printable
-    ASCII bytes; each pattern is matched once over the whole of `data`.
-    Each hit keeps `locator`'s package and path, and its detail records the
-    pattern and byte offset.
+    ASCII bytes. The runs are cut out of `data` and joined by NUL bytes,
+    and each pattern is matched once over the joined runs, so the cost
+    follows the printable bytes of `data`, not its size. Each hit's
+    locator names the package and path, and its detail records the
+    pattern and the hit's byte offset in `data`.
     """
+    runs = [m.span() for m in _MASKED_RUN.finditer(data.translate(_PRINTABLE_MASK))]
+    swept = b"\0".join([data[start:end] for start, end in runs])
+    # where each run starts in `swept`, to map a match back into `data`
+    swept_starts = list(itertools.accumulate(
+        (end - start + 1 for start, end in runs), initial=0))
     hits: list[tuple[int, str, str]] = []
     for pattern_name, rx in _RAW_BYTE_PATTERNS:
-        for match in rx.finditer(data):
-            start, end = match.span()
-            if not _in_min_run(data, start, end):
-                continue
+        for match in rx.finditer(swept):
             value = match.group().decode("ascii")
             if pattern_name == "payment-card" and not luhn_ok(value):
                 continue
-            hits.append((start, pattern_name, value))
+            at = match.start()
+            run = bisect.bisect_right(swept_starts, at) - 1
+            hits.append((runs[run][0] + at - swept_starts[run], pattern_name, value))
     hits.sort()
-    package, path = locator.package_name, locator.relative_path
     return [
         ArtifactRecord(
             kind="raw-hit",
             payload=RawHit(pattern=pattern, value=value),
-            locator=SourceLocator(package, path, CONTAINER_RAW, f"{pattern}@{offset}"),
+            locator=SourceLocator(package_name, relative_path, CONTAINER_RAW,
+                                  f"{pattern}@{offset}"),
             recovered_at=recovered_at,
         )
         for offset, pattern, value in hits

@@ -9,7 +9,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .artifacts import ArtifactRecord, CONTAINER_RAW, SourceLocator
+from .artifacts import ArtifactRecord
 from .errors import UnreadableFileError
 from .evidence import (
     AppDataRoot,
@@ -96,14 +96,12 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
             for rel in files_under(source, root):
                 if rel in consumed:
                     continue
-                base = SourceLocator(package_name=root.package_name, relative_path=rel,
-                                     container=CONTAINER_RAW, detail="sweep")
                 try:
                     data = read_file(source, rel)
                 except UnreadableFileError as exc:
                     warnings.append(str(exc))
                     continue
-                hits = scan_raw(data, base, recovered_at=generated_at)
+                hits = scan_raw(data, root.package_name, rel, recovered_at=generated_at)
                 if hits:
                     records_by_app.setdefault(app, []).extend(hits)
         # files neither parsed nor swept are read here, once, for custody;

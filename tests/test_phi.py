@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -160,11 +161,11 @@ def test_every_finding_references_published_rule():
 
 # -- raw sweep ----------------------------------------------------------------
 
-RAW_LOC = SourceLocator("pkg", "pkg/blob.bin", "raw-bytes", "sweep")
+RAW_AT = ("pkg", "pkg/blob.bin")  # package and path of the swept file
 
 
 def test_scan_raw_finds_email():
-    hits = scan_raw(b"\x00\x01 medicaldevices2018exper@gmail.com rest\xff", RAW_LOC)
+    hits = scan_raw(b"\x00\x01 medicaldevices2018exper@gmail.com rest\xff", *RAW_AT)
     emails = [h for h in hits if h.payload.pattern == "email"]
     assert len(emails) == 1
     assert emails[0].payload.value == "medicaldevices2018exper@gmail.com"
@@ -172,18 +173,18 @@ def test_scan_raw_finds_email():
 
 
 def test_scan_raw_finds_mac_address():
-    hits = scan_raw(b"junk 00:24:e4:5a:ee:6c junk", RAW_LOC)
+    hits = scan_raw(b"junk 00:24:e4:5a:ee:6c junk", *RAW_AT)
     assert any(h.payload.pattern == "mac-address" and
                h.payload.value == "00:24:e4:5a:ee:6c" for h in hits)
 
 
 def test_scan_raw_empty_input():
-    assert scan_raw(b"", RAW_LOC) == []
+    assert scan_raw(b"", *RAW_AT) == []
 
 
 def _hits(data):
     return [(h.payload.pattern, h.payload.value, h.locator.detail)
-            for h in scan_raw(data, RAW_LOC)]
+            for h in scan_raw(data, *RAW_AT)]
 
 
 @pytest.mark.parametrize("data, expected", [
@@ -196,6 +197,8 @@ def _hits(data):
     (b"\n123-45-6789\n", [("ssn", "123-45-6789", "ssn@1")]),
     (b"x@y.com\ntoken!", [("email", "x@y.com", "email@0"),
                           ("credential-key", "token", "credential-key@8")]),
+    # a match never joins two runs, though a space between them would
+    (b"on 2018-07-05\x0022:25:49Z", [("date-token", "2018-07-05", "date-token@3")]),
 ])
 def test_scan_raw_hits_sit_in_printable_runs_of_six(data, expected):
     assert _hits(data) == expected
@@ -203,23 +206,23 @@ def test_scan_raw_hits_sit_in_printable_runs_of_six(data, expected):
 
 def test_scan_raw_offsets_point_at_match():
     data = b"\x00\x00AAAA 123-45-6789\x00"
-    hits = [h for h in scan_raw(data, RAW_LOC) if h.payload.pattern == "ssn"]
+    hits = [h for h in scan_raw(data, *RAW_AT) if h.payload.pattern == "ssn"]
     offset = int(hits[0].locator.detail.split("@")[1])
     assert data[offset:offset + 11] == b"123-45-6789"
 
 
 def test_scan_raw_credential_key_names():
-    hits = scan_raw(b"<string name='x_user_password'>s3cret</string>", RAW_LOC)
+    hits = scan_raw(b"<string name='x_user_password'>s3cret</string>", *RAW_AT)
     assert any(h.payload.pattern == "credential-key" for h in hits)
 
 
 def test_scan_raw_card_requires_luhn():
-    ok = scan_raw(b"card 4111111111111111 end", RAW_LOC)
+    ok = scan_raw(b"card 4111111111111111 end", *RAW_AT)
     assert any(h.payload.pattern == "payment-card" for h in ok)
-    bad = scan_raw(b"card 4111111111111112 end", RAW_LOC)
+    bad = scan_raw(b"card 4111111111111112 end", *RAW_AT)
     assert not any(h.payload.pattern == "payment-card" for h in bad)
     # millisecond epochs are 13 digits and must not look like cards
-    epoch = scan_raw(b"ts 1541806236000 end", RAW_LOC)
+    epoch = scan_raw(b"ts 1541806236000 end", *RAW_AT)
     assert not any(h.payload.pattern == "payment-card" for h in epoch)
     assert any(h.payload.pattern == "epoch-token" for h in epoch)
 
@@ -249,9 +252,10 @@ _SWEEP_TOKENS = [b"token", b"TOKEN", b"password", b"x_user_Password", b"123-45-6
 _SWEEP_SEPARATORS = [b"\x00", b"\n", b"\x7f", b"\xff", b" ", b"-", b"@", b"."]
 
 
-@given(st.lists(st.sampled_from(_SWEEP_TOKENS + _SWEEP_SEPARATORS), max_size=30)
-       .map(b"".join))
+@given(st.lists(st.sampled_from(_SWEEP_TOKENS + _SWEEP_SEPARATORS) | st.binary(max_size=8),
+                max_size=30).map(b"".join))
 @example(b"token\x00tokens\ntoken")
+@example(random.Random(0).randbytes(1 << 16) + b" pat@example.com token\x00")
 def test_scan_raw_equals_the_run_by_run_sweep(data):
     assert _hits(data) == run_by_run_scan_raw(data)
 
@@ -263,19 +267,19 @@ def test_luhn():
 
 
 def test_raw_ssn_hit_classifies_as_ssn():
-    hits = scan_raw(b"ssn: 123-45-6789", RAW_LOC)
+    hits = scan_raw(b"ssn: 123-45-6789", *RAW_AT)
     ssn_hits = [h for h in hits if h.payload.pattern == "ssn"]
     cats = {f.category for h in ssn_hits for f in classify_record(h)}
     assert cats == {"ssn"}
     # A raw hit has no typed excerpts: only the pattern rules run on it.
-    hit = ArtifactRecord(kind="raw-hit", locator=RAW_LOC,
+    hit = ArtifactRecord(kind="raw-hit", locator=SourceLocator(*RAW_AT, "raw-bytes", "sweep"),
                          payload=RawHit(pattern="ssn", value="id 123-45-6789"))
     assert [f.rule_id for f in classify_record(hit)] == ["ssn-pattern"]
 
 
 def test_raw_email_hit_is_not_a_phi_category():
     # email is not one of the seven Table-style categories
-    hits = scan_raw(b"mail me: someone@example.com", RAW_LOC)
+    hits = scan_raw(b"mail me: someone@example.com", *RAW_AT)
     email_hits = [h for h in hits if h.payload.pattern == "email"]
     assert email_hits and all(classify_record(h) == [] for h in email_hits)
 
