@@ -148,8 +148,8 @@ def _open_zip(path: Path) -> tuple[zipfile.ZipFile, dict[str, zipfile.ZipInfo],
         members[safe] = info
         if "/" in safe:
             top_dirs.add(safe.split("/")[0])
-    # a top-level plain file is not an app root
-    top_dirs = {d for d in top_dirs if d not in members}
+    # a folder is an app root even beside a plain member of its name: a zip
+    # may hold both, and that member is still listed and hashed
     return zf, members, tuple(sorted(top_dirs)), tuple(sorted(skipped))
 
 

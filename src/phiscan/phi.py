@@ -6,10 +6,12 @@ condition, provision of healthcare, payment, and the common identifiers
 through a published rule table (data/phi_rules_v1.tsv); each finding
 carries the id of the rule that fired so the classification is auditable.
 
-This module knows no payload type. A typed rule's excerpt comes from the
-payload itself: each structured payload's phi_excerpts() maps the typed
-predicates it fires to their excerpts. The two pattern rules (SSN, Luhn-valid
-card number) scan every string field of any payload, raw-sweep hits included.
+This module knows no structured payload type. A typed rule's excerpt comes
+from the payload itself: each structured payload's phi_excerpts() maps the
+typed predicates it fires to their excerpts. The two pattern rules (SSN,
+Luhn-valid card number) scan every string field of a structured payload,
+and the matched value of a raw-sweep hit whose pattern can hold an SSN or a
+card: email, credential-key, ssn and payment-card.
 
 The Security-Rule evaluation asks two questions of each app: did health
 data sit in plaintext containers at rest, and was an account password
@@ -183,11 +185,27 @@ def _string_fields(payload: object) -> list[str]:
             if isinstance(v := getattr(payload, name), str)]
 
 
+# Raw patterns whose matches can hold no pattern-rule finding: a date-token
+# has at most 10 digits joined by single hyphens or a space (then colons),
+# an epoch-token 10 or 13 bare digits, a mac-address 2-digit groups joined
+# by colons. None holds a 3-2-4 hyphenated SSN or the 15+ digits of a card.
+_NO_PATTERN_FINDINGS = frozenset({"date-token", "epoch-token", "mac-address"})
+
+
 def classify_record(record: ArtifactRecord) -> list[PhiFinding]:
-    """Apply every published rule to one record. Unrecognized records yield []."""
+    """Apply every published rule to one record. Unrecognized records yield [].
+
+    A raw hit has no typed excerpts, and the pattern rules read only its
+    matched value: a pattern name holds no digit.
+    """
     payload = record.payload
-    typed = payload.phi_excerpts() if hasattr(payload, "phi_excerpts") else {}
-    texts = _string_fields(payload)
+    if isinstance(payload, RawHit):
+        if payload.pattern in _NO_PATTERN_FINDINGS:
+            return []
+        typed, texts = {}, [payload.value]
+    else:
+        typed = payload.phi_excerpts() if hasattr(payload, "phi_excerpts") else {}
+        texts = _string_fields(payload)
     findings = []
     for rule in RULE_TABLE:
         if rule.predicate in _PATTERN_PREDICATES:
@@ -232,6 +250,29 @@ _RAW_BYTE_PATTERNS = tuple(
     (name, re.compile(rx.pattern.encode("ascii"), rx.flags & ~re.UNICODE))
     for name, rx in RAW_PATTERNS)
 
+# A credential-key match holds "password" or "token" in any case and lies
+# inside one run of [\w.@-] bytes, whose neighbours are non-word bytes. This
+# table lowercases the run bytes and turns every other byte into NUL, so the
+# runs that hold a keyword are found by a literal search.
+_CREDENTIAL_KEYWORDS = (b"password", b"token")
+_KEY_RUN_TABLE = bytes(c if re.fullmatch(rb"[\w.@-]", bytes([c])) else 0
+                       for c in bytes(range(256)).lower())
+
+
+def _keyword_runs(swept: bytes) -> list[tuple[int, int]]:
+    r"""The spans of the [\w.@-] runs of `swept` that hold a credential keyword."""
+    keyed = swept.translate(_KEY_RUN_TABLE)
+    spans = set()
+    for keyword in _CREDENTIAL_KEYWORDS:
+        at = keyed.find(keyword)
+        while at >= 0:
+            end = keyed.find(b"\0", at)
+            if end < 0:
+                end = len(keyed)
+            spans.add((keyed.rfind(b"\0", 0, at) + 1, end))
+            at = keyed.find(keyword, end)
+    return sorted(spans)
+
 
 def scan_raw(data: bytes, package_name: str, relative_path: str, *,
              recovered_at: str = "") -> list[ArtifactRecord]:
@@ -242,9 +283,13 @@ def scan_raw(data: bytes, package_name: str, relative_path: str, *,
     numbers. A hit is a pattern match inside a run of 6 or more printable
     ASCII bytes. The runs are cut out of `data` and joined by NUL bytes,
     and each pattern is matched once over the joined runs, so the cost
-    follows the printable bytes of `data`, not its size. Each hit's
-    locator names the package and path, and its detail records the
-    pattern and the hit's byte offset in `data`.
+    follows the printable bytes of `data`, not its size. credential-key
+    is matched only inside the runs of word, '.', '@' and '-' bytes that
+    hold "password" or "token" in any case. Each hit's locator names the
+    package and path, and its detail records the pattern and the hit's
+    byte offset in `data`. Of these hits, only email, credential-key, ssn
+    and payment-card ones can carry an SSN or card finding
+    (classify_record).
     """
     runs = [m.span() for m in _MASKED_RUN.finditer(data.translate(_PRINTABLE_MASK))]
     swept = b"\0".join([data[start:end] for start, end in runs])
@@ -253,7 +298,14 @@ def scan_raw(data: bytes, package_name: str, relative_path: str, *,
         (end - start + 1 for start, end in runs), initial=0))
     hits: list[tuple[int, str, str]] = []
     for pattern_name, rx in _RAW_BYTE_PATTERNS:
-        for match in rx.finditer(swept):
+        if pattern_name == "credential-key":
+            # a run's edges are non-word bytes, so a search cut to the run
+            # finds what a search of the whole buffer finds in it
+            matches = itertools.chain.from_iterable(
+                rx.finditer(swept, start, end) for start, end in _keyword_runs(swept))
+        else:
+            matches = rx.finditer(swept)
+        for match in matches:
             value = match.group().decode("ascii")
             if pattern_name == "payment-card" and not luhn_ok(value):
                 continue

@@ -6,6 +6,11 @@ import sqlite3
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# A larger example budget for the reference-equivalence property tests,
+# selected with --hypothesis-profile=equivalence.
+settings.register_profile("equivalence", max_examples=2000)
 
 
 def make_myvitals_db(path: Path, *, bp=(), spo2=(), weight=(), env=(), users=()) -> Path:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 
@@ -31,6 +32,7 @@ from phiscan.parsers.myvitals import (
 from phiscan.phi import (
     CATEGORY_LABELS,
     PHI_CATEGORIES,
+    PhiFinding,
     RAW_PATTERNS,
     RULE_TABLE,
     classify_record,
@@ -248,16 +250,68 @@ def run_by_run_scan_raw(data):
 _SWEEP_TOKENS = [b"token", b"TOKEN", b"password", b"x_user_Password", b"123-45-6789",
                  b"4111111111111111", b"4111 1111 1111 1111", b"4111111111111112",
                  b"1541806236", b"1541806236000", b"2018-07-05", b"2018-07-05T22:25:49Z",
-                 b"00:24:e4:5a:ee:6c", b"pat@example.com", b"a@b.co", b"ab", b"7"]
-_SWEEP_SEPARATORS = [b"\x00", b"\n", b"\x7f", b"\xff", b" ", b"-", b"@", b"."]
+                 b"00:24:e4:5a:ee:6c", b"pat@example.com", b"a@b.co", b"ab", b"7",
+                 b".password", b"-TOKEN-", b"x@token.y", b"PassWord_1", b"tok en"]
+_SWEEP_SEPARATORS = [b"\x00", b"\n", b"\x7f", b"\xff", b" ", b"-", b"@", b".", b"_"]
+_SWEEP_DATA = st.lists(st.sampled_from(_SWEEP_TOKENS + _SWEEP_SEPARATORS)
+                       | st.binary(max_size=8), max_size=30).map(b"".join)
 
 
-@given(st.lists(st.sampled_from(_SWEEP_TOKENS + _SWEEP_SEPARATORS) | st.binary(max_size=8),
-                max_size=30).map(b"".join))
+@given(_SWEEP_DATA)
 @example(b"token\x00tokens\ntoken")
+@example(b" a-token x.PassWord_1 ")  # a credential-key run holds '-' and any case
 @example(random.Random(0).randbytes(1 << 16) + b" pat@example.com token\x00")
 def test_scan_raw_equals_the_run_by_run_sweep(data):
     assert _hits(data) == run_by_run_scan_raw(data)
+
+
+_SSN_RX = dict(RAW_PATTERNS)["ssn"]
+_CARD_RX = dict(RAW_PATTERNS)["payment-card"]
+_PATTERN_RULES = {
+    "ssn_pattern": lambda texts: sorted({m for t in texts for m in _SSN_RX.findall(t)}),
+    "payment_pattern": lambda texts: sorted(
+        {m for t in texts for m in _CARD_RX.findall(t) if luhn_ok(m)}),
+}
+
+
+def rule_table_walk(record):
+    """The earlier classify_record: every rule over every string field of the payload."""
+    payload = record.payload
+    typed = payload.phi_excerpts() if hasattr(payload, "phi_excerpts") else {}
+    texts = [v for f in dataclasses.fields(payload)
+             if isinstance(v := getattr(payload, f.name), str)]
+    findings = []
+    for rule in RULE_TABLE:
+        if rule.predicate in _PATTERN_RULES:
+            excerpts = _PATTERN_RULES[rule.predicate](texts)
+        elif rule.predicate in typed:
+            excerpts = [typed[rule.predicate]]
+        else:
+            continue
+        findings += [PhiFinding(category=rule.category, value_excerpt=excerpt,
+                                locator=record.locator, rule_id=rule.rule_id)
+                     for excerpt in excerpts]
+    return findings
+
+
+@given(_SWEEP_DATA)
+@example(b"123-45-6789@x.io")  # an email hit that holds an SSN
+@example(b"pat.4111111111111111@x.io")  # an email hit that holds a card
+@example(b"a.123-45-6789.token")  # a credential-key hit that holds an SSN
+@example(b"card 123-45-6789-0123452")  # a card hit that holds an SSN shape
+def test_raw_hit_findings_equal_the_rule_table_walk(data):
+    for hit in scan_raw(data, *RAW_AT):
+        assert classify_record(hit) == rule_table_walk(hit)
+
+
+def test_raw_hits_carrying_pattern_findings():
+    carried = {(h.payload.pattern, f.rule_id)
+               for data in (b"123-45-6789@x.io", b"pat.4111111111111111@x.io",
+                            b"a.123-45-6789.token", b"card 123-45-6789-0123452")
+               for h in scan_raw(data, *RAW_AT) for f in classify_record(h)}
+    assert carried == {("email", "ssn-pattern"), ("email", "payment-pattern"),
+                       ("credential-key", "ssn-pattern"), ("ssn", "ssn-pattern"),
+                       ("payment-card", "ssn-pattern"), ("payment-card", "payment-pattern")}
 
 
 def test_luhn():
@@ -287,8 +341,6 @@ def test_raw_email_hit_is_not_a_phi_category():
 # -- privacy rule -------------------------------------------------------------
 
 def _finding(category, app_pkg="pkg"):
-    from phiscan.phi import PhiFinding
-
     return PhiFinding(category=category, value_excerpt="v",
                       locator=SourceLocator(app_pkg, f"{app_pkg}/f", "sqlite-table", "t:1"),
                       rule_id="vital-reading")

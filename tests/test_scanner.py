@@ -171,6 +171,20 @@ def _replica_with_sweep(tmp_path, output_kind):
     return out
 
 
+def test_zip_folder_beside_a_plain_member_of_its_name_is_swept(tmp_path):
+    path = tmp_path / "clash.zip"
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("com.example.notes", b"a plain member")
+        zf.writestr("com.example.notes/files/log.txt", b"ssn 123-45-6789 noted")
+    result = scan_evidence(path, fixed_clock=CLOCK)
+    assert [r.package_name for r in result.roots] == ["com.example.notes"]
+    assert [(r.payload.pattern, r.locator.relative_path) for r in result.records] == [
+        ("ssn", "com.example.notes/files/log.txt")]
+    assert [d.relative_path for d in result.report.file_digests] == [
+        "com.example.notes", "com.example.notes/files/log.txt"]
+    assert result.report.warnings == ()
+
+
 def test_zip_scan_opens_the_archive_once_and_reads_each_member_once(tmp_path, monkeypatch):
     out = _replica_with_sweep(tmp_path, "zip")
     archives = []
