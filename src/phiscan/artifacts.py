@@ -113,7 +113,6 @@ class ArtifactRecord:
     kind: str
     payload: object
     locator: SourceLocator
-    recovered_at: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in RECORD_KINDS:

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ScanError
 from .fixtures import generate_fixture, load_spec, render_manifest
-from .parsers import default_registry
+from .parsers import PARSERS
 from .phi import INFORMATIONAL_VIOLATIONS
 from .report import (
     FORMAT_JSON,
@@ -105,7 +105,7 @@ def cmd_fixtures(args) -> int:
 
 
 def cmd_list_parsers(args) -> int:
-    registry = default_registry()
+    registry = PARSERS.values()
     if args.format == FORMAT_JSON:
         listing = [{"id": p.parser_id, "app": p.display_name, "folder": p.folder,
                     "signature": p.signature} for p in registry]

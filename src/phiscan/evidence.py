@@ -21,6 +21,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import (
     CorruptArchiveError,
@@ -28,6 +29,9 @@ from .errors import (
     UnreadableFileError,
     UnsupportedContainerError,
 )
+
+if TYPE_CHECKING:
+    from .parsers import AppParser
 
 CONTAINER_DIRECTORY = "directory"
 CONTAINER_ZIP = "zip-archive"
@@ -51,11 +55,10 @@ class FileDigest:
 
 @dataclass(frozen=True)
 class AppDataRoot:
-    """One top-level application folder inside the evidence tree."""
+    """One top-level application folder inside the evidence tree, and its parser if bound."""
 
     package_name: str
-    relative_path: str
-    matched_parser: str | None = None
+    parser: AppParser | None = None
 
 
 @dataclass(frozen=True)
@@ -223,28 +226,23 @@ def hash_file(source: EvidenceSource, relative_path: str) -> FileDigest:
     return source.digests[relative_path]
 
 
-def enumerate_app_roots(source: EvidenceSource, registry=None) -> list[AppDataRoot]:
+def enumerate_app_roots(source: EvidenceSource,
+                        parsers: dict[str, AppParser]) -> list[AppDataRoot]:
     """One AppDataRoot per top-level directory, sorted by package name.
 
-    matched_parser is set iff exactly one registered parser's detect
-    accepts the root.
+    A root is bound to parsers[its folder name] when that parser's detect
+    accepts the container.
     """
-    if registry is None:
-        from .parsers import default_registry
-
-        registry = default_registry()
     roots = []
     for name in sorted(source.top_level_dirs):
-        provisional = AppDataRoot(package_name=name, relative_path=name)
-        matches = [p.parser_id for p in registry if p.detect(provisional, source)]
-        matched = matches[0] if len(matches) == 1 else None
-        roots.append(
-            AppDataRoot(package_name=name, relative_path=name, matched_parser=matched)
-        )
+        parser = parsers.get(name)
+        if parser is not None and not parser.detect(source):
+            parser = None
+        roots.append(AppDataRoot(package_name=name, parser=parser))
     return roots
 
 
-def files_under(source: EvidenceSource, root: AppDataRoot) -> list[str]:
-    """All listed files beneath an app root, sorted."""
-    prefix = root.relative_path + "/"
+def files_under(source: EvidenceSource, folder: str) -> list[str]:
+    """All listed files beneath a top-level folder, sorted."""
+    prefix = folder + "/"
     return sorted(p for p in source.root_listing if p.startswith(prefix))

@@ -1,7 +1,9 @@
-"""Artifact parser registry.
+"""The artifact parsers, by the app data folder each binds to.
 
-Each parser binds to one app's data-root folder by exact name plus an
-artifact signature. Root matching requires exactly one parser to accept.
+A top-level folder of the evidence is bound to PARSERS[its name] when that
+parser's detect accepts the container. The parser claims files under the
+folder by path; the scanner reads each file once, hands the claimed ones
+to the parser as bytes and sweeps the rest.
 """
 
 from __future__ import annotations
@@ -16,20 +18,19 @@ __all__ = [
     "GlucoSmartParser",
     "HealthMateParser",
     "MyVitalsParser",
+    "PARSERS",
     "ParseResult",
-    "default_registry",
     "display_name_for",
 ]
 
+# folder name -> parser, in stable registration order
+PARSERS: dict[str, AppParser] = {
+    parser.folder: parser
+    for parser in (MyVitalsParser(), GlucoSmartParser(), HealthMateParser())
+}
 
-def default_registry() -> tuple[AppParser, ...]:
-    """The built-in parsers, in stable registration order."""
-    return (MyVitalsParser(), GlucoSmartParser(), HealthMateParser())
 
-
-def display_name_for(package_name: str, registry: tuple[AppParser, ...] | None = None) -> str:
+def display_name_for(package_name: str) -> str:
     """Human-facing app name for a package folder (folder name if unknown)."""
-    for parser in registry or default_registry():
-        if parser.folder == package_name:
-            return parser.display_name
-    return package_name
+    parser = PARSERS.get(package_name)
+    return parser.display_name if parser else package_name

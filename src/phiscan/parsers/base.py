@@ -1,11 +1,17 @@
-"""Parser plugin base: detection and parsing of one app's data root."""
+"""Parser plugin base: one app's claim on the files under its data folder.
+
+The scanner binds a parser to the top-level folder named by its `folder`,
+reads each file the parser claims exactly once and hands the parser those
+bytes; it sweeps every other file for raw patterns.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from ..artifacts import ArtifactRecord
-from ..evidence import AppDataRoot, EvidenceSource
+from ..evidence import EvidenceSource
 
 
 @dataclass(frozen=True)
@@ -15,15 +21,15 @@ class ParseResult:
     records: tuple[ArtifactRecord, ...] = ()
     warnings: tuple[str, ...] = ()
     db_statuses: tuple = ()
-    consumed: frozenset[str] = field(default_factory=frozenset)
 
 
 class AppParser:
-    """One registered artifact parser.
+    """One app's artifact parser.
 
-    Subclasses set the identity fields and implement detect/parse.
-    detect must be cheap and side-effect free; parse never raises for
-    partial or damaged artifacts, it degrades into warnings.
+    Subclasses set the identity fields and implement claims/parse, and may
+    narrow detect. detect and claims must be cheap and side-effect free;
+    parse never raises for partial or damaged artifacts, it degrades into
+    warnings.
     """
 
     parser_id: str = ""
@@ -31,9 +37,14 @@ class AppParser:
     folder: str = ""
     signature: str = ""  # human-readable artifact requirement, for list-parsers
 
-    def detect(self, root: AppDataRoot, source: EvidenceSource) -> bool:
+    def detect(self, source: EvidenceSource) -> bool:
+        """Whether `folder` holds this app's artifacts; by default its name suffices."""
+        return True
+
+    def claims(self, path: str) -> bool:
+        """Whether parse reads the file at `path`, a listed path under `folder`."""
         raise NotImplementedError
 
-    def parse(self, root: AppDataRoot, source: EvidenceSource, *,
-              recovered_at: str = "", code_map=None) -> ParseResult:
+    def parse(self, files: Iterable[tuple[str, bytes]], *, code_map=None) -> ParseResult:
+        """Records from the readable claimed files, as (path, bytes) pairs in path order."""
         raise NotImplementedError

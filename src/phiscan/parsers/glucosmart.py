@@ -1,15 +1,18 @@
 """iHealth Gluco-Smart parser: encrypted-database triage plus user_info.xml.
 
 Every database this app writes under jiuana-androidBg.start is encrypted,
-so no glucose readings are recoverable; decryption is out of scope. What
-the parser does instead is classify each .db file (plaintext / encrypted
-/ empty, with Shannon entropy as supporting evidence) and pull the
-username and device identifier out of user_info.xml.
+so no glucose readings are recoverable; decryption is out of scope. The
+parser is bound by folder name alone and claims every .db file and every
+user_info.xml beneath it. It classifies each .db file (plaintext /
+encrypted / empty, with Shannon entropy as supporting evidence), sweeps a
+plaintext one for raw patterns, since no schema is known for it, and
+pulls the username and device identifier out of user_info.xml.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..artifacts import (
@@ -18,8 +21,8 @@ from ..artifacts import (
     KIND_USER_PROFILE,
     make_locator,
 )
-from ..errors import MissingFieldsError, ScanError, UnreadableFileError
-from ..evidence import AppDataRoot, EvidenceSource, files_under, read_file
+from ..errors import MissingFieldsError, ScanError
+from ..phi import scan_raw
 from ..shared_prefs import parse_shared_prefs
 from ..sqlite_bytes import is_sqlite
 from .base import AppParser, ParseResult
@@ -79,33 +82,7 @@ def classify_database(relative_path: str, data: bytes) -> DatabaseStatus:
     )
 
 
-def classify_databases(root: AppDataRoot, source: EvidenceSource
-                       ) -> tuple[list[DatabaseStatus], list[str]]:
-    """Classify every .db file under the root; classification is total."""
-    statuses: list[DatabaseStatus] = []
-    warnings: list[str] = []
-    for path in files_under(source, root):
-        if not path.endswith(".db"):
-            continue
-        try:
-            data = read_file(source, path)
-        except UnreadableFileError as exc:
-            statuses.append(DatabaseStatus(path, STATUS_ENCRYPTED, False, 0.0))
-            warnings.append(f"{exc}, treated as opaque")
-            continue
-        status = classify_database(path, data)
-        statuses.append(status)
-        if status.status == STATUS_ENCRYPTED and status.entropy_bits_per_byte > HIGH_ENTROPY_BITS:
-            warnings.append(
-                f"{path}: high entropy ({status.entropy_bits_per_byte:.2f} bits/byte), "
-                "consistent with encryption"
-            )
-    return statuses, warnings
-
-
-def parse_user_info_xml(xml: bytes, *, package: str = PACKAGE_FOLDER,
-                        relative_path: str = DEFAULT_XML_PATH,
-                        recovered_at: str = "") -> ArtifactRecord:
+def parse_user_info_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH) -> ArtifactRecord:
     """Username and device identifier from user_info.xml.
 
     The app's key names are fixture-normative ("UserName", "DeviceID");
@@ -137,8 +114,7 @@ def parse_user_info_xml(xml: bytes, *, package: str = PACKAGE_FOLDER,
     return ArtifactRecord(
         kind=KIND_USER_PROFILE,
         payload=GlucoProfile(username=username, device_identifier=device_id),
-        locator=make_locator(package, relative_path, CONTAINER_XML, "UserName/DeviceID"),
-        recovered_at=recovered_at,
+        locator=make_locator(PACKAGE_FOLDER, relative_path, CONTAINER_XML, "UserName/DeviceID"),
     )
 
 
@@ -148,32 +124,34 @@ class GlucoSmartParser(AppParser):
     folder = PACKAGE_FOLDER
     signature = "app folder name match (databases are encrypted)"
 
-    def detect(self, root: AppDataRoot, source: EvidenceSource) -> bool:
-        return root.package_name == PACKAGE_FOLDER
+    def claims(self, path: str) -> bool:
+        return path.endswith(".db") or path.rsplit("/", 1)[-1] == USER_INFO_XML_NAME
 
-    def parse(self, root: AppDataRoot, source: EvidenceSource, *,
-              recovered_at: str = "", code_map=None) -> ParseResult:
-        records: list[ArtifactRecord] = []
-        consumed: set[str] = set()
-        statuses, warnings = classify_databases(root, source)
-        consumed.update(s.relative_path for s in statuses)
-        encrypted = [s for s in statuses if s.status == STATUS_ENCRYPTED]
+    def parse(self, files: Iterable[tuple[str, bytes]], *, code_map=None) -> ParseResult:
+        # user_info.xml warnings come after every database's and the encrypted count
+        records, statuses, warnings, xml_warnings = [], [], [], []
+        for path, data in files:
+            if not path.endswith(".db"):
+                try:
+                    records.append(parse_user_info_xml(data, relative_path=path))
+                except ScanError as exc:
+                    xml_warnings.append(f"{path}: {exc}")
+                continue
+            status = classify_database(path, data)
+            statuses.append(status)
+            if status.status == STATUS_PLAINTEXT:
+                records.extend(scan_raw(data, PACKAGE_FOLDER, path))
+            elif (status.status == STATUS_ENCRYPTED
+                  and status.entropy_bits_per_byte > HIGH_ENTROPY_BITS):
+                warnings.append(
+                    f"{path}: high entropy ({status.entropy_bits_per_byte:.2f} bits/byte), "
+                    "consistent with encryption"
+                )
+        encrypted = sum(s.status == STATUS_ENCRYPTED for s in statuses)
         if encrypted:
             warnings.append(
-                f"{root.package_name}: {len(encrypted)} database(s) appear encrypted; "
+                f"{PACKAGE_FOLDER}: {encrypted} database(s) appear encrypted; "
                 "glucose readings are not recoverable"
             )
-        for xml_path in files_under(source, root):
-            if xml_path.rsplit("/", 1)[-1] != USER_INFO_XML_NAME:
-                continue
-            consumed.add(xml_path)
-            try:
-                records.append(parse_user_info_xml(
-                    read_file(source, xml_path), package=root.package_name,
-                    relative_path=xml_path, recovered_at=recovered_at))
-            except UnreadableFileError as exc:
-                warnings.append(str(exc))
-            except ScanError as exc:
-                warnings.append(f"{xml_path}: {exc}")
-        return ParseResult(records=tuple(records), warnings=tuple(warnings),
-                           db_statuses=tuple(statuses), consumed=frozenset(consumed))
+        return ParseResult(records=tuple(records), warnings=tuple(warnings + xml_warnings),
+                           db_statuses=tuple(statuses))

@@ -15,6 +15,7 @@ Unknown codes come through as raw hits, never dropped.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..artifacts import (
@@ -27,8 +28,8 @@ from ..artifacts import (
     KIND_WEIGHT,
     RawHit,
 )
-from ..errors import InvalidSpecError, MalformedRowError, UnreadableFileError
-from ..evidence import AppDataRoot, EvidenceSource, files_under, read_file
+from ..errors import InvalidSpecError, MalformedRowError
+from ..evidence import EvidenceSource, files_under
 from .base import AppParser, ParseResult
 from .tables import (
     Table,
@@ -194,31 +195,20 @@ class HealthMateParser(AppParser):
     folder = PACKAGE_FOLDER
     signature = f"{DB_NAME} present under the app folder"
 
-    def detect(self, root: AppDataRoot, source: EvidenceSource) -> bool:
-        if root.package_name != PACKAGE_FOLDER:
-            return False
-        return any(p.rsplit("/", 1)[-1] == DB_NAME for p in files_under(source, root))
+    def detect(self, source: EvidenceSource) -> bool:
+        return any(map(self.claims, files_under(source, PACKAGE_FOLDER)))
 
-    def parse(self, root: AppDataRoot, source: EvidenceSource, *,
-              recovered_at: str = "", code_map: dict[int, str] | None = None) -> ParseResult:
+    def claims(self, path: str) -> bool:
+        return path.rsplit("/", 1)[-1] == DB_NAME
+
+    def parse(self, files: Iterable[tuple[str, bytes]], *,
+              code_map: dict[int, str] | None = None) -> ParseResult:
         tables = (DEVICES, measure_table(DEFAULT_CODE_MAP if code_map is None else code_map),
                   USERS)
         records: list[ArtifactRecord] = []
         warnings: list[str] = []
-        consumed: set[str] = set()
-        for db_path in files_under(source, root):
-            if db_path.rsplit("/", 1)[-1] != DB_NAME:
-                continue
-            consumed.add(db_path)
-            try:
-                data = read_file(source, db_path)
-            except UnreadableFileError as exc:
-                warnings.append(str(exc))
-                continue
-            recs, warns = parse_tables(data, tables,
-                                       package=root.package_name, relative_path=db_path,
-                                       recovered_at=recovered_at)
+        for path, data in files:
+            recs, warns = parse_tables(data, tables, package=PACKAGE_FOLDER, relative_path=path)
             records.extend(recs)
             warnings.extend(warns)
-        return ParseResult(records=tuple(records), warnings=tuple(warnings),
-                           consumed=frozenset(consumed))
+        return ParseResult(records=tuple(records), warnings=tuple(warnings))

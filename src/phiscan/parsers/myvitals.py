@@ -13,6 +13,7 @@ guess.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..artifacts import (
@@ -29,8 +30,8 @@ from ..artifacts import (
     looks_like_email,
     make_locator,
 )
-from ..errors import NoCredentialKeysError, ScanError, UnreadableFileError
-from ..evidence import AppDataRoot, EvidenceSource, files_under, read_file
+from ..errors import NoCredentialKeysError, ScanError
+from ..evidence import EvidenceSource
 from ..shared_prefs import parse_shared_prefs
 from .base import AppParser, ParseResult
 from .tables import (
@@ -47,6 +48,7 @@ from .tables import (
 PACKAGE_FOLDER = "iHealthMyVitals.V2"
 DISPLAY_NAME = "iHealth MyVitals"
 DB_SUBPATH = "Databases/androidNin.db"
+DB_PATH = f"{PACKAGE_FOLDER}/{DB_SUBPATH}"
 CREDENTIAL_XML_NAME = "sp_user_region_host_info.xml"
 DEFAULT_XML_PATH = f"{PACKAGE_FOLDER}/shared_prefs/{CREDENTIAL_XML_NAME}"
 
@@ -208,9 +210,8 @@ TABLES = (
 )
 
 
-def parse_region_host_xml(xml: bytes, *, package: str = PACKAGE_FOLDER,
-                          relative_path: str = DEFAULT_XML_PATH,
-                          recovered_at: str = "") -> tuple[list[ArtifactRecord], list[str]]:
+def parse_region_host_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH
+                          ) -> tuple[list[ArtifactRecord], list[str]]:
     """Recover account credentials from sp_user_region_host_info.xml.
 
     Keys are "<account email><suffix>"; suffixes map to credential fields.
@@ -250,9 +251,8 @@ def parse_region_host_xml(xml: bytes, *, package: str = PACKAGE_FOLDER,
         records.append(ArtifactRecord(
             kind=KIND_CREDENTIAL,
             payload=credential,
-            locator=make_locator(package, relative_path, CONTAINER_XML,
+            locator=make_locator(PACKAGE_FOLDER, relative_path, CONTAINER_XML,
                                  f"key prefix {account}"),
-            recovered_at=recovered_at,
         ))
     return records, warnings
 
@@ -263,36 +263,25 @@ class MyVitalsParser(AppParser):
     folder = PACKAGE_FOLDER
     signature = f"{DB_SUBPATH} present under the app folder"
 
-    def detect(self, root: AppDataRoot, source: EvidenceSource) -> bool:
-        return (root.package_name == PACKAGE_FOLDER
-                and f"{root.relative_path}/{DB_SUBPATH}" in source.root_listing)
+    def detect(self, source: EvidenceSource) -> bool:
+        return DB_PATH in source.root_listing
 
-    def parse(self, root: AppDataRoot, source: EvidenceSource, *,
-              recovered_at: str = "", code_map=None) -> ParseResult:
-        db_path = f"{root.relative_path}/{DB_SUBPATH}"
-        consumed = {db_path}
-        try:
-            data = read_file(source, db_path)
-        except UnreadableFileError as exc:
-            records, warnings = [], [str(exc)]
-        else:
-            records, warnings = parse_tables(data, TABLES, package=root.package_name,
-                                             relative_path=db_path, recovered_at=recovered_at)
+    def claims(self, path: str) -> bool:
+        return path == DB_PATH or path.rsplit("/", 1)[-1] == CREDENTIAL_XML_NAME
 
-        for xml_path in files_under(source, root):
-            if xml_path.rsplit("/", 1)[-1] != CREDENTIAL_XML_NAME:
+    def parse(self, files: Iterable[tuple[str, bytes]], *, code_map=None) -> ParseResult:
+        # the database's records and warnings come before those of any credential XML
+        db_records, db_warnings, records, warnings = [], [], [], []
+        for path, data in files:
+            if path == DB_PATH:
+                db_records, db_warnings = parse_tables(data, TABLES, package=PACKAGE_FOLDER,
+                                                       relative_path=path)
                 continue
-            consumed.add(xml_path)
             try:
-                recs, warns = parse_region_host_xml(
-                    read_file(source, xml_path), package=root.package_name,
-                    relative_path=xml_path, recovered_at=recovered_at)
-                records.extend(recs)
-                warnings.extend(warns)
-            except UnreadableFileError as exc:
-                warnings.append(str(exc))
+                recs, warns = parse_region_host_xml(data, relative_path=path)
             except ScanError as exc:
-                warnings.append(f"{xml_path}: {exc}")
-
-        return ParseResult(records=tuple(records), warnings=tuple(warnings),
-                           consumed=frozenset(consumed))
+                recs, warns = [], [f"{path}: {exc}"]
+            records.extend(recs)
+            warnings.extend(warns)
+        return ParseResult(records=tuple(db_records + records),
+                           warnings=tuple(db_warnings + warnings))

@@ -115,8 +115,8 @@ def declare(name: str, kind: str, payload: type, columns: tuple[tuple[str, str, 
     return Table(name, names, row, len(required), **options)
 
 
-def parse_tables(db: bytes, tables: tuple[Table, ...], *, package: str, relative_path: str,
-                 recovered_at: str = "") -> tuple[list[ArtifactRecord], list[str]]:
+def parse_tables(db: bytes, tables: tuple[Table, ...], *, package: str, relative_path: str
+                 ) -> tuple[list[ArtifactRecord], list[str]]:
     """Records and warnings from every table of one database's bytes.
 
     The bytes are opened once, and every table is selected before any row
@@ -162,6 +162,5 @@ def parse_tables(db: bytes, tables: tuple[Table, ...], *, package: str, relative
                 kind=kind,
                 payload=payload,
                 locator=SourceLocator(package, relative_path, CONTAINER_SQLITE, detail),
-                recovered_at=recovered_at,
             ))
     return records, warnings

@@ -37,7 +37,6 @@ from .artifacts import (
     RawHit,
     SourceLocator,
 )
-from .parsers.glucosmart import DatabaseStatus
 
 RULES_VERSION = "1"
 
@@ -274,8 +273,7 @@ def _keyword_runs(swept: bytes) -> list[tuple[int, int]]:
     return sorted(spans)
 
 
-def scan_raw(data: bytes, package_name: str, relative_path: str, *,
-             recovered_at: str = "") -> list[ArtifactRecord]:
+def scan_raw(data: bytes, package_name: str, relative_path: str) -> list[ArtifactRecord]:
     """Sweep arbitrary bytes for PHI-adjacent tokens.
 
     Catches what the structured parsers do not cover: emails, MAC
@@ -319,7 +317,6 @@ def scan_raw(data: bytes, package_name: str, relative_path: str, *,
             payload=RawHit(pattern=pattern, value=value),
             locator=SourceLocator(package_name, relative_path, CONTAINER_RAW,
                                   f"{pattern}@{offset}"),
-            recovered_at=recovered_at,
         )
         for offset, pattern, value in hits
     ]
@@ -342,7 +339,7 @@ def _sorted_locators(findings: list[PhiFinding]) -> tuple[SourceLocator, ...]:
 
 def evaluate_security_rule(app: str, records: list[ArtifactRecord],
                            findings: list[PhiFinding],
-                           db_statuses: list[DatabaseStatus] | None = None, *,
+                           db_statuses: list | None = None, *,
                            redact: bool = True) -> list[SecurityViolation]:
     """Security-Rule outcomes for one app.
 

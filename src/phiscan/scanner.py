@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,7 +21,7 @@ from .evidence import (
     open_source,
     read_file,
 )
-from .parsers import AppParser, default_registry
+from .parsers import PARSERS
 from .phi import (
     PhiFinding,
     classify_record,
@@ -39,7 +39,6 @@ class ScanResult:
     roots: tuple[AppDataRoot, ...]
     records: tuple[ArtifactRecord, ...]
     report: ComplianceReport
-    records_by_app: dict = field(default_factory=dict)
 
 
 def utc_now() -> str:
@@ -55,55 +54,54 @@ def _scan_id(origin: str, generated_at: str, digests) -> str:
     return h.hexdigest()[:16]
 
 
+def _read_each(source: EvidenceSource, paths: list[str], warnings: list[str]):
+    """(path, bytes) for each path, read when asked for; an unreadable file is a warning."""
+    for rel in paths:
+        try:
+            yield rel, read_file(source, rel)
+        except UnreadableFileError as exc:
+            warnings.append(str(exc))
+
+
 def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
-                  code_map: dict[int, str] | None = None,
-                  registry: tuple[AppParser, ...] | None = None) -> ScanResult:
+                  code_map: dict[int, str] | None = None) -> ScanResult:
     """Run the whole pipeline over one evidence container.
 
-    fixed_clock pins generated_at/recovered_at for reproducible output;
-    without it the scan wall clock is used and excluded from report
-    comparisons.
+    Each app folder is bound to its parser in parsers.PARSERS. Every listed
+    file under a folder is read exactly once: the files its parser claims
+    are handed to the parser as bytes, in path order, and every other file
+    is swept for raw patterns. An unreadable file is one warning and is
+    neither parsed nor swept.
+
+    fixed_clock pins generated_at for reproducible output; without it the
+    scan wall clock is used and excluded from report comparisons.
     """
-    if registry is None:
-        registry = default_registry()
     with open_source(path) as source:
         generated_at = fixed_clock or utc_now()
-        roots = enumerate_app_roots(source, registry)
-        by_id = {p.parser_id: p for p in registry}
+        roots = enumerate_app_roots(source, PARSERS)
 
-        records_by_app: dict[str, list[ArtifactRecord]] = {}
+        app_records: dict[str, list[ArtifactRecord]] = {}
         statuses_by_app: dict[str, list] = {}
         warnings: list[str] = []
         warnings.extend(f"skipped container entry: {e}" for e in source.skipped_entries)
-        matched_apps: list[str] = []
 
         for root in roots:
-            parser = by_id.get(root.matched_parser) if root.matched_parser else None
-            consumed: frozenset[str] = frozenset()
+            parser = root.parser
+            paths = files_under(source, root.package_name)
+            app, swept = root.package_name, paths
             if parser is not None:
                 app = parser.display_name
-                matched_apps.append(app)
-                result = parser.parse(root, source, recovered_at=generated_at,
-                                      code_map=code_map)
-                records_by_app.setdefault(app, []).extend(result.records)
+                claimed = [rel for rel in paths if parser.claims(rel)]
+                swept = [rel for rel in paths if not parser.claims(rel)]
+                result = parser.parse(_read_each(source, claimed, warnings), code_map=code_map)
+                app_records.setdefault(app, []).extend(result.records)
                 warnings.extend(result.warnings)
                 if result.db_statuses:
                     statuses_by_app.setdefault(app, []).extend(result.db_statuses)
-                consumed = result.consumed
-            else:
-                app = root.package_name
-            # generic sweep over whatever no structured parser consumed
-            for rel in files_under(source, root):
-                if rel in consumed:
-                    continue
-                try:
-                    data = read_file(source, rel)
-                except UnreadableFileError as exc:
-                    warnings.append(str(exc))
-                    continue
-                hits = scan_raw(data, root.package_name, rel, recovered_at=generated_at)
+            for rel, data in _read_each(source, swept, warnings):
+                hits = scan_raw(data, root.package_name, rel)
                 if hits:
-                    records_by_app.setdefault(app, []).extend(hits)
+                    app_records.setdefault(app, []).extend(hits)
         # files neither parsed nor swept are read here, once, for custody;
         # a file whose read failed has its warning and no digest
         digests = []
@@ -116,16 +114,17 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
                 warnings.append(str(exc))
 
     findings_by_app: dict[str, list[PhiFinding]] = {}
-    for app, records in records_by_app.items():
+    for app, records in app_records.items():
         findings_by_app[app] = [f for r in records for f in classify_record(r)]
 
-    matrix_apps = sorted(set(matched_apps) | {a for a, fs in findings_by_app.items() if fs})
+    matrix_apps = sorted({r.parser.display_name for r in roots if r.parser is not None}
+                         | {a for a, fs in findings_by_app.items() if fs})
     matrix = tuple(evaluate_privacy_rule(app, findings_by_app.get(app, []))
                    for app in matrix_apps)
 
     violations = {}
     for app in matrix_apps:
-        found = evaluate_security_rule(app, records_by_app.get(app, []),
+        found = evaluate_security_rule(app, app_records.get(app, []),
                                        findings_by_app.get(app, []),
                                        statuses_by_app.get(app, []), redact=redact)
         if found:
@@ -152,9 +151,8 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
                            for app, ss in sorted(statuses_by_app.items())},
         warnings=tuple(warnings),
     )
-    all_records = tuple(r for app in sorted(records_by_app) for r in records_by_app[app])
-    return ScanResult(source=source, roots=tuple(roots), records=all_records,
-                      report=report, records_by_app=records_by_app)
+    all_records = tuple(r for app in sorted(app_records) for r in app_records[app])
+    return ScanResult(source=source, roots=tuple(roots), records=all_records, report=report)
 
 
 def load_code_map_file(path) -> dict[int, str]:

@@ -126,7 +126,8 @@ def test_c5_glucosmart_behavior(replica):
         assert status.status == "encrypted-or-opaque"
         assert status.entropy_bits_per_byte > 7.5
 
-    gluco_records = result.records_by_app["Gluco-Smart"]
+    gluco_records = [r for r in result.records
+                     if r.locator.package_name == "jiuana-androidBg.start"]
     reading_kinds = {"blood-pressure", "oximetry", "weight", "environment"}
     assert not any(r.kind in reading_kinds for r in gluco_records)
 

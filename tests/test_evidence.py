@@ -26,6 +26,8 @@ from phiscan.evidence import (
     read_file,
 )
 
+from phiscan.parsers import PARSERS
+
 from conftest import make_myvitals_db
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -34,7 +36,7 @@ SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 def test_empty_directory_yields_empty_listing(tmp_path):
     source = open_source(tmp_path)
     assert source.root_listing == frozenset()
-    assert enumerate_app_roots(source) == []
+    assert enumerate_app_roots(source, PARSERS) == []
 
 
 def test_missing_path_raises_not_found(tmp_path):
@@ -150,13 +152,12 @@ def test_enumerate_app_roots_binds_parsers(tmp_path):
     (root / "com.android.settings").mkdir()
     (root / "com.android.settings" / "prefs.xml").write_bytes(b"<map/>")
 
-    roots = enumerate_app_roots(open_source(root))
+    roots = enumerate_app_roots(open_source(root), PARSERS)
     assert [r.package_name for r in roots] == [
         "com.android.settings", "com.withings.wiscale2", "iHealthMyVitals.V2"]
-    by_name = {r.package_name: r.matched_parser for r in roots}
-    assert by_name["iHealthMyVitals.V2"] == "myvitals"
-    assert by_name["com.withings.wiscale2"] == "healthmate"
-    assert by_name["com.android.settings"] is None
+    by_name = {r.package_name: getattr(r.parser, "parser_id", None) for r in roots}
+    assert by_name == {"com.android.settings": None, "com.withings.wiscale2": "healthmate",
+                       "iHealthMyVitals.V2": "myvitals"}
 
 
 def test_both_ihealth_folders_bind_distinct_parsers(tmp_path):
@@ -167,8 +168,8 @@ def test_both_ihealth_folders_bind_distinct_parsers(tmp_path):
     (root / "jiuana-androidBg.start").mkdir()
     (root / "jiuana-androidBg.start" / "enc.db").write_bytes(os.urandom(64))
 
-    roots = enumerate_app_roots(open_source(root))
-    matched = {r.package_name: r.matched_parser for r in roots}
+    roots = enumerate_app_roots(open_source(root), PARSERS)
+    matched = {r.package_name: r.parser.parser_id for r in roots}
     assert matched == {"iHealthMyVitals.V2": "myvitals",
                        "jiuana-androidBg.start": "glucosmart"}
 
@@ -178,7 +179,7 @@ def test_enumeration_is_idempotent(tmp_path):
     first = open_source(root)
     second = open_source(root)
     assert first.root_listing == second.root_listing
-    assert enumerate_app_roots(first) == enumerate_app_roots(second)
+    assert enumerate_app_roots(first, PARSERS) == enumerate_app_roots(second, PARSERS)
     assert [read_file(first, p) for p in sorted(first.root_listing)] == \
         [read_file(second, p) for p in sorted(second.root_listing)]
 
@@ -310,9 +311,7 @@ def test_symlinks_are_treated_as_absent(tmp_path):
 
 def test_files_under_root(tmp_path):
     src = open_source(_tree_with_files(tmp_path, SAMPLE))
-    roots = enumerate_app_roots(src)
-    app_a = next(r for r in roots if r.package_name == "appA")
-    assert files_under(src, app_a) == ["appA/data/one.bin", "appA/empty.txt"]
+    assert files_under(src, "appA") == ["appA/data/one.bin", "appA/empty.txt"]
 
 
 def test_evidence_label_strips_zip_suffix(tmp_path):

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from phiscan.errors import MissingFieldsError
 from phiscan.evidence import enumerate_app_roots, open_source
+from phiscan.parsers import PARSERS
 from phiscan.parsers.glucosmart import (
     GlucoSmartParser,
     classify_database,
-    classify_databases,
     parse_user_info_xml,
 )
+from phiscan.scanner import scan_evidence
 
 from conftest import make_myvitals_db
 
@@ -63,9 +64,7 @@ def test_classification_is_total_over_db_files(tmp_path):
     (root_dir / "Databases" / "b.db").write_bytes(b"")
     make_myvitals_db(root_dir / "Databases" / "c.db")
     (root_dir / "not_a_db.txt").write_bytes(b"skip me")
-    src = open_source(tmp_path / "tree")
-    root = enumerate_app_roots(src)[0]
-    statuses, _ = classify_databases(root, src)
+    statuses = scan_evidence(tmp_path / "tree").report.database_statuses["Gluco-Smart"]
     assert sorted(s.relative_path for s in statuses) == [
         "jiuana-androidBg.start/Databases/a.db",
         "jiuana-androidBg.start/Databases/b.db",
@@ -99,35 +98,27 @@ def test_user_info_partial_missing_fields():
 
 
 def test_detect_exact_folder_name_only(tmp_path):
-    parser = GlucoSmartParser()
     for name, expected in (("jiuana-androidBg.start", True),
                            ("iHealthMyVitals.V2", False),
                            ("jiuana-androidBg", False)):
         tree = tmp_path / name.replace(".", "_")
         (tree / name).mkdir(parents=True)
         (tree / name / "x.txt").write_bytes(b"")
-        src = open_source(tree)
-        root = enumerate_app_roots(src, registry=())[0]
-        assert parser.detect(root, src) is expected
+        (root,) = enumerate_app_roots(open_source(tree), PARSERS)
+        assert isinstance(root.parser, GlucoSmartParser) is expected
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=3), st.booleans(), st.integers())
-def test_parser_never_emits_plaintext_vitals(tmp_path_factory, db_count, with_user, seed):
+def test_parser_never_emits_plaintext_vitals(db_count, with_user, seed):
     # whatever sits under this root, record kinds stay in {user-profile, raw-hit}
-    tmp = tmp_path_factory.mktemp("gluco")
     rng = random.Random(seed)
-    root_dir = tmp / "jiuana-androidBg.start"
-    (root_dir / "Databases").mkdir(parents=True)
-    for i in range(db_count):
-        (root_dir / "Databases" / f"d{i}.db").write_bytes(rng.randbytes(2048))
+    files = [(f"jiuana-androidBg.start/Databases/d{i}.db", rng.randbytes(2048))
+             for i in range(db_count)]
     if with_user:
-        (root_dir / "shared_prefs").mkdir()
-        (root_dir / "shared_prefs" / "user_info.xml").write_bytes(
-            b"<map><string name=\"UserName\">u@example.com</string>"
-            b"<string name=\"DeviceID\">BG5-1</string></map>")
-    src = open_source(tmp)
-    root = enumerate_app_roots(src)[0]
-    result = GlucoSmartParser().parse(root, src)
+        files.append(("jiuana-androidBg.start/shared_prefs/user_info.xml",
+                      b"<map><string name=\"UserName\">u@example.com</string>"
+                      b"<string name=\"DeviceID\">BG5-1</string></map>"))
+    result = GlucoSmartParser().parse(files)
     assert {r.kind for r in result.records} <= {"user-profile", "raw-hit"}
     assert len(result.db_statuses) == db_count

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from phiscan.errors import InvalidSpecError
 from phiscan.evidence import enumerate_app_roots, open_source
+from phiscan.parsers import PARSERS
 from phiscan.parsers.healthmate import (
     DEFAULT_CODE_MAP,
     DEVICES,
@@ -177,22 +178,13 @@ def test_users_missing_email_column_is_schema_error(tmp_path):
     assert warnings == [f"{DB_PATH}: users: no such column: email"]
 
     # at the app-parser level the schema error is tallied, not fatal
-    tree = tmp_path / "tree" / "com.withings.wiscale2" / "databases"
-    tree.mkdir(parents=True)
-    tree.joinpath("withings-wiscale.db").write_bytes(path.read_bytes())
-    src = open_source(tmp_path / "tree")
-    root = enumerate_app_roots(src)[0]
-    result = HealthMateParser().parse(root, src)
+    result = HealthMateParser().parse([(DB_PATH, path.read_bytes())])
     assert any("users" in w for w in result.warnings)
     assert result.records == ()
 
 
-def test_not_sqlite_database_is_one_warning(tmp_path):
-    tree = tmp_path / "tree" / "com.withings.wiscale2" / "databases"
-    tree.mkdir(parents=True)
-    tree.joinpath("withings-wiscale.db").write_bytes(b"\x13\x37" * 64)
-    src = open_source(tmp_path / "tree")
-    result = HealthMateParser().parse(enumerate_app_roots(src)[0], src)
+def test_not_sqlite_database_is_one_warning():
+    result = HealthMateParser().parse([(DB_PATH, b"\x13\x37" * 64)])
     assert result.records == ()
     assert result.warnings == (f"{DB_PATH}: not a SQLite database (possibly encrypted)",)
 
@@ -208,23 +200,22 @@ def test_undecodable_schema_error_is_one_corrupt_warning(tmp_path):
 
 
 def test_detect_requires_folder_and_database(tmp_path):
-    parser = HealthMateParser()
+    def bound(tree):
+        (root,) = enumerate_app_roots(open_source(tree), PARSERS)
+        return isinstance(root.parser, HealthMateParser)
 
     tree = tmp_path / "a" / "com.withings.wiscale2" / "databases"
     tree.mkdir(parents=True)
     make_healthmate_db(tree / "withings-wiscale.db")
-    src = open_source(tmp_path / "a")
-    assert parser.detect(enumerate_app_roots(src, registry=())[0], src) is True
+    assert bound(tmp_path / "a") is True
 
     (tmp_path / "b" / "com.withings.wiscale2").mkdir(parents=True)
     (tmp_path / "b" / "com.withings.wiscale2" / "other.db").write_bytes(b"x")
-    src = open_source(tmp_path / "b")
-    assert parser.detect(enumerate_app_roots(src, registry=())[0], src) is False
+    assert bound(tmp_path / "b") is False
 
     (tmp_path / "c" / "com.withings").mkdir(parents=True)
     (tmp_path / "c" / "com.withings" / "withings-wiscale.db").write_bytes(b"x")
-    src = open_source(tmp_path / "c")
-    assert parser.detect(enumerate_app_roots(src, registry=())[0], src) is False
+    assert bound(tmp_path / "c") is False
 
 
 def test_load_code_map_round_trip_and_errors(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from phiscan.errors import MalformedXmlError, NoCredentialKeysError
 from phiscan.evidence import enumerate_app_roots, open_source
+from phiscan.parsers import PARSERS
 from phiscan.parsers.myvitals import TABLES, MyVitalsParser, parse_region_host_xml
 from phiscan.parsers.tables import parse_tables
 
@@ -296,25 +297,17 @@ def _root_named(tmp_path, name, with_db=True):
     (folder / "Databases").mkdir(parents=True)
     if with_db:
         make_myvitals_db(folder / "Databases" / "androidNin.db")
-    src = open_source(tmp_path / "tree")
-    root = next(r for r in enumerate_app_roots(src, registry=())
-                if r.package_name == name)
-    return root, src
+    (root,) = enumerate_app_roots(open_source(tmp_path / "tree"), PARSERS)
+    return root
 
 
 def test_detect_requires_folder_and_database(tmp_path):
-    parser = MyVitalsParser()
-    root, src = _root_named(tmp_path, "iHealthMyVitals.V2")
-    assert parser.detect(root, src) is True
+    assert isinstance(_root_named(tmp_path, "iHealthMyVitals.V2").parser, MyVitalsParser)
 
 
 def test_detect_rejects_other_folder(tmp_path):
-    parser = MyVitalsParser()
-    root, src = _root_named(tmp_path, "com.withings.wiscale2")
-    assert parser.detect(root, src) is False
+    assert not isinstance(_root_named(tmp_path, "com.withings.wiscale2").parser, MyVitalsParser)
 
 
 def test_detect_rejects_missing_database(tmp_path):
-    parser = MyVitalsParser()
-    root, src = _root_named(tmp_path, "iHealthMyVitals.V2", with_db=False)
-    assert parser.detect(root, src) is False
+    assert _root_named(tmp_path, "iHealthMyVitals.V2", with_db=False).parser is None

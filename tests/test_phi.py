@@ -144,7 +144,7 @@ def test_payload_excerpts_and_rule_table_agree(replica_tree):
     for payload_type in emitted:
         assert callable(getattr(payload_type, "phi_excerpts", None)), payload_type
     tree, _ = replica_tree
-    records = [r for rs in scan_evidence(tree).records_by_app.values() for r in rs]
+    records = scan_evidence(tree).records
     assert {type(r.payload) for r in records} == emitted | {CredentialSet}
     typed = {key for r in records if type(r.payload) in emitted
              for key in r.payload.phi_excerpts()}

@@ -1,9 +1,10 @@
-"""Scan pipeline wiring: sweeps, clock handling, registry edge cases."""
+"""Scan pipeline wiring: claims and sweeps, damaged members, read-once custody."""
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import random
 import sqlite3
 import struct
 import tempfile
@@ -14,7 +15,7 @@ import pytest
 
 import phiscan.phi
 import phiscan.scanner
-from phiscan.evidence import enumerate_app_roots, hash_file, open_source, read_file
+from phiscan.evidence import hash_file, open_source, read_file
 from phiscan.fixtures import (
     FixtureSpec,
     HealthMateBlock,
@@ -22,9 +23,11 @@ from phiscan.fixtures import (
     generate_fixture,
     paper_replica_spec,
 )
-from phiscan.parsers.base import AppParser
+from phiscan.parsers import PARSERS
 from phiscan.report import render_report
 from phiscan.scanner import scan_evidence
+
+from conftest import make_healthmate_db, make_myvitals_db
 
 CLOCK = "2020-01-01T00:00:00Z"
 
@@ -63,7 +66,7 @@ def test_matched_app_files_are_not_double_swept(tmp_path):
     out = tmp_path / "t"
     generate_fixture(spec, out)
     result = scan_evidence(out, fixed_clock=CLOCK)
-    # db and credential xml are consumed by the parser; no raw hits at all
+    # db and credential xml are claimed by the parser; no raw hits at all
     assert not any(r.kind == "raw-hit" for r in result.records)
 
 
@@ -89,28 +92,6 @@ def test_zip_source_supports_concurrent_reads(tmp_path):
         results = list(pool.map(lambda p: read_file(src, p), paths))
     expected = {p: read_file(src, p) for p in src.root_listing}
     assert all(data == expected[p] for p, data in zip(paths, results))
-
-
-class _Grabby(AppParser):
-    def __init__(self, parser_id):
-        self.parser_id = parser_id
-        self.display_name = parser_id
-        self.folder = "*"
-        self.signature = "accepts anything"
-
-    def detect(self, root, source):
-        return True
-
-
-def test_ambiguous_detection_leaves_root_unbound(tmp_path):
-    tree = tmp_path / "tree"
-    (tree / "some.app").mkdir(parents=True)
-    (tree / "some.app" / "f.txt").write_bytes(b"x")
-    src = open_source(tree)
-    roots = enumerate_app_roots(src, registry=(_Grabby("a"), _Grabby("b")))
-    assert roots[0].matched_parser is None
-    roots = enumerate_app_roots(src, registry=(_Grabby("only"),))
-    assert roots[0].matched_parser == "only"
 
 
 def test_code_map_override_flows_through_scan(tmp_path):
@@ -234,11 +215,11 @@ def test_each_record_is_classified_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("output_kind", ["directory", "zip"])
-def test_raw_hits_carry_the_scan_clock(tmp_path, output_kind):
+def test_raw_hits_locate_the_swept_bytes(tmp_path, output_kind):
     out = _replica_with_sweep(tmp_path, output_kind)
     hits = [r for r in scan_evidence(out, fixed_clock=CLOCK).records if r.kind == "raw-hit"]
     assert {h.locator.package_name for h in hits} >= {"com.example.notes"}
-    assert {(h.recovered_at, h.locator.container) for h in hits} == {(CLOCK, "raw-bytes")}
+    assert {h.locator.container for h in hits} == {"raw-bytes"}
 
 
 def test_scan_stages_no_database_copy_in_tmpdir(tmp_path, monkeypatch):
@@ -329,6 +310,8 @@ def _flip_member_byte(path, name):
     ("iHealthMyVitals.V2/shared_prefs/sp_user_region_host_info.xml", "iHealthMyVitals.V2",
      "iHealth MyVitals"),
     ("iHealthMyVitals.V2/Databases/androidNin.db", "iHealthMyVitals.V2", "iHealth MyVitals"),
+    ("jiuana-androidBg.start/shared_prefs/user_info.xml", "jiuana-androidBg.start",
+     "Gluco-Smart"),
     ("com.example.notes/scratch.txt", "com.example.notes", "com.example.notes"),  # swept
     ("README.txt", None, None),  # read only for custody
 ])
@@ -347,3 +330,106 @@ def test_damaged_zip_member_costs_one_warning(tmp_path, member, package, app):
             == [row for row in intact.matrix if row.app_name != app])
     assert ([f for f in damaged.findings if f.locator.package_name != package]
             == [f for f in intact.findings if f.locator.package_name != package])
+
+
+def test_unreadable_gluco_database_is_one_warning_and_not_classified(tmp_path):
+    member = "jiuana-androidBg.start/Databases/glucose.db"
+    out = _replica_with_sweep(tmp_path, "zip")
+    intact = scan_evidence(out, fixed_clock=CLOCK).report
+    _flip_member_byte(out, member)
+
+    damaged = scan_evidence(out, fixed_clock=CLOCK).report
+    named = [w for w in damaged.warnings if member in w]
+    assert len(named) == 1 and named[0].startswith(f"{member}: unreadable (")
+    # a database never read has no status and is not counted as encrypted
+    summary = ("jiuana-androidBg.start: {} database(s) appear encrypted; "
+               "glucose readings are not recoverable")
+    assert summary.format(2) in intact.warnings
+    assert [w for w in damaged.warnings if member not in w] == [
+        summary.format(1) if w == summary.format(2) else w
+        for w in intact.warnings if member not in w]
+    assert damaged.database_statuses["Gluco-Smart"] == tuple(
+        s for s in intact.database_statuses["Gluco-Smart"] if s.relative_path != member)
+
+
+def test_plaintext_gluco_database_is_swept(tmp_path):
+    tree = tmp_path / "tree"
+    app = tree / "jiuana-androidBg.start"
+    (app / "Databases").mkdir(parents=True)
+    (app / "files").mkdir()
+    conn = sqlite3.connect(app / "Databases" / "plain.db")
+    conn.execute("CREATE TABLE notes (body TEXT)")
+    conn.execute("INSERT INTO notes VALUES ('ssn 123-45-6789 card 4111 1111 1111 1111')")
+    conn.commit()
+    conn.close()
+    (app / "files" / "note.txt").write_bytes(b"ssn 123-45-6789 noted")
+
+    report = scan_evidence(tree, fixed_clock=CLOCK).report
+    assert [s.status for s in report.database_statuses["Gluco-Smart"]] == ["plaintext-sqlite"]
+    found = {(f.locator.relative_path.rsplit("/", 1)[-1], f.locator.container, f.category)
+             for f in report.findings}
+    assert found == {("plain.db", "raw-bytes", "ssn"), ("plain.db", "raw-bytes", "payment"),
+                     ("note.txt", "raw-bytes", "ssn")}
+
+
+# Which files under a bound root each parser claims, and what becomes of them.
+_CLAIMS = (
+    ("iHealthMyVitals.V2/Databases/androidNin.db", "parsed"),
+    ("iHealthMyVitals.V2/backup/androidNin.db", "swept"),  # claimed only at Databases/
+    ("iHealthMyVitals.V2/shared_prefs/sp_user_region_host_info.xml", "parsed"),
+    ("iHealthMyVitals.V2/files/deep/sp_user_region_host_info.xml", "parsed"),
+    ("iHealthMyVitals.V2/files/note.txt", "swept"),
+    ("com.withings.wiscale2/databases/withings-wiscale.db", "parsed"),
+    ("com.withings.wiscale2/no_backup/copy/withings-wiscale.db", "parsed"),
+    ("com.withings.wiscale2/files/note.txt", "swept"),
+    ("jiuana-androidBg.start/Databases/glucose.db", "classified"),
+    ("jiuana-androidBg.start/cache/blob.db", "classified"),
+    ("jiuana-androidBg.start/files/note.txt", "swept"),
+)
+
+
+def _claims_tree(tmp_path, output_kind):
+    myvitals_db = make_myvitals_db(
+        tmp_path / "mv.db", users=[("Pat", "1980-01-01", "UTC", "pat@example.com")]).read_bytes()
+    withings_db = make_healthmate_db(
+        tmp_path / "hm.db", users=[(1, "Pat", "F", "1980-01-01", "pat@example.com")]).read_bytes()
+    credential = (b'<map><string name="pat@example.com_user_password">pw123456</string>'
+                  b'</map>')
+    content = {"androidNin.db": myvitals_db, "withings-wiscale.db": withings_db,
+               "sp_user_region_host_info.xml": credential,
+               "note.txt": b"contact swept@example.com"}
+    files = {path: content.get(path.rsplit("/", 1)[-1]) or random.Random(path).randbytes(4096)
+             for path, _ in _CLAIMS}
+    if output_kind == "zip":
+        out = tmp_path / "claims.zip"
+        with zipfile.ZipFile(out, "w") as zf:
+            for path, data in files.items():
+                zf.writestr(path, data)
+        return out
+    out = tmp_path / "claims"
+    for path, data in files.items():
+        (out / path).parent.mkdir(parents=True, exist_ok=True)
+        (out / path).write_bytes(data)
+    return out
+
+
+@pytest.mark.parametrize("output_kind", ["directory", "zip"])
+def test_each_parser_claims_its_files_and_the_rest_are_swept(tmp_path, output_kind):
+    result = scan_evidence(_claims_tree(tmp_path, output_kind), fixed_clock=CLOCK)
+    assert {getattr(r.parser, "parser_id", None) for r in result.roots} == {
+        "myvitals", "healthmate", "glucosmart"}
+    classified = {s.relative_path for ss in result.report.database_statuses.values()
+                  for s in ss}
+    fates = {}
+    for path, _ in _CLAIMS:
+        containers = {r.locator.container for r in result.records
+                      if r.locator.relative_path == path}
+        if path in classified:
+            fates[path] = "classified"
+        elif containers == {"raw-bytes"}:
+            fates[path] = "swept"
+        elif containers and "raw-bytes" not in containers:
+            fates[path] = "parsed"
+    assert fates == dict(_CLAIMS)
+    assert {path: PARSERS[path.split("/")[0]].claims(path) for path, _ in _CLAIMS} == {
+        path: fate != "swept" for path, fate in _CLAIMS}
