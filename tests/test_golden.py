@@ -4,7 +4,8 @@ Each forge spec's report is pinned by the SHA-256 of its canonical JSON
 with `file_digests` and `scan_id` removed. Forge databases carry SQLite's
 version number in header bytes 96-99, so the file digests (and the scan id
 derived from them) vary with the SQLite build; the rest of the report does
-not. A directory and a zip of the same spec must both match the pin.
+not. A directory and a zip of the same spec must both match the pin. The
+report is pinned redacted (the default) and unredacted.
 The timeline JSON is pinned whole, and the same for both containers. The
 manifest is pinned by its canonical JSON with `files` (the forge's file
 digests) removed; its `spec` names the output kind, so a directory and a
@@ -66,6 +67,32 @@ GOLDEN = {
     "seed17": "57c4640b3887be80f2a932a7c2521eea1cb59f611c5e3895da5e43ee181586bb",
     "seed18": "34f423f111f7ca7915f06b041d7d3df149631aa1b42500ff18c5c94ca1f3c000",
     "seed19": "cafd4cb998c8a1d2893f011d2eb35257b82742b02d72d81e1e70adc7692599d1",
+}
+
+
+# the same reports scanned with redact=False
+GOLDEN_UNREDACTED = {
+    "replica": "ee2a3453e2eaeb987c5fcd73e054d74c4ba20c3fba68b23a0a7fc27a2f1ceb92",
+    "seed0": "8944a82d5b1f70303c198c3b5b4a762f0f7ac3fc7f77f27fcf5ef179339d8851",
+    "seed1": "4b970336802c160875ea21bf6cf45cc268f2ca1a4e2c154b6f973f63bce50444",
+    "seed2": "fde9b7c3320f673110d3a4538d85a2a6d1e8c259e13250158908a64666b70df5",
+    "seed3": "0c627166cea65d5ca44dbb2a8be36e83d1a3d3df61968e1cdcec05dce6d24c45",
+    "seed4": "7ce8ec9781c632e82c7a03931571f608a2d879013e6d327bd473670b5a4d3407",
+    "seed5": "140bb828b01ee91e67607de8ef20b5bb9aeaafa88578a2eeea5b44e638764190",
+    "seed6": "e43e6ea189903c3ff931818471fe0c584832c9e135c87f3fe5dc3a47e7e0ec12",
+    "seed7": "c9b3f1b81df500f87e6e62b21cf289930e8076bc183b55c8f97fa1198df40790",
+    "seed8": "bf354ed47cc4c40720492987e99716f67fd3e38eb820e7182d840b0c6029d9c5",
+    "seed9": "2aa8c1c7fb9c06a05eb6fcc695cd5b769ee32e8d208607427573d9c0a0d3434e",
+    "seed10": "bc96c8ded06290c60e4cfb22bf43b43bdaccce9771b1f3a10af8c753490e44df",
+    "seed11": "5aa33bcc4ae9c76094e75e42384d41fd1bda0e5a3e98f1abd1169327869531e8",
+    "seed12": "04d9033c7856dd3c994d0d0a8d99d75abada19dd949db9551c273e8ee400b35c",
+    "seed13": "b300865cf2bb91ab257dd533a0b62b8b8d42479d4f60a839cd1ca454ab39b8c8",
+    "seed14": "218b105e3ca4e7c8867587fdaa0ea27ea11b695ea61564b1c5a7e6327ff1d566",
+    "seed15": "53f290e9cdb1f3197c176fa12d28907c22ed3b642372940a9277c2b2ce9da9f7",
+    "seed16": "8b007889ad66529dd63f470c78e1c4bcc7dec1789a6b9d43cdba492d5302744e",
+    "seed17": "1b929a163b79b0cca62d63d186002739f67ec9e2f6d8866ad40224467596a8a9",
+    "seed18": "e24982c908f1e1de41b4a5f4b03d4674e187f7f8ecdd45e0c61d7203f9cd0813",
+    "seed19": "133f1a7d0bd45c25fa8d6357bd53495da0bb0bcfd09029c4a9440f6feabba8e0",
 }
 
 
@@ -174,21 +201,25 @@ def _report_sha(report) -> str:
     return _sha(canonical_json(doc))
 
 
-def _pins(spec, output_kind: str, out) -> tuple[str, str, str]:
+def _pins(spec, output_kind: str, out, redact: bool) -> tuple[str, str, str]:
     manifest = generate_fixture(dataclasses.replace(spec, output_kind=output_kind), out)
     doc = json.loads(render_manifest(manifest))
     del doc["files"]
-    result = scan_evidence(out, fixed_clock=CLOCK)
+    result = scan_evidence(out, fixed_clock=CLOCK, redact=redact)
     timeline = render_timeline(build_timeline(list(result.records)), "json")
     return _report_sha(result.report), _sha(timeline), _sha(canonical_json(doc))
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_forge_reports_match_golden(tmp_path, name):
+# the redacted report keeps the bare spec name as its id
+@pytest.mark.parametrize("name, redact", [
+    pytest.param(name, redact, id=name if redact else f"{name}-unredacted")
+    for redact in (True, False) for name in sorted(GOLDEN)])
+def test_forge_reports_match_golden(tmp_path, name, redact):
     spec = paper_replica_spec() if name == "replica" else random_spec(int(name[4:]))
-    dir_pins = _pins(spec, "directory", tmp_path / name)
-    zip_pins = _pins(spec, "zip", tmp_path / f"{name}.zip")
-    assert (dir_pins[0], zip_pins[0]) == (GOLDEN[name], GOLDEN[name])
+    dir_pins = _pins(spec, "directory", tmp_path / name, redact)
+    zip_pins = _pins(spec, "zip", tmp_path / f"{name}.zip", redact)
+    report = GOLDEN[name] if redact else GOLDEN_UNREDACTED[name]
+    assert (dir_pins[0], zip_pins[0]) == (report, report)
     assert (dir_pins[1], zip_pins[1]) == (GOLDEN_TIMELINE[name], GOLDEN_TIMELINE[name])
     assert (dir_pins[2], zip_pins[2]) == GOLDEN_MANIFEST[name]
 
