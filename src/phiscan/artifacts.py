@@ -90,6 +90,22 @@ class RawHit:
     value: str
 
 
+# DatabaseStatus.status values.
+STATUS_PLAINTEXT = "plaintext-sqlite"
+STATUS_ENCRYPTED = "encrypted-or-opaque"
+STATUS_EMPTY = "empty"
+
+
+@dataclass(frozen=True)
+class DatabaseStatus:
+    """How one database file's bytes were classified, with entropy as evidence."""
+
+    relative_path: str
+    status: str
+    header_magic_present: bool
+    entropy_bits_per_byte: float
+
+
 @dataclass(frozen=True)
 class CredentialSet:
     """Account credentials recovered from a shared-preferences file.

@@ -18,8 +18,12 @@ from dataclasses import dataclass
 from ..artifacts import (
     ArtifactRecord,
     CONTAINER_XML,
+    DatabaseStatus,
     KIND_USER_PROFILE,
     make_locator,
+    STATUS_EMPTY,
+    STATUS_ENCRYPTED,
+    STATUS_PLAINTEXT,
 )
 from ..errors import MissingFieldsError, ScanError
 from ..phi import scan_raw
@@ -32,20 +36,8 @@ DISPLAY_NAME = "Gluco-Smart"
 USER_INFO_XML_NAME = "user_info.xml"
 DEFAULT_XML_PATH = f"{PACKAGE_FOLDER}/shared_prefs/{USER_INFO_XML_NAME}"
 
-STATUS_PLAINTEXT = "plaintext-sqlite"
-STATUS_ENCRYPTED = "encrypted-or-opaque"
-STATUS_EMPTY = "empty"
-
 HIGH_ENTROPY_BITS = 7.5
 ENTROPY_WINDOW = 4096
-
-
-@dataclass(frozen=True)
-class DatabaseStatus:
-    relative_path: str
-    status: str
-    header_magic_present: bool
-    entropy_bits_per_byte: float
 
 
 @dataclass(frozen=True)

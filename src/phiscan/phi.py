@@ -9,9 +9,8 @@ carries the id of the rule that fired so the classification is auditable.
 This module knows no structured payload type. A typed rule's excerpt comes
 from the payload itself: each structured payload's phi_excerpts() maps the
 typed predicates it fires to their excerpts. The two pattern rules (SSN,
-Luhn-valid card number) scan every string field of a structured payload,
-and the matched value of a raw-sweep hit whose pattern can hold an SSN or a
-card: email, credential-key, ssn and payment-card.
+Luhn-valid card number) scan every string field of a payload, a raw-sweep
+hit's included.
 
 The Security-Rule evaluation asks two questions of each app: did health
 data sit in plaintext containers at rest, and was an account password
@@ -33,9 +32,11 @@ from .artifacts import (
     CONTAINER_RAW,
     CONTAINER_SQLITE,
     CONTAINER_XML,
+    DatabaseStatus,
     KIND_CREDENTIAL,
     RawHit,
     SourceLocator,
+    STATUS_ENCRYPTED,
 )
 
 RULES_VERSION = "1"
@@ -184,27 +185,17 @@ def _string_fields(payload: object) -> list[str]:
             if isinstance(v := getattr(payload, name), str)]
 
 
-# Raw patterns whose matches can hold no pattern-rule finding: a date-token
-# has at most 10 digits joined by single hyphens or a space (then colons),
-# an epoch-token 10 or 13 bare digits, a mac-address 2-digit groups joined
-# by colons. None holds a 3-2-4 hyphenated SSN or the 15+ digits of a card.
-_NO_PATTERN_FINDINGS = frozenset({"date-token", "epoch-token", "mac-address"})
-
-
-def classify_record(record: ArtifactRecord) -> list[PhiFinding]:
+def classify_record(record: ArtifactRecord, *, redact: bool = False) -> list[PhiFinding]:
     """Apply every published rule to one record. Unrecognized records yield [].
 
-    A raw hit has no typed excerpts, and the pattern rules read only its
-    matched value: a pattern name holds no digit.
+    Typed rules take the payload's phi_excerpts(), if it has one; the
+    pattern rules read every string field. A raw hit has no typed excerpts,
+    and its pattern name holds no digit, so only its matched value can fire
+    a pattern rule. With `redact`, each excerpt is built redacted.
     """
     payload = record.payload
-    if isinstance(payload, RawHit):
-        if payload.pattern in _NO_PATTERN_FINDINGS:
-            return []
-        typed, texts = {}, [payload.value]
-    else:
-        typed = payload.phi_excerpts() if hasattr(payload, "phi_excerpts") else {}
-        texts = _string_fields(payload)
+    typed = payload.phi_excerpts() if hasattr(payload, "phi_excerpts") else {}
+    texts = _string_fields(payload)
     findings = []
     for rule in RULE_TABLE:
         if rule.predicate in _PATTERN_PREDICATES:
@@ -216,7 +207,7 @@ def classify_record(record: ArtifactRecord) -> list[PhiFinding]:
         for excerpt in excerpts:
             findings.append(PhiFinding(
                 category=rule.category,
-                value_excerpt=excerpt,
+                value_excerpt=redact_value(excerpt) if redact else excerpt,
                 locator=record.locator,
                 rule_id=rule.rule_id,
             ))
@@ -234,9 +225,6 @@ _MASKED_RUN = re.compile(b"p" * _MIN_RUN + b"p*")
 
 RAW_PATTERNS: tuple[tuple[str, re.Pattern], ...] = (
     ("email", re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")),
-    ("mac-address", re.compile(r"\b[0-9A-Fa-f]{2}(?::[0-9A-Fa-f]{2}){5}\b")),
-    ("date-token", re.compile(r"\b\d{4}-\d{2}-\d{2}(?:[T ]\d{2}:\d{2}:\d{2}Z?)?\b")),
-    ("epoch-token", re.compile(r"\b1\d{9}(?:\d{3})?\b")),
     ("credential-key", re.compile(r"(?i)\b[\w.@-]*(?:password|token)[\w.@-]*\b")),
     ("ssn", _SSN_RE),
     ("payment-card", _CARD_RE),
@@ -276,18 +264,17 @@ def _keyword_runs(swept: bytes) -> list[tuple[int, int]]:
 def scan_raw(data: bytes, package_name: str, relative_path: str) -> list[ArtifactRecord]:
     """Sweep arbitrary bytes for PHI-adjacent tokens.
 
-    Catches what the structured parsers do not cover: emails, MAC
-    addresses, date-like tokens, password/token key names, SSNs, card
-    numbers. A hit is a pattern match inside a run of 6 or more printable
-    ASCII bytes. The runs are cut out of `data` and joined by NUL bytes,
-    and each pattern is matched once over the joined runs, so the cost
-    follows the printable bytes of `data`, not its size. credential-key
-    is matched only inside the runs of word, '.', '@' and '-' bytes that
-    hold "password" or "token" in any case. Each hit's locator names the
+    Catches what the structured parsers do not cover: emails,
+    password/token key names, SSNs and card numbers, each a pattern whose
+    match can hold an SSN or card finding (classify_record). A hit is a
+    pattern match inside a run of 6 or more printable ASCII bytes. The
+    runs are cut out of `data` and joined by NUL bytes, and each pattern
+    is matched once over the joined runs, so the cost follows the
+    printable bytes of `data`, not its size. credential-key is matched
+    only inside the runs of word, '.', '@' and '-' bytes that hold
+    "password" or "token" in any case. Each hit's locator names the
     package and path, and its detail records the pattern and the hit's
-    byte offset in `data`. Of these hits, only email, credential-key, ssn
-    and payment-card ones can carry an SSN or card finding
-    (classify_record).
+    byte offset in `data`.
     """
     runs = [m.span() for m in _MASKED_RUN.finditer(data.translate(_PRINTABLE_MASK))]
     swept = b"\0".join([data[start:end] for start, end in runs])
@@ -339,7 +326,7 @@ def _sorted_locators(findings: list[PhiFinding]) -> tuple[SourceLocator, ...]:
 
 def evaluate_security_rule(app: str, records: list[ArtifactRecord],
                            findings: list[PhiFinding],
-                           db_statuses: list | None = None, *,
+                           db_statuses: list[DatabaseStatus] | None = None, *,
                            redact: bool = True) -> list[SecurityViolation]:
     """Security-Rule outcomes for one app.
 
@@ -383,7 +370,7 @@ def evaluate_security_rule(app: str, records: list[ArtifactRecord],
     if not health:
         identity = [f for f in plaintext if f.category in _IDENTITY_CATEGORIES]
         if identity:
-            encrypted = sum(1 for s in db_statuses if s.status == "encrypted-or-opaque")
+            encrypted = sum(1 for s in db_statuses if s.status == STATUS_ENCRYPTED)
             context = (f"; {encrypted} database(s) encrypted" if encrypted else "")
             violations.append(SecurityViolation(
                 kind=VIOLATION_WEAK_SAFEGUARD,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -27,7 +26,6 @@ from .phi import (
     classify_record,
     evaluate_privacy_rule,
     evaluate_security_rule,
-    redact_value,
     scan_raw,
 )
 from .report import ComplianceReport, finding_sort_key
@@ -115,7 +113,7 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
 
     findings_by_app: dict[str, list[PhiFinding]] = {}
     for app, records in app_records.items():
-        findings_by_app[app] = [f for r in records for f in classify_record(r)]
+        findings_by_app[app] = [f for r in records for f in classify_record(r, redact=redact)]
 
     matrix_apps = sorted({r.parser.display_name for r in roots if r.parser is not None}
                          | {a for a, fs in findings_by_app.items() if fs})
@@ -131,9 +129,6 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
             violations[app] = tuple(found)
 
     findings = [f for app in sorted(findings_by_app) for f in findings_by_app[app]]
-    if redact:
-        findings = [dataclasses.replace(f, value_excerpt=redact_value(f.value_excerpt))
-                    for f in findings]
     findings.sort(key=finding_sort_key)
 
     origin = evidence_label(source)
