@@ -332,6 +332,31 @@ def test_damaged_zip_member_costs_one_warning(tmp_path, member, package, app):
             == [f for f in intact.findings if f.locator.package_name != package])
 
 
+def test_unreadable_files_warn_in_walk_order(tmp_path):
+    # per root: claimed files as the parser pulls them, then the parser's own
+    # warnings, then swept files; top-level plain files come last
+    claimed = "jiuana-androidBg.start/shared_prefs/user_info.xml"
+    swept = "jiuana-androidBg.start/files/note.txt"
+    out = _replica_with_sweep(tmp_path, "zip")
+    with zipfile.ZipFile(out, "a") as zf:
+        zf.writestr(swept, b"a note beside the claimed files")
+    for member in (claimed, swept, "README.txt"):
+        _flip_member_byte(out, member)
+
+    report = scan_evidence(out, fixed_clock=CLOCK).report
+    assert report.warnings == (
+        f"{claimed}: unreadable (Bad CRC-32 for file '{claimed}')",
+        "jiuana-androidBg.start/Databases/glucose.db: high entropy (7.95 bits/byte),"
+        " consistent with encryption",
+        "jiuana-androidBg.start/Databases/sync.db: high entropy (7.95 bits/byte),"
+        " consistent with encryption",
+        "jiuana-androidBg.start: 2 database(s) appear encrypted;"
+        " glucose readings are not recoverable",
+        f"{swept}: unreadable (Bad CRC-32 for file '{swept}')",
+        "README.txt: unreadable (Bad CRC-32 for file 'README.txt')",
+    )
+
+
 def test_unreadable_gluco_database_is_one_warning_and_not_classified(tmp_path):
     member = "jiuana-androidBg.start/Databases/glucose.db"
     out = _replica_with_sweep(tmp_path, "zip")
