@@ -2,15 +2,14 @@
 
 Android application data lives under /data/data, one folder per installed
 package. This module opens an already-extracted copy of that layout
-(plain directory or zip archive), enumerates the per-app roots, and gives
-hashed read access for chain-of-custody. Nothing here ever writes to the
-container.
+(plain directory or zip archive), enumerates the per-app roots, and reads
+files' stored bytes. Nothing here ever writes to the container, and an
+opened source holds no state that a scan changes.
 
 A zip is opened once and stays open, with a name -> member index, until
-the source is closed. Every read records the SHA-256 of the bytes it
-returns, so the custody digests describe exactly the bytes analysed and
-no file is read a second time to hash it. A read that fails raises
-UnreadableFileError and is remembered, so the file is not tried again.
+the source is closed. A read that fails raises UnreadableFileError.
+hash_file digests bytes already in hand, so the custody digests describe
+exactly the bytes analysed and no file is read a second time to hash it.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from typing import TYPE_CHECKING
 from .errors import (
     CorruptArchiveError,
     NotFoundError,
+    ScanError,
     UnreadableFileError,
     UnsupportedContainerError,
 )
@@ -66,8 +66,8 @@ class EvidenceSource:
     """An opened evidence container; all operations on it are pure reads.
 
     A zip source holds its archive open: close it, or use the source as a
-    context manager. `digests` fills in as files are read, and
-    `unreadable` with the files whose read failed.
+    context manager. `skipped_entries` names what the listing left out and
+    why: symlinks, unsafe or duplicate zip names, unreadable directories.
     """
 
     origin: str
@@ -78,8 +78,6 @@ class EvidenceSource:
     archive: zipfile.ZipFile | None = field(default=None, compare=False, repr=False)
     members: dict[str, zipfile.ZipInfo] = field(default_factory=dict, compare=False,
                                                 repr=False)
-    digests: dict[str, FileDigest] = field(default_factory=dict, compare=False, repr=False)
-    unreadable: set[str] = field(default_factory=set, compare=False, repr=False)
 
     def close(self) -> None:
         if self.archive is not None:
@@ -109,7 +107,14 @@ def _open_directory(path: Path) -> tuple[frozenset[str], tuple[str, ...], tuple[
     listing: set[str] = set()
     skipped: list[str] = []
     top_dirs: set[str] = set()
-    for dirpath, dirnames, filenames in os.walk(path, followlinks=False):
+
+    def unlistable(exc: OSError) -> None:
+        rel = Path(exc.filename).relative_to(path).as_posix()
+        if rel == ".":
+            raise ScanError(f"{path}: evidence directory cannot be listed ({exc.strerror})")
+        skipped.append(f"{rel} (unreadable directory)")
+
+    for dirpath, dirnames, filenames in os.walk(path, onerror=unlistable, followlinks=False):
         rel_dir = Path(dirpath).relative_to(path)
         if rel_dir != Path("."):
             first = rel_dir.as_posix().split("/")[0]
@@ -189,10 +194,9 @@ def evidence_label(source: EvidenceSource) -> str:
 
 
 def read_file(source: EvidenceSource, relative_path: str) -> bytes:
-    """Return the exact stored bytes of one file, recording their digest.
+    """Return the exact stored bytes of one file.
 
-    Raises UnreadableFileError, naming the path, if the bytes cannot be
-    read, and records the path in `source.unreadable`.
+    Raises UnreadableFileError, naming the path, if the bytes cannot be read.
     """
     if relative_path not in source.root_listing:
         raise NotFoundError(f"not in evidence listing: {relative_path}")
@@ -202,28 +206,16 @@ def read_file(source: EvidenceSource, relative_path: str) -> bytes:
         else:
             data = source.archive.read(source.members[relative_path])
     except _READ_ERRORS as exc:
-        source.unreadable.add(relative_path)
         # an OSError's text names the absolute path; the report names only the relative one
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         raise UnreadableFileError(f"{relative_path}: unreadable ({reason})") from exc
-    source.digests[relative_path] = FileDigest(
-        relative_path=relative_path,
-        algorithm=DIGEST_ALGORITHM,
-        hex_digest=hashlib.sha256(data).hexdigest(),
-        byte_length=len(data),
-    )
     return data
 
 
-def hash_file(source: EvidenceSource, relative_path: str) -> FileDigest:
-    """SHA-256 digest over the exact file bytes, for chain-of-custody.
-
-    A file already read is not read again: its digest is the one recorded
-    over the bytes that read returned.
-    """
-    if relative_path not in source.digests:
-        read_file(source, relative_path)
-    return source.digests[relative_path]
+def hash_file(relative_path: str, data: bytes) -> FileDigest:
+    """SHA-256 digest of one file's bytes as read, for chain-of-custody."""
+    return FileDigest(relative_path=relative_path, algorithm=DIGEST_ALGORITHM,
+                      hex_digest=hashlib.sha256(data).hexdigest(), byte_length=len(data))
 
 
 def enumerate_app_roots(source: EvidenceSource,

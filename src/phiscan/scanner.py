@@ -1,8 +1,9 @@
-"""Full scan pipeline: open, enumerate, parse, classify, evaluate, assemble."""
+"""Full scan pipeline: open, walk the listing once (parse, sweep or hash), classify, report."""
 
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -15,7 +16,6 @@ from .evidence import (
     EvidenceSource,
     enumerate_app_roots,
     evidence_label,
-    files_under,
     hash_file,
     open_source,
     read_file,
@@ -52,24 +52,27 @@ def _scan_id(origin: str, generated_at: str, digests) -> str:
     return h.hexdigest()[:16]
 
 
-def _read_each(source: EvidenceSource, paths: list[str], warnings: list[str]):
-    """(path, bytes) for each path, read when asked for; an unreadable file is a warning."""
+def _read_each(source: EvidenceSource, paths: list[str], digests: list, warnings: list[str]):
+    """(path, bytes) for each path, read and hashed when asked for; unreadable is a warning."""
     for rel in paths:
         try:
-            yield rel, read_file(source, rel)
+            data = read_file(source, rel)
         except UnreadableFileError as exc:
             warnings.append(str(exc))
+            continue
+        digests.append(hash_file(rel, data))
+        yield rel, data
 
 
 def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
                   code_map: dict[int, str] | None = None) -> ScanResult:
     """Run the whole pipeline over one evidence container.
 
-    Each app folder is bound to its parser in parsers.PARSERS. Every listed
-    file under a folder is read exactly once: the files its parser claims
-    are handed to the parser as bytes, in path order, and every other file
-    is swept for raw patterns. An unreadable file is one warning and is
-    neither parsed nor swept.
+    One sorted pass over the listing gives each file one fate: parsed if
+    the parser bound to its app folder (parsers.PARSERS) claims it, else
+    swept for raw patterns; a top-level plain file is custody-only. Each
+    file is read once, in that order per folder and custody-only last, and
+    hashed from the bytes read; an unreadable file is one warning instead.
 
     fixed_clock pins generated_at for reproducible output; without it the
     scan wall clock is used and excluded from report comparisons.
@@ -77,39 +80,42 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
     with open_source(path) as source:
         generated_at = fixed_clock or utc_now()
         roots = enumerate_app_roots(source, PARSERS)
+        parser_of = {root.package_name: root.parser for root in roots}
+        claimed, swept, custody = defaultdict(list), defaultdict(list), []
+        for rel in sorted(source.root_listing):
+            folder, sep, _ = rel.partition("/")
+            if not sep or folder not in parser_of:
+                custody.append(rel)
+            elif parser_of[folder] is not None and parser_of[folder].claims(rel):
+                claimed[folder].append(rel)
+            else:
+                swept[folder].append(rel)
 
         app_records: dict[str, list[ArtifactRecord]] = {}
         statuses_by_app: dict[str, list] = {}
+        digests = []
         warnings: list[str] = []
         warnings.extend(f"skipped container entry: {e}" for e in source.skipped_entries)
 
         for root in roots:
-            parser = root.parser
-            paths = files_under(source, root.package_name)
-            app, swept = root.package_name, paths
+            parser, folder = root.parser, root.package_name
+            app = parser.display_name if parser is not None else folder
             if parser is not None:
-                app = parser.display_name
-                claimed = [rel for rel in paths if parser.claims(rel)]
-                swept = [rel for rel in paths if not parser.claims(rel)]
-                result = parser.parse(_read_each(source, claimed, warnings), code_map=code_map)
+                files = _read_each(source, claimed[folder], digests, warnings)
+                result = parser.parse(files, code_map=code_map)
+                for _ in files:  # hash the claimed files the parser did not pull
+                    pass
                 app_records.setdefault(app, []).extend(result.records)
                 warnings.extend(result.warnings)
                 if result.db_statuses:
                     statuses_by_app.setdefault(app, []).extend(result.db_statuses)
-            for rel, data in _read_each(source, swept, warnings):
-                hits = scan_raw(data, root.package_name, rel)
+            for rel, data in _read_each(source, swept[folder], digests, warnings):
+                hits = scan_raw(data, folder, rel)
                 if hits:
                     app_records.setdefault(app, []).extend(hits)
-        # files neither parsed nor swept are read here, once, for custody;
-        # a file whose read failed has its warning and no digest
-        digests = []
-        for rel in sorted(source.root_listing):
-            if rel in source.unreadable:
-                continue
-            try:
-                digests.append(hash_file(source, rel))
-            except UnreadableFileError as exc:
-                warnings.append(str(exc))
+        for _ in _read_each(source, custody, digests, warnings):
+            pass
+        digests.sort(key=lambda d: d.relative_path)
 
     findings_by_app: dict[str, list[PhiFinding]] = {}
     for app, records in app_records.items():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import pathlib
@@ -14,10 +15,12 @@ from hypothesis import given, strategies as st
 from phiscan.errors import (
     CorruptArchiveError,
     NotFoundError,
+    ScanError,
     UnreadableFileError,
     UnsupportedContainerError,
 )
 from phiscan.evidence import (
+    FileDigest,
     enumerate_app_roots,
     evidence_label,
     files_under,
@@ -27,6 +30,7 @@ from phiscan.evidence import (
 )
 
 from phiscan.parsers import PARSERS
+from phiscan.scanner import scan_evidence
 
 from conftest import make_myvitals_db
 
@@ -117,7 +121,8 @@ def test_database_file_round_trips_sqlite_header(tmp_path):
 
 def test_hash_empty_file_is_well_known_digest(tmp_path):
     src = open_source(_tree_with_files(tmp_path, SAMPLE))
-    digest = hash_file(src, "appA/empty.txt")
+    digest = hash_file("appA/empty.txt", read_file(src, "appA/empty.txt"))
+    assert digest.relative_path == "appA/empty.txt"
     assert digest.hex_digest == SHA256_EMPTY
     assert digest.algorithm == "sha-256"
     assert digest.byte_length == 0
@@ -126,17 +131,17 @@ def test_hash_empty_file_is_well_known_digest(tmp_path):
 
 def test_hash_is_deterministic_and_sensitive_to_content(tmp_path):
     src = open_source(_tree_with_files(tmp_path, SAMPLE))
-    first = hash_file(src, "appA/data/one.bin")
-    second = hash_file(src, "appA/data/one.bin")
+    first = hash_file("appA/data/one.bin", read_file(src, "appA/data/one.bin"))
+    second = hash_file("appA/data/one.bin", read_file(src, "appA/data/one.bin"))
     assert first == second
     assert first.hex_digest == hashlib.sha256(b"\x00\x01\x02").hexdigest()
 
     flipped = dict(SAMPLE)
     flipped["appA/data/one.bin"] = b"\x00\x01\x03"
     other = open_source(_tree_with_files(tmp_path / "alt", flipped))
-    assert hash_file(other, "appA/data/one.bin").hex_digest != first.hex_digest
-    assert hash_file(other, "appA/data/one.bin").hex_digest == \
-        hashlib.sha256(b"\x00\x01\x03").hexdigest()
+    changed = hash_file("appA/data/one.bin", read_file(other, "appA/data/one.bin"))
+    assert changed.hex_digest != first.hex_digest
+    assert changed.hex_digest == hashlib.sha256(b"\x00\x01\x03").hexdigest()
 
 
 def test_enumerate_app_roots_binds_parsers(tmp_path):
@@ -239,16 +244,19 @@ def test_zip_source_closes_its_archive(tmp_path):
     open_source(_tree_with_files(tmp_path, SAMPLE)).close()  # no-op for a directory
 
 
-def test_read_records_the_digest_hash_file_returns(tmp_path):
+def test_read_file_has_no_side_effect_and_hash_file_is_sha256(tmp_path):
     for path in (_tree_with_files(tmp_path, SAMPLE), _zip_of(tmp_path, SAMPLE)):
-        with open_source(path) as src:
-            assert src.digests == {}
-            data = read_file(src, "appA/data/one.bin")
-            recorded = src.digests["appA/data/one.bin"]
-            assert recorded.hex_digest == hashlib.sha256(data).hexdigest()
-            assert hash_file(src, "appA/data/one.bin") is recorded
-            assert hash_file(src, "appA/empty.txt").hex_digest == SHA256_EMPTY
-            assert set(src.digests) == {"appA/data/one.bin", "appA/empty.txt"}
+        with open_source(path) as src, open_source(path) as fresh:
+            members = dict(src.members)
+            for rel in sorted(SAMPLE):
+                data = read_file(src, rel)
+                assert hash_file(rel, data) == FileDigest(
+                    rel, "sha-256", hashlib.sha256(data).hexdigest(), len(data))
+            # a source holds its listing and its open archive, nothing a read changes
+            assert [f.name for f in dataclasses.fields(src)] == [
+                "origin", "container_kind", "root_listing", "top_level_dirs",
+                "skipped_entries", "archive", "members"]
+            assert src == fresh and src.members == members
 
 
 def _patched(data: bytes, offset: int, value: int) -> bytes:
@@ -278,8 +286,6 @@ def test_unreadable_zip_member_raises_a_scan_error_naming_it(tmp_path, damage):
         with pytest.raises(UnreadableFileError, match=reason) as err:
             read_file(src, "app/f.txt")
         assert str(err.value).startswith("app/f.txt: unreadable (")
-        assert src.unreadable == {"app/f.txt"}
-        assert src.digests == {}
 
 
 def test_unreadable_directory_file_names_only_the_relative_path(tmp_path, monkeypatch):
@@ -293,7 +299,37 @@ def test_unreadable_directory_file_names_only_the_relative_path(tmp_path, monkey
     with pytest.raises(UnreadableFileError) as err:
         read_file(src, "appA/data/one.bin")
     assert str(err.value) == "appA/data/one.bin: unreadable (Permission denied)"
-    assert src.unreadable == {"appA/data/one.bin"}
+
+
+def _deny_scandir(monkeypatch, denied_suffix: str) -> None:
+    # a chmod cannot stop a process running as root, so deny the listing itself
+    scandir = os.scandir
+
+    def denying_scandir(path):
+        if os.fspath(path).endswith(denied_suffix):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", denying_scandir)
+
+
+def test_unlistable_directory_is_a_skipped_entry(tmp_path, monkeypatch):
+    root = _tree_with_files(tmp_path, {"app/g.txt": b"g", "app/sub/h.txt": b"h",
+                                       "app/sub/deeper/i.txt": b"i"})
+    _deny_scandir(monkeypatch, "app/sub")
+    src = open_source(root)
+    assert src.root_listing == frozenset({"app/g.txt"})
+    assert src.skipped_entries == ("app/sub (unreadable directory)",)
+    assert src.top_level_dirs == ("app",)
+    assert scan_evidence(root).report.warnings == (
+        "skipped container entry: app/sub (unreadable directory)",)
+
+
+def test_unlistable_evidence_root_raises_a_scan_error(tmp_path, monkeypatch):
+    root = _tree_with_files(tmp_path, SAMPLE)
+    _deny_scandir(monkeypatch, "tree")
+    with pytest.raises(ScanError, match=r"cannot be listed \(Permission denied\)"):
+        open_source(root)
 
 
 def test_symlinks_are_treated_as_absent(tmp_path):

@@ -22,8 +22,9 @@ from phiscan.fixtures import (
     MyVitalsBlock,
     generate_fixture,
     paper_replica_spec,
+    random_spec,
 )
-from phiscan.parsers import PARSERS
+from phiscan.parsers import PARSERS, AppParser, ParseResult
 from phiscan.report import render_report
 from phiscan.scanner import scan_evidence
 
@@ -193,9 +194,77 @@ def test_report_digests_match_a_fresh_hash_of_the_evidence(tmp_path):
         out = _replica_with_sweep(tmp_path / output_kind, output_kind)
         report = scan_evidence(out, fixed_clock=CLOCK).report
         with open_source(out) as fresh:
-            expected = tuple(hash_file(fresh, rel) for rel in sorted(fresh.root_listing))
+            expected = tuple(hash_file(rel, read_file(fresh, rel))
+                             for rel in sorted(fresh.root_listing))
         assert report.file_digests == expected
         assert "README.txt" in {d.relative_path for d in expected}
+
+
+def _assert_each_file_accounted_once(result):
+    """Every listed file has exactly one digest or one unreadable warning, never both."""
+    digested = collections.Counter(d.relative_path for d in result.report.file_digests)
+    assert set(digested) <= result.source.root_listing
+    for rel in result.source.root_listing:
+        warned = sum(w.startswith(f"{rel}: unreadable (") for w in result.report.warnings)
+        assert (digested[rel], warned) in {(1, 0), (0, 1)}, rel
+
+
+@pytest.mark.parametrize("output_kind", ["directory", "zip"])
+@pytest.mark.parametrize("name", ["replica"] + [f"seed{n}" for n in range(20)])
+def test_each_forged_file_is_accounted_once(tmp_path, name, output_kind):
+    spec = paper_replica_spec() if name == "replica" else random_spec(int(name[4:]))
+    out = tmp_path / (f"{name}.zip" if output_kind == "zip" else name)
+    generate_fixture(dataclasses.replace(spec, output_kind=output_kind), out)
+    result = scan_evidence(out, fixed_clock=CLOCK)
+    _assert_each_file_accounted_once(result)
+    assert len(result.report.file_digests) == len(result.source.root_listing)
+
+
+_REPLICA_WITH_SWEEP_MEMBERS = (
+    "README.txt",
+    "com.example.notes/scratch.txt",
+    "com.withings.wiscale2/databases/withings-wiscale.db",
+    "iHealthMyVitals.V2/Databases/androidNin.db",
+    "iHealthMyVitals.V2/shared_prefs/sp_user_region_host_info.xml",
+    "jiuana-androidBg.start/Databases/glucose.db",
+    "jiuana-androidBg.start/Databases/sync.db",
+    "jiuana-androidBg.start/shared_prefs/user_info.xml",
+)
+
+
+@pytest.mark.parametrize("member", _REPLICA_WITH_SWEEP_MEMBERS)
+def test_a_bad_crc_member_is_accounted_once(tmp_path, member):
+    out = _replica_with_sweep(tmp_path, "zip")
+    _flip_member_byte(out, member)
+    result = scan_evidence(out, fixed_clock=CLOCK)
+    assert result.source.root_listing == frozenset(_REPLICA_WITH_SWEEP_MEMBERS)
+    _assert_each_file_accounted_once(result)
+    assert member not in {d.relative_path for d in result.report.file_digests}
+
+
+class _IdleParser(AppParser):
+    """Claims every file under its folder and pulls none of them."""
+
+    display_name = "idle"
+
+    def claims(self, path):
+        return True
+
+    def parse(self, files, *, code_map=None):
+        return ParseResult()
+
+
+@pytest.mark.parametrize("output_kind", ["directory", "zip"])
+def test_claimed_files_a_parser_never_pulls_are_still_hashed(tmp_path, monkeypatch,
+                                                             output_kind):
+    out = _replica_with_sweep(tmp_path, output_kind)
+    expected = scan_evidence(out, fixed_clock=CLOCK).report.file_digests
+    monkeypatch.setattr(phiscan.scanner, "PARSERS",
+                        {folder: _IdleParser() for folder in PARSERS})
+    result = scan_evidence(out, fixed_clock=CLOCK)
+    assert {r.parser.display_name for r in result.roots if r.parser} == {"idle"}
+    assert result.report.file_digests == expected
+    assert result.report.warnings == ()
 
 
 def test_each_record_is_classified_once(tmp_path, monkeypatch):
