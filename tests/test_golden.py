@@ -19,6 +19,10 @@ for the same header reason.
 The hostile tree is built with conftest's independent builders and holds
 one row per fault each table tallies, so its warning text is pinned in
 full.
+
+The plaintext Gluco-Smart tree holds one unencrypted database, which no
+forge spec makes; its PHI reaches the report only through the raw sweep.
+Its report is pinned like a forge spec's, redacted and unredacted.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import dataclasses
 import hashlib
 import json
 import sqlite3
+import zipfile
 
 import pytest
 
@@ -388,3 +393,49 @@ def test_hostile_rows_warnings_and_counts_match_golden(tmp_path):
     result = scan_evidence(_hostile_tree(tmp_path), fixed_clock=CLOCK)
     assert result.report.warnings == HOSTILE_WARNINGS
     assert dict(collections.Counter(r.kind for r in result.records)) == HOSTILE_KINDS
+
+
+GOLDEN_GLUCO_PLAINTEXT = {
+    True: "242635744790a368fc84726adda91403c5f0c60e332033f0a78e3059be0c157d",
+    False: "27f15343709ddc222704e395b545fc1eeb2fcfb89663d7f8211aa6d2f87bfdf9",
+}
+
+
+def _gluco_plaintext_tree(tmp_path, output_kind):
+    """A Gluco-Smart root whose database is plaintext SQLite, beside a user_info.xml."""
+    tmp_path.mkdir()
+    db = tmp_path / "plain.db"
+    conn = sqlite3.connect(db)
+    conn.execute("CREATE TABLE notes (id INTEGER PRIMARY KEY, body TEXT)")
+    conn.executemany("INSERT INTO notes (body) VALUES (?)", [
+        ("patient ssn 078-05-1120",),
+        ("paid with card 4111 1111 1111 1111",),
+        ("contact 219-09-9999.pat@example.com",),  # an email that holds an SSN
+    ])
+    conn.commit()
+    conn.close()
+    files = {
+        "jiuana-androidBg.start/Databases/plain.db": db.read_bytes(),
+        "jiuana-androidBg.start/shared_prefs/user_info.xml":
+            b'<map><string name="UserName">Pat Example</string>'
+            b'<string name="DeviceID">BG5-0012AB</string></map>',
+    }
+    if output_kind == "zip":
+        out = tmp_path / "gluco.zip"
+        with zipfile.ZipFile(out, "w") as zf:
+            for name, data in files.items():
+                zf.writestr(name, data)
+        return out
+    out = tmp_path / "gluco"
+    for name, data in files.items():
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_bytes(data)
+    return out
+
+
+@pytest.mark.parametrize("redact", [True, False], ids=["redacted", "unredacted"])
+def test_plaintext_gluco_database_report_matches_golden(tmp_path, redact):
+    shas = [_report_sha(scan_evidence(_gluco_plaintext_tree(tmp_path / kind, kind),
+                                      fixed_clock=CLOCK, redact=redact).report)
+            for kind in ("directory", "zip")]
+    assert shas == [GOLDEN_GLUCO_PLAINTEXT[redact]] * 2
