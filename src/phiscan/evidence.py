@@ -67,7 +67,8 @@ class EvidenceSource:
 
     A zip source holds its archive open: close it, or use the source as a
     context manager. `skipped_entries` names what the listing left out and
-    why: symlinks, unsafe or duplicate zip names, unreadable directories.
+    why: symlinks, files that are not regular (FIFOs, devices, sockets),
+    unsafe or duplicate zip names, unreadable directories.
     """
 
     origin: str
@@ -128,6 +129,9 @@ def _open_directory(path: Path) -> tuple[frozenset[str], tuple[str, ...], tuple[
             full = Path(dirpath) / fn
             if full.is_symlink():
                 skipped.append((rel_dir / fn).as_posix() + " (symlink)")
+                continue
+            if not full.is_file():  # a FIFO or device: reading it could block
+                skipped.append((rel_dir / fn).as_posix() + " (not a regular file)")
                 continue
             listing.add((rel_dir / fn).as_posix() if rel_dir != Path(".") else fn)
     return frozenset(listing), tuple(sorted(top_dirs)), tuple(sorted(skipped))

@@ -345,6 +345,22 @@ def test_symlinks_are_treated_as_absent(tmp_path):
     assert any("link.txt" in e for e in src.skipped_entries)
 
 
+def test_a_fifo_is_a_skipped_entry_and_the_scan_finishes(tmp_path):
+    from phiscan.scanner import scan_evidence
+
+    root = tmp_path / "tree"
+    (root / "com.x").mkdir(parents=True)
+    (root / "com.x" / "a.txt").write_bytes(b"data")
+    os.mkfifo(root / "com.x" / "pipe")
+    # the listing first: reading a listed FIFO would block the scan
+    src = open_source(root)
+    assert src.root_listing == frozenset({"com.x/a.txt"})
+    assert src.skipped_entries == ("com.x/pipe (not a regular file)",)
+    report = scan_evidence(root, fixed_clock="2020-01-01T00:00:00Z").report
+    assert [w for w in report.warnings if w.startswith("skipped container entry:")] == [
+        "skipped container entry: com.x/pipe (not a regular file)"]
+
+
 def test_files_under_root(tmp_path):
     src = open_source(_tree_with_files(tmp_path, SAMPLE))
     assert files_under(src, "appA") == ["appA/data/one.bin", "appA/empty.txt"]
