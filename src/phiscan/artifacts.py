@@ -84,7 +84,7 @@ class SourceLocator:
 
 @dataclass(frozen=True)
 class RawHit:
-    """A pattern match from the generic byte sweep."""
+    """A value kept undecoded: a Health Mate measure type code no code map knows."""
 
     pattern: str
     value: str

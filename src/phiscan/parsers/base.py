@@ -2,7 +2,8 @@
 
 The scanner binds a parser to the top-level folder named by its `folder`,
 reads each file the parser claims exactly once and hands the parser those
-bytes; it sweeps every other file for raw patterns.
+bytes; it sweeps every other file for raw patterns, and each claimed file
+the parser hands back.
 """
 
 from __future__ import annotations
@@ -16,11 +17,17 @@ from ..evidence import EvidenceSource
 
 @dataclass(frozen=True)
 class ParseResult:
-    """Everything one parser recovered from one app root."""
+    """Everything one parser recovered from one app root.
+
+    `sweep` names the claimed files the parser hands back to the scanner's
+    raw sweep: a file whose parse failed as a whole, or one it has no
+    schema for (a plaintext Gluco-Smart database).
+    """
 
     records: tuple[ArtifactRecord, ...] = ()
     warnings: tuple[str, ...] = ()
     db_statuses: tuple = ()
+    sweep: tuple[str, ...] = ()
 
 
 class AppParser:
@@ -46,5 +53,10 @@ class AppParser:
         raise NotImplementedError
 
     def parse(self, files: Iterable[tuple[str, bytes]], *, code_map=None) -> ParseResult:
-        """Records from the readable claimed files, as (path, bytes) pairs in path order."""
+        """Records from the readable claimed files, as (path, bytes) pairs in path order.
+
+        A file whose parse fails as a whole (not SQLite, corrupt, XML that
+        is not well-formed or lacks the keys the parser reads) costs one
+        warning and is handed back in ParseResult.sweep, so it is swept.
+        """
         raise NotImplementedError

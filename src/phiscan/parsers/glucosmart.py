@@ -4,9 +4,9 @@ Every database this app writes under jiuana-androidBg.start is encrypted,
 so no glucose readings are recoverable; decryption is out of scope. The
 parser is bound by folder name alone and claims every .db file and every
 user_info.xml beneath it. It classifies each .db file (plaintext /
-encrypted / empty, with Shannon entropy as supporting evidence), sweeps a
-plaintext one for raw patterns, since no schema is known for it, and
-pulls the username and device identifier out of user_info.xml.
+encrypted / empty, with Shannon entropy as supporting evidence), hands a
+plaintext one back to the scanner's raw sweep, since no schema is known
+for it, and pulls the username and device identifier out of user_info.xml.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from ..artifacts import (
     STATUS_PLAINTEXT,
 )
 from ..errors import MissingFieldsError, ScanError
-from ..phi import scan_raw
 from ..shared_prefs import parse_shared_prefs
 from ..sqlite_bytes import is_sqlite
 from .base import AppParser, ParseResult
@@ -121,18 +120,19 @@ class GlucoSmartParser(AppParser):
 
     def parse(self, files: Iterable[tuple[str, bytes]], *, code_map=None) -> ParseResult:
         # user_info.xml warnings come after every database's and the encrypted count
-        records, statuses, warnings, xml_warnings = [], [], [], []
+        records, statuses, warnings, xml_warnings, sweep = [], [], [], [], []
         for path, data in files:
             if not path.endswith(".db"):
                 try:
                     records.append(parse_user_info_xml(data, relative_path=path))
                 except ScanError as exc:
                     xml_warnings.append(f"{path}: {exc}")
+                    sweep.append(path)
                 continue
             status = classify_database(path, data)
             statuses.append(status)
             if status.status == STATUS_PLAINTEXT:
-                records.extend(scan_raw(data, PACKAGE_FOLDER, path))
+                sweep.append(path)
             elif (status.status == STATUS_ENCRYPTED
                   and status.entropy_bits_per_byte > HIGH_ENTROPY_BITS):
                 warnings.append(
@@ -146,4 +146,4 @@ class GlucoSmartParser(AppParser):
                 "glucose readings are not recoverable"
             )
         return ParseResult(records=tuple(records), warnings=tuple(warnings + xml_warnings),
-                           db_statuses=tuple(statuses))
+                           db_statuses=tuple(statuses), sweep=tuple(sweep))

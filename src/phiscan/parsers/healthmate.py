@@ -28,7 +28,7 @@ from ..artifacts import (
     KIND_WEIGHT,
     RawHit,
 )
-from ..errors import InvalidSpecError, MalformedRowError
+from ..errors import InvalidSpecError, MalformedRowError, ScanError
 from ..evidence import EvidenceSource, files_under
 from .base import AppParser, ParseResult
 from .tables import (
@@ -207,8 +207,14 @@ class HealthMateParser(AppParser):
                   USERS)
         records: list[ArtifactRecord] = []
         warnings: list[str] = []
+        sweep: list[str] = []
         for path, data in files:
-            recs, warns = parse_tables(data, tables, package=PACKAGE_FOLDER, relative_path=path)
+            try:
+                recs, warns = parse_tables(data, tables, package=PACKAGE_FOLDER,
+                                           relative_path=path)
+            except ScanError as exc:
+                recs, warns = [], [f"{path}: {exc}"]
+                sweep.append(path)
             records.extend(recs)
             warnings.extend(warns)
-        return ParseResult(records=tuple(records), warnings=tuple(warnings))
+        return ParseResult(records=tuple(records), warnings=tuple(warnings), sweep=tuple(sweep))

@@ -123,7 +123,8 @@ def parse_tables(db: bytes, tables: tuple[Table, ...], *, package: str, relative
     is converted. A missing table or column costs that table a warning,
     and so does text that is not valid UTF-8, which keeps the table's rows
     with the undecodable bytes replaced. Bytes that are not SQLite, or that
-    SQLite finds corrupt, cost one warning and yield no records.
+    SQLite finds corrupt, raise NotSqliteError or CorruptDatabaseError,
+    whose text is the warning without the path.
     """
     selected = []
     try:
@@ -135,10 +136,10 @@ def parse_tables(db: bytes, tables: tuple[Table, ...], *, package: str, relative
                 except MissingTableError as exc:
                     rows, note = [], str(exc)
                 selected.append((table, rows, note))
-    except NotSqliteError:
-        return [], [f"{relative_path}: not a SQLite database (possibly encrypted)"]
+    except NotSqliteError as exc:
+        raise NotSqliteError("not a SQLite database (possibly encrypted)") from exc
     except CorruptDatabaseError as exc:
-        return [], [f"{relative_path}: corrupt SQLite database, not parsed ({exc})"]
+        raise CorruptDatabaseError(f"corrupt SQLite database, not parsed ({exc})") from exc
 
     # Row locators share package, path and container, checked once here; no detail is empty.
     make_locator(package, relative_path, CONTAINER_SQLITE, relative_path)

@@ -9,8 +9,8 @@ carries the id of the rule that fired so the classification is auditable.
 This module knows no structured payload type. A typed rule's excerpt comes
 from the payload itself: each structured payload's phi_excerpts() maps the
 typed predicates it fires to their excerpts. The two pattern rules (SSN,
-Luhn-valid card number) scan every string field of a payload, a raw-sweep
-hit's included.
+Luhn-valid card number) scan every string field of a payload, and the
+matched value of each raw-sweep hit through the same code.
 
 The Security-Rule evaluation asks two questions of each app: did health
 data sit in plaintext containers at rest, and was an account password
@@ -26,6 +26,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from importlib import resources
+from typing import Callable
 
 from .artifacts import (
     ArtifactRecord,
@@ -34,7 +35,6 @@ from .artifacts import (
     CONTAINER_XML,
     DatabaseStatus,
     KIND_CREDENTIAL,
-    RawHit,
     SourceLocator,
     STATUS_ENCRYPTED,
 )
@@ -185,33 +185,46 @@ def _string_fields(payload: object) -> list[str]:
             if isinstance(v := getattr(payload, name), str)]
 
 
-def classify_record(record: ArtifactRecord, *, redact: bool = False) -> list[PhiFinding]:
-    """Apply every published rule to one record. Unrecognized records yield [].
+def _fired(rules: tuple[PhiRule, ...], typed: dict[str, str],
+           texts: list[str]) -> list[tuple[PhiRule, str]]:
+    """(rule, excerpt) for each excerpt each of `rules` fires, in rule order.
 
-    Typed rules take the payload's phi_excerpts(), if it has one; the
-    pattern rules read every string field. A raw hit has no typed excerpts,
-    and its pattern name holds no digit, so only its matched value can fire
-    a pattern rule. With `redact`, each excerpt is built redacted.
+    A typed rule fires its predicate's entry in `typed`; a pattern rule
+    fires once per distinct match in `texts`, in sorted order.
     """
-    payload = record.payload
-    typed = payload.phi_excerpts() if hasattr(payload, "phi_excerpts") else {}
-    texts = _string_fields(payload)
-    findings = []
-    for rule in RULE_TABLE:
+    fired = []
+    for rule in rules:
         if rule.predicate in _PATTERN_PREDICATES:
             excerpts = _PATTERN_PREDICATES[rule.predicate](texts)
         elif rule.predicate in typed:
             excerpts = [typed[rule.predicate]]
         else:
             continue
-        for excerpt in excerpts:
-            findings.append(PhiFinding(
-                category=rule.category,
-                value_excerpt=redact_value(excerpt) if redact else excerpt,
-                locator=record.locator,
-                rule_id=rule.rule_id,
-            ))
-    return findings
+        fired.extend((rule, excerpt) for excerpt in excerpts)
+    return fired
+
+
+def _findings(fired: list[tuple[PhiRule, str]], locator: SourceLocator,
+              redact: bool) -> list[PhiFinding]:
+    return [PhiFinding(category=rule.category,
+                       value_excerpt=redact_value(excerpt) if redact else excerpt,
+                       locator=locator, rule_id=rule.rule_id)
+            for rule, excerpt in fired]
+
+
+def classify_record(record: ArtifactRecord, *, redact: bool = False) -> list[PhiFinding]:
+    """Apply every published rule to one record. Unrecognized records yield [].
+
+    Typed rules take the payload's phi_excerpts(), if it has one; the
+    pattern rules read every string field. A raw hit (a Health Mate
+    measure code no map decodes) has no typed excerpts, and its pattern
+    name holds no digit, so only its value can fire a pattern rule. With
+    `redact`, each excerpt is built redacted.
+    """
+    payload = record.payload
+    typed = payload.phi_excerpts() if hasattr(payload, "phi_excerpts") else {}
+    return _findings(_fired(RULE_TABLE, typed, _string_fields(payload)), record.locator,
+                     redact)
 
 
 # -- generic raw sweep -------------------------------------------------------
@@ -261,52 +274,79 @@ def _keyword_runs(swept: bytes) -> list[tuple[int, int]]:
     return sorted(spans)
 
 
-def scan_raw(data: bytes, package_name: str, relative_path: str) -> list[ArtifactRecord]:
-    """Sweep arbitrary bytes for PHI-adjacent tokens.
+def _raw_matches(data: bytes) -> tuple[list[tuple[int, str, str]], Callable[[int], int]]:
+    """The raw-pattern matches of `data`'s printable runs, and where each sits.
 
-    Catches what the structured parsers do not cover: emails,
-    password/token key names, SSNs and card numbers, each a pattern whose
-    match can hold an SSN or card finding (classify_record). A hit is a
-    pattern match inside a run of 6 or more printable ASCII bytes. The
-    runs are cut out of `data` and joined by NUL bytes, and each pattern
-    is matched once over the joined runs, so the cost follows the
-    printable bytes of `data`, not its size. credential-key is matched
-    only inside the runs of word, '.', '@' and '-' bytes that hold
-    "password" or "token" in any case. Each hit's locator names the
-    package and path, and its detail records the pattern and the hit's
-    byte offset in `data`.
+    Matches are (position in the joined runs, pattern, value), pattern by
+    pattern; the function maps such a position to its byte offset in `data`.
     """
     runs = [m.span() for m in _MASKED_RUN.finditer(data.translate(_PRINTABLE_MASK))]
     swept = b"\0".join([data[start:end] for start, end in runs])
     # where each run starts in `swept`, to map a match back into `data`
     swept_starts = list(itertools.accumulate(
         (end - start + 1 for start, end in runs), initial=0))
-    hits: list[tuple[int, str, str]] = []
+
+    def offset(at: int) -> int:
+        run = bisect.bisect_right(swept_starts, at) - 1
+        return runs[run][0] + at - swept_starts[run]
+
+    matches = []
     for pattern_name, rx in _RAW_BYTE_PATTERNS:
         if pattern_name == "credential-key":
             # a run's edges are non-word bytes, so a search cut to the run
             # finds what a search of the whole buffer finds in it
-            matches = itertools.chain.from_iterable(
+            found = itertools.chain.from_iterable(
                 rx.finditer(swept, start, end) for start, end in _keyword_runs(swept))
         else:
-            matches = rx.finditer(swept)
-        for match in matches:
+            found = rx.finditer(swept)
+        for match in found:
             value = match.group().decode("ascii")
             if pattern_name == "payment-card" and not luhn_ok(value):
                 continue
-            at = match.start()
-            run = bisect.bisect_right(swept_starts, at) - 1
-            hits.append((runs[run][0] + at - swept_starts[run], pattern_name, value))
-    hits.sort()
-    return [
-        ArtifactRecord(
-            kind="raw-hit",
-            payload=RawHit(pattern=pattern, value=value),
-            locator=SourceLocator(package_name, relative_path, CONTAINER_RAW,
-                                  f"{pattern}@{offset}"),
-        )
-        for offset, pattern, value in hits
-    ]
+            matches.append((match.start(), pattern_name, value))
+    return matches, offset
+
+
+def match_raw(data: bytes) -> list[tuple[int, str, str]]:
+    """Every raw-pattern hit in `data`, as (byte offset, pattern, value), sorted.
+
+    A hit is a pattern match inside a run of 6 or more printable ASCII
+    bytes. The runs are cut out of `data` and joined by NUL bytes, and each
+    pattern is matched once over the joined runs, so the cost follows the
+    printable bytes of `data`, not its size. credential-key is matched only
+    inside the runs of word, '.', '@' and '-' bytes that hold "password" or
+    "token" in any case, and a payment-card match must pass the Luhn check.
+    """
+    matches, offset = _raw_matches(data)
+    return sorted((offset(at), pattern, value) for at, pattern, value in matches)
+
+
+# The rules a raw hit's value can fire: it has no typed excerpts.
+_RAW_RULES = tuple(rule for rule in RULE_TABLE if rule.predicate in _PATTERN_PREDICATES)
+
+
+def scan_raw(data: bytes, package_name: str, relative_path: str, *,
+             redact: bool) -> list[PhiFinding]:
+    """The PHI findings of a sweep of arbitrary bytes for raw patterns.
+
+    Catches what the structured parsers do not cover. Each hit of
+    match_raw (emails, password/token key names, SSNs and card numbers) has
+    the pattern rules applied to its value, as classify_record applies them
+    to a string field; most hits fire none and are dropped. A finding's
+    locator names the package and path, with detail "{pattern}@{offset}",
+    the hit's byte offset in `data`. Findings come in hit order, then in
+    rule order; with `redact`, each excerpt is built redacted.
+    """
+    matches, offset = _raw_matches(data)
+    fired = [(at, pattern, rules) for at, pattern, value in matches
+             if (rules := _fired(_RAW_RULES, {}, [value]))]
+    fired.sort(key=lambda hit: hit[:2])
+    findings = []
+    for at, pattern, rules in fired:
+        locator = SourceLocator(package_name, relative_path, CONTAINER_RAW,
+                                f"{pattern}@{offset(at)}")
+        findings.extend(_findings(rules, locator, redact))
+    return findings
 
 
 # -- rule evaluation ---------------------------------------------------------

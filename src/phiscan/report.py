@@ -87,8 +87,10 @@ def build_timeline(records: list[ArtifactRecord]) -> list[TimelineEvent]:
 
     Second- and millisecond-scale sources interleave correctly because
     ordering happens on the normalized UTC rendering. Records without a
-    timestamp (profiles, credentials, raw hits) are simply absent; the
-    caller can count them as len(records) - len(events).
+    timestamp (profiles, credentials, undecoded Health Mate measure codes)
+    are simply absent; the caller can count them as len(records) -
+    len(events). The raw sweep gives findings, not records, so nothing it
+    matches is counted there.
     """
     events = []
     for record in records:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -20,7 +21,7 @@ from .evidence import (
     open_source,
     read_file,
 )
-from .parsers import PARSERS
+from .parsers import PARSERS, ParseResult
 from .phi import (
     PhiFinding,
     classify_record,
@@ -64,15 +65,30 @@ def _read_each(source: EvidenceSource, paths: list[str], digests: list, warnings
         yield rel, data
 
 
+def _parse(parser, files, code_map) -> tuple[ParseResult, list[tuple[str, bytes]]]:
+    """The parser's result over a root's claimed files, and the files it hands back.
+
+    Every claimed file is read before the parser runs, so one it never
+    pulls is still read and hashed, and a file it hands back is swept from
+    the bytes already in hand.
+    """
+    held = dict(files)
+    result = parser.parse(held.items(), code_map=code_map)
+    return result, [(rel, held[rel]) for rel in result.sweep]
+
+
 def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
                   code_map: dict[int, str] | None = None) -> ScanResult:
     """Run the whole pipeline over one evidence container.
 
     One sorted pass over the listing gives each file one fate: parsed if
     the parser bound to its app folder (parsers.PARSERS) claims it, else
-    swept for raw patterns; a top-level plain file is custody-only. Each
-    file is read once, in that order per folder and custody-only last, and
-    hashed from the bytes read; an unreadable file is one warning instead.
+    swept for raw patterns; a top-level plain file is custody-only. A
+    claimed file the parser hands back (ParseResult.sweep) is swept too.
+    Each file is read once, in that order per folder and custody-only
+    last, and hashed from the bytes read; an unreadable file is one
+    warning instead. Parsed records are classified; a sweep gives findings
+    and no records.
 
     fixed_clock pins generated_at for reproducible output; without it the
     scan wall clock is used and excluded from report comparisons.
@@ -92,6 +108,7 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
                 swept[folder].append(rel)
 
         app_records: dict[str, list[ArtifactRecord]] = {}
+        findings_by_app: dict[str, list[PhiFinding]] = {}
         statuses_by_app: dict[str, list] = {}
         digests = []
         warnings: list[str] = []
@@ -100,26 +117,22 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
         for root in roots:
             parser, folder = root.parser, root.package_name
             app = parser.display_name if parser is not None else folder
+            found = findings_by_app.setdefault(app, [])
+            handed_back = []
             if parser is not None:
-                files = _read_each(source, claimed[folder], digests, warnings)
-                result = parser.parse(files, code_map=code_map)
-                for _ in files:  # hash the claimed files the parser did not pull
-                    pass
+                result, handed_back = _parse(
+                    parser, _read_each(source, claimed[folder], digests, warnings), code_map)
                 app_records.setdefault(app, []).extend(result.records)
+                found.extend(f for r in result.records for f in classify_record(r, redact=redact))
                 warnings.extend(result.warnings)
                 if result.db_statuses:
                     statuses_by_app.setdefault(app, []).extend(result.db_statuses)
-            for rel, data in _read_each(source, swept[folder], digests, warnings):
-                hits = scan_raw(data, folder, rel)
-                if hits:
-                    app_records.setdefault(app, []).extend(hits)
+            for rel, data in itertools.chain(
+                    handed_back, _read_each(source, swept[folder], digests, warnings)):
+                found.extend(scan_raw(data, folder, rel, redact=redact))
         for _ in _read_each(source, custody, digests, warnings):
             pass
         digests.sort(key=lambda d: d.relative_path)
-
-    findings_by_app: dict[str, list[PhiFinding]] = {}
-    for app, records in app_records.items():
-        findings_by_app[app] = [f for r in records for f in classify_record(r, redact=redact)]
 
     matrix_apps = sorted({r.parser.display_name for r in roots if r.parser is not None}
                          | {a for a, fs in findings_by_app.items() if fs})

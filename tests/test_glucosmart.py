@@ -111,7 +111,8 @@ def test_detect_exact_folder_name_only(tmp_path):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=3), st.booleans(), st.integers())
 def test_parser_never_emits_plaintext_vitals(db_count, with_user, seed):
-    # whatever sits under this root, record kinds stay in {user-profile, raw-hit}
+    # whatever sits under this root, the only records are profiles: a plaintext
+    # database is handed back to the sweep, which gives findings, not records
     rng = random.Random(seed)
     files = [(f"jiuana-androidBg.start/Databases/d{i}.db", rng.randbytes(2048))
              for i in range(db_count)]
@@ -120,5 +121,5 @@ def test_parser_never_emits_plaintext_vitals(db_count, with_user, seed):
                       b"<map><string name=\"UserName\">u@example.com</string>"
                       b"<string name=\"DeviceID\">BG5-1</string></map>"))
     result = GlucoSmartParser().parse(files)
-    assert {r.kind for r in result.records} <= {"user-profile", "raw-hit"}
+    assert {r.kind for r in result.records} <= {"user-profile"}
     assert len(result.db_statuses) == db_count

@@ -187,16 +187,19 @@ def test_not_sqlite_database_is_one_warning():
     result = HealthMateParser().parse([(DB_PATH, b"\x13\x37" * 64)])
     assert result.records == ()
     assert result.warnings == (f"{DB_PATH}: not a SQLite database (possibly encrypted)",)
+    assert result.sweep == (DB_PATH,)  # handed back to the raw sweep
 
 
 def test_undecodable_schema_error_is_one_corrupt_warning(tmp_path):
     data = make_healthmate_db(tmp_path / "w.db", users=[(1, "A", "F", "1980-01-01", "a@b.co")])
     damaged = data.read_bytes().replace(b"tablemeasuremeasure", b"tablemeasur\xe5measure", 1)
     assert damaged != data.read_bytes()
-    records, warnings = parse(damaged)
-    assert records == []
-    assert len(warnings) == 1
-    assert warnings[0].startswith(f"{DB_PATH}: corrupt SQLite database, not parsed (devices: ")
+    result = HealthMateParser().parse([(DB_PATH, damaged)])
+    assert result.records == ()
+    assert len(result.warnings) == 1
+    assert result.warnings[0].startswith(
+        f"{DB_PATH}: corrupt SQLite database, not parsed (devices: ")
+    assert result.sweep == (DB_PATH,)
 
 
 def test_detect_requires_folder_and_database(tmp_path):

@@ -39,6 +39,7 @@ from phiscan.phi import (
     evaluate_privacy_rule,
     evaluate_security_rule,
     luhn_ok,
+    match_raw,
     redact_value,
     scan_raw,
 )
@@ -166,28 +167,29 @@ def test_every_finding_references_published_rule():
 RAW_AT = ("pkg", "pkg/blob.bin")  # package and path of the swept file
 
 
+def _sweep(data, redact=False):
+    return scan_raw(data, *RAW_AT, redact=redact)
+
+
 def test_scan_raw_finds_email():
-    hits = scan_raw(b"\x00\x01 medicaldevices2018exper@gmail.com rest\xff", *RAW_AT)
-    emails = [h for h in hits if h.payload.pattern == "email"]
-    assert len(emails) == 1
-    assert emails[0].payload.value == "medicaldevices2018exper@gmail.com"
-    assert emails[0].locator.detail.startswith("email@")
+    data = b"\x00\x01 medicaldevices2018exper@gmail.com rest\xff"
+    assert match_raw(data) == [(3, "email", "medicaldevices2018exper@gmail.com")]
 
 
 def test_scan_raw_keeps_no_mac_date_or_epoch_token():
     # no output reads such a match, and none can hold an SSN or card finding
     for token in (b"00:24:e4:5a:ee:6c", b"2018-07-05", b"2018-07-05T22:25:49Z",
                   b"1541806236", b"1541806236000"):
-        assert scan_raw(b"junk " + token + b" junk", *RAW_AT) == []
+        assert match_raw(b"junk " + token + b" junk") == []
 
 
 def test_scan_raw_empty_input():
-    assert scan_raw(b"", *RAW_AT) == []
+    assert match_raw(b"") == []
+    assert _sweep(b"") == []
 
 
 def _hits(data):
-    return [(h.payload.pattern, h.payload.value, h.locator.detail)
-            for h in scan_raw(data, *RAW_AT)]
+    return [(pattern, value, f"{pattern}@{offset}") for offset, pattern, value in match_raw(data)]
 
 
 @pytest.mark.parametrize("data, expected", [
@@ -211,24 +213,26 @@ def test_scan_raw_hits_sit_in_printable_runs_of_six(data, expected):
 
 def test_scan_raw_offsets_point_at_match():
     data = b"\x00\x00AAAA 123-45-6789\x00"
-    hits = [h for h in scan_raw(data, *RAW_AT) if h.payload.pattern == "ssn"]
-    offset = int(hits[0].locator.detail.split("@")[1])
+    (offset, _, _), = [h for h in match_raw(data) if h[1] == "ssn"]
     assert data[offset:offset + 11] == b"123-45-6789"
+    (finding,) = _sweep(data)
+    assert finding.locator == SourceLocator(*RAW_AT, "raw-bytes", f"ssn@{offset}")
 
 
 def test_scan_raw_credential_key_names():
-    hits = scan_raw(b"<string name='x_user_password'>s3cret</string>", *RAW_AT)
-    assert any(h.payload.pattern == "credential-key" for h in hits)
+    hits = match_raw(b"<string name='x_user_password'>s3cret</string>")
+    assert [(pattern, value) for _, pattern, value in hits] == [
+        ("credential-key", "x_user_password")]
 
 
 def test_scan_raw_card_requires_luhn():
-    ok = scan_raw(b"card 4111111111111111 end", *RAW_AT)
-    assert any(h.payload.pattern == "payment-card" for h in ok)
-    bad = scan_raw(b"card 4111111111111112 end", *RAW_AT)
-    assert not any(h.payload.pattern == "payment-card" for h in bad)
+    ok = match_raw(b"card 4111111111111111 end")
+    assert any(pattern == "payment-card" for _, pattern, _ in ok)
+    bad = match_raw(b"card 4111111111111112 end")
+    assert not any(pattern == "payment-card" for _, pattern, _ in bad)
     # millisecond epochs are 13 digits and must not look like cards
-    epoch = scan_raw(b"ts 1541806236000 end", *RAW_AT)
-    assert not any(h.payload.pattern == "payment-card" for h in epoch)
+    epoch = match_raw(b"ts 1541806236000 end")
+    assert not any(pattern == "payment-card" for _, pattern, _ in epoch)
 
 
 _PRINTABLE_RUN = re.compile(rb"[\x20-\x7e]{6,}")
@@ -264,6 +268,7 @@ _SWEEP_DATA = st.lists(st.sampled_from(_SWEEP_TOKENS + _SWEEP_SEPARATORS)
 @example(b" a-token x.PassWord_1 ")  # a credential-key run holds '-' and any case
 @example(random.Random(0).randbytes(1 << 16) + b" pat@example.com token\x00")
 def test_scan_raw_equals_the_run_by_run_sweep(data):
+    # at hit level, hits that fire no rule included
     assert _hits(data) == run_by_run_scan_raw(data)
 
 
@@ -276,7 +281,7 @@ _PATTERN_RULES = {
 }
 
 
-def rule_table_walk(record):
+def rule_table_walk(record, redact=False):
     """The earlier classify_record: every rule over every string field of the payload."""
     payload = record.payload
     typed = payload.phi_excerpts() if hasattr(payload, "phi_excerpts") else {}
@@ -290,27 +295,37 @@ def rule_table_walk(record):
             excerpts = [typed[rule.predicate]]
         else:
             continue
-        findings += [PhiFinding(category=rule.category, value_excerpt=excerpt,
+        findings += [PhiFinding(category=rule.category,
+                                value_excerpt=redact_value(excerpt) if redact else excerpt,
                                 locator=record.locator, rule_id=rule.rule_id)
                      for excerpt in excerpts]
     return findings
 
 
-@given(_SWEEP_DATA)
-@example(b"123-45-6789@x.io")  # an email hit that holds an SSN
-@example(b"pat.4111111111111111@x.io")  # an email hit that holds a card
-@example(b"a.123-45-6789.token")  # a credential-key hit that holds an SSN
-@example(b"card 123-45-6789-0123452")  # a card hit that holds an SSN shape
-def test_raw_hit_findings_equal_the_rule_table_walk(data):
-    for hit in scan_raw(data, *RAW_AT):
-        assert classify_record(hit) == rule_table_walk(hit)
+def oracle_hit_records(data):
+    """The run-by-run sweep's hits, each as the raw-hit record the sweep once built."""
+    return [ArtifactRecord(kind="raw-hit", payload=RawHit(pattern=pattern, value=value),
+                           locator=SourceLocator(*RAW_AT, "raw-bytes", detail))
+            for pattern, value, detail in run_by_run_scan_raw(data)]
+
+
+@given(_SWEEP_DATA, st.booleans())
+@example(b"123-45-6789@x.io", False)  # an email hit that holds an SSN
+@example(b"pat.4111111111111111@x.io", False)  # an email hit that holds a card
+@example(b"a.123-45-6789.token", True)  # a credential-key hit that holds an SSN
+@example(b"card 123-45-6789-0123452", False)  # a card hit that holds an SSN shape
+@example(b"123-45-6789.123-45-6780@x.io", False)  # one hit, two SSN excerpts
+def test_raw_hit_findings_equal_the_rule_table_walk(data, redact):
+    # at findings level: the sweep's findings are the walk over the oracle's hits
+    expected = [f for hit in oracle_hit_records(data) for f in rule_table_walk(hit, redact)]
+    assert _sweep(data, redact) == expected
 
 
 def test_raw_hits_carrying_pattern_findings():
-    carried = {(h.payload.pattern, f.rule_id)
+    carried = {(f.locator.detail.split("@")[0], f.rule_id)
                for data in (b"123-45-6789@x.io", b"pat.4111111111111111@x.io",
                             b"a.123-45-6789.token", b"card 123-45-6789-0123452")
-               for h in scan_raw(data, *RAW_AT) for f in classify_record(h)}
+               for f in _sweep(data)}
     assert carried == {("email", "ssn-pattern"), ("email", "payment-pattern"),
                        ("credential-key", "ssn-pattern"), ("ssn", "ssn-pattern"),
                        ("payment-card", "ssn-pattern"), ("payment-card", "payment-pattern")}
@@ -323,10 +338,9 @@ def test_luhn():
 
 
 def test_raw_ssn_hit_classifies_as_ssn():
-    hits = scan_raw(b"ssn: 123-45-6789", *RAW_AT)
-    ssn_hits = [h for h in hits if h.payload.pattern == "ssn"]
-    cats = {f.category for h in ssn_hits for f in classify_record(h)}
-    assert cats == {"ssn"}
+    assert [(f.category, f.value_excerpt, f.locator.detail) for f in _sweep(b"ssn: 123-45-6789")
+            ] == [("ssn", "123-45-6789", "ssn@5")]
+    assert [f.value_excerpt for f in _sweep(b"ssn: 123-45-6789", redact=True)] == ["12*******89"]
     # A raw hit has no typed excerpts: only the pattern rules run on it.
     hit = ArtifactRecord(kind="raw-hit", locator=SourceLocator(*RAW_AT, "raw-bytes", "sweep"),
                          payload=RawHit(pattern="ssn", value="id 123-45-6789"))
@@ -334,10 +348,10 @@ def test_raw_ssn_hit_classifies_as_ssn():
 
 
 def test_raw_email_hit_is_not_a_phi_category():
-    # email is not one of the seven Table-style categories
-    hits = scan_raw(b"mail me: someone@example.com", *RAW_AT)
-    email_hits = [h for h in hits if h.payload.pattern == "email"]
-    assert email_hits and all(classify_record(h) == [] for h in email_hits)
+    # email is not one of the seven Table-style categories: the hit yields no finding
+    data = b"mail me: someone@example.com"
+    assert [pattern for _, pattern, _ in match_raw(data)] == ["email"]
+    assert _sweep(data) == []
 
 
 # -- privacy rule -------------------------------------------------------------

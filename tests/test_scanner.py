@@ -39,13 +39,16 @@ def test_unmatched_root_is_swept_for_raw_patterns(tmp_path):
     prefs.mkdir(parents=True)
     prefs.joinpath("prefs.xml").write_bytes(
         b"<map><string name='owner'>someone@example.com</string>"
-        b"<string name='bt'>00:24:e4:5a:ee:6c</string></map>")
+        b"<string name='bt'>00:24:e4:5a:ee:6c</string>"
+        b"<string name='backup'>078-05-1120.someone@example.com</string></map>")
     result = scan_evidence(tree, fixed_clock=CLOCK)
-    hits = [r for r in result.records if r.kind == "raw-hit"]
-    patterns = {h.payload.pattern for h in hits}
-    assert patterns == {"email"}
-    # an email is not a Table-style PHI category and a MAC is not swept: no matrix row
-    assert result.report.matrix == ()
+    # an email is not a Table-style PHI category and a MAC is not swept: only the
+    # SSN gives findings, once as its own hit and once inside the email that holds it
+    assert [(f.category, f.locator.container, f.locator.detail)
+            for f in result.report.findings] == [("ssn", "raw-bytes", "email@120"),
+                                                 ("ssn", "raw-bytes", "ssn@120")]
+    assert result.records == ()  # a sweep gives findings, never records
+    assert [row.app_name for row in result.report.matrix] == ["com.android.settings"]
     assert result.report.violations == {}
 
 
@@ -69,6 +72,7 @@ def test_matched_app_files_are_not_double_swept(tmp_path):
     result = scan_evidence(out, fixed_clock=CLOCK)
     # db and credential xml are claimed by the parser; no raw hits at all
     assert not any(r.kind == "raw-hit" for r in result.records)
+    assert not any(f.locator.container == "raw-bytes" for f in result.report.findings)
 
 
 def test_reports_equal_modulo_clock_fields(tmp_path):
@@ -160,8 +164,8 @@ def test_zip_folder_beside_a_plain_member_of_its_name_is_swept(tmp_path):
         zf.writestr("com.example.notes/files/log.txt", b"ssn 123-45-6789 noted")
     result = scan_evidence(path, fixed_clock=CLOCK)
     assert [r.package_name for r in result.roots] == ["com.example.notes"]
-    assert [(r.payload.pattern, r.locator.relative_path) for r in result.records] == [
-        ("ssn", "com.example.notes/files/log.txt")]
+    assert [(f.locator.relative_path, f.locator.detail) for f in result.report.findings] == [
+        ("com.example.notes/files/log.txt", "ssn@4")]
     assert [d.relative_path for d in result.report.file_digests] == [
         "com.example.notes", "com.example.notes/files/log.txt"]
     assert result.report.warnings == ()
@@ -286,9 +290,16 @@ def test_each_record_is_classified_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("output_kind", ["directory", "zip"])
 def test_raw_hits_locate_the_swept_bytes(tmp_path, output_kind):
     out = _replica_with_sweep(tmp_path, output_kind)
-    hits = [r for r in scan_evidence(out, fixed_clock=CLOCK).records if r.kind == "raw-hit"]
-    assert {h.locator.package_name for h in hits} >= {"com.example.notes"}
-    assert {h.locator.container for h in hits} == {"raw-bytes"}
+    result = scan_evidence(out, fixed_clock=CLOCK, redact=False)
+    swept = [f for f in result.report.findings if f.locator.container == "raw-bytes"]
+    assert [(f.locator.package_name, f.locator.relative_path, f.value_excerpt)
+            for f in swept] == [("com.example.notes", "com.example.notes/scratch.txt",
+                                 "123-45-6789")]
+    pattern, offset = swept[0].locator.detail.split("@")
+    with open_source(out) as source:
+        data = read_file(source, swept[0].locator.relative_path)
+    assert (pattern, data[int(offset):int(offset) + 11]) == ("ssn", b"123-45-6789")
+    assert not any(r.locator.container == "raw-bytes" for r in result.records)
 
 
 def test_scan_stages_no_database_copy_in_tmpdir(tmp_path, monkeypatch):
@@ -466,6 +477,8 @@ def test_plaintext_gluco_database_is_swept(tmp_path):
                      ("note.txt", "raw-bytes", "ssn")}
 
 
+_SSN = "078-05-1120"
+
 # Which files under a bound root each parser claims, and what becomes of them.
 _CLAIMS = (
     ("iHealthMyVitals.V2/Databases/androidNin.db", "parsed"),
@@ -483,15 +496,19 @@ _CLAIMS = (
 
 
 def _claims_tree(tmp_path, output_kind):
+    # every file but the Gluco-Smart databases holds an SSN, so each one parsed
+    # or swept gives a finding at its path; a word byte after it in the row's
+    # record would hide it from the sweep
+    name = f"Pat {_SSN} Example"
     myvitals_db = make_myvitals_db(
-        tmp_path / "mv.db", users=[("Pat", "1980-01-01", "UTC", "pat@example.com")]).read_bytes()
+        tmp_path / "mv.db", users=[(name, "1980-01-01", "UTC", "pat@example.com")]).read_bytes()
     withings_db = make_healthmate_db(
-        tmp_path / "hm.db", users=[(1, "Pat", "F", "1980-01-01", "pat@example.com")]).read_bytes()
-    credential = (b'<map><string name="pat@example.com_user_password">pw123456</string>'
-                  b'</map>')
+        tmp_path / "hm.db", users=[(1, name, "F", "1980-01-01", "pat@example.com")]).read_bytes()
+    credential = (f'<map><string name="pat@example.com_user_password">{_SSN}</string>'
+                  '</map>').encode()
     content = {"androidNin.db": myvitals_db, "withings-wiscale.db": withings_db,
                "sp_user_region_host_info.xml": credential,
-               "note.txt": b"contact swept@example.com"}
+               "note.txt": f"contact swept@example.com, ssn {_SSN}".encode()}
     files = {path: content.get(path.rsplit("/", 1)[-1]) or random.Random(path).randbytes(4096)
              for path, _ in _CLAIMS}
     if output_kind == "zip":
@@ -516,8 +533,8 @@ def test_each_parser_claims_its_files_and_the_rest_are_swept(tmp_path, output_ki
                   for s in ss}
     fates = {}
     for path, _ in _CLAIMS:
-        containers = {r.locator.container for r in result.records
-                      if r.locator.relative_path == path}
+        containers = {f.locator.container for f in result.report.findings
+                      if f.locator.relative_path == path}
         if path in classified:
             fates[path] = "classified"
         elif containers == {"raw-bytes"}:
@@ -525,5 +542,39 @@ def test_each_parser_claims_its_files_and_the_rest_are_swept(tmp_path, output_ki
         elif containers and "raw-bytes" not in containers:
             fates[path] = "parsed"
     assert fates == dict(_CLAIMS)
+    assert not any(r.locator.container == "raw-bytes" for r in result.records)
     assert {path: PARSERS[path.split("/")[0]].claims(path) for path, _ in _CLAIMS} == {
         path: fate != "swept" for path, fate in _CLAIMS}
+
+
+def _set_page_size(path, page_size):
+    """Write a page size into a SQLite file's header (bytes 16-17)."""
+    data = bytearray(path.read_bytes())
+    data[16:18] = page_size.to_bytes(2, "big")
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("damage", ["page size", "not well-formed XML"])
+def test_a_file_whose_parse_fails_is_swept(replica_tree, damage):
+    tree, _ = replica_tree
+    if damage == "page size":
+        path = "iHealthMyVitals.V2/Databases/androidNin.db"
+        conn = sqlite3.connect(tree / path)
+        conn.execute("UPDATE TB_BPResult SET Note = ? WHERE rowid = 1", (f"ssn {_SSN} noted",))
+        conn.commit()
+        conn.close()
+        _set_page_size(tree / path, 3)
+        warning = f"{path}: corrupt SQLite database, not parsed ("
+    else:
+        path = "iHealthMyVitals.V2/shared_prefs/sp_user_region_host_info.xml"
+        (tree / path).write_bytes(
+            f'<map><string name="a@b.co_user_password">{_SSN}</string'.encode())
+        warning = f"{path}: not well-formed XML: "
+    result = scan_evidence(tree, fixed_clock=CLOCK, redact=False)
+    assert [w for w in result.report.warnings if path in w][0].startswith(warning)
+    assert not any(r.locator.relative_path == path for r in result.records)
+    swept = [f for f in result.report.findings if f.locator.relative_path == path]
+    assert [(f.locator.container, f.category, f.value_excerpt) for f in swept] == [
+        ("raw-bytes", "ssn", _SSN)]
+    offset = int(swept[0].locator.detail.removeprefix("ssn@"))
+    assert (tree / path).read_bytes()[offset:offset + len(_SSN)] == _SSN.encode()
