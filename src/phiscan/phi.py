@@ -338,6 +338,10 @@ def scan_raw(data: bytes, package_name: str, relative_path: str, *,
     rule order; with `redact`, each excerpt is built redacted.
     """
     matches, offset = _raw_matches(data)
+    # a rule fires on some hit's value only if it fires on all of them at once,
+    # and in most swept files it fires on none
+    if not _fired(_RAW_RULES, {}, [value for _, _, value in matches]):
+        return []
     fired = [(at, pattern, rules) for at, pattern, value in matches
              if (rules := _fired(_RAW_RULES, {}, [value]))]
     fired.sort(key=lambda hit: hit[:2])
@@ -370,8 +374,9 @@ def evaluate_security_rule(app: str, records: list[ArtifactRecord],
                            redact: bool = True) -> list[SecurityViolation]:
     """Security-Rule outcomes for one app.
 
-    `findings` are the app's records already classified (classify_record);
-    records are read only for their credentials.
+    `findings` are the app's records already classified (classify_record)
+    and its raw-sweep findings (scan_raw); records are read only for their
+    credentials.
 
     plaintext-ephi-at-rest: health-condition findings originating from a
     plaintext sqlite/xml container. plaintext-credential: a recovered

@@ -315,6 +315,7 @@ def oracle_hit_records(data):
 @example(b"a.123-45-6789.token", True)  # a credential-key hit that holds an SSN
 @example(b"card 123-45-6789-0123452", False)  # a card hit that holds an SSN shape
 @example(b"123-45-6789.123-45-6780@x.io", False)  # one hit, two SSN excerpts
+@example(b"pat@example.com x_token 078-05-1120", True)  # hits that fire nothing beside one
 def test_raw_hit_findings_equal_the_rule_table_walk(data, redact):
     # at findings level: the sweep's findings are the walk over the oracle's hits
     expected = [f for hit in oracle_hit_records(data) for f in rule_table_walk(hit, redact)]
