@@ -185,14 +185,15 @@ def _string_fields(payload: object) -> list[str]:
             if isinstance(v := getattr(payload, name), str)]
 
 
-def _fired(rules: tuple[PhiRule, ...], typed: dict[str, str],
-           texts: list[str]) -> list[tuple[PhiRule, str]]:
-    """(rule, excerpt) for each excerpt each of `rules` fires, in rule order.
+def _findings(rules: tuple[PhiRule, ...], typed: dict[str, str], texts: list[str],
+              locator: SourceLocator | None, redact: bool) -> list[PhiFinding]:
+    """The findings `rules` fire, in rule order, each at `locator`.
 
     A typed rule fires its predicate's entry in `typed`; a pattern rule
-    fires once per distinct match in `texts`, in sorted order.
+    fires once per distinct match in `texts`, in sorted order. With
+    `redact`, each excerpt is built redacted.
     """
-    fired = []
+    findings = []
     for rule in rules:
         if rule.predicate in _PATTERN_PREDICATES:
             excerpts = _PATTERN_PREDICATES[rule.predicate](texts)
@@ -200,16 +201,14 @@ def _fired(rules: tuple[PhiRule, ...], typed: dict[str, str],
             excerpts = [typed[rule.predicate]]
         else:
             continue
-        fired.extend((rule, excerpt) for excerpt in excerpts)
-    return fired
-
-
-def _findings(fired: list[tuple[PhiRule, str]], locator: SourceLocator,
-              redact: bool) -> list[PhiFinding]:
-    return [PhiFinding(category=rule.category,
-                       value_excerpt=redact_value(excerpt) if redact else excerpt,
-                       locator=locator, rule_id=rule.rule_id)
-            for rule, excerpt in fired]
+        for excerpt in excerpts:
+            findings.append(PhiFinding(
+                category=rule.category,
+                value_excerpt=redact_value(excerpt) if redact else excerpt,
+                locator=locator,
+                rule_id=rule.rule_id,
+            ))
+    return findings
 
 
 def classify_record(record: ArtifactRecord, *, redact: bool = False) -> list[PhiFinding]:
@@ -223,8 +222,7 @@ def classify_record(record: ArtifactRecord, *, redact: bool = False) -> list[Phi
     """
     payload = record.payload
     typed = payload.phi_excerpts() if hasattr(payload, "phi_excerpts") else {}
-    return _findings(_fired(RULE_TABLE, typed, _string_fields(payload)), record.locator,
-                     redact)
+    return _findings(RULE_TABLE, typed, _string_fields(payload), record.locator, redact)
 
 
 # -- generic raw sweep -------------------------------------------------------
@@ -339,17 +337,16 @@ def scan_raw(data: bytes, package_name: str, relative_path: str, *,
     """
     matches, offset = _raw_matches(data)
     # a rule fires on some hit's value only if it fires on all of them at once,
-    # and in most swept files it fires on none
-    if not _fired(_RAW_RULES, {}, [value for _, _, value in matches]):
+    # and in most swept files it fires on none; a probe with no locator only
+    # tells whether rules fire
+    if not _findings(_RAW_RULES, {}, [value for _, _, value in matches], None, redact):
         return []
-    fired = [(at, pattern, rules) for at, pattern, value in matches
-             if (rules := _fired(_RAW_RULES, {}, [value]))]
-    fired.sort(key=lambda hit: hit[:2])
     findings = []
-    for at, pattern, rules in fired:
-        locator = SourceLocator(package_name, relative_path, CONTAINER_RAW,
-                                f"{pattern}@{offset(at)}")
-        findings.extend(_findings(rules, locator, redact))
+    for at, pattern, value in sorted(matches, key=lambda match: match[:2]):
+        if _findings(_RAW_RULES, {}, [value], None, redact):
+            locator = SourceLocator(package_name, relative_path, CONTAINER_RAW,
+                                    f"{pattern}@{offset(at)}")
+            findings.extend(_findings(_RAW_RULES, {}, [value], locator, redact))
     return findings
 
 
