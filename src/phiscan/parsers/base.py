@@ -19,15 +19,15 @@ from ..evidence import EvidenceSource
 class ParseResult:
     """Everything one parser recovered from one app root.
 
-    `sweep` names the claimed files the parser hands back to the scanner's
-    raw sweep: a file whose parse failed as a whole, or one it has no
-    schema for (a plaintext Gluco-Smart database).
+    `sweep` holds the claimed files the parser hands back to the scanner's
+    raw sweep, as (path, bytes) pairs: a file whose parse failed as a
+    whole, or one it has no schema for (a plaintext Gluco-Smart database).
     """
 
     records: tuple[ArtifactRecord, ...] = ()
     warnings: tuple[str, ...] = ()
     db_statuses: tuple = ()
-    sweep: tuple[str, ...] = ()
+    sweep: tuple[tuple[str, bytes], ...] = ()
 
 
 class AppParser:

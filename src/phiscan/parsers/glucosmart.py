@@ -127,12 +127,12 @@ class GlucoSmartParser(AppParser):
                     records.append(parse_user_info_xml(data, relative_path=path))
                 except ScanError as exc:
                     xml_warnings.append(f"{path}: {exc}")
-                    sweep.append(path)
+                    sweep.append((path, data))
                 continue
             status = classify_database(path, data)
             statuses.append(status)
             if status.status == STATUS_PLAINTEXT:
-                sweep.append(path)
+                sweep.append((path, data))
             elif (status.status == STATUS_ENCRYPTED
                   and status.entropy_bits_per_byte > HIGH_ENTROPY_BITS):
                 warnings.append(

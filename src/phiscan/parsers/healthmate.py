@@ -207,14 +207,14 @@ class HealthMateParser(AppParser):
                   USERS)
         records: list[ArtifactRecord] = []
         warnings: list[str] = []
-        sweep: list[str] = []
+        sweep: list[tuple[str, bytes]] = []
         for path, data in files:
             try:
                 recs, warns = parse_tables(data, tables, package=PACKAGE_FOLDER,
                                            relative_path=path)
             except ScanError as exc:
                 recs, warns = [], [f"{path}: {exc}"]
-                sweep.append(path)
+                sweep.append((path, data))
             records.extend(recs)
             warnings.extend(warns)
         return ParseResult(records=tuple(records), warnings=tuple(warnings), sweep=tuple(sweep))

@@ -271,17 +271,22 @@ class MyVitalsParser(AppParser):
 
     def parse(self, files: Iterable[tuple[str, bytes]], *, code_map=None) -> ParseResult:
         # the database's records and warnings come before those of any credential XML
-        db, xml, sweep = ([], []), ([], []), []
+        db_records, db_warnings, records, warnings, sweep = [], [], [], [], []
         for path, data in files:
-            records, warnings = db if path == DB_PATH else xml
+            if path == DB_PATH:
+                try:
+                    db_records, db_warnings = parse_tables(data, TABLES, package=PACKAGE_FOLDER,
+                                                           relative_path=path)
+                except ScanError as exc:
+                    db_warnings = [f"{path}: {exc}"]
+                    sweep.append((path, data))
+                continue
             try:
-                recs, warns = (parse_tables(data, TABLES, package=PACKAGE_FOLDER,
-                                            relative_path=path) if path == DB_PATH
-                               else parse_region_host_xml(data, relative_path=path))
+                recs, warns = parse_region_host_xml(data, relative_path=path)
             except ScanError as exc:
                 recs, warns = [], [f"{path}: {exc}"]
-                sweep.append(path)
+                sweep.append((path, data))
             records.extend(recs)
             warnings.extend(warns)
-        return ParseResult(records=tuple(db[0] + xml[0]), warnings=tuple(db[1] + xml[1]),
-                           sweep=tuple(sweep))
+        return ParseResult(records=tuple(db_records + records),
+                           warnings=tuple(db_warnings + warnings), sweep=tuple(sweep))

@@ -337,16 +337,16 @@ def scan_raw(data: bytes, package_name: str, relative_path: str, *,
     """
     matches, offset = _raw_matches(data)
     # a rule fires on some hit's value only if it fires on all of them at once,
-    # and in most swept files it fires on none; a probe with no locator only
-    # tells whether rules fire
+    # and in most swept files it fires on none
     if not _findings(_RAW_RULES, {}, [value for _, _, value in matches], None, redact):
         return []
     findings = []
     for at, pattern, value in sorted(matches, key=lambda match: match[:2]):
-        if _findings(_RAW_RULES, {}, [value], None, redact):
+        fired = _findings(_RAW_RULES, {}, [value], None, redact)
+        if fired:
             locator = SourceLocator(package_name, relative_path, CONTAINER_RAW,
                                     f"{pattern}@{offset(at)}")
-            findings.extend(_findings(_RAW_RULES, {}, [value], locator, redact))
+            findings.extend(dataclasses.replace(f, locator=locator) for f in fired)
     return findings
 
 

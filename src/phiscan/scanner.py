@@ -21,7 +21,7 @@ from .evidence import (
     open_source,
     read_file,
 )
-from .parsers import PARSERS, ParseResult
+from .parsers import PARSERS
 from .phi import (
     PhiFinding,
     classify_record,
@@ -65,18 +65,6 @@ def _read_each(source: EvidenceSource, paths: list[str], digests: list, warnings
         yield rel, data
 
 
-def _parse(parser, files, code_map) -> tuple[ParseResult, list[tuple[str, bytes]]]:
-    """The parser's result over a root's claimed files, and the files it hands back.
-
-    Every claimed file is read before the parser runs, so one it never
-    pulls is still read and hashed, and a file it hands back is swept from
-    the bytes already in hand.
-    """
-    held = dict(files)
-    result = parser.parse(held.items(), code_map=code_map)
-    return result, [(rel, held[rel]) for rel in result.sweep]
-
-
 def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
                   code_map: dict[int, str] | None = None) -> ScanResult:
     """Run the whole pipeline over one evidence container.
@@ -118,10 +106,13 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
             parser, folder = root.parser, root.package_name
             app = parser.display_name if parser is not None else folder
             found = findings_by_app.setdefault(app, [])
-            handed_back = []
+            handed_back = ()
             if parser is not None:
-                result, handed_back = _parse(
-                    parser, _read_each(source, claimed[folder], digests, warnings), code_map)
+                files = _read_each(source, claimed[folder], digests, warnings)
+                result = parser.parse(files, code_map=code_map)
+                for _ in files:  # hash the claimed files the parser did not pull
+                    pass
+                handed_back = result.sweep
                 app_records.setdefault(app, []).extend(result.records)
                 found.extend(f for r in result.records for f in classify_record(r, redact=redact))
                 warnings.extend(result.warnings)

@@ -187,7 +187,7 @@ def test_not_sqlite_database_is_one_warning():
     result = HealthMateParser().parse([(DB_PATH, b"\x13\x37" * 64)])
     assert result.records == ()
     assert result.warnings == (f"{DB_PATH}: not a SQLite database (possibly encrypted)",)
-    assert result.sweep == (DB_PATH,)  # handed back to the raw sweep
+    assert result.sweep == ((DB_PATH, b"\x13\x37" * 64),)  # handed back to the raw sweep
 
 
 def test_undecodable_schema_error_is_one_corrupt_warning(tmp_path):
@@ -199,7 +199,7 @@ def test_undecodable_schema_error_is_one_corrupt_warning(tmp_path):
     assert len(result.warnings) == 1
     assert result.warnings[0].startswith(
         f"{DB_PATH}: corrupt SQLite database, not parsed (devices: ")
-    assert result.sweep == (DB_PATH,)
+    assert result.sweep == ((DB_PATH, damaged),)
 
 
 def test_detect_requires_folder_and_database(tmp_path):

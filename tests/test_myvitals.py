@@ -103,7 +103,7 @@ def test_not_sqlite_is_one_warning(db_bytes):
     result = MyVitalsParser().parse([(DB_PATH, b"\x13\x37" * 64)])
     assert result.records == ()
     assert result.warnings == (f"{DB_PATH}: not a SQLite database (possibly encrypted)",)
-    assert result.sweep == (DB_PATH,)  # handed back to the raw sweep
+    assert result.sweep == ((DB_PATH, b"\x13\x37" * 64),)  # handed back to the raw sweep
 
 
 def test_missing_table_is_a_warning_per_table(tmp_path):

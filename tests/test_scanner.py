@@ -25,6 +25,7 @@ from phiscan.fixtures import (
     random_spec,
 )
 from phiscan.parsers import PARSERS, AppParser, ParseResult
+from phiscan.phi import match_raw
 from phiscan.report import render_report
 from phiscan.scanner import scan_evidence
 
@@ -37,16 +38,33 @@ def test_unmatched_root_is_swept_for_raw_patterns(tmp_path):
     tree = tmp_path / "tree"
     prefs = tree / "com.android.settings"
     prefs.mkdir(parents=True)
-    prefs.joinpath("prefs.xml").write_bytes(
-        b"<map><string name='owner'>someone@example.com</string>"
-        b"<string name='bt'>00:24:e4:5a:ee:6c</string>"
-        b"<string name='backup'>078-05-1120.someone@example.com</string></map>")
+    data = (b"<map><string name='owner'>someone@example.com</string>"
+            b"<string name='bt'>00:24:e4:5a:ee:6c</string></map>")
+    prefs.joinpath("prefs.xml").write_bytes(data)
+    assert [pattern for _, pattern, _ in match_raw(data)] == ["email"]
     result = scan_evidence(tree, fixed_clock=CLOCK)
-    # an email is not a Table-style PHI category and a MAC is not swept: only the
-    # SSN gives findings, once as its own hit and once inside the email that holds it
+    assert [d.relative_path for d in result.report.file_digests] == [
+        "com.android.settings/prefs.xml"]
+    # an email is not a Table-style PHI category and a MAC is not swept: the
+    # swept hit gives no finding, no record and no matrix row
+    assert result.report.findings == ()
+    assert result.records == ()
+    assert result.report.matrix == ()
+    assert result.report.violations == {}
+
+
+def test_ssn_inside_a_swept_email_is_found_at_both_hits(tmp_path):
+    tree = tmp_path / "tree"
+    prefs = tree / "com.android.settings"
+    prefs.mkdir(parents=True)
+    data = b"<map><string name='backup'>078-05-1120.someone@example.com</string></map>"
+    prefs.joinpath("backup.xml").write_bytes(data)
+    result = scan_evidence(tree, fixed_clock=CLOCK)
+    # the SSN gives a finding as its own hit and one inside the email that holds it
+    at = data.index(b"078-05-1120")
     assert [(f.category, f.locator.container, f.locator.detail)
-            for f in result.report.findings] == [("ssn", "raw-bytes", "email@120"),
-                                                 ("ssn", "raw-bytes", "ssn@120")]
+            for f in result.report.findings] == [("ssn", "raw-bytes", f"email@{at}"),
+                                                 ("ssn", "raw-bytes", f"ssn@{at}")]
     assert result.records == ()  # a sweep gives findings, never records
     assert [row.app_name for row in result.report.matrix] == ["com.android.settings"]
     assert result.report.violations == {}
