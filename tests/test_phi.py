@@ -9,6 +9,7 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
+from phiscan import phi
 from phiscan.artifacts import (
     ArtifactRecord,
     CredentialSet,
@@ -320,6 +321,67 @@ def test_raw_hit_findings_equal_the_rule_table_walk(data, redact):
     # at findings level: the sweep's findings are the walk over the oracle's hits
     expected = [f for hit in oracle_hit_records(data) for f in rule_table_walk(hit, redact)]
     assert _sweep(data, redact) == expected
+
+
+# digits dense enough that SSN and card shapes form, break and sit at the edges,
+# so scan_raw's byte test for those shapes is exercised on both sides
+_DIGIT_DENSE_DATA = st.lists(
+    st.sampled_from(_SWEEP_TOKENS)
+    | st.text(alphabet="0123456789 -x@._\n\0", max_size=24).map(str.encode),
+    max_size=12).map(b"".join)
+
+
+@given(_DIGIT_DENSE_DATA, st.booleans())
+@example(b"card 4111-1111-1111-1111 x", False)  # a card with '-' separators
+@example(b"amex 378282246310005", False)  # a 15-digit Luhn card
+@example(b"078-05-1120 pat", True)  # an SSN at the first byte
+@example(b"pat 078-05-1120", False)  # an SSN at the last byte
+@example(b"ssn 078-05\x00-1120 x", False)  # an SSN cut by a NUL
+@example(b"ssn 078-05-\x7f1120 x", False)  # an SSN cut by a \x7f
+@example(b"run 12345678901234 x", False)  # a 14-digit run
+@example(b"card 4111  1111 1111 1111 x", False)  # card digits split by two spaces
+def test_digit_dense_findings_equal_the_rule_table_walk(data, redact):
+    expected = [f for hit in oracle_hit_records(data) for f in rule_table_walk(hit, redact)]
+    assert _sweep(data, redact) == expected
+
+
+def _fail_if_matched(data):
+    raise AssertionError("scan_raw matched bytes that hold no SSN or card shape")
+
+
+@pytest.mark.parametrize("data", [
+    random.Random(0).randbytes(1 << 16),
+    b"<string name='pat@example.com_x_user_token'>abc</string>\n"
+    b"<long name='login_at' value='1541806236000' />\n" * 200,
+    b"run 12345678901234 x",
+    b"123-45\x00-6789",
+], ids=["random", "email-token-epoch", "14-digit-run", "ssn-cut-by-nul"])
+def test_scan_raw_matches_nothing_without_an_ssn_or_card_shape(monkeypatch, data):
+    monkeypatch.setattr(phi, "_raw_matches", _fail_if_matched)
+    assert _sweep(data) == []
+
+
+def test_scan_raw_matches_bytes_that_hold_an_ssn_shape(monkeypatch):
+    match, matched = phi._raw_matches, []
+
+    def recorded(data):
+        matched.append(data)
+        return match(data)
+
+    monkeypatch.setattr(phi, "_raw_matches", recorded)
+    data = b"pat@example.com x_user_token 078-05-1120\n"
+    assert [f.value_excerpt for f in _sweep(data)] == ["078-05-1120"]
+    assert matched == [data]
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: _SSN_RE's \\b fails where "
+                   "the next SQLite cell or an email follows the SSN directly")
+@pytest.mark.parametrize("data", [
+    b"\x00\x17Pat 078-05-11201980-01-01\x00",  # the next cell starts with a digit
+    b"ssn 078-05-1120pat@example.com",  # an email follows without a space
+], ids=["next-cell", "email"])
+def test_scan_raw_finds_an_ssn_that_runs_into_the_next_value(data):
+    assert [f.value_excerpt for f in _sweep(data)] == ["078-05-1120"]
 
 
 def test_raw_hits_carrying_pattern_findings():
