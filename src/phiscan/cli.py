@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ScanError
 from .fixtures import generate_fixture, load_spec, render_manifest
-from .parsers import PARSERS
+from .parsers import PARSERS, load_code_map
 from .phi import INFORMATIONAL_VIOLATIONS
 from .report import (
     FORMAT_JSON,
@@ -26,7 +26,7 @@ from .report import (
     render_report,
     render_timeline,
 )
-from .scanner import load_code_map_file, scan_evidence
+from .scanner import scan_evidence
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -66,7 +66,12 @@ def _add_scan_flags(sub: argparse.ArgumentParser) -> None:
 
 def _run_scan_pipeline(args):
     fixed_clock = _parse_fixed_clock(args.fixed_clock) if args.fixed_clock else None
-    code_map = load_code_map_file(args.code_map) if args.code_map else None
+    if args.output and Path(args.output).resolve().is_relative_to(
+            Path(args.evidence).resolve()):
+        raise ScanError(f"output {args.output} is inside the evidence {args.evidence}, "
+                        "which a scan never writes to")
+    code_map = (load_code_map(Path(args.code_map).read_text(encoding="utf-8"))
+                if args.code_map else None)
     result = scan_evidence(args.evidence, fixed_clock=fixed_clock,
                            redact=not args.no_redact, code_map=code_map)
     print(f"scanned {args.evidence}: {len(result.source.root_listing)} file(s), "

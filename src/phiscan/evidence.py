@@ -54,14 +54,6 @@ class FileDigest:
 
 
 @dataclass(frozen=True)
-class AppDataRoot:
-    """One top-level application folder inside the evidence tree, and its parser if bound."""
-
-    package_name: str
-    parser: AppParser | None = None
-
-
-@dataclass(frozen=True)
 class EvidenceSource:
     """An opened evidence container; all operations on it are pure reads.
 
@@ -223,18 +215,16 @@ def hash_file(relative_path: str, data: bytes) -> FileDigest:
 
 
 def enumerate_app_roots(source: EvidenceSource,
-                        parsers: dict[str, AppParser]) -> list[AppDataRoot]:
-    """One AppDataRoot per top-level directory, sorted by package name.
+                        parsers: dict[str, AppParser]) -> dict[str, AppParser | None]:
+    """Each top-level folder, in name order, mapped to its bound parser or None.
 
-    A root is bound to parsers[its folder name] when that parser's detect
+    A folder is bound to parsers[its name] when that parser's detect
     accepts the container.
     """
-    roots = []
+    roots = {}
     for name in sorted(source.top_level_dirs):
         parser = parsers.get(name)
-        if parser is not None and not parser.detect(source):
-            parser = None
-        roots.append(AppDataRoot(package_name=name, parser=parser))
+        roots[name] = parser if parser is not None and parser.detect(source) else None
     return roots
 
 

@@ -45,6 +45,7 @@ from xml.sax.saxutils import escape, quoteattr
 from .artifacts import (
     CONTAINER_SQLITE,
     CONTAINER_XML,
+    STATUS_ENCRYPTED,
     SourceLocator,
     normalize_timestamp,
 )
@@ -504,7 +505,7 @@ class _ForgeDb:
 
 
 _MYVITALS = _ForgeDb("myvitals", myvitals.DISPLAY_NAME, myvitals.PACKAGE_FOLDER,
-                     f"{myvitals.PACKAGE_FOLDER}/{myvitals.DB_SUBPATH}", "seconds", (
+                     myvitals.DB_PATH, "seconds", (
     _ForgeTable("bp_rows", "TB_BPResult", (
         ("Sys", "INTEGER", "systolic"), ("Dia", "INTEGER", "diastolic"),
         ("Pulse", "INTEGER", "pulse"), ("MeasureTime", "INTEGER", "measure_time"),
@@ -702,21 +703,18 @@ def _planted(db: _ForgeDb, rows: dict[str, list[dict]]) -> list[PlantedRecord]:
 
 
 def _planted_credential(credential: dict) -> PlantedRecord:
-    pkg = myvitals.PACKAGE_FOLDER
-    xml_path = f"{pkg}/shared_prefs/{myvitals.CREDENTIAL_XML_NAME}"
     return PlantedRecord(
         app=myvitals.DISPLAY_NAME, kind="credential",
-        locator=SourceLocator(pkg, xml_path, CONTAINER_XML,
-                              f"key prefix {credential['account']}"),
+        locator=SourceLocator(myvitals.PACKAGE_FOLDER, myvitals.DEFAULT_XML_PATH,
+                              CONTAINER_XML, f"key prefix {credential['account']}"),
         payload=dict(credential), expected_findings=())
 
 
 def _planted_gluco(user_info: dict) -> PlantedRecord:
-    pkg = glucosmart.PACKAGE_FOLDER
-    xml_path = f"{pkg}/shared_prefs/{glucosmart.USER_INFO_XML_NAME}"
     return PlantedRecord(
         app=glucosmart.DISPLAY_NAME, kind="user-profile",
-        locator=SourceLocator(pkg, xml_path, CONTAINER_XML, "UserName/DeviceID"),
+        locator=SourceLocator(glucosmart.PACKAGE_FOLDER, glucosmart.DEFAULT_XML_PATH,
+                              CONTAINER_XML, "UserName/DeviceID"),
         payload=dict(user_info),
         expected_findings=(
             ExpectedFinding(CAT_NAME, "profile-name", user_info["username"]),
@@ -775,8 +773,7 @@ def build_tree(spec: FixtureSpec) -> tuple[dict[str, bytes], FixtureManifest]:
         planted.extend(_planted(_MYVITALS, rows))
         if block.credential is not None:
             _validate_credential(block.credential)
-            xml_path = f"{myvitals.PACKAGE_FOLDER}/shared_prefs/{myvitals.CREDENTIAL_XML_NAME}"
-            tree[xml_path] = _credential_xml(block.credential)
+            tree[myvitals.DEFAULT_XML_PATH] = _credential_xml(block.credential)
             planted.append(_planted_credential(block.credential))
 
     if spec.glucosmart is not None:
@@ -792,8 +789,7 @@ def build_tree(spec: FixtureSpec) -> tuple[dict[str, bytes], FixtureManifest]:
             info = block.user_info
             if not info.get("username") or not info.get("device_id"):
                 raise InvalidSpecError("glucosmart.user_info needs username and device_id")
-            xml_path = f"{glucosmart.PACKAGE_FOLDER}/shared_prefs/{glucosmart.USER_INFO_XML_NAME}"
-            tree[xml_path] = _prefs_xml([
+            tree[glucosmart.DEFAULT_XML_PATH] = _prefs_xml([
                 ("string", "UserName", info["username"]),
                 ("string", "DeviceID", info["device_id"]),
             ])
@@ -952,7 +948,7 @@ def verify_scan_against_manifest(manifest: FixtureManifest,
         status = classified.get(path)
         if status is None:
             mismatches.append(f"encrypted db not classified: {path}")
-        elif status.status != "encrypted-or-opaque":
+        elif status.status != STATUS_ENCRYPTED:
             mismatches.append(f"encrypted db misclassified as {status.status}: {path}")
 
     return VerificationResult(ok=not mismatches, mismatches=tuple(mismatches))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .base import AppParser, ParseResult
 from .glucosmart import GlucoSmartParser
-from .healthmate import HealthMateParser
+from .healthmate import HealthMateParser, load_code_map
 from .myvitals import MyVitalsParser
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "PARSERS",
     "ParseResult",
     "display_name_for",
+    "load_code_map",
 ]
 
 # folder name -> parser, in stable registration order

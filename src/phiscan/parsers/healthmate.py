@@ -71,6 +71,9 @@ class DeviceRegistration:
     device_type: int
     device_model: int
 
+    def timeline_event(self) -> tuple[EpochInstant, str]:
+        return self.last_use_date, "device last used"
+
     def phi_excerpts(self) -> dict[str, str]:
         return {"device_usage": f"device {self.mac_address}, last used {self.last_use_date.utc}"}
 
@@ -81,6 +84,9 @@ class HealthMateMeasurement:
     value: float
     measured_at: EpochInstant
     device_ref: int | None
+
+    def timeline_event(self) -> tuple[EpochInstant, str]:
+        return self.measured_at, f"{self.kind} measurement"
 
     def phi_excerpts(self) -> dict[str, str]:
         prefix = f"device {self.device_ref} " if self.device_ref is not None else ""

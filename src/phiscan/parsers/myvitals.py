@@ -73,6 +73,9 @@ class BloodPressureReading:
     note: str | None
     account: str
 
+    def timeline_event(self) -> tuple[EpochInstant, str]:
+        return self.measured_at, f"{KIND_BLOOD_PRESSURE} reading"
+
     def phi_excerpts(self) -> dict[str, str]:
         return {"vital_reading": f"{self.systolic}/{self.diastolic} mmHg, pulse {self.pulse} bpm",
                 "device_usage": f"device {self.device_id or 'unknown'} at {self.measured_at.utc}"}
@@ -91,6 +94,9 @@ class OximetryReading:
     machine_device_id: str
     used_user_id: int
     phone_data_id: str
+
+    def timeline_event(self) -> tuple[EpochInstant, str]:
+        return self.measured_at, f"{KIND_OXIMETRY} reading"
 
     def phi_excerpts(self) -> dict[str, str]:
         return {"vital_reading": (f"SpO2 {self.result_spo2}%, pulse {self.pulse_rate} bpm, "
@@ -111,6 +117,9 @@ class WeightReading:
     measured_at: EpochInstant
     account: str
 
+    def timeline_event(self) -> tuple[EpochInstant, str]:
+        return self.measured_at, f"{KIND_WEIGHT} reading"
+
     def phi_excerpts(self) -> dict[str, str]:
         return {"vital_reading": f"weight {self.weight}, BMI {self.bmi}",
                 "device_usage": f"measured at {self.measured_at.utc}"}
@@ -122,6 +131,9 @@ class EnvironmentReading:
     temperature: float
     lighting_level: float
     measured_at: EpochInstant
+
+    def timeline_event(self) -> tuple[EpochInstant, str]:
+        return self.measured_at, f"{KIND_ENVIRONMENT} reading"
 
     def phi_excerpts(self) -> dict[str, str]:
         return {"device_usage": f"measured at {self.measured_at.utc}"}

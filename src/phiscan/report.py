@@ -18,7 +18,6 @@ from .artifacts import ArtifactRecord, EpochInstant, SourceLocator
 from .errors import ScanError
 from .evidence import FileDigest
 from .parsers import display_name_for
-from .parsers.healthmate import DeviceRegistration, HealthMateMeasurement
 from .phi import (
     CATEGORY_LABELS,
     CELL_RECOVERED,
@@ -66,42 +65,28 @@ def finding_sort_key(finding: PhiFinding) -> tuple:
 
 # -- timeline ----------------------------------------------------------------
 
-def _timeline_instant(record: ArtifactRecord) -> EpochInstant | None:
-    payload = record.payload
-    if isinstance(payload, DeviceRegistration):
-        return payload.last_use_date
-    instant = getattr(payload, "measured_at", None)
-    return instant if isinstance(instant, EpochInstant) else None
-
-
-def _timeline_summary(record: ArtifactRecord) -> str:
-    if isinstance(record.payload, HealthMateMeasurement):
-        return f"{record.payload.kind} measurement"
-    if isinstance(record.payload, DeviceRegistration):
-        return "device last used"
-    return f"{record.kind} reading"
-
-
 def build_timeline(records: list[ArtifactRecord]) -> list[TimelineEvent]:
     """Merge all timestamped records onto one UTC axis, totally ordered.
 
-    Second- and millisecond-scale sources interleave correctly because
-    ordering happens on the normalized UTC rendering. Records without a
-    timestamp (profiles, credentials, undecoded Health Mate measure codes)
-    are simply absent; the caller can count them as len(records) -
-    len(events). The raw sweep gives findings, not records, so nothing it
-    matches is counted there.
+    A record is on the timeline when its payload names its event:
+    timeline_event() gives the instant and the summary. Second- and
+    millisecond-scale sources interleave correctly because ordering happens
+    on the normalized UTC rendering. Records without a timestamp (profiles,
+    credentials, undecoded Health Mate measure codes) are simply absent;
+    the caller can count them as len(records) - len(events). The raw sweep
+    gives findings, not records, so nothing it matches is counted there.
     """
     events = []
     for record in records:
-        instant = _timeline_instant(record)
-        if instant is None:
+        timeline_event = getattr(record.payload, "timeline_event", None)
+        if timeline_event is None:
             continue
+        instant, summary = timeline_event()
         events.append(TimelineEvent(
             at=instant,
             app=display_name_for(record.locator.package_name),
             kind=record.kind,
-            summary=_timeline_summary(record),
+            summary=summary,
             locator=record.locator,
         ))
     events.sort(key=lambda e: (e.at.utc, e.app, e.locator.package_name,

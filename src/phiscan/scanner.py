@@ -7,13 +7,11 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 
 from . import __version__
 from .artifacts import ArtifactRecord
 from .errors import UnreadableFileError
 from .evidence import (
-    AppDataRoot,
     EvidenceSource,
     enumerate_app_roots,
     evidence_label,
@@ -21,7 +19,7 @@ from .evidence import (
     open_source,
     read_file,
 )
-from .parsers import PARSERS
+from .parsers import PARSERS, AppParser
 from .phi import (
     PhiFinding,
     classify_record,
@@ -35,7 +33,7 @@ from .report import ComplianceReport, finding_sort_key
 @dataclass(frozen=True)
 class ScanResult:
     source: EvidenceSource
-    roots: tuple[AppDataRoot, ...]
+    roots: dict[str, AppParser | None]
     records: tuple[ArtifactRecord, ...]
     report: ComplianceReport
 
@@ -84,13 +82,12 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
     with open_source(path) as source:
         generated_at = fixed_clock or utc_now()
         roots = enumerate_app_roots(source, PARSERS)
-        parser_of = {root.package_name: root.parser for root in roots}
         claimed, swept, custody = defaultdict(list), defaultdict(list), []
         for rel in sorted(source.root_listing):
             folder, sep, _ = rel.partition("/")
-            if not sep or folder not in parser_of:
+            if not sep or folder not in roots:
                 custody.append(rel)
-            elif parser_of[folder] is not None and parser_of[folder].claims(rel):
+            elif roots[folder] is not None and roots[folder].claims(rel):
                 claimed[folder].append(rel)
             else:
                 swept[folder].append(rel)
@@ -102,8 +99,7 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
         warnings: list[str] = []
         warnings.extend(f"skipped container entry: {e}" for e in source.skipped_entries)
 
-        for root in roots:
-            parser, folder = root.parser, root.package_name
+        for folder, parser in roots.items():
             app = parser.display_name if parser is not None else folder
             found = findings_by_app.setdefault(app, [])
             handed_back = ()
@@ -125,7 +121,7 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
             pass
         digests.sort(key=lambda d: d.relative_path)
 
-    matrix_apps = sorted({r.parser.display_name for r in roots if r.parser is not None}
+    matrix_apps = sorted({p.display_name for p in roots.values() if p is not None}
                          | {a for a, fs in findings_by_app.items() if fs})
     matrix = tuple(evaluate_privacy_rule(app, findings_by_app.get(app, []))
                    for app in matrix_apps)
@@ -157,10 +153,4 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
         warnings=tuple(warnings),
     )
     all_records = tuple(r for app in sorted(app_records) for r in app_records[app])
-    return ScanResult(source=source, roots=tuple(roots), records=all_records, report=report)
-
-
-def load_code_map_file(path) -> dict[int, str]:
-    from .parsers.healthmate import load_code_map
-
-    return load_code_map(Path(path).read_text(encoding="utf-8"))
+    return ScanResult(source=source, roots=roots, records=all_records, report=report)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 from importlib import resources
 
 import pytest
@@ -71,6 +72,29 @@ def test_scan_output_file(tmp_path, replica_spec_file, capsys):
     assert code == 2
     assert captured.out == ""
     assert json.loads(out_file.read_bytes())["schema_version"] == "1"
+
+
+@pytest.mark.parametrize("command", ["scan", "timeline"])
+def test_output_inside_evidence_directory_exits_one(tmp_path, replica_spec_file, capsys,
+                                                   command):
+    tree = _fixture_tree(tmp_path, replica_spec_file)
+    before = {p: p.read_bytes() for p in tree.rglob("*") if p.is_file()}
+    code = main([command, str(tree), "--format", "json", "-o", str(tree / "report.json")])
+    assert code == 1
+    assert "inside the evidence" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tree.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("command", ["scan", "timeline"])
+def test_output_equal_to_evidence_zip_exits_one(tmp_path, capsys, command):
+    evidence = tmp_path / "ev.zip"
+    with zipfile.ZipFile(evidence, "w") as zf:
+        zf.writestr("com.example.notes/files/log.txt", b"ssn 123-45-6789 noted")
+    before = evidence.read_bytes()
+    code = main([command, str(evidence), "-o", str(evidence)])
+    assert code == 1
+    assert "inside the evidence" in capsys.readouterr().err
+    assert evidence.read_bytes() == before
 
 
 def test_bad_fixed_clock_exits_one(tmp_path, capsys):

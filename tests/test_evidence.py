@@ -40,7 +40,7 @@ SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 def test_empty_directory_yields_empty_listing(tmp_path):
     source = open_source(tmp_path)
     assert source.root_listing == frozenset()
-    assert enumerate_app_roots(source, PARSERS) == []
+    assert enumerate_app_roots(source, PARSERS) == {}
 
 
 def test_missing_path_raises_not_found(tmp_path):
@@ -158,9 +158,9 @@ def test_enumerate_app_roots_binds_parsers(tmp_path):
     (root / "com.android.settings" / "prefs.xml").write_bytes(b"<map/>")
 
     roots = enumerate_app_roots(open_source(root), PARSERS)
-    assert [r.package_name for r in roots] == [
+    assert list(roots) == [
         "com.android.settings", "com.withings.wiscale2", "iHealthMyVitals.V2"]
-    by_name = {r.package_name: getattr(r.parser, "parser_id", None) for r in roots}
+    by_name = {folder: getattr(parser, "parser_id", None) for folder, parser in roots.items()}
     assert by_name == {"com.android.settings": None, "com.withings.wiscale2": "healthmate",
                        "iHealthMyVitals.V2": "myvitals"}
 
@@ -174,7 +174,7 @@ def test_both_ihealth_folders_bind_distinct_parsers(tmp_path):
     (root / "jiuana-androidBg.start" / "enc.db").write_bytes(os.urandom(64))
 
     roots = enumerate_app_roots(open_source(root), PARSERS)
-    matched = {r.package_name: r.parser.parser_id for r in roots}
+    matched = {folder: parser.parser_id for folder, parser in roots.items()}
     assert matched == {"iHealthMyVitals.V2": "myvitals",
                        "jiuana-androidBg.start": "glucosmart"}
 

@@ -104,8 +104,9 @@ def test_detect_exact_folder_name_only(tmp_path):
         tree = tmp_path / name.replace(".", "_")
         (tree / name).mkdir(parents=True)
         (tree / name / "x.txt").write_bytes(b"")
-        (root,) = enumerate_app_roots(open_source(tree), PARSERS)
-        assert isinstance(root.parser, GlucoSmartParser) is expected
+        ((folder, parser),) = enumerate_app_roots(open_source(tree), PARSERS).items()
+        assert folder == name
+        assert isinstance(parser, GlucoSmartParser) is expected
 
 
 @settings(max_examples=25, deadline=None)

@@ -204,8 +204,8 @@ def test_undecodable_schema_error_is_one_corrupt_warning(tmp_path):
 
 def test_detect_requires_folder_and_database(tmp_path):
     def bound(tree):
-        (root,) = enumerate_app_roots(open_source(tree), PARSERS)
-        return isinstance(root.parser, HealthMateParser)
+        (parser,) = enumerate_app_roots(open_source(tree), PARSERS).values()
+        return isinstance(parser, HealthMateParser)
 
     tree = tmp_path / "a" / "com.withings.wiscale2" / "databases"
     tree.mkdir(parents=True)

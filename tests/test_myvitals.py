@@ -293,22 +293,24 @@ def test_credential_extraction_never_fabricates(suffixes, include_flag):
 
 # -- detection ---------------------------------------------------------------
 
-def _root_named(tmp_path, name, with_db=True):
+def _parser_bound_to(tmp_path, name, with_db=True):
     folder = tmp_path / "tree" / name
     (folder / "Databases").mkdir(parents=True)
     if with_db:
         make_myvitals_db(folder / "Databases" / "androidNin.db")
-    (root,) = enumerate_app_roots(open_source(tmp_path / "tree"), PARSERS)
-    return root
+    ((bound_folder, parser),) = enumerate_app_roots(open_source(tmp_path / "tree"),
+                                                    PARSERS).items()
+    assert bound_folder == name
+    return parser
 
 
 def test_detect_requires_folder_and_database(tmp_path):
-    assert isinstance(_root_named(tmp_path, "iHealthMyVitals.V2").parser, MyVitalsParser)
+    assert isinstance(_parser_bound_to(tmp_path, "iHealthMyVitals.V2"), MyVitalsParser)
 
 
 def test_detect_rejects_other_folder(tmp_path):
-    assert not isinstance(_root_named(tmp_path, "com.withings.wiscale2").parser, MyVitalsParser)
+    assert not isinstance(_parser_bound_to(tmp_path, "com.withings.wiscale2"), MyVitalsParser)
 
 
 def test_detect_rejects_missing_database(tmp_path):
-    assert _root_named(tmp_path, "iHealthMyVitals.V2", with_db=False).parser is None
+    assert _parser_bound_to(tmp_path, "iHealthMyVitals.V2", with_db=False) is None

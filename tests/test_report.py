@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
+import pkgutil
+import typing
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, strategies as st
 
-from phiscan.artifacts import ArtifactRecord, SourceLocator, normalize_timestamp
+import phiscan.artifacts
+import phiscan.parsers
+from phiscan.artifacts import ArtifactRecord, EpochInstant, SourceLocator, normalize_timestamp
 from phiscan.evidence import FileDigest
 from phiscan.parsers.glucosmart import DatabaseStatus
 from phiscan.parsers import healthmate, myvitals
@@ -179,6 +184,30 @@ def test_mixed_unit_timeline_merges_in_utc_order(tmp_path):
     assert [e.at.utc for e in events] == sorted(e.at.utc for e in events)
     assert events[0].app == "iHealth MyVitals"
     assert events[-1].app == "Health Mate"
+
+
+def _payload_dataclasses():
+    modules = [phiscan.artifacts] + [
+        importlib.import_module(f"phiscan.parsers.{m.name}")
+        for m in pkgutil.iter_modules(phiscan.parsers.__path__)]
+    for module in modules:
+        for value in vars(module).values():
+            if (isinstance(value, type) and dataclasses.is_dataclass(value)
+                    and value.__module__ == module.__name__):
+                yield value
+
+
+def test_a_payload_with_an_instant_names_its_timeline_event():
+    # a new timestamped payload without timeline_event would drop out of the timeline
+    checked = []
+    for cls in _payload_dataclasses():
+        hints = typing.get_type_hints(cls).values()
+        timestamped = any(h is EpochInstant or EpochInstant in typing.get_args(h)
+                          for h in hints)
+        assert timestamped == hasattr(cls, "timeline_event"), cls.__qualname__
+        checked.append(cls.__name__)
+    assert {"BloodPressureReading", "OximetryReading", "WeightReading", "EnvironmentReading",
+            "DeviceRegistration", "HealthMateMeasurement", "CredentialSet"} <= set(checked)
 
 
 def test_empty_timeline():

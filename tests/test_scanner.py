@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import collections
 import dataclasses
 import random
@@ -10,9 +11,12 @@ import struct
 import tempfile
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import phiscan
+import phiscan.parsers
 import phiscan.phi
 import phiscan.scanner
 from phiscan.evidence import hash_file, open_source, read_file
@@ -181,7 +185,7 @@ def test_zip_folder_beside_a_plain_member_of_its_name_is_swept(tmp_path):
         zf.writestr("com.example.notes", b"a plain member")
         zf.writestr("com.example.notes/files/log.txt", b"ssn 123-45-6789 noted")
     result = scan_evidence(path, fixed_clock=CLOCK)
-    assert [r.package_name for r in result.roots] == ["com.example.notes"]
+    assert list(result.roots) == ["com.example.notes"]
     assert [(f.locator.relative_path, f.locator.detail) for f in result.report.findings] == [
         ("com.example.notes/files/log.txt", "ssn@4")]
     assert [d.relative_path for d in result.report.file_digests] == [
@@ -284,7 +288,7 @@ def test_claimed_files_a_parser_never_pulls_are_still_hashed(tmp_path, monkeypat
     monkeypatch.setattr(phiscan.scanner, "PARSERS",
                         {folder: _IdleParser() for folder in PARSERS})
     result = scan_evidence(out, fixed_clock=CLOCK)
-    assert {r.parser.display_name for r in result.roots if r.parser} == {"idle"}
+    assert {p.display_name for p in result.roots.values() if p} == {"idle"}
     assert result.report.file_digests == expected
     assert result.report.warnings == ()
 
@@ -545,7 +549,7 @@ def _claims_tree(tmp_path, output_kind):
 @pytest.mark.parametrize("output_kind", ["directory", "zip"])
 def test_each_parser_claims_its_files_and_the_rest_are_swept(tmp_path, output_kind):
     result = scan_evidence(_claims_tree(tmp_path, output_kind), fixed_clock=CLOCK)
-    assert {getattr(r.parser, "parser_id", None) for r in result.roots} == {
+    assert {getattr(p, "parser_id", None) for p in result.roots.values()} == {
         "myvitals", "healthmate", "glucosmart"}
     classified = {s.relative_path for ss in result.report.database_statuses.values()
                   for s in ss}
@@ -596,3 +600,31 @@ def test_a_file_whose_parse_fails_is_swept(replica_tree, damage):
         ("raw-bytes", "ssn", _SSN)]
     offset = int(swept[0].locator.detail.removeprefix("ssn@"))
     assert (tree / path).read_bytes()[offset:offset + len(_SSN)] == _SSN.encode()
+
+
+def _imported_modules(path: Path, package: str):
+    """Absolute names of every module an `import` anywhere in the file can bind."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            module = ".".join(p for p in (base, node.module) if p)
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_only_the_parsers_and_the_forge_import_a_parser_module():
+    # the rest of the program reaches a parser through phiscan.parsers alone
+    root = Path(phiscan.__file__).parent
+    parser_modules = {f"phiscan.parsers.{p.stem}"
+                      for p in Path(phiscan.parsers.__file__).parent.glob("*.py")}
+    offenders = {}
+    for path in sorted(root.glob("*.py")):
+        if path.name == "fixtures.py":
+            continue
+        imported = set(_imported_modules(path, "phiscan")) & parser_modules
+        if imported:
+            offenders[path.name] = sorted(imported)
+    assert "phiscan.parsers.healthmate" in parser_modules
+    assert offenders == {}
