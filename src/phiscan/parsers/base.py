@@ -8,10 +8,11 @@ the parser hands back.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from ..artifacts import ArtifactRecord
+from ..errors import ScanError
 from ..evidence import EvidenceSource
 
 
@@ -57,6 +58,25 @@ class AppParser:
 
         A file whose parse fails as a whole (not SQLite, corrupt, XML that
         is not well-formed or lacks the keys the parser reads) costs one
-        warning and is handed back in ParseResult.sweep, so it is swept.
+        warning and is handed back in ParseResult.sweep, so it is swept:
+        parse_or_hand_back does both for one file.
         """
         raise NotImplementedError
+
+
+def parse_or_hand_back(path: str, data: bytes, parse: Callable, warnings: list[str],
+                       sweep: list[tuple[str, bytes]]) -> list[ArtifactRecord]:
+    """The records of `parse(data, relative_path=path)`, its warnings added to `warnings`.
+
+    `parse` returns (records, warnings) for one file. If it raises ScanError,
+    the file costs the one warning `<path>: <error>` and is handed back in
+    `sweep`, so it is swept, and no record comes back.
+    """
+    try:
+        records, file_warnings = parse(data, relative_path=path)
+    except ScanError as exc:
+        warnings.append(f"{path}: {exc}")
+        sweep.append((path, data))
+        return []
+    warnings.extend(file_warnings)
+    return records

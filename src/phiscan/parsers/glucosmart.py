@@ -6,7 +6,9 @@ parser is bound by folder name alone and claims every .db file and every
 user_info.xml beneath it. It classifies each .db file (plaintext /
 encrypted / empty, with Shannon entropy as supporting evidence), hands a
 plaintext one back to the scanner's raw sweep, since no schema is known
-for it, and pulls the username and device identifier out of user_info.xml.
+for it, and reads the username and device identifier from user_info.xml's
+UserName and DeviceID keys. No other key is read: a user_info.xml without
+both costs one warning and is handed back to the sweep too.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from ..artifacts import (
     STATUS_ENCRYPTED,
     STATUS_PLAINTEXT,
 )
-from ..errors import MissingFieldsError, ScanError
+from ..errors import MissingFieldsError
 from ..shared_prefs import parse_shared_prefs
 from ..sqlite_bytes import is_sqlite
-from .base import AppParser, ParseResult
+from .base import AppParser, ParseResult, parse_or_hand_back
 
 PACKAGE_FOLDER = "jiuana-androidBg.start"
 DISPLAY_NAME = "Gluco-Smart"
@@ -76,29 +78,14 @@ def classify_database(relative_path: str, data: bytes) -> DatabaseStatus:
 def parse_user_info_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH) -> ArtifactRecord:
     """Username and device identifier from user_info.xml.
 
-    The app's key names are fixture-normative ("UserName", "DeviceID");
-    fallback matching is by key substring (user/name, device/id). Missing
-    either field raises MissingFieldsError, which names only the missing
-    fields: the caller adds the path, and a recovered value is PHI.
+    The app's key names are fixture-normative ("UserName", "DeviceID"), and
+    no other key is read. Missing either field raises MissingFieldsError,
+    which names only the missing fields: the caller adds the path, and a
+    recovered value is PHI.
     """
-    entries = parse_shared_prefs(xml)
-    strings = {k: v for k, v in entries.items() if isinstance(v, str) and v}
+    strings = {k: v for k, v in parse_shared_prefs(xml).items() if isinstance(v, str) and v}
     username = strings.get("UserName")
     device_id = strings.get("DeviceID")
-    if username is None:
-        for key, value in sorted(strings.items()):
-            low = key.lower()
-            if "user" in low or "name" in low:
-                username = value
-                break
-    if device_id is None:
-        for key, value in sorted(strings.items()):
-            low = key.lower()
-            if value == username:
-                continue
-            if "device" in low or "id" in low:
-                device_id = value
-                break
     missing = [n for n, v in (("username", username), ("device identifier", device_id)) if not v]
     if missing:
         raise MissingFieldsError(f"{' and '.join(missing)} not present")
@@ -107,6 +94,11 @@ def parse_user_info_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH) ->
         payload=GlucoProfile(username=username, device_identifier=device_id),
         locator=make_locator(PACKAGE_FOLDER, relative_path, CONTAINER_XML, "UserName/DeviceID"),
     )
+
+
+def _profile_records(xml: bytes, *, relative_path: str
+                     ) -> tuple[list[ArtifactRecord], list[str]]:
+    return [parse_user_info_xml(xml, relative_path=relative_path)], []
 
 
 class GlucoSmartParser(AppParser):
@@ -123,11 +115,7 @@ class GlucoSmartParser(AppParser):
         records, statuses, warnings, xml_warnings, sweep = [], [], [], [], []
         for path, data in files:
             if not path.endswith(".db"):
-                try:
-                    records.append(parse_user_info_xml(data, relative_path=path))
-                except ScanError as exc:
-                    xml_warnings.append(f"{path}: {exc}")
-                    sweep.append((path, data))
+                records += parse_or_hand_back(path, data, _profile_records, xml_warnings, sweep)
                 continue
             status = classify_database(path, data)
             statuses.append(status)

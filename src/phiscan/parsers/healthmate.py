@@ -14,12 +14,12 @@ Unknown codes come through as raw hits, never dropped.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..artifacts import (
-    ArtifactRecord,
     EpochInstant,
     KIND_BLOOD_PRESSURE,
     KIND_DEVICE_REGISTRATION,
@@ -28,9 +28,9 @@ from ..artifacts import (
     KIND_WEIGHT,
     RawHit,
 )
-from ..errors import InvalidSpecError, MalformedRowError, ScanError
+from ..errors import InvalidSpecError, MalformedRowError
 from ..evidence import EvidenceSource, files_under
-from .base import AppParser, ParseResult
+from .base import AppParser, ParseResult, parse_or_hand_back
 from .tables import (
     Table,
     declare,
@@ -211,16 +211,8 @@ class HealthMateParser(AppParser):
               code_map: dict[int, str] | None = None) -> ParseResult:
         tables = (DEVICES, measure_table(DEFAULT_CODE_MAP if code_map is None else code_map),
                   USERS)
-        records: list[ArtifactRecord] = []
-        warnings: list[str] = []
-        sweep: list[tuple[str, bytes]] = []
+        parse = functools.partial(parse_tables, tables=tables, package=PACKAGE_FOLDER)
+        records, warnings, sweep = [], [], []
         for path, data in files:
-            try:
-                recs, warns = parse_tables(data, tables, package=PACKAGE_FOLDER,
-                                           relative_path=path)
-            except ScanError as exc:
-                recs, warns = [], [f"{path}: {exc}"]
-                sweep.append((path, data))
-            records.extend(recs)
-            warnings.extend(warns)
+            records += parse_or_hand_back(path, data, parse, warnings, sweep)
         return ParseResult(records=tuple(records), warnings=tuple(warnings), sweep=tuple(sweep))

@@ -13,6 +13,7 @@ guess.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -30,10 +31,10 @@ from ..artifacts import (
     looks_like_email,
     make_locator,
 )
-from ..errors import NoCredentialKeysError, ScanError
+from ..errors import NoCredentialKeysError
 from ..evidence import EvidenceSource
 from ..shared_prefs import parse_shared_prefs
-from .base import AppParser, ParseResult
+from .base import AppParser, ParseResult, parse_or_hand_back
 from .tables import (
     declare,
     email,
@@ -240,17 +241,18 @@ def parse_region_host_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH
                 break
     if not by_account:
         raise NoCredentialKeysError("no recognized credential key suffixes in map")
+    # a warning names a prefix by its 1-based position among the sorted
+    # prefixes, never by the prefix itself: it is the account
     warnings: list[str] = []
     if len(by_account) > 1:
-        warnings.append(
-            "inconsistent account prefixes in credential XML: "
-            + ", ".join(sorted(by_account))
-        )
+        warnings.append(f"{relative_path}: inconsistent account prefixes in credential XML: "
+                        f"{len(by_account)} accounts")
     records: list[ArtifactRecord] = []
-    for account in sorted(by_account):
+    for position, account in enumerate(sorted(by_account), 1):
         fields = by_account[account]
         if not looks_like_email(account):
-            warnings.append(f"credential key prefix is not an email address: {account!r}")
+            warnings.append(f"{relative_path}: credential key prefix {position} of "
+                            f"{len(by_account)} is not an email address")
         flag = fields.get("is_online_flag")
         credential = CredentialSet(
             account=account,
@@ -283,22 +285,12 @@ class MyVitalsParser(AppParser):
 
     def parse(self, files: Iterable[tuple[str, bytes]], *, code_map=None) -> ParseResult:
         # the database's records and warnings come before those of any credential XML
+        parse_db = functools.partial(parse_tables, tables=TABLES, package=PACKAGE_FOLDER)
         db_records, db_warnings, records, warnings, sweep = [], [], [], [], []
         for path, data in files:
             if path == DB_PATH:
-                try:
-                    db_records, db_warnings = parse_tables(data, TABLES, package=PACKAGE_FOLDER,
-                                                           relative_path=path)
-                except ScanError as exc:
-                    db_warnings = [f"{path}: {exc}"]
-                    sweep.append((path, data))
-                continue
-            try:
-                recs, warns = parse_region_host_xml(data, relative_path=path)
-            except ScanError as exc:
-                recs, warns = [], [f"{path}: {exc}"]
-                sweep.append((path, data))
-            records.extend(recs)
-            warnings.extend(warns)
+                db_records = parse_or_hand_back(path, data, parse_db, db_warnings, sweep)
+            else:
+                records += parse_or_hand_back(path, data, parse_region_host_xml, warnings, sweep)
         return ParseResult(records=tuple(db_records + records),
                            warnings=tuple(db_warnings + warnings), sweep=tuple(sweep))

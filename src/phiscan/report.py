@@ -71,7 +71,8 @@ def build_timeline(records: list[ArtifactRecord]) -> list[TimelineEvent]:
     A record is on the timeline when its payload names its event:
     timeline_event() gives the instant and the summary. Second- and
     millisecond-scale sources interleave correctly because ordering happens
-    on the normalized UTC rendering. Records without a timestamp (profiles,
+    on epoch seconds, not on the UTC rendering, whose five-digit years after
+    9999 would sort first as text. Records without a timestamp (profiles,
     credentials, undecoded Health Mate measure codes) are simply absent;
     the caller can count them as len(records) - len(events). The raw sweep
     gives findings, not records, so nothing it matches is counted there.
@@ -89,7 +90,7 @@ def build_timeline(records: list[ArtifactRecord]) -> list[TimelineEvent]:
             summary=summary,
             locator=record.locator,
         ))
-    events.sort(key=lambda e: (e.at.utc, e.app, e.locator.package_name,
+    events.sort(key=lambda e: (e.at.epoch_seconds(), e.app, e.locator.package_name,
                                e.locator.relative_path, e.locator.detail,
                                e.kind, e.summary))
     return events

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import re
 import sqlite3
 
 import pytest
@@ -12,6 +14,8 @@ from phiscan.evidence import enumerate_app_roots, open_source
 from phiscan.parsers import PARSERS
 from phiscan.parsers.myvitals import TABLES, MyVitalsParser, parse_region_host_xml
 from phiscan.parsers.tables import parse_tables
+from phiscan.report import render_report
+from phiscan.scanner import scan_evidence
 
 from conftest import FIG1_SPO2_ROWS, FIG2_CREDENTIAL_XML, make_myvitals_db
 
@@ -251,6 +255,25 @@ def test_inconsistent_prefixes_return_all_sets_flagged():
     assert len(records) == 2
     assert {r.payload.account for r in records} == {"a@b.co", "c@d.co"}
     assert any("inconsistent account prefixes" in w for w in warnings)
+
+
+def test_credential_warnings_name_the_file_and_no_account(replica_tree):
+    tree, _ = replica_tree
+    path = "iHealthMyVitals.V2/shared_prefs/sp_user_region_host_info.xml"
+    (tree / path).write_bytes(b"<map>"
+                              b"<string name=\"pat_user_password\">one</string>"
+                              b"<string name=\"a@b.co_user_password\">two</string>"
+                              b"</map>")
+    report = scan_evidence(tree, fixed_clock="2020-01-01T00:00:00Z", redact=True).report
+    warnings = json.loads(render_report(report, "json"))["warnings"]
+    text = render_report(report, "text").decode()
+    assert text.split("\nWARNINGS (", 1)[1].splitlines()[1:] == [f"- {w}" for w in warnings]
+    # a prefix is named by its position among the sorted prefixes: a@b.co, pat
+    assert [w for w in warnings if path in w] == [
+        f"{path}: inconsistent account prefixes in credential XML: 2 accounts",
+        f"{path}: credential key prefix 2 of 2 is not an email address",
+    ]
+    assert not any("a@b.co" in w or re.search(r"\bpat\b", w) for w in warnings)
 
 
 def test_malformed_xml_raises():

@@ -10,7 +10,7 @@ import typing
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import phiscan.artifacts
 import phiscan.parsers
@@ -251,6 +251,22 @@ def test_timeline_is_permutation_invariant(pairs, rnd):
     rnd.shuffle(shuffled)
     assert build_timeline(shuffled) == reference
     assert [e.at.utc for e in reference] == sorted(e.at.utc for e in reference)
+
+
+@given(st.lists(st.one_of(st.integers(min_value=1, max_value=10**11 - 1),
+                          st.integers(min_value=10**12, max_value=10**16)), max_size=30))
+@example([300000000000000, 1542127729662])
+def test_timeline_is_chronological_past_year_9999(raws):
+    # 300000000000000 ms renders as 11476-08-15T05:20:00Z, which sorts before
+    # 2018-11-13T16:48:49Z as text
+    records = [
+        ArtifactRecord(kind="weight",
+                       payload=healthmate.HealthMateMeasurement(
+                           "weight", 70.0, normalize_timestamp(raw), None),
+                       locator=SourceLocator("p", "p/db", "sqlite-table", f"measure:{i}"))
+        for i, raw in enumerate(raws)]
+    seconds = [e.at.epoch_seconds() for e in build_timeline(records)]
+    assert seconds == sorted(raw if raw < 10**11 else raw // 1000 for raw in raws)
 
 
 def test_render_timeline_formats(tmp_path):

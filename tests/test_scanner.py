@@ -29,7 +29,7 @@ from phiscan.fixtures import (
     random_spec,
 )
 from phiscan.parsers import PARSERS, AppParser, ParseResult
-from phiscan.phi import match_raw
+from phiscan.phi import CAT_NAME, match_raw
 from phiscan.report import render_report
 from phiscan.scanner import scan_evidence
 
@@ -576,30 +576,63 @@ def _set_page_size(path, page_size):
     path.write_bytes(bytes(data))
 
 
-@pytest.mark.parametrize("damage", ["page size", "not well-formed XML"])
+# damage -> (database, SQL that puts its argument in a text cell)
+_SSN_CELLS = {
+    "page size": ("iHealthMyVitals.V2/Databases/androidNin.db",
+                  "UPDATE TB_BPResult SET Note = ? WHERE rowid = 1"),
+    "Health Mate page size": ("com.withings.wiscale2/databases/withings-wiscale.db",
+                              "UPDATE users SET name = ? WHERE rowid = 1"),
+}
+
+
+@pytest.mark.parametrize("damage", ["page size", "not well-formed XML",
+                                    "Health Mate page size", "Gluco-Smart keys missing"])
 def test_a_file_whose_parse_fails_is_swept(replica_tree, damage):
     tree, _ = replica_tree
-    if damage == "page size":
-        path = "iHealthMyVitals.V2/Databases/androidNin.db"
+    if damage in _SSN_CELLS:
+        path, update = _SSN_CELLS[damage]
         conn = sqlite3.connect(tree / path)
-        conn.execute("UPDATE TB_BPResult SET Note = ? WHERE rowid = 1", (f"ssn {_SSN} noted",))
+        conn.execute(update, (f"ssn {_SSN} noted",))
         conn.commit()
         conn.close()
         _set_page_size(tree / path, 3)
         warning = f"{path}: corrupt SQLite database, not parsed ("
-    else:
+    elif damage == "not well-formed XML":
         path = "iHealthMyVitals.V2/shared_prefs/sp_user_region_host_info.xml"
         (tree / path).write_bytes(
             f'<map><string name="a@b.co_user_password">{_SSN}</string'.encode())
         warning = f"{path}: not well-formed XML: "
+    else:
+        path = "jiuana-androidBg.start/shared_prefs/user_info.xml"
+        (tree / path).write_bytes(
+            f'<map><string name="note">ssn {_SSN} noted</string></map>'.encode())
+        warning = f"{path}: username and device identifier not present"
     result = scan_evidence(tree, fixed_clock=CLOCK, redact=False)
-    assert [w for w in result.report.warnings if path in w][0].startswith(warning)
+    (only,) = [w for w in result.report.warnings if path in w]
+    assert only.startswith(warning)
     assert not any(r.locator.relative_path == path for r in result.records)
     swept = [f for f in result.report.findings if f.locator.relative_path == path]
     assert [(f.locator.container, f.category, f.value_excerpt) for f in swept] == [
         ("raw-bytes", "ssn", _SSN)]
     offset = int(swept[0].locator.detail.removeprefix("ssn@"))
     assert (tree / path).read_bytes()[offset:offset + len(_SSN)] == _SSN.encode()
+
+
+def test_a_user_info_xml_without_its_keys_gives_no_guessed_profile(tmp_path):
+    # no key is UserName or DeviceID, so no value is taken for a name: the
+    # file costs one warning and is handed back to the sweep, which finds nothing
+    path = "jiuana-androidBg.start/shared_prefs/user_info.xml"
+    (tmp_path / "tree" / path).parent.mkdir(parents=True)
+    (tmp_path / "tree" / path).write_bytes(
+        b'<map><string name="theme_name">Dark</string>'
+        b'<string name="android_id">9774d56d682e549c</string></map>')
+    result = scan_evidence(tmp_path / "tree", fixed_clock=CLOCK)
+    assert result.records == ()
+    assert not any(f.rule_id == "profile-name" for f in result.report.findings)
+    (row,) = result.report.matrix
+    assert (row.app_name, row.cells[CAT_NAME]) == ("Gluco-Smart", "not-recovered")
+    assert result.report.violations == {}
+    assert result.report.warnings == (f"{path}: username and device identifier not present",)
 
 
 def _imported_modules(path: Path, package: str):
