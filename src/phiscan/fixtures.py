@@ -29,6 +29,7 @@ Plausible-value ranges used for generated vitals: SpO2 90-100, pulse
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -108,6 +109,11 @@ class HealthMateBlock:
     user_rows: int | tuple = 0
 
 
+# each app's spec key -> its block and its parser module
+_APPS = {"myvitals": (MyVitalsBlock, myvitals), "glucosmart": (GlucoSmartBlock, glucosmart),
+         "healthmate": (HealthMateBlock, healthmate)}
+
+
 @dataclass(frozen=True)
 class FixtureSpec:
     seed: int
@@ -161,24 +167,35 @@ def _validate_credential(credential: dict) -> None:
         raise InvalidSpecError("myvitals.credential needs at least one credential field")
 
 
-def _rows_field(value, field_name: str) -> int | tuple:
-    if isinstance(value, bool):
-        raise InvalidSpecError(f"{field_name}: expected a count or row list")
-    if isinstance(value, int):
-        if value < 0:
-            raise InvalidSpecError(f"{field_name}: negative count {value}")
-        return value
-    if isinstance(value, list):
+def _field_value(value, type_: str, where: str):
+    """A block field's spec value, checked against the field's declared type."""
+    if type_ == "dict | None":
+        if value is not None and not isinstance(value, dict):
+            raise InvalidSpecError(f"{where} must be an object")
+        return dict(value) if value else None      # an empty or null object plants no file
+    rows = type_ == "int | tuple"
+    if rows and isinstance(value, list):
         for i, row in enumerate(value):
             if not isinstance(row, dict):
-                raise InvalidSpecError(f"{field_name}[{i}]: expected an object")
+                raise InvalidSpecError(f"{where}[{i}] must be an object")
         return tuple(dict(row) for row in value)
-    raise InvalidSpecError(f"{field_name}: expected a count or row list")
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise InvalidSpecError(f"{where}: expected a non-negative count"
+                               + (" or a row list" if rows else ""))
+    return value
 
 
-def _rows_fields(db: _ForgeDb, block: dict) -> dict:
-    return {table.field: _rows_field(block.get(table.field, 0), f"{db.app}.{table.field}")
-            for table in db.tables}
+def _block_from_dict(app: str, doc) -> object:
+    """The block of `app` from its spec object, each key checked by its field's type."""
+    if not isinstance(doc, dict):
+        raise InvalidSpecError(f"{app} must be an object")
+    block_type = _APPS[app][0]
+    types = {field.name: field.type for field in dataclasses.fields(block_type)}
+    for key in doc:
+        if key not in types:
+            raise InvalidSpecError(f"{app}.{key}: unknown key")
+    return block_type(**{key: _field_value(value, types[key], f"{app}.{key}")
+                         for key, value in doc.items()})
 
 
 def spec_from_dict(doc: dict) -> FixtureSpec:
@@ -196,38 +213,11 @@ def spec_from_dict(doc: dict) -> FixtureSpec:
     apps = doc.get("apps", {})
     if not isinstance(apps, dict):
         raise InvalidSpecError("'apps' must be an object")
-    unknown = set(apps) - {"myvitals", "glucosmart", "healthmate"}
+    unknown = set(apps) - set(_APPS)
     if unknown:
         raise InvalidSpecError(f"unknown app blocks: {sorted(unknown)}")
-
-    mv = None
-    if "myvitals" in apps:
-        block = apps["myvitals"]
-        credential = block.get("credential")
-        if credential is not None:
-            if not isinstance(credential, dict):
-                raise InvalidSpecError("myvitals.credential must be an object")
-            _validate_credential(credential)
-        mv = MyVitalsBlock(**_rows_fields(_MYVITALS, block),
-                           credential=dict(credential) if credential else None)
-
-    gs = None
-    if "glucosmart" in apps:
-        block = apps["glucosmart"]
-        count = block.get("encrypted_db_count", 0)
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise InvalidSpecError("glucosmart.encrypted_db_count must be a non-negative integer")
-        user_info = block.get("user_info")
-        if user_info is not None and not isinstance(user_info, dict):
-            raise InvalidSpecError("glucosmart.user_info must be an object")
-        gs = GlucoSmartBlock(encrypted_db_count=count,
-                             user_info=dict(user_info) if user_info else None)
-
-    hm = None
-    if "healthmate" in apps:
-        hm = HealthMateBlock(**_rows_fields(_HEALTHMATE, apps["healthmate"]))
-    return FixtureSpec(seed=seed, output_kind=output_kind,
-                       myvitals=mv, glucosmart=gs, healthmate=hm, version=version)
+    blocks = {app: _block_from_dict(app, block) for app, block in apps.items()}
+    return FixtureSpec(seed=seed, output_kind=output_kind, version=version, **blocks)
 
 
 def load_spec(text: str) -> FixtureSpec:
@@ -240,11 +230,9 @@ def load_spec(text: str) -> FixtureSpec:
 
 
 def spec_to_dict(spec: FixtureSpec) -> dict:
-    blocks = {"myvitals": spec.myvitals, "glucosmart": spec.glucosmart,
-              "healthmate": spec.healthmate}
     apps = {app: {key: list(value) if isinstance(value, tuple) else value
                   for key, value in vars(block).items()}
-            for app, block in blocks.items() if block is not None}
+            for app in _APPS if (block := getattr(spec, app)) is not None}
     return {"version": spec.version, "seed": spec.seed,
             "output_kind": spec.output_kind, "apps": apps}
 
@@ -271,6 +259,10 @@ def _rand_token(rng: random.Random, pairs: int = 20) -> str:
 
 def _rand_mac(rng: random.Random) -> str:
     return ":".join(f"{rng.randrange(256):02x}" for _ in range(6))
+
+
+def _rand_birth_date(rng: random.Random) -> str:
+    return f"{rng.randrange(1950, 2001)}-{rng.randrange(1, 13):02d}-{rng.randrange(1, 29):02d}"
 
 
 def _rand_secs(rng: random.Random) -> int:
@@ -341,8 +333,7 @@ def _gen_env_row(rng: random.Random) -> dict:
 def _gen_mv_user_row(rng: random.Random, account: str) -> dict:
     return {
         "name": _rand_name(rng),
-        "date_of_birth": f"{rng.randrange(1950, 2001)}-{rng.randrange(1, 13):02d}-"
-                         f"{rng.randrange(1, 29):02d}",
+        "date_of_birth": _rand_birth_date(rng),
         "timezone_location": rng.choice(_TIMEZONES),
         "email": account,
     }
@@ -377,14 +368,14 @@ _MEASURE_VALUE_RANGES = {
 _KIND_BY_CODE = dict(healthmate.DEFAULT_CODE_MAP)
 
 
-def _gen_measure_row(rng: random.Random, device_ids: list[int]) -> dict:
+def _gen_measure_row(rng: random.Random, devices: list[dict]) -> dict:
     code = rng.choice(sorted(_KIND_BY_CODE))
     low, high = _MEASURE_VALUE_RANGES[_KIND_BY_CODE[code]]
     return {
         "code": code,
         "value": _round1(rng.uniform(low, high)),
         "measured_at": _rand_ms(rng),
-        "device_ref": rng.choice(device_ids) if device_ids else None,
+        "device_ref": rng.choice(devices)["id"] if devices else None,
     }
 
 
@@ -392,8 +383,7 @@ def _gen_hm_user_row(rng: random.Random) -> dict:
     return {
         "name": _rand_name(rng),
         "gender": rng.choice(("F", "M", "X")),
-        "birthday": f"{rng.randrange(1950, 2001)}-{rng.randrange(1, 13):02d}-"
-                    f"{rng.randrange(1, 29):02d}",
+        "birthday": _rand_birth_date(rng),
         "email": f"patient{rng.randrange(100):02d}@example.com",
     }
 
@@ -659,22 +649,21 @@ def _prefs_xml(entries: list[tuple[str, str, object]]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+# credential spec key -> (prefs tag, key suffix after the account), in file order
+_CREDENTIAL_ENTRIES = {
+    "is_online": ("boolean", "_user_is_online"),
+    "refresh_token": ("string", "_user_refresh_token"),
+    "access_token": ("string", "_user_access_token"),
+    "password": ("string", "_user_password"),
+    "region_host": ("string", "_user_region_host_info"),
+    "region_flag": ("int", "_user_region_flag"),
+}
+
+
 def _credential_xml(credential: dict) -> bytes:
-    account = credential["account"]
-    entries: list[tuple[str, str, object]] = []
-    if credential.get("is_online") is not None:
-        entries.append(("boolean", f"{account}_user_is_online", credential["is_online"]))
-    if credential.get("refresh_token") is not None:
-        entries.append(("string", f"{account}_user_refresh_token", credential["refresh_token"]))
-    if credential.get("access_token") is not None:
-        entries.append(("string", f"{account}_user_access_token", credential["access_token"]))
-    if credential.get("password") is not None:
-        entries.append(("string", f"{account}_user_password", credential["password"]))
-    if credential.get("region_host") is not None:
-        entries.append(("string", f"{account}_user_region_host_info", credential["region_host"]))
-    if credential.get("region_flag") is not None:
-        entries.append(("int", f"{account}_user_region_flag", credential["region_flag"]))
-    return _prefs_xml(entries)
+    return _prefs_xml([(tag, credential["account"] + suffix, credential[key])
+                       for key, (tag, suffix) in _CREDENTIAL_ENTRIES.items()
+                       if credential.get(key) is not None])
 
 
 def _encrypted_db_bytes(rng: random.Random) -> bytes:
@@ -757,20 +746,26 @@ def build_tree(spec: FixtureSpec) -> tuple[dict[str, bytes], FixtureManifest]:
     apps: list[str] = []
     encrypted: list[str] = []
 
+    def forge_db(db: _ForgeDb, block, *gens: Callable[[dict], dict]) -> None:
+        # each table in file order: gens[i](rows) makes one row of the i-th
+        # table, given the rows resolved for the tables before it
+        rows: dict[str, list[dict]] = {}
+        for table, gen in zip(db.tables, gens):
+            rows[table.field] = _resolve_rows(db, table, getattr(block, table.field),
+                                              partial(gen, rows))
+        tree[db.path] = _sqlite_file(db, rows)
+        apps.append(db.display_name)
+        planted.extend(_planted(db, rows))
+
     if spec.myvitals is not None:
         block = spec.myvitals
         account = (block.credential or {}).get("account")
         if account is None and isinstance(block.user_rows, tuple) and block.user_rows:
             account = block.user_rows[0].get("email")
         account = account or "patient01@example.com"
-        gens = (lambda: _gen_bp_row(rng, account), lambda: _gen_spo2_row(rng, account),
-                lambda: _gen_weight_row(rng, account), lambda: _gen_env_row(rng),
-                lambda: _gen_mv_user_row(rng, account))
-        rows = {table.field: _resolve_rows(_MYVITALS, table, getattr(block, table.field), gen)
-                for table, gen in zip(_MYVITALS.tables, gens)}
-        tree[_MYVITALS.path] = _sqlite_file(_MYVITALS, rows)
-        apps.append(_MYVITALS.display_name)
-        planted.extend(_planted(_MYVITALS, rows))
+        forge_db(_MYVITALS, block, lambda _: _gen_bp_row(rng, account),
+                 lambda _: _gen_spo2_row(rng, account), lambda _: _gen_weight_row(rng, account),
+                 lambda _: _gen_env_row(rng), lambda _: _gen_mv_user_row(rng, account))
         if block.credential is not None:
             _validate_credential(block.credential)
             tree[myvitals.DEFAULT_XML_PATH] = _credential_xml(block.credential)
@@ -796,22 +791,10 @@ def build_tree(spec: FixtureSpec) -> tuple[dict[str, bytes], FixtureManifest]:
             planted.append(_planted_gluco(info))
 
     if spec.healthmate is not None:
-        block = spec.healthmate
-        devices_table, measure_table, users_table = _HEALTHMATE.tables
         used_ids: set[int] = set()
-        devices = _resolve_rows(_HEALTHMATE, devices_table, block.device_rows,
-                                lambda: _gen_device_row(rng, used_ids))
-        device_ids = [d["id"] for d in devices]
-        rows = {
-            "device_rows": devices,
-            "measure_rows": _resolve_rows(_HEALTHMATE, measure_table, block.measure_rows,
-                                          lambda: _gen_measure_row(rng, device_ids)),
-            "user_rows": _resolve_rows(_HEALTHMATE, users_table, block.user_rows,
-                                       lambda: _gen_hm_user_row(rng)),
-        }
-        tree[_HEALTHMATE.path] = _sqlite_file(_HEALTHMATE, rows)
-        apps.append(_HEALTHMATE.display_name)
-        planted.extend(_planted(_HEALTHMATE, rows))
+        forge_db(_HEALTHMATE, spec.healthmate, lambda _: _gen_device_row(rng, used_ids),
+                 lambda rows: _gen_measure_row(rng, rows["device_rows"]),
+                 lambda _: _gen_hm_user_row(rng))
 
     files = {path: {"sha256": hashlib.sha256(data).hexdigest(), "byte_length": len(data)}
              for path, data in tree.items()}
@@ -833,11 +816,8 @@ def _tree_dirs(tree: dict[str, bytes], spec: FixtureSpec) -> list[str]:
         for i in range(1, len(parts)):
             dirs.add("/".join(parts[:i]))
     # app folders exist even when empty (e.g. gluco with nothing planted)
-    for block, pkg in ((spec.myvitals, myvitals.PACKAGE_FOLDER),
-                       (spec.glucosmart, glucosmart.PACKAGE_FOLDER),
-                       (spec.healthmate, healthmate.PACKAGE_FOLDER)):
-        if block is not None:
-            dirs.add(pkg)
+    dirs.update(module.PACKAGE_FOLDER for app, (_, module) in _APPS.items()
+                if getattr(spec, app) is not None)
     return sorted(dirs)
 
 

@@ -26,7 +26,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
 
 from .artifacts import (
     ArtifactRecord,
@@ -186,7 +185,7 @@ def _string_fields(payload: object) -> list[str]:
 
 
 def _findings(rules: tuple[PhiRule, ...], typed: dict[str, str], texts: list[str],
-              locator: SourceLocator | None, redact: bool) -> list[PhiFinding]:
+              locator: SourceLocator, redact: bool) -> list[PhiFinding]:
     """The findings `rules` fire, in rule order, each at `locator`.
 
     A typed rule fires its predicate's entry in `typed`; a pattern rule
@@ -272,23 +271,22 @@ def _keyword_runs(swept: bytes) -> list[tuple[int, int]]:
     return sorted(spans)
 
 
-def _raw_matches(data: bytes) -> tuple[list[tuple[int, str, str]], Callable[[int], int]]:
-    """The raw-pattern matches of `data`'s printable runs, and where each sits.
+def match_raw(data: bytes) -> list[tuple[int, str, str]]:
+    """Every raw-pattern hit in `data`, as (byte offset, pattern, value), sorted.
 
-    Matches are (position in the joined runs, pattern, value), pattern by
-    pattern; the function maps such a position to its byte offset in `data`.
+    A hit is a pattern match inside a run of 6 or more printable ASCII
+    bytes. The runs are cut out of `data` and joined by NUL bytes, and each
+    pattern is matched once over the joined runs, so the cost follows the
+    printable bytes of `data`, not its size. credential-key is matched only
+    inside the runs of word, '.', '@' and '-' bytes that hold "password" or
+    "token" in any case, and a payment-card match must pass the Luhn check.
     """
     runs = [m.span() for m in _MASKED_RUN.finditer(data.translate(_PRINTABLE_MASK))]
     swept = b"\0".join([data[start:end] for start, end in runs])
     # where each run starts in `swept`, to map a match back into `data`
     swept_starts = list(itertools.accumulate(
         (end - start + 1 for start, end in runs), initial=0))
-
-    def offset(at: int) -> int:
-        run = bisect.bisect_right(swept_starts, at) - 1
-        return runs[run][0] + at - swept_starts[run]
-
-    matches = []
+    hits = []
     for pattern_name, rx in _RAW_BYTE_PATTERNS:
         if pattern_name == "credential-key":
             # a run's edges are non-word bytes, so a search cut to the run
@@ -301,22 +299,9 @@ def _raw_matches(data: bytes) -> tuple[list[tuple[int, str, str]], Callable[[int
             value = match.group().decode("ascii")
             if pattern_name == "payment-card" and not luhn_ok(value):
                 continue
-            matches.append((match.start(), pattern_name, value))
-    return matches, offset
-
-
-def match_raw(data: bytes) -> list[tuple[int, str, str]]:
-    """Every raw-pattern hit in `data`, as (byte offset, pattern, value), sorted.
-
-    A hit is a pattern match inside a run of 6 or more printable ASCII
-    bytes. The runs are cut out of `data` and joined by NUL bytes, and each
-    pattern is matched once over the joined runs, so the cost follows the
-    printable bytes of `data`, not its size. credential-key is matched only
-    inside the runs of word, '.', '@' and '-' bytes that hold "password" or
-    "token" in any case, and a payment-card match must pass the Luhn check.
-    """
-    matches, offset = _raw_matches(data)
-    return sorted((offset(at), pattern, value) for at, pattern, value in matches)
+            run = bisect.bisect_right(swept_starts, match.start()) - 1
+            hits.append((runs[run][0] + match.start() - swept_starts[run], pattern_name, value))
+    return sorted(hits)
 
 
 # The rules a raw hit's value can fire: it has no typed excerpts.
@@ -349,14 +334,10 @@ def scan_raw(data: bytes, package_name: str, relative_path: str, *,
     shapes = data.translate(_DIGIT_SHAPES)
     if b"ddd-dd-dddd" not in shapes and b"d" * 15 not in shapes.translate(None, b" -"):
         return []
-    matches, offset = _raw_matches(data)
     findings = []
-    for at, pattern, value in sorted(matches, key=lambda match: match[:2]):
-        fired = _findings(_RAW_RULES, {}, [value], None, redact)
-        if fired:
-            locator = SourceLocator(package_name, relative_path, CONTAINER_RAW,
-                                    f"{pattern}@{offset(at)}")
-            findings.extend(dataclasses.replace(f, locator=locator) for f in fired)
+    for offset, pattern, value in match_raw(data):
+        locator = SourceLocator(package_name, relative_path, CONTAINER_RAW, f"{pattern}@{offset}")
+        findings += _findings(_RAW_RULES, {}, [value], locator, redact)
     return findings
 
 

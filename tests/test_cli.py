@@ -154,6 +154,22 @@ def test_fixtures_malformed_spec_exits_one_with_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("apps", [{"myvitals": 5}, {"healthmate": []},
+                                  {"myvitals": {"bp_row": 3}}],
+                         ids=["a-number", "a-list", "an-unknown-key"])
+def test_fixtures_bad_app_block_exits_one_and_writes_nothing(tmp_path, capsys, apps):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"seed": 1, "apps": apps}))
+    out = tmp_path / "tree"
+    code = main(["fixtures", str(spec), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("phiscan: error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not (tmp_path / "tree.manifest.json").exists()
+
+
 def test_list_parsers_text(capsys):
     assert main(["list-parsers"]) == 0
     out = capsys.readouterr().out

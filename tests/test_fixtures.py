@@ -56,6 +56,21 @@ def test_load_spec_requires_seed_and_known_apps():
         load_spec('{"seed": 1, "output_kind": "tarball"}')
 
 
+# app blocks the loader must refuse, and the name each error must carry
+BAD_APP_BLOCKS = [
+    ({"myvitals": 5}, "myvitals must be an object"),
+    ({"healthmate": []}, "healthmate must be an object"),
+    ({"myvitals": {"bp_row": 3}}, "myvitals.bp_row: unknown key"),
+]
+
+
+@pytest.mark.parametrize("apps, message", BAD_APP_BLOCKS,
+                         ids=["a-number", "a-list", "an-unknown-key"])
+def test_load_spec_rejects_a_bad_app_block(apps, message):
+    with pytest.raises(InvalidSpecError, match=re.escape(message)):
+        load_spec(json.dumps({"seed": 1, "apps": apps}))
+
+
 def test_spec_dict_round_trip():
     spec = paper_replica_spec()
     assert load_spec(json.dumps(spec_to_dict(spec))) == spec

@@ -357,18 +357,18 @@ def _fail_if_matched(data):
     b"123-45\x00-6789",
 ], ids=["random", "email-token-epoch", "14-digit-run", "ssn-cut-by-nul"])
 def test_scan_raw_matches_nothing_without_an_ssn_or_card_shape(monkeypatch, data):
-    monkeypatch.setattr(phi, "_raw_matches", _fail_if_matched)
+    monkeypatch.setattr(phi, "match_raw", _fail_if_matched)
     assert _sweep(data) == []
 
 
 def test_scan_raw_matches_bytes_that_hold_an_ssn_shape(monkeypatch):
-    match, matched = phi._raw_matches, []
+    match, matched = phi.match_raw, []
 
     def recorded(data):
         matched.append(data)
         return match(data)
 
-    monkeypatch.setattr(phi, "_raw_matches", recorded)
+    monkeypatch.setattr(phi, "match_raw", recorded)
     data = b"pat@example.com x_user_token 078-05-1120\n"
     assert [f.value_excerpt for f in _sweep(data)] == ["078-05-1120"]
     assert matched == [data]
