@@ -390,14 +390,17 @@ def evaluate_security_rule(app: str, records: list[ArtifactRecord],
         credential = record.payload
         if credential.password_plaintext is None:
             continue
-        excerpt = credential.password_plaintext
+        account, excerpt = credential.account, credential.password_plaintext
+        locator = record.locator
         if redact:
-            excerpt = redact_value(excerpt)
+            # the locator's detail names the account: it is the key prefix
+            account, excerpt = redact_value(account), redact_value(excerpt)
+            locator = dataclasses.replace(
+                locator, detail=locator.detail.replace(credential.account, account))
         violations.append(SecurityViolation(
             kind=VIOLATION_PLAINTEXT_CREDENTIAL,
-            evidence=(record.locator,),
-            description=(f'{app}: plaintext password at rest for account '
-                         f'{credential.account}: "{excerpt}"'),
+            evidence=(locator,),
+            description=f'{app}: plaintext password at rest for account {account}: "{excerpt}"',
         ))
 
     if not health:

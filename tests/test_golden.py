@@ -51,27 +51,27 @@ from conftest import make_healthmate_db, make_myvitals_db
 CLOCK = "2020-01-01T00:00:00Z"
 
 GOLDEN = {
-    "replica": "ba55e44ece897b95be7daf6065841d45ace04a76357a99c2d242698aebd24e2f",
-    "seed0": "599c162219cce4f8cd3e8a4f6fe027f855047efac524ed11a1736fdad414b93c",
-    "seed1": "b072f16662a5b0ce9d4c702d66cf5b52f72fb588befb9b82533492d6ff59262a",
+    "replica": "8a02cc9638d785983539afbdc77e926ca1bcfc9162b7b25f6b351acdbadf64a8",
+    "seed0": "884d8c1c9076bbee3d82ca8bc0fd9a769871fdd0e5e9bda76115cec0353690cd",
+    "seed1": "8663445f5f3f8314345fe5c47254248ecd81cd6372690d03cd2d725250f42f57",
     "seed2": "094de0115cdf8449dec860642997d26df58fce4510f8113387466d0afc1d5de9",
     "seed3": "e9e33aa65ed238e97a435b30bcdd8f035bbdb8c291ca1ce7831330af0ab71df8",
     "seed4": "a25d26612060e41d5a5e533a174226aefe5633e225464b0044efe557434d655f",
     "seed5": "526d9248bb296692d9857e4c6232a9889860646230a5e5719ab2084edbf84816",
-    "seed6": "020d1f4677ae1ffa2fbaabdf72b775a59ef59eb7acc95e5f3dc6f52d31c64d71",
-    "seed7": "f99a90052e3f96c24dcc459a7297795a5d08f626b711d43411eeb89eaae9c39c",
+    "seed6": "d2cc734c9f61ae3585926adb4ece72250e285a15bdf43c0653d20342ffaf6ab3",
+    "seed7": "52d4c2020f7f0d5601a15dd9630b9eefa98a3a6b87c6f9396bc1db856c381695",
     "seed8": "67ba4b419fce7fbdfbcb3a281f5f00c86990769ec213fa92171862df78ccfead",
     "seed9": "08c76f2e4474c431bcac74abd933a5841b1d5642f888709bf76e02ee087bb719",
-    "seed10": "b699acf01417692c4bebeb7824250bebb9cfe79966bc75e85aa20d9ad03b6599",
+    "seed10": "576d19402df5037d24468e882e5dca496a489c2c505f62bfee34aed9670f58bb",
     "seed11": "3aea92b0ed096a57bd647568fc31eebd3f9ec64c211061499a43d559df31fc53",
-    "seed12": "2d1ab7e750afc92d2ddda97a7ebc8e939e9bf59b1e02577fc13ff72b82bc5dcb",
+    "seed12": "7b11b9d1e932f9afc3f3b216f9a0cfce42e9dbc94dbfe78bfd59fede5361c895",
     "seed13": "952f4f3233d48f1dc29ab40656b5f75f7b1bd96dfc8919d8f45cddac3fbb2edb",
-    "seed14": "d27e693c95eef54e7e49b63925c3ee7747a17aa7ca8961ab7ca60203a9f11183",
+    "seed14": "e1c8063f23f0788f6f84771eebe72e8a3f368b3ac3345aaf02e54f662a5ff62d",
     "seed15": "004848703897cd5e51d976245e01f3bf1f70a5fc90e368b21bd92ecf29ee0887",
     "seed16": "813ea5cb6d9742c1b2985bf9f85cd872d9339f613c9cf1487d863497cd1f2a67",
-    "seed17": "57c4640b3887be80f2a932a7c2521eea1cb59f611c5e3895da5e43ee181586bb",
+    "seed17": "a16ac55274ecfe7c419e366dc0624ac908ef8d6ba79775e922f9b232d7a36fef",
     "seed18": "34f423f111f7ca7915f06b041d7d3df149631aa1b42500ff18c5c94ca1f3c000",
-    "seed19": "cafd4cb998c8a1d2893f011d2eb35257b82742b02d72d81e1e70adc7692599d1",
+    "seed19": "9122c73ee1a322f7f3bee9c748558b2fd6e9eca2f1c42adad1e17ae62d31f0ad",
 }
 
 

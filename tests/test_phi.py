@@ -481,12 +481,18 @@ def test_security_credential_with_password():
     assert "a@b.co" in cred.description
     assert "MedExp2018" in cred.description
     assert "sp_user_region_host_info.xml" in cred.evidence[0].relative_path
+    assert cred.evidence == (credential_record().locator,)
 
 
 def test_security_credential_redacted_by_default():
     violations = _security("App", [credential_record("MedExp2018")])
     assert "MedExp2018" not in violations[0].description
     assert "Me******18" in violations[0].description
+    # the account is redacted too, in the description and in the key-prefix detail
+    assert "a@b.co" not in violations[0].description
+    assert "account a@**co" in violations[0].description
+    assert violations[0].evidence == (dataclasses.replace(
+        credential_record().locator, detail="key prefix a@**co"),)
 
 
 def test_security_identity_only_is_weak_note():

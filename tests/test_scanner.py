@@ -108,6 +108,19 @@ def test_reports_equal_modulo_clock_fields(tmp_path):
     assert normalized_a == normalized_b
 
 
+@pytest.mark.parametrize("name", ["replica", *(f"seed{seed}" for seed in range(40))])
+def test_no_planted_value_shows_verbatim_in_a_redacted_report(tmp_path, name):
+    spec = paper_replica_spec() if name == "replica" else random_spec(int(name[4:]))
+    manifest = generate_fixture(spec, tmp_path / "t")
+    report = scan_evidence(tmp_path / "t", fixed_clock=CLOCK).report
+    rendered = (render_report(report) + render_report(report, "text")).decode()
+    values = {value for planted in manifest.planted for value in planted.payload.values()
+              if isinstance(value, str) and len(value) > 4}
+    if name == "replica":
+        assert {"medicaldevices2018exper@gmail.com", "MedExp2018"} <= values
+    assert sorted(value for value in values if value in rendered) == []
+
+
 def test_zip_source_supports_concurrent_reads(tmp_path):
     spec = FixtureSpec(seed=14, output_kind="zip",
                        myvitals=MyVitalsBlock(bp_rows=3, user_rows=1))
