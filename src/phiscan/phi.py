@@ -368,8 +368,10 @@ def evaluate_security_rule(app: str, records: list[ArtifactRecord],
 
     plaintext-ephi-at-rest: health-condition findings originating from a
     plaintext sqlite/xml container. plaintext-credential: a recovered
-    credential set with the password present. weak-safeguard-note
-    (informational): identity data alone in plaintext containers.
+    credential set with the password present; with `redact`, its account
+    and password go through redact_value, in the description and in the
+    evidence detail. weak-safeguard-note (informational): identity data
+    alone in plaintext containers.
     """
     db_statuses = db_statuses or []
     plaintext = [f for f in findings if f.locator.container in _PLAINTEXT_CONTAINERS]
