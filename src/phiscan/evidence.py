@@ -60,7 +60,8 @@ class EvidenceSource:
     A zip source holds its archive open: close it, or use the source as a
     context manager. `skipped_entries` names what the listing left out and
     why: symlinks, files that are not regular (FIFOs, devices, sockets),
-    unsafe or duplicate zip names, unreadable directories.
+    names that are not UTF-8, unsafe or duplicate zip names, unreadable
+    directories.
     """
 
     origin: str
@@ -96,6 +97,18 @@ def _safe_relpath(name: str) -> str | None:
     return "/".join(parts)
 
 
+def _unlisted(full: Path, rel: str, is_dir: bool) -> str | None:
+    """The skipped-entry text of a directory entry left out of the listing, or None."""
+    shown = os.fsencode(rel).decode("utf-8", "backslashreplace")
+    if shown != rel:  # no report could name it
+        return f"{shown} (name is not UTF-8)"
+    if full.is_symlink():  # evidence must never escape its root
+        return f"{rel} (symlink)"
+    if not is_dir and not full.is_file():  # a FIFO or device: reading it could block
+        return f"{rel} (not a regular file)"
+    return None
+
+
 def _open_directory(path: Path) -> tuple[frozenset[str], tuple[str, ...], tuple[str, ...]]:
     listing: set[str] = set()
     skipped: list[str] = []
@@ -110,22 +123,17 @@ def _open_directory(path: Path) -> tuple[frozenset[str], tuple[str, ...], tuple[
     for dirpath, dirnames, filenames in os.walk(path, onerror=unlistable, followlinks=False):
         rel_dir = Path(dirpath).relative_to(path)
         if rel_dir != Path("."):
-            first = rel_dir.as_posix().split("/")[0]
-            top_dirs.add(first)
-        # prune symlinked subdirectories: evidence must never escape its root
-        pruned = [d for d in dirnames if (Path(dirpath) / d).is_symlink()]
-        for d in pruned:
-            dirnames.remove(d)
-            skipped.append((rel_dir / d).as_posix() + " (symlink)")
+            top_dirs.add(rel_dir.parts[0])
+        for d in list(dirnames):  # a pruned directory is never walked
+            if skip := _unlisted(Path(dirpath) / d, (rel_dir / d).as_posix(), True):
+                dirnames.remove(d)
+                skipped.append(skip)
         for fn in filenames:
-            full = Path(dirpath) / fn
-            if full.is_symlink():
-                skipped.append((rel_dir / fn).as_posix() + " (symlink)")
-                continue
-            if not full.is_file():  # a FIFO or device: reading it could block
-                skipped.append((rel_dir / fn).as_posix() + " (not a regular file)")
-                continue
-            listing.add((rel_dir / fn).as_posix() if rel_dir != Path(".") else fn)
+            rel = (rel_dir / fn).as_posix()
+            if skip := _unlisted(Path(dirpath) / fn, rel, False):
+                skipped.append(skip)
+            else:
+                listing.add(rel)
     return frozenset(listing), tuple(sorted(top_dirs)), tuple(sorted(skipped))
 
 
@@ -133,7 +141,9 @@ def _open_zip(path: Path) -> tuple[zipfile.ZipFile, dict[str, zipfile.ZipInfo],
                                    tuple[str, ...], tuple[str, ...]]:
     try:
         zf = zipfile.ZipFile(path)
-    except zipfile.BadZipFile as exc:
+    except (zipfile.BadZipFile, NotImplementedError, UnicodeDecodeError) as exc:
+        # the last two: a member needing a newer zip version, or a member name
+        # flagged UTF-8 that is not
         raise CorruptArchiveError(f"{path}: {exc}") from exc
     members: dict[str, zipfile.ZipInfo] = {}
     skipped: list[str] = []

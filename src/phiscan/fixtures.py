@@ -158,7 +158,14 @@ class VerificationResult:
 
 # -- spec loading ------------------------------------------------------------
 
+def _known_keys(doc: dict, known, where: str) -> None:
+    for key in doc:
+        if key not in known:
+            raise InvalidSpecError(f"{where}.{key}: unknown key")
+
+
 def _validate_credential(credential: dict) -> None:
+    _known_keys(credential, {"account", *_CREDENTIAL_ENTRIES}, "myvitals.credential")
     if "account" not in credential:
         raise InvalidSpecError("myvitals.credential requires an 'account'")
     material = [k for k in ("password", "refresh_token", "access_token",
@@ -191,9 +198,7 @@ def _block_from_dict(app: str, doc) -> object:
         raise InvalidSpecError(f"{app} must be an object")
     block_type = _APPS[app][0]
     types = {field.name: field.type for field in dataclasses.fields(block_type)}
-    for key in doc:
-        if key not in types:
-            raise InvalidSpecError(f"{app}.{key}: unknown key")
+    _known_keys(doc, types, app)
     return block_type(**{key: _field_value(value, types[key], f"{app}.{key}")
                          for key, value in doc.items()})
 
@@ -583,13 +588,16 @@ def _resolve_rows(db: _ForgeDb, table: _ForgeTable, value: int | tuple, gen) -> 
     """`value` rows from gen(), or the explicit rows, each checked as the parser would.
 
     A row with a missing key, an epoch off the app's scale, a null required
-    cell or a failed parser check is rejected, naming `<app>.<field>[i]`.
+    cell, a failed parser check or the id of an earlier row is rejected,
+    naming `<app>.<field>[i]`.
     """
     if not isinstance(value, tuple):
         return [gen() for _ in range(value)]
     parsed = db.parsed[table.name]
     cell_keys = list(map(table.key_of, parsed.columns))
     needed = [key for _, _, key in table.columns if key is not None and key not in table.optional]
+    # a locator names a row by its id; the devices' id is an INTEGER PRIMARY KEY too
+    id_key, ids = table.key_of(parsed.id_column), set()
     for i, row in enumerate(value):
         where = f"{db.app}.{table.field}[{i}]"
         missing = [key for key in needed if key not in row]
@@ -604,6 +612,10 @@ def _resolve_rows(db: _ForgeDb, table: _ForgeTable, value: int | tuple, gen) -> 
             parsed.row(cells)
         except MalformedRowError as exc:
             raise InvalidSpecError(f"{where}: {exc}") from exc
+        if id_key is not None:
+            if row[id_key] in ids:
+                raise InvalidSpecError(f"{where}: duplicate {id_key} {row[id_key]}")
+            ids.add(row[id_key])
     return [dict(r) for r in value]
 
 
@@ -782,6 +794,7 @@ def build_tree(spec: FixtureSpec) -> tuple[dict[str, bytes], FixtureManifest]:
             encrypted.append(path)
         if block.user_info is not None:
             info = block.user_info
+            _known_keys(info, ("username", "device_id"), "glucosmart.user_info")
             if not info.get("username") or not info.get("device_id"):
                 raise InvalidSpecError("glucosmart.user_info needs username and device_id")
             tree[glucosmart.DEFAULT_XML_PATH] = _prefs_xml([

@@ -47,7 +47,7 @@ class GlucoProfile:
     device_identifier: str
 
     def phi_excerpts(self) -> dict[str, str]:
-        return {"profile_name": self.username} if self.username else {}
+        return {"profile_name": self.username}
 
 
 def shannon_entropy(data: bytes) -> float:
@@ -75,8 +75,9 @@ def classify_database(relative_path: str, data: bytes) -> DatabaseStatus:
     )
 
 
-def parse_user_info_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH) -> ArtifactRecord:
-    """Username and device identifier from user_info.xml.
+def parse_user_info_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH
+                        ) -> tuple[list[ArtifactRecord], list[str]]:
+    """([profile record], []): the username and device identifier of user_info.xml.
 
     The app's key names are fixture-normative ("UserName", "DeviceID"), and
     no other key is read. Missing either field raises MissingFieldsError,
@@ -89,16 +90,11 @@ def parse_user_info_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH) ->
     missing = [n for n, v in (("username", username), ("device identifier", device_id)) if not v]
     if missing:
         raise MissingFieldsError(f"{' and '.join(missing)} not present")
-    return ArtifactRecord(
+    return [ArtifactRecord(
         kind=KIND_USER_PROFILE,
         payload=GlucoProfile(username=username, device_identifier=device_id),
         locator=make_locator(PACKAGE_FOLDER, relative_path, CONTAINER_XML, "UserName/DeviceID"),
-    )
-
-
-def _profile_records(xml: bytes, *, relative_path: str
-                     ) -> tuple[list[ArtifactRecord], list[str]]:
-    return [parse_user_info_xml(xml, relative_path=relative_path)], []
+    )], []
 
 
 class GlucoSmartParser(AppParser):
@@ -115,7 +111,7 @@ class GlucoSmartParser(AppParser):
         records, statuses, warnings, xml_warnings, sweep = [], [], [], [], []
         for path, data in files:
             if not path.endswith(".db"):
-                records += parse_or_hand_back(path, data, _profile_records, xml_warnings, sweep)
+                records += parse_or_hand_back(path, data, parse_user_info_xml, xml_warnings, sweep)
                 continue
             status = classify_database(path, data)
             statuses.append(status)

@@ -102,8 +102,7 @@ class HealthMateUser:
     email: str
 
     def phi_excerpts(self) -> dict[str, str]:
-        excerpts = {"profile_name": self.name, "profile_birth_date": self.birthday}
-        return {predicate: value for predicate, value in excerpts.items() if value}
+        return {"profile_name": self.name, "profile_birth_date": self.birthday}
 
 
 def load_code_map(text: str) -> dict[int, str]:

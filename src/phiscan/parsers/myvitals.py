@@ -148,9 +148,8 @@ class MyVitalsProfile:
     email: str
 
     def phi_excerpts(self) -> dict[str, str]:
-        excerpts = {"profile_name": self.name, "profile_birth_date": self.date_of_birth,
-                    "timezone_address_proxy": self.timezone_location}
-        return {predicate: value for predicate, value in excerpts.items() if value}
+        return {"profile_name": self.name, "profile_birth_date": self.date_of_birth,
+                "timezone_address_proxy": self.timezone_location}
 
 
 def _int_or_zero(value, column: str) -> int:
@@ -227,7 +226,8 @@ def parse_region_host_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH
                           ) -> tuple[list[ArtifactRecord], list[str]]:
     """Recover account credentials from sp_user_region_host_info.xml.
 
-    Keys are "<account email><suffix>"; suffixes map to credential fields.
+    Keys are "<account email><suffix>"; suffixes map to CredentialSet
+    fields, each value taken as a str except is_online_flag's, a bool.
     Normally one credential set comes back; if entries carry different
     account prefixes every set is returned and the inconsistency flagged.
     """
@@ -237,7 +237,8 @@ def parse_region_host_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH
         for suffix, field_name in CREDENTIAL_SUFFIXES.items():
             if key.endswith(suffix):
                 prefix = key[: -len(suffix)]
-                by_account.setdefault(prefix, {})[field_name] = value
+                by_account.setdefault(prefix, {})[field_name] = (
+                    bool(value) if field_name == "is_online_flag" else str(value))
                 break
     if not by_account:
         raise NoCredentialKeysError("no recognized credential key suffixes in map")
@@ -248,23 +249,13 @@ def parse_region_host_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH
         warnings.append(f"{relative_path}: inconsistent account prefixes in credential XML: "
                         f"{len(by_account)} accounts")
     records: list[ArtifactRecord] = []
-    for position, account in enumerate(sorted(by_account), 1):
-        fields = by_account[account]
+    for position, (account, fields) in enumerate(sorted(by_account.items()), 1):
         if not looks_like_email(account):
             warnings.append(f"{relative_path}: credential key prefix {position} of "
                             f"{len(by_account)} is not an email address")
-        flag = fields.get("is_online_flag")
-        credential = CredentialSet(
-            account=account,
-            password_plaintext=optional_text(fields.get("password_plaintext"), "password"),
-            refresh_token=optional_text(fields.get("refresh_token"), "refresh_token"),
-            access_token=optional_text(fields.get("access_token"), "access_token"),
-            region_host=optional_text(fields.get("region_host"), "region_host"),
-            is_online_flag=bool(flag) if flag is not None else None,
-        )
         records.append(ArtifactRecord(
             kind=KIND_CREDENTIAL,
-            payload=credential,
+            payload=CredentialSet(account=account, **fields),
             locator=make_locator(PACKAGE_FOLDER, relative_path, CONTAINER_XML,
                                  f"key prefix {account}"),
         ))
@@ -284,13 +275,9 @@ class MyVitalsParser(AppParser):
         return path == DB_PATH or path.rsplit("/", 1)[-1] == CREDENTIAL_XML_NAME
 
     def parse(self, files: Iterable[tuple[str, bytes]], *, code_map=None) -> ParseResult:
-        # the database's records and warnings come before those of any credential XML
         parse_db = functools.partial(parse_tables, tables=TABLES, package=PACKAGE_FOLDER)
-        db_records, db_warnings, records, warnings, sweep = [], [], [], [], []
+        records, warnings, sweep = [], [], []
         for path, data in files:
-            if path == DB_PATH:
-                db_records = parse_or_hand_back(path, data, parse_db, db_warnings, sweep)
-            else:
-                records += parse_or_hand_back(path, data, parse_region_host_xml, warnings, sweep)
-        return ParseResult(records=tuple(db_records + records),
-                           warnings=tuple(db_warnings + warnings), sweep=tuple(sweep))
+            parse = parse_db if path == DB_PATH else parse_region_host_xml
+            records += parse_or_hand_back(path, data, parse, warnings, sweep)
+        return ParseResult(records=tuple(records), warnings=tuple(warnings), sweep=tuple(sweep))

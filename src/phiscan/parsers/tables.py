@@ -20,13 +20,7 @@ from ..artifacts import (
     make_locator,
     normalize_timestamp,
 )
-from ..errors import (
-    CorruptDatabaseError,
-    MalformedRowError,
-    MissingTableError,
-    NotSqliteError,
-    ScanError,
-)
+from ..errors import MalformedRowError, MissingTableError, ScanError
 from ..sqlite_bytes import connect_bytes, select_rows
 
 
@@ -123,23 +117,19 @@ def parse_tables(db: bytes, tables: tuple[Table, ...], *, package: str, relative
     is converted. A missing table or column costs that table a warning,
     and so does text that is not valid UTF-8, which keeps the table's rows
     with the undecodable bytes replaced. Bytes that are not SQLite, or that
-    SQLite finds corrupt, raise NotSqliteError or CorruptDatabaseError,
-    whose text is the warning without the path.
+    SQLite finds corrupt, raise connect_bytes' NotSqliteError or
+    select_rows' CorruptDatabaseError, whose text is the warning without
+    the path.
     """
     selected = []
-    try:
-        with connect_bytes(db) as conn:
-            for table in tables:
-                try:
-                    rows, note = select_rows(conn, table.name,
-                                             [table.id_column, *table.columns], table.order_by)
-                except MissingTableError as exc:
-                    rows, note = [], str(exc)
-                selected.append((table, rows, note))
-    except NotSqliteError as exc:
-        raise NotSqliteError("not a SQLite database (possibly encrypted)") from exc
-    except CorruptDatabaseError as exc:
-        raise CorruptDatabaseError(f"corrupt SQLite database, not parsed ({exc})") from exc
+    with connect_bytes(db) as conn:
+        for table in tables:
+            try:
+                rows, note = select_rows(conn, table.name,
+                                         [table.id_column, *table.columns], table.order_by)
+            except MissingTableError as exc:
+                rows, note = [], str(exc)
+            selected.append((table, rows, note))
 
     # Row locators share package, path and container, checked once here; no detail is empty.
     make_locator(package, relative_path, CONTAINER_SQLITE, relative_path)

@@ -8,9 +8,10 @@ carries the id of the rule that fired so the classification is auditable.
 
 This module knows no structured payload type. A typed rule's excerpt comes
 from the payload itself: each structured payload's phi_excerpts() maps the
-typed predicates it fires to their excerpts. The two pattern rules (SSN,
-Luhn-valid card number) scan every string field of a payload, and the
-matched value of each raw-sweep hit through the same code.
+typed predicates it can fire to their excerpts, and an empty excerpt fires
+none. The two pattern rules (SSN, Luhn-valid card number) scan every string
+field of a payload, and the matched value of each raw-sweep hit through the
+same code.
 
 The Security-Rule evaluation asks two questions of each app: did health
 data sit in plaintext containers at rest, and was an account password
@@ -24,6 +25,7 @@ import dataclasses
 import functools
 import itertools
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from importlib import resources
 
@@ -188,15 +190,15 @@ def _findings(rules: tuple[PhiRule, ...], typed: dict[str, str], texts: list[str
               locator: SourceLocator, redact: bool) -> list[PhiFinding]:
     """The findings `rules` fire, in rule order, each at `locator`.
 
-    A typed rule fires its predicate's entry in `typed`; a pattern rule
-    fires once per distinct match in `texts`, in sorted order. With
-    `redact`, each excerpt is built redacted.
+    A typed rule fires its predicate's entry in `typed`, unless that is
+    absent or empty; a pattern rule fires once per distinct match in
+    `texts`, in sorted order. With `redact`, each excerpt is built redacted.
     """
     findings = []
     for rule in rules:
         if rule.predicate in _PATTERN_PREDICATES:
             excerpts = _PATTERN_PREDICATES[rule.predicate](texts)
-        elif rule.predicate in typed:
+        elif typed.get(rule.predicate):
             excerpts = [typed[rule.predicate]]
         else:
             continue
@@ -356,9 +358,9 @@ def _sorted_locators(findings: list[PhiFinding]) -> tuple[SourceLocator, ...]:
     return tuple(unique[k] for k in sorted(unique))
 
 
-def evaluate_security_rule(app: str, records: list[ArtifactRecord],
+def evaluate_security_rule(app: str, records: Iterable[ArtifactRecord],
                            findings: list[PhiFinding],
-                           db_statuses: list[DatabaseStatus] | None = None, *,
+                           db_statuses: Iterable[DatabaseStatus] | None = None, *,
                            redact: bool = True) -> list[SecurityViolation]:
     """Security-Rule outcomes for one app.
 

@@ -19,7 +19,7 @@ from .evidence import (
     open_source,
     read_file,
 )
-from .parsers import PARSERS, AppParser
+from .parsers import PARSERS, AppParser, ParseResult
 from .phi import (
     PhiFinding,
     classify_record,
@@ -92,49 +92,43 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
             else:
                 swept[folder].append(rel)
 
-        app_records: dict[str, list[ArtifactRecord]] = {}
+        results: dict[str, ParseResult] = {}
         findings_by_app: dict[str, list[PhiFinding]] = {}
-        statuses_by_app: dict[str, list] = {}
         digests = []
-        warnings: list[str] = []
-        warnings.extend(f"skipped container entry: {e}" for e in source.skipped_entries)
+        warnings = [f"skipped container entry: {e}" for e in source.skipped_entries]
 
         for folder, parser in roots.items():
             app = parser.display_name if parser is not None else folder
             found = findings_by_app.setdefault(app, [])
-            handed_back = ()
+            result = ParseResult()
             if parser is not None:
                 files = _read_each(source, claimed[folder], digests, warnings)
-                result = parser.parse(files, code_map=code_map)
+                result = results[app] = parser.parse(files, code_map=code_map)
                 for _ in files:  # hash the claimed files the parser did not pull
                     pass
-                handed_back = result.sweep
-                app_records.setdefault(app, []).extend(result.records)
                 found.extend(f for r in result.records for f in classify_record(r, redact=redact))
                 warnings.extend(result.warnings)
-                if result.db_statuses:
-                    statuses_by_app.setdefault(app, []).extend(result.db_statuses)
             for rel, data in itertools.chain(
-                    handed_back, _read_each(source, swept[folder], digests, warnings)):
+                    result.sweep, _read_each(source, swept[folder], digests, warnings)):
                 found.extend(scan_raw(data, folder, rel, redact=redact))
         for _ in _read_each(source, custody, digests, warnings):
             pass
         digests.sort(key=lambda d: d.relative_path)
 
-    matrix_apps = sorted({p.display_name for p in roots.values() if p is not None}
-                         | {a for a, fs in findings_by_app.items() if fs})
-    matrix = tuple(evaluate_privacy_rule(app, findings_by_app.get(app, []))
-                   for app in matrix_apps)
-
-    violations = {}
-    for app in matrix_apps:
-        found = evaluate_security_rule(app, app_records.get(app, []),
-                                       findings_by_app.get(app, []),
-                                       statuses_by_app.get(app, []), redact=redact)
-        if found:
-            violations[app] = tuple(found)
-
-    findings = [f for app in sorted(findings_by_app) for f in findings_by_app[app]]
+    # the matrix holds every app with a parser bound, and every other app with a finding
+    matrix, violations, statuses, findings, records = [], {}, {}, [], []
+    for app, found in sorted(findings_by_app.items()):
+        if app not in results and not found:
+            continue
+        result = results.get(app, ParseResult())
+        matrix.append(evaluate_privacy_rule(app, found))
+        if broken := evaluate_security_rule(app, result.records, found, result.db_statuses,
+                                            redact=redact):
+            violations[app] = tuple(broken)
+        if result.db_statuses:
+            statuses[app] = result.db_statuses
+        findings += found
+        records += result.records
     findings.sort(key=finding_sort_key)
 
     origin = evidence_label(source)
@@ -145,12 +139,10 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
         generated_at=generated_at,
         redacted=redact,
         file_digests=tuple(digests),
-        matrix=matrix,
+        matrix=tuple(matrix),
         findings=tuple(findings),
         violations=violations,
-        database_statuses={app: tuple(sorted(ss, key=lambda s: s.relative_path))
-                           for app, ss in sorted(statuses_by_app.items())},
+        database_statuses=statuses,
         warnings=tuple(warnings),
     )
-    all_records = tuple(r for app in sorted(app_records) for r in app_records[app])
-    return ScanResult(source=source, roots=roots, records=all_records, report=report)
+    return ScanResult(source=source, roots=roots, records=tuple(records), report=report)

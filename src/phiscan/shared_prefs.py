@@ -20,6 +20,8 @@ def parse_shared_prefs(xml: bytes) -> dict[str, object]:
         root = ET.fromstring(xml)
     except ET.ParseError as exc:
         raise MalformedXmlError(f"not well-formed XML: {exc}") from exc
+    except (LookupError, ValueError) as exc:  # a declared encoding expat cannot use
+        raise MalformedXmlError(f"unreadable XML encoding: {exc}") from exc
     if root.tag != "map":
         raise MalformedXmlError(f"expected <map> root, found <{root.tag}>")
     entries: dict[str, object] = {}

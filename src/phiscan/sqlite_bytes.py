@@ -37,10 +37,11 @@ def connect_bytes(data: bytes):
     """Context manager yielding a read-only connection over database bytes.
 
     Raises NotSqliteError when the header magic is absent, which for a
-    recovered medical-app database usually signals encryption.
+    recovered medical-app database usually signals encryption. Its text,
+    like every error text of this module, is a warning without the path.
     """
     if not is_sqlite(data):
-        raise NotSqliteError("missing SQLite-3 header magic (database may be encrypted)")
+        raise NotSqliteError("not a SQLite database (possibly encrypted)")
     if data[18:20] == _WAL_VERSIONS:
         data = data[:18] + _JOURNAL_VERSIONS + data[20:]
     conn = sqlite3.connect(":memory:")
@@ -77,6 +78,7 @@ def select_rows(conn: sqlite3.Connection, table: str, columns: list[str],
     except sqlite3.OperationalError as exc:
         raise MissingTableError(f"{table}: {exc}") from exc
     except (sqlite3.DatabaseError, UnicodeDecodeError) as exc:
-        raise CorruptDatabaseError(f"{table}: {exc}") from exc
+        raise CorruptDatabaseError(
+            f"corrupt SQLite database, not parsed ({table}: {exc})") from exc
     return rows, (f"{table}: column {undecodable[1]} holds text that is not valid UTF-8, "
                   "undecodable bytes replaced")

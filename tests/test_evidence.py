@@ -361,6 +361,66 @@ def test_a_fifo_is_a_skipped_entry_and_the_scan_finishes(tmp_path):
         "skipped container entry: com.x/pipe (not a regular file)"]
 
 
+def test_a_name_that_is_not_utf8_is_a_skipped_entry_and_every_report_renders(tmp_path):
+    from phiscan.report import render_report
+
+    root = tmp_path / "tree"
+    (root / "com.x").mkdir(parents=True)
+    (root / "com.x" / "a.txt").write_bytes(b"data")
+    raw = os.fsencode(root / "com.x")
+    with open(os.path.join(raw, b"note\xff.txt"), "wb") as f:
+        f.write(b"ssn 078-05-1120")
+    os.mkdir(os.path.join(raw, b"dir\xfe"))
+    with open(os.path.join(raw, b"dir\xfe", b"inner.txt"), "wb") as f:
+        f.write(b"never read")
+    src = open_source(root)
+    assert src.root_listing == frozenset({"com.x/a.txt"})
+    assert src.skipped_entries == ("com.x/dir\\xfe (name is not UTF-8)",
+                                   "com.x/note\\xff.txt (name is not UTF-8)")
+    report = scan_evidence(root, fixed_clock="2020-01-01T00:00:00Z").report
+    assert [d.relative_path for d in report.file_digests] == ["com.x/a.txt"]
+    assert report.findings == ()
+    assert [w for w in report.warnings if w.startswith("skipped container entry:")] == [
+        f"skipped container entry: {entry}" for entry in src.skipped_entries]
+    json_report, text_report = (render_report(report, fmt).decode("utf-8")
+                                for fmt in ("json", "text"))
+    assert "com.x/note\\\\xff.txt (name is not UTF-8)" in json_report  # JSON doubles the backslash
+    assert "com.x/note\\xff.txt (name is not UTF-8)" in text_report
+
+
+def _patched_zip(tmp_path, name: str, patch) -> pathlib.Path:
+    """A one-member zip whose central directory entry is changed by patch(entry)."""
+    path = tmp_path / "patched.zip"
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr(name, b"data")
+    data = bytearray(path.read_bytes())
+    entry = data.index(b"PK\x01\x02")
+    patch(memoryview(data)[entry:])
+    path.write_bytes(bytes(data))
+    return path
+
+
+def _needs_version_10_2(entry) -> None:
+    entry[6:8] = (102).to_bytes(2, "little")  # version needed to extract
+
+
+def _utf8_flag_on_a_latin1_name(entry) -> None:
+    entry[8:10] = (int.from_bytes(entry[8:10], "little") | 0x800).to_bytes(2, "little")
+    entry[46 + len("com.x/a")] = 0xE9  # the name's "b": flagged UTF-8, no longer decodes
+
+
+@pytest.mark.parametrize("patch", [_needs_version_10_2, _utf8_flag_on_a_latin1_name])
+def test_a_damaged_central_directory_is_a_corrupt_archive(tmp_path, capsys, patch):
+    from phiscan.cli import main
+
+    path = _patched_zip(tmp_path, "com.x/ab.txt", patch)
+    with pytest.raises(CorruptArchiveError):
+        open_source(path)
+    assert main(["scan", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phiscan: error: ") and "Traceback" not in err
+
+
 def test_files_under_root(tmp_path):
     src = open_source(_tree_with_files(tmp_path, SAMPLE))
     assert files_under(src, "appA") == ["appA/data/one.bin", "appA/empty.txt"]

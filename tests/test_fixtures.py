@@ -295,6 +295,32 @@ def test_forge_tables_match_the_parser_declarations():
             f.name for f in dataclasses.fields(blocks[db.app]) if f.name.endswith("_rows")]
 
 
+@pytest.mark.parametrize("app, block, message", [
+    ("myvitals", {"credential": {"account": "a@b.co", "pasword": "Secret99",
+                                 "refresh_token": "tok"}},
+     "myvitals.credential.pasword: unknown key"),
+    ("glucosmart", {"user_info": {"username": "pat", "device_id": "BG5-0012AB",
+                                  "DeviceID": "BG5-0012AB"}},
+     "glucosmart.user_info.DeviceID: unknown key"),
+])
+def test_a_key_the_forge_does_not_write_is_rejected(app, block, message):
+    spec = load_spec(json.dumps({"seed": 1, "apps": {app: block}}))
+    with pytest.raises(InvalidSpecError, match=re.escape(message)):
+        build_tree(spec)
+
+
+def test_explicit_rows_repeating_an_integer_primary_key_are_rejected():
+    row = {"id": 1, "association_date": 1541806236000, "last_use_date": 1542127729662,
+           "modified_date": 1542127635000, "mac_address": "00:24:e4:5a:ee:6c",
+           "firmware": 1, "battery_pct": 77, "device_type": 1, "device_model": 1}
+    other = {**row, "id": 2, "mac_address": "00:24:e4:57:12:c4"}
+    build_tree(FixtureSpec(seed=1, healthmate=HealthMateBlock(device_rows=(row, other))))
+    with pytest.raises(InvalidSpecError,
+                       match=re.escape("healthmate.device_rows[2]: duplicate id 1")):
+        build_tree(FixtureSpec(seed=1, healthmate=HealthMateBlock(
+            device_rows=(row, other, {**other, "id": 1}))))
+
+
 def test_credential_without_material_rejected():
     with pytest.raises(InvalidSpecError):
         build_tree(FixtureSpec(seed=1, myvitals=MyVitalsBlock(

@@ -80,7 +80,8 @@ def test_user_info_xml_round_trip():
            b"<string name=\"UserName\">medicaldevices2018exper@gmail.com</string>"
            b"<string name=\"DeviceID\">BG5-0012AB</string>"
            b"</map>")
-    record = parse_user_info_xml(xml)
+    [record], warnings = parse_user_info_xml(xml)
+    assert warnings == []
     assert record.payload.username == "medicaldevices2018exper@gmail.com"
     assert record.payload.device_identifier == "BG5-0012AB"
     assert record.kind == "user-profile"

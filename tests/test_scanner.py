@@ -5,7 +5,9 @@ from __future__ import annotations
 import ast
 import collections
 import dataclasses
+import functools
 import random
+import re
 import sqlite3
 import struct
 import tempfile
@@ -14,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import phiscan
 import phiscan.parsers
@@ -24,9 +27,11 @@ from phiscan.fixtures import (
     FixtureSpec,
     HealthMateBlock,
     MyVitalsBlock,
+    build_tree,
     generate_fixture,
     paper_replica_spec,
     random_spec,
+    write_tree,
 )
 from phiscan.parsers import PARSERS, AppParser, ParseResult
 from phiscan.phi import CAT_NAME, match_raw
@@ -393,6 +398,31 @@ def test_damaged_xml_warnings_name_the_path_once_and_quote_no_value(replica_tree
     assert not any("Pat Smith" in w for w in report.warnings)
 
 
+# a declared encoding expat cannot use: unknown, multi-byte, and one whose decoder fails
+_UNUSABLE_ENCODINGS = ("utf-9", "shift_jis", "idna")
+
+
+def _declare_encoding(xml: bytes, encoding: str) -> bytes:
+    """`xml` with its XML declaration, or a new one ahead of it, naming `encoding`."""
+    return re.sub(rb"^(<\?xml[^>]*\?>)?", f"<?xml version='1.0' encoding='{encoding}' ?>".encode(),
+                  xml, count=1)
+
+
+@pytest.mark.parametrize("encoding", _UNUSABLE_ENCODINGS)
+def test_an_xml_encoding_expat_cannot_use_costs_one_warning_and_is_swept(replica_tree, encoding):
+    tree, _ = replica_tree
+    credential = "iHealthMyVitals.V2/shared_prefs/sp_user_region_host_info.xml"
+    (tree / credential).write_bytes(_declare_encoding((tree / credential).read_bytes(), encoding))
+
+    result = scan_evidence(tree, fixed_clock=CLOCK)
+    (only,) = [w for w in result.report.warnings if credential in w]
+    assert only.startswith(f"{credential}: unreadable XML encoding: ")
+    assert not any(r.locator.relative_path == credential for r in result.records)
+    assert "plaintext-credential" not in {
+        v.kind for v in result.report.violations["iHealth MyVitals"]}
+    _assert_each_file_accounted_once(result)
+
+
 @pytest.mark.parametrize("tag, problem", [("int", "bad integer value"),
                                           ("float", "bad float value")])
 def test_bad_shared_prefs_value_is_named_by_tag_and_position(replica_tree, tag, problem):
@@ -674,3 +704,37 @@ def test_only_the_parsers_and_the_forge_import_a_parser_module():
             offenders[path.name] = sorted(imported)
     assert "phiscan.parsers.healthmate" in parser_modules
     assert offenders == {}
+
+
+@functools.cache
+def _replica_with_sweep_tree() -> dict[str, bytes]:
+    """The files _replica_with_sweep writes, as a path -> bytes map."""
+    tree, _ = build_tree(paper_replica_spec())
+    return {**tree, "com.example.notes/scratch.txt": b"ssn 123-45-6789 noted",
+            "README.txt": b"top-level note"}
+
+
+@settings(max_examples=50, deadline=None)
+@given(member=st.sampled_from(_REPLICA_WITH_SWEEP_MEMBERS),
+       damage=st.sampled_from(("truncate", "overwrite", *_UNUSABLE_ENCODINGS)), data=st.data())
+def test_one_damaged_member_never_ends_the_scan(member, damage, data):
+    tree = dict(_replica_with_sweep_tree())
+    raw = tree[member]
+    if damage == "truncate":
+        tree[member] = raw[:data.draw(st.integers(0, len(raw) - 1), label="kept bytes")]
+    elif damage == "overwrite":
+        at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        new = data.draw(st.binary(min_size=1, max_size=min(16, len(raw) - at)), label="bytes")
+        tree[member] = raw[:at] + new + raw[at + len(new):]
+    else:
+        tree[member] = _declare_encoding(raw, damage)
+    spec = paper_replica_spec()
+    with tempfile.TemporaryDirectory() as tmp:
+        for out in (Path(tmp) / "tree", Path(tmp) / "tree.zip"):
+            kind = "zip" if out.suffix == ".zip" else "directory"
+            write_tree(tree, dataclasses.replace(spec, output_kind=kind), out)
+            result = scan_evidence(out, fixed_clock=CLOCK)
+            for fmt in ("json", "text"):
+                render_report(result.report, fmt)
+            assert result.source.root_listing == frozenset(_REPLICA_WITH_SWEEP_MEMBERS)
+            _assert_each_file_accounted_once(result)
