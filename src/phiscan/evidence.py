@@ -191,12 +191,13 @@ def evidence_label(source: EvidenceSource) -> str:
     """Container-independent label: basename with any .zip suffix stripped.
 
     Keeps reports over a directory and a zip of the same content
-    byte-identical.
+    byte-identical. A name that is not UTF-8 shows its bytes as \\xNN
+    escapes, as a skipped listing entry does, so the label is valid UTF-8.
     """
     base = os.path.basename(source.origin.rstrip("/"))
     if base.lower().endswith(".zip"):
         base = base[:-4]
-    return base
+    return os.fsencode(base).decode("utf-8", "backslashreplace")
 
 
 def read_file(source: EvidenceSource, relative_path: str) -> bytes:

@@ -3,16 +3,20 @@
 JSON output is canonical: UTF-8, LF, sorted keys, compact separators,
 shortest round-trip float formatting. Reports, timelines and fixture
 manifests are encoded straight from their dataclasses: an instance becomes
-an object of its fields, so the JSON keys are the field names, and adding
-a field adds a key (which needs a schema_version bump). Re-encoding the
-parse of a rendered document reproduces it byte for byte, which is what
-makes golden-file and container-equivalence testing meaningful.
+an object of its fields, in sorted field-name order, so the JSON keys are
+the field names, and adding a field adds a key (which needs a
+schema_version bump). Each SourceLocator object is encoded once per call,
+however many findings and violations share it, and no instance's __dict__
+is ever materialized. Re-encoding the parse of a rendered document
+reproduces it byte for byte, which is what makes golden-file and
+container-equivalence testing meaningful.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring
 
 from .artifacts import ArtifactRecord, EpochInstant, SourceLocator
 from .errors import ScanError
@@ -98,19 +102,100 @@ def build_timeline(records: list[ArtifactRecord]) -> list[TimelineEvent]:
 
 # -- serialization -----------------------------------------------------------
 
-def _encode(obj) -> dict:
-    # json.dumps calls this for any object it cannot encode itself. vars() is
-    # the fastest encoding; on CPython 3.11 it materializes the instance's
-    # __dict__, which costs memory and slows later attribute reads.
-    if is_dataclass(obj):
-        return vars(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+# Per dataclass: (text before the field's value, field name), in sorted
+# field-name order; the first text opens the object.
+_LAYOUTS: dict[type, tuple[tuple[str, str], ...]] = {}
+
+
+def _layout(cls: type) -> tuple[tuple[str, str], ...] | None:
+    layout = _LAYOUTS.get(cls)
+    if layout is None:
+        if not is_dataclass(cls):
+            return None
+        names = sorted(f.name for f in fields(cls))
+        layout = _LAYOUTS[cls] = tuple(
+            (("{" if i == 0 else ",") + encode_basestring(name) + ":", name)
+            for i, name in enumerate(names))
+    return layout
+
+
+def _dict_key(key) -> str:
+    # as json.dumps writes a key that is not a str: as its JSON scalar text
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key, allow_nan=False)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def canonical_json(obj) -> bytes:
-    text = json.dumps(obj, sort_keys=True, ensure_ascii=False,
-                      separators=(",", ":"), allow_nan=False, default=_encode)
-    return text.encode("utf-8") + b"\n"
+    """The bytes json.dumps(obj, sort_keys=True, ensure_ascii=False, allow_nan=False,
+    separators=(",", ":"), default=vars) gives, plus a final LF.
+
+    A dataclass is read field by field instead of through vars(), which on
+    CPython 3.11 materializes the instance's __dict__ and keeps it, and the
+    text of each SourceLocator object is kept for the rest of the call: a
+    record's locator is shared by its findings and the violations citing it.
+    """
+    chunks: list[str] = []
+    emit = chunks.append
+    locators: dict[int, str] = {}
+
+    def encode(value) -> None:
+        cls = type(value)
+        if cls is str:
+            emit(encode_basestring(value))
+        elif cls is int:
+            emit(int.__repr__(value))
+        elif value is None:
+            emit("null")
+        elif value is True:
+            emit("true")
+        elif value is False:
+            emit("false")
+        elif cls is SourceLocator:
+            text = locators.get(id(value))
+            if text is None:
+                start = len(chunks)
+                encode_fields(value, _layout(cls))
+                text = locators[id(value)] = "".join(chunks[start:])
+                del chunks[start:]
+            emit(text)
+        elif (layout := _LAYOUTS.get(cls)) is not None:
+            encode_fields(value, layout)
+        elif isinstance(value, (list, tuple)):
+            emit("[")
+            for index, item in enumerate(value):
+                if index:
+                    emit(",")
+                encode(item)
+            emit("]")
+        elif isinstance(value, dict):
+            emit("{")
+            for index, (key, item) in enumerate(sorted(value.items())):
+                if type(key) is not str:
+                    key = _dict_key(key)
+                emit(("," if index else "") + encode_basestring(key) + ":")
+                encode(item)
+            emit("}")
+        elif (layout := _layout(cls)) is not None:  # a dataclass met for the first time
+            encode_fields(value, layout)
+        else:  # floats and subclasses of str or int; refuses NaN and foreign objects
+            emit(json.dumps(value, ensure_ascii=False, allow_nan=False))
+
+    def encode_fields(value, layout) -> None:
+        for prefix, name in layout:
+            emit(prefix)
+            field = getattr(value, name)
+            if type(field) is str:
+                emit(encode_basestring(field))
+            else:
+                encode(field)
+        emit("}" if layout else "{}")
+
+    encode(obj)
+    emit("\n")
+    return "".join(chunks).encode("utf-8")
 
 
 def render_report(report: ComplianceReport, fmt: str = FORMAT_JSON) -> bytes:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
 import pathlib
 import warnings
@@ -386,6 +387,27 @@ def test_a_name_that_is_not_utf8_is_a_skipped_entry_and_every_report_renders(tmp
                                 for fmt in ("json", "text"))
     assert "com.x/note\\\\xff.txt (name is not UTF-8)" in json_report  # JSON doubles the backslash
     assert "com.x/note\\xff.txt (name is not UTF-8)" in text_report
+
+
+@pytest.mark.parametrize("container", ["directory", "zip"])
+def test_evidence_whose_name_is_not_utf8_is_labelled_with_escapes(tmp_path, container):
+    from phiscan.report import render_report
+
+    raw = os.path.join(os.fsencode(tmp_path), b"ev\xff")
+    os.makedirs(os.path.join(raw, b"com.x"))
+    with open(os.path.join(raw, b"com.x", b"a.txt"), "wb") as f:
+        f.write(b"data")
+    evidence = os.fsdecode(raw)
+    if container == "zip":
+        evidence += ".zip"
+        with zipfile.ZipFile(evidence, "w") as zf:
+            zf.writestr("com.x/a.txt", b"data")
+    assert evidence_label(open_source(evidence)) == "ev\\xff"
+    report = scan_evidence(evidence, fixed_clock="2020-01-01T00:00:00Z").report
+    assert report.evidence_origin == "ev\\xff"
+    assert [d.relative_path for d in report.file_digests] == ["com.x/a.txt"]
+    assert json.loads(render_report(report))["evidence_origin"] == "ev\\xff"
+    assert "evidence: ev\\xff " in render_report(report, "text").decode("utf-8")
 
 
 def _patched_zip(tmp_path, name: str, patch) -> pathlib.Path:

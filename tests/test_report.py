@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import importlib
 import json
 import pkgutil
@@ -16,6 +17,7 @@ import phiscan.artifacts
 import phiscan.parsers
 from phiscan.artifacts import ArtifactRecord, EpochInstant, SourceLocator, normalize_timestamp
 from phiscan.evidence import FileDigest
+from phiscan.fixtures import generate_fixture, paper_replica_spec, random_spec, render_manifest
 from phiscan.parsers.glucosmart import DatabaseStatus
 from phiscan.parsers import healthmate, myvitals
 from phiscan.parsers.myvitals import EnvironmentReading
@@ -35,6 +37,7 @@ from phiscan.report import (
     render_report,
     render_timeline,
 )
+from phiscan.scanner import scan_evidence
 
 from conftest import FIG1_SPO2_ROWS, FIG3_DEVICE_ROWS, make_healthmate_db, make_myvitals_db
 
@@ -155,6 +158,130 @@ def test_canonical_round_trip(report):
 def test_canonical_json_refuses_objects_that_are_not_dataclasses():
     with pytest.raises(TypeError, match="object is not JSON serializable"):
         canonical_json(object())
+
+
+# -- the canonical encoder against its reference -------------------------------
+
+def reference_canonical_json(obj) -> bytes:
+    """What canonical_json must give: the C encoder, with vars() for a dataclass."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"),
+                      allow_nan=False, default=vars).encode("utf-8") + b"\n"
+
+
+@pytest.mark.parametrize("name", ["replica", *(f"seed{seed}" for seed in range(40))])
+def test_reports_timelines_and_manifests_encode_like_the_reference(tmp_path, name):
+    spec = paper_replica_spec() if name == "replica" else random_spec(int(name[4:]))
+    manifest = generate_fixture(spec, tmp_path / "t")
+    assert render_manifest(manifest) == reference_canonical_json(manifest)
+    for redact in (True, False):
+        result = scan_evidence(tmp_path / "t", fixed_clock="2020-01-01T00:00:00Z",
+                               redact=redact)
+        assert render_report(result.report) == reference_canonical_json(result.report)
+        events = build_timeline(list(result.records))
+        assert render_timeline(events, "json") == reference_canonical_json(events)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Twig:
+    zeta: object
+    alpha: object
+
+
+@dataclasses.dataclass
+class _Leaf:
+    value: object
+
+
+@dataclasses.dataclass(frozen=True)
+class _Bare:
+    pass
+
+
+# text that JSON escapes or that a wrong escape would change
+_awkward_text = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
+                                  st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\ufeffé😀')),
+                        max_size=8)
+_json_values = st.recursive(
+    st.one_of(_awkward_text, st.integers(), st.booleans(), st.none(),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_awkward_text, children, max_size=3),
+        st.dictionaries(st.integers(), children, max_size=3),
+        st.builds(_Twig, children, children),
+        st.builds(_Leaf, children),
+        st.just(_Bare()),
+        st.builds(SourceLocator, _awkward_text, _awkward_text, _awkward_text, _awkward_text),
+    ),
+    max_leaves=12,
+)
+
+
+@given(_json_values)
+@example(["\u2028\"\\", {"b": 1, "a": -0.0}, _Twig(zeta=None, alpha=(True, 1e300))])
+def test_canonical_json_equals_the_reference_on_nested_values(value):
+    assert canonical_json(value) == reference_canonical_json(value)
+
+
+@pytest.mark.parametrize("value, error", [
+    (float("nan"), ValueError),
+    ([float("inf")], ValueError),
+    (_Leaf(float("nan")), ValueError),
+    ({"a": object()}, TypeError),
+])
+def test_canonical_json_refuses_what_the_reference_refuses(value, error):
+    with pytest.raises(error):
+        reference_canonical_json(value)
+    with pytest.raises(error):
+        canonical_json(value)
+
+
+def _locator(detail: str = "row 1") -> SourceLocator:
+    return SourceLocator(package_name="com.x", relative_path="db/a.db",
+                         container="sqlite-table", detail=detail)
+
+
+def _report_citing(finding_locators, evidence) -> ComplianceReport:
+    findings = tuple(PhiFinding(category="name", value_excerpt="Pa**ia", locator=loc,
+                                rule_id="name-column") for loc in finding_locators)
+    violation = SecurityViolation(kind="plaintext-ephi-at-rest", evidence=tuple(evidence),
+                                  description="plaintext")
+    return _empty_report(findings=findings, violations={"App": (violation,)})
+
+
+def _holds_a_dict(obj) -> bool:
+    return any(type(referent) is dict for referent in gc.get_referents(obj))
+
+
+@pytest.mark.parametrize("case", ["same object", "equal objects", "detail differs"])
+def test_a_locator_shared_by_findings_and_evidence_encodes_like_the_reference(case):
+    shared = _locator()
+    other = {"same object": shared, "equal objects": _locator(),
+             "detail differs": _locator("row 2")}[case]
+    report = _report_citing([shared, other, shared], [other, shared])
+    rendered = render_report(report)
+    assert render_report(report) == rendered
+    assert rendered == reference_canonical_json(report)
+
+
+def test_the_locator_memo_does_not_outlive_the_call():
+    # freed locators' ids are reused by the next ones, which a memo kept
+    # across calls would mistake for the old objects
+    for n in range(50):
+        report = _report_citing([_locator(f"row {n}")], [_locator(f"row {n}")])
+        assert render_report(report) == reference_canonical_json(report)
+        del report
+
+
+def test_render_report_materializes_no_instance_dict():
+    if _holds_a_dict(_locator()) or _holds_a_dict(PhiFinding("name", "x", _locator(), "r")):
+        pytest.skip("this interpreter shows a dict among a fresh instance's referents")
+    locator = _locator()
+    report = _report_citing([locator, _locator("row 2")], [locator])
+    render_report(report)
+    assert not any(_holds_a_dict(finding) or _holds_a_dict(finding.locator)
+                   for finding in report.findings)
 
 
 # -- timeline ------------------------------------------------------------------
