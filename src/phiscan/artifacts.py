@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import AmbiguousUnitError, EmptyFieldError, NonPositiveTimestampError
+from .errors import AmbiguousUnitError, NonPositiveTimestampError
 
 _EMAIL_RE = re.compile(r"^[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}$")
 
@@ -29,7 +29,6 @@ UNIT_MILLISECONDS = "milliseconds"
 CONTAINER_SQLITE = "sqlite-table"
 CONTAINER_XML = "xml-file"
 CONTAINER_RAW = "raw-bytes"
-CONTAINERS = frozenset({CONTAINER_SQLITE, CONTAINER_XML, CONTAINER_RAW})
 
 # Top-level artifact record kinds.
 KIND_BLOOD_PRESSURE = "blood-pressure"
@@ -40,16 +39,6 @@ KIND_USER_PROFILE = "user-profile"
 KIND_CREDENTIAL = "credential"
 KIND_DEVICE_REGISTRATION = "device-registration"
 KIND_RAW_HIT = "raw-hit"
-RECORD_KINDS = frozenset({
-    KIND_BLOOD_PRESSURE,
-    KIND_OXIMETRY,
-    KIND_WEIGHT,
-    KIND_ENVIRONMENT,
-    KIND_USER_PROFILE,
-    KIND_CREDENTIAL,
-    KIND_DEVICE_REGISTRATION,
-    KIND_RAW_HIT,
-})
 
 
 @dataclass(frozen=True)
@@ -130,10 +119,6 @@ class ArtifactRecord:
     payload: object
     locator: SourceLocator
 
-    def __post_init__(self) -> None:
-        if self.kind not in RECORD_KINDS:
-            raise ValueError(f"unknown record kind: {self.kind!r}")
-
 
 def _civil_from_days(days: int) -> tuple[int, int, int]:
     # Days-since-epoch to (year, month, day), proleptic Gregorian.
@@ -152,16 +137,6 @@ def _civil_from_days(days: int) -> tuple[int, int, int]:
     return year, month, day
 
 
-def days_from_civil(year: int, month: int, day: int) -> int:
-    """Inverse of the UTC rendering: civil date to days since epoch."""
-    year -= month <= 2
-    era = (year if year >= 0 else year - 399) // 400
-    yoe = year - era * 400
-    doy = (153 * (month + (-3 if month > 2 else 9)) + 2) // 5 + day - 1
-    doe = yoe * 365 + yoe // 4 - yoe // 100 + doy
-    return era * 146097 + doe - 719468
-
-
 def render_utc(epoch_seconds: int) -> str:
     """Render epoch seconds as an ISO-8601 UTC string with second precision."""
     days, rem = divmod(epoch_seconds, 86400)
@@ -169,14 +144,6 @@ def render_utc(epoch_seconds: int) -> str:
     minutes, seconds = divmod(rem, 60)
     year, month, day = _civil_from_days(days)
     return f"{year:04d}-{month:02d}-{day:02d}T{hours:02d}:{minutes:02d}:{seconds:02d}Z"
-
-
-def parse_utc(utc: str) -> int:
-    """Parse a string produced by :func:`render_utc` back to epoch seconds."""
-    date_part, time_part = utc.rstrip("Z").split("T")
-    year, month, day = (int(p) for p in date_part.split("-"))
-    hours, minutes, seconds = (int(p) for p in time_part.split(":"))
-    return days_from_civil(year, month, day) * 86400 + hours * 3600 + minutes * 60 + seconds
 
 
 def normalize_timestamp(raw: int) -> EpochInstant:
@@ -205,19 +172,3 @@ def normalize_timestamp(raw: int) -> EpochInstant:
         "epoch seconds, too small for epoch milliseconds"
     )
 
-
-def make_locator(package: str, path: str, container: str, detail: str) -> SourceLocator:
-    """Build a provenance locator; every field must be non-empty."""
-    for name, value in (
-        ("package", package),
-        ("path", path),
-        ("container", container),
-        ("detail", detail),
-    ):
-        if not value:
-            raise EmptyFieldError(f"locator field {name!r} must be non-empty")
-    if container not in CONTAINERS:
-        raise EmptyFieldError(f"unknown locator container {container!r}")
-    return SourceLocator(
-        package_name=package, relative_path=path, container=container, detail=detail
-    )

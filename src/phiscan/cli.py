@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ScanError
+from .evidence import shown_name
 from .fixtures import generate_fixture, load_spec, render_manifest
 from .parsers import PARSERS, load_code_map
 from .phi import INFORMATIONAL_VIOLATIONS
@@ -46,7 +47,7 @@ def _parse_fixed_clock(value: str) -> str:
 def _emit(data: bytes, out_path: str | None) -> None:
     if out_path:
         Path(out_path).write_bytes(data)
-        print(f"wrote {len(data)} bytes to {out_path}", file=sys.stderr)
+        print(f"wrote {len(data)} bytes to {shown_name(out_path)}", file=sys.stderr)
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -68,13 +69,13 @@ def _run_scan_pipeline(args):
     fixed_clock = _parse_fixed_clock(args.fixed_clock) if args.fixed_clock else None
     if args.output and Path(args.output).resolve().is_relative_to(
             Path(args.evidence).resolve()):
-        raise ScanError(f"output {args.output} is inside the evidence {args.evidence}, "
-                        "which a scan never writes to")
+        raise ScanError(f"output {shown_name(args.output)} is inside the evidence "
+                        f"{shown_name(args.evidence)}, which a scan never writes to")
     code_map = (load_code_map(Path(args.code_map).read_text(encoding="utf-8"))
                 if args.code_map else None)
     result = scan_evidence(args.evidence, fixed_clock=fixed_clock,
                            redact=not args.no_redact, code_map=code_map)
-    print(f"scanned {args.evidence}: {len(result.source.root_listing)} file(s), "
+    print(f"scanned {shown_name(args.evidence)}: {len(result.source.root_listing)} file(s), "
           f"{len(result.roots)} app root(s), {len(result.records)} record(s)",
           file=sys.stderr)
     return result

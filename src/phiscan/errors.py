@@ -23,7 +23,7 @@ class UnreadableFileError(ScanError):
     """One file's bytes cannot be read (damaged zip member, I/O error)."""
 
 
-# -- timestamps and locators ------------------------------------------------
+# -- timestamps -------------------------------------------------------------
 
 class NonPositiveTimestampError(ScanError):
     """Raw epoch value must be a positive integer."""
@@ -31,10 +31,6 @@ class NonPositiveTimestampError(ScanError):
 
 class AmbiguousUnitError(ScanError):
     """Raw epoch value falls in the ambiguous band between seconds and ms."""
-
-
-class EmptyFieldError(ScanError):
-    """A locator field that must be non-empty was empty."""
 
 
 # -- artifact parsing -------------------------------------------------------

@@ -97,9 +97,14 @@ def _safe_relpath(name: str) -> str | None:
     return "/".join(parts)
 
 
+def shown_name(name: str) -> str:
+    """An OS name (a listing's or argv's) as a report shows it: non-UTF-8 bytes as \\xNN."""
+    return os.fsencode(name).decode("utf-8", "backslashreplace")
+
+
 def _unlisted(full: Path, rel: str, is_dir: bool) -> str | None:
     """The skipped-entry text of a directory entry left out of the listing, or None."""
-    shown = os.fsencode(rel).decode("utf-8", "backslashreplace")
+    shown = shown_name(rel)
     if shown != rel:  # no report could name it
         return f"{shown} (name is not UTF-8)"
     if full.is_symlink():  # evidence must never escape its root
@@ -191,13 +196,13 @@ def evidence_label(source: EvidenceSource) -> str:
     """Container-independent label: basename with any .zip suffix stripped.
 
     Keeps reports over a directory and a zip of the same content
-    byte-identical. A name that is not UTF-8 shows its bytes as \\xNN
-    escapes, as a skipped listing entry does, so the label is valid UTF-8.
+    byte-identical. The name is shown_name's, as a skipped listing entry's
+    is, so the label is valid UTF-8.
     """
     base = os.path.basename(source.origin.rstrip("/"))
     if base.lower().endswith(".zip"):
         base = base[:-4]
-    return os.fsencode(base).decode("utf-8", "backslashreplace")
+    return shown_name(base)
 
 
 def read_file(source: EvidenceSource, relative_path: str) -> bytes:

@@ -1,6 +1,7 @@
 """Parser plugin base: one app's claim on the files under its data folder.
 
-The scanner binds a parser to the top-level folder named by its `folder`,
+The scanner binds a parser to the top-level folder named by its `folder`
+when the parser claims a listed file under it (detect may override that),
 reads each file the parser claims exactly once and hands the parser those
 bytes; it sweeps every other file for raw patterns, and each claimed file
 the parser hands back.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from ..artifacts import ArtifactRecord
 from ..errors import ScanError
-from ..evidence import EvidenceSource
+from ..evidence import EvidenceSource, files_under
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class AppParser:
     """One app's artifact parser.
 
     Subclasses set the identity fields and implement claims/parse, and may
-    narrow detect. detect and claims must be cheap and side-effect free;
+    override detect. detect and claims must be cheap and side-effect free;
     parse never raises for partial or damaged artifacts, it degrades into
     warnings.
     """
@@ -46,8 +47,8 @@ class AppParser:
     signature: str = ""  # human-readable artifact requirement, for list-parsers
 
     def detect(self, source: EvidenceSource) -> bool:
-        """Whether `folder` holds this app's artifacts; by default its name suffices."""
-        return True
+        """Whether `folder` holds this app's artifacts: it claims a listed file under it."""
+        return any(map(self.claims, files_under(source, self.folder)))
 
     def claims(self, path: str) -> bool:
         """Whether parse reads the file at `path`, a listed path under `folder`."""

@@ -22,12 +22,13 @@ from ..artifacts import (
     CONTAINER_XML,
     DatabaseStatus,
     KIND_USER_PROFILE,
-    make_locator,
     STATUS_EMPTY,
     STATUS_ENCRYPTED,
     STATUS_PLAINTEXT,
+    SourceLocator,
 )
 from ..errors import MissingFieldsError
+from ..evidence import EvidenceSource
 from ..shared_prefs import parse_shared_prefs
 from ..sqlite_bytes import is_sqlite
 from .base import AppParser, ParseResult, parse_or_hand_back
@@ -93,7 +94,7 @@ def parse_user_info_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH
     return [ArtifactRecord(
         kind=KIND_USER_PROFILE,
         payload=GlucoProfile(username=username, device_identifier=device_id),
-        locator=make_locator(PACKAGE_FOLDER, relative_path, CONTAINER_XML, "UserName/DeviceID"),
+        locator=SourceLocator(PACKAGE_FOLDER, relative_path, CONTAINER_XML, "UserName/DeviceID"),
     )], []
 
 
@@ -102,6 +103,10 @@ class GlucoSmartParser(AppParser):
     display_name = DISPLAY_NAME
     folder = PACKAGE_FOLDER
     signature = "app folder name match (databases are encrypted)"
+
+    def detect(self, source: EvidenceSource) -> bool:
+        # the folder name suffices: an empty folder still gets its matrix row
+        return True
 
     def claims(self, path: str) -> bool:
         return path.endswith(".db") or path.rsplit("/", 1)[-1] == USER_INFO_XML_NAME

@@ -29,7 +29,6 @@ from ..artifacts import (
     RawHit,
 )
 from ..errors import InvalidSpecError, MalformedRowError
-from ..evidence import EvidenceSource, files_under
 from .base import AppParser, ParseResult, parse_or_hand_back
 from .tables import (
     Table,
@@ -199,9 +198,6 @@ class HealthMateParser(AppParser):
     display_name = DISPLAY_NAME
     folder = PACKAGE_FOLDER
     signature = f"{DB_NAME} present under the app folder"
-
-    def detect(self, source: EvidenceSource) -> bool:
-        return any(map(self.claims, files_under(source, PACKAGE_FOLDER)))
 
     def claims(self, path: str) -> bool:
         return path.rsplit("/", 1)[-1] == DB_NAME

@@ -28,11 +28,10 @@ from ..artifacts import (
     KIND_USER_PROFILE,
     KIND_WEIGHT,
     CONTAINER_XML,
+    SourceLocator,
     looks_like_email,
-    make_locator,
 )
 from ..errors import NoCredentialKeysError
-from ..evidence import EvidenceSource
 from ..shared_prefs import parse_shared_prefs
 from .base import AppParser, ParseResult, parse_or_hand_back
 from .tables import (
@@ -256,8 +255,8 @@ def parse_region_host_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH
         records.append(ArtifactRecord(
             kind=KIND_CREDENTIAL,
             payload=CredentialSet(account=account, **fields),
-            locator=make_locator(PACKAGE_FOLDER, relative_path, CONTAINER_XML,
-                                 f"key prefix {account}"),
+            locator=SourceLocator(PACKAGE_FOLDER, relative_path, CONTAINER_XML,
+                                  f"key prefix {account}"),
         ))
     return records, warnings
 
@@ -266,10 +265,7 @@ class MyVitalsParser(AppParser):
     parser_id = "myvitals"
     display_name = DISPLAY_NAME
     folder = PACKAGE_FOLDER
-    signature = f"{DB_SUBPATH} present under the app folder"
-
-    def detect(self, source: EvidenceSource) -> bool:
-        return DB_PATH in source.root_listing
+    signature = f"{DB_SUBPATH} or a {CREDENTIAL_XML_NAME} present under the app folder"
 
     def claims(self, path: str) -> bool:
         return path == DB_PATH or path.rsplit("/", 1)[-1] == CREDENTIAL_XML_NAME

@@ -17,7 +17,6 @@ from ..artifacts import (
     EpochInstant,
     SourceLocator,
     looks_like_email,
-    make_locator,
     normalize_timestamp,
 )
 from ..errors import MalformedRowError, MissingTableError, ScanError
@@ -131,8 +130,6 @@ def parse_tables(db: bytes, tables: tuple[Table, ...], *, package: str, relative
                 rows, note = [], str(exc)
             selected.append((table, rows, note))
 
-    # Row locators share package, path and container, checked once here; no detail is empty.
-    make_locator(package, relative_path, CONTAINER_SQLITE, relative_path)
     records: list[ArtifactRecord] = []
     warnings: list[str] = []
     for table, rows, note in selected:

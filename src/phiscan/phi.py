@@ -176,8 +176,6 @@ RULE_TABLE = _load_rule_table()
 
 @functools.cache
 def _field_names(payload_type: type) -> tuple[str, ...]:
-    if not dataclasses.is_dataclass(payload_type):
-        return ()
     return tuple(f.name for f in dataclasses.fields(payload_type))
 
 
@@ -212,6 +210,19 @@ def _findings(rules: tuple[PhiRule, ...], typed: dict[str, str], texts: list[str
     return findings
 
 
+def shown_locator(record: ArtifactRecord, redact: bool) -> SourceLocator:
+    """`record`'s locator as a report shows it.
+
+    With `redact`, redact_value masks the account a credential's detail names.
+    """
+    locator = record.locator
+    if not redact or record.kind != KIND_CREDENTIAL:
+        return locator
+    account = record.payload.account
+    return dataclasses.replace(locator,
+                               detail=locator.detail.replace(account, redact_value(account)))
+
+
 def classify_record(record: ArtifactRecord, *, redact: bool = False) -> list[PhiFinding]:
     """Apply every published rule to one record. Unrecognized records yield [].
 
@@ -219,11 +230,12 @@ def classify_record(record: ArtifactRecord, *, redact: bool = False) -> list[Phi
     pattern rules read every string field. A raw hit (a Health Mate
     measure code no map decodes) has no typed excerpts, and its pattern
     name holds no digit, so only its value can fire a pattern rule. With
-    `redact`, each excerpt is built redacted.
+    `redact`, each excerpt is built redacted and the locator is shown_locator's.
     """
     payload = record.payload
     typed = payload.phi_excerpts() if hasattr(payload, "phi_excerpts") else {}
-    return _findings(RULE_TABLE, typed, _string_fields(payload), record.locator, redact)
+    return _findings(RULE_TABLE, typed, _string_fields(payload),
+                     shown_locator(record, redact), redact)
 
 
 # -- generic raw sweep -------------------------------------------------------
@@ -370,10 +382,10 @@ def evaluate_security_rule(app: str, records: Iterable[ArtifactRecord],
 
     plaintext-ephi-at-rest: health-condition findings originating from a
     plaintext sqlite/xml container. plaintext-credential: a recovered
-    credential set with the password present; with `redact`, its account
-    and password go through redact_value, in the description and in the
-    evidence detail. weak-safeguard-note (informational): identity data
-    alone in plaintext containers.
+    credential set with the password present, its evidence shown_locator's;
+    with `redact`, its account and password go through redact_value in the
+    description. weak-safeguard-note (informational): identity data alone
+    in plaintext containers.
     """
     db_statuses = db_statuses or []
     plaintext = [f for f in findings if f.locator.container in _PLAINTEXT_CONTAINERS]
@@ -395,15 +407,11 @@ def evaluate_security_rule(app: str, records: Iterable[ArtifactRecord],
         if credential.password_plaintext is None:
             continue
         account, excerpt = credential.account, credential.password_plaintext
-        locator = record.locator
         if redact:
-            # the locator's detail names the account: it is the key prefix
             account, excerpt = redact_value(account), redact_value(excerpt)
-            locator = dataclasses.replace(
-                locator, detail=locator.detail.replace(credential.account, account))
         violations.append(SecurityViolation(
             kind=VIOLATION_PLAINTEXT_CREDENTIAL,
-            evidence=(locator,),
+            evidence=(shown_locator(record, redact),),
             description=f'{app}: plaintext password at rest for account {account}: "{excerpt}"',
         ))
 

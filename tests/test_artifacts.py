@@ -1,29 +1,37 @@
-"""Timestamp normalization and locator construction."""
+"""Timestamp normalization and UTC rendering."""
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 
 import pytest
 from hypothesis import given, strategies as st
 
-from phiscan.artifacts import (
-    ArtifactRecord,
-    EpochInstant,
-    RawHit,
-    SourceLocator,
-    make_locator,
-    normalize_timestamp,
-    parse_utc,
-    render_utc,
-)
-from phiscan.errors import AmbiguousUnitError, EmptyFieldError, NonPositiveTimestampError
+from phiscan.artifacts import EpochInstant, normalize_timestamp, render_utc
+from phiscan.errors import AmbiguousUnitError, NonPositiveTimestampError
 
 # datetime is the independent oracle here: the implementation renders UTC
 # with its own integer civil-date arithmetic.
 def oracle_utc(epoch_seconds: int) -> str:
     return datetime.fromtimestamp(epoch_seconds, tz=timezone.utc).strftime(
         "%Y-%m-%dT%H:%M:%SZ")
+
+
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+def parse_utc(utc: str) -> int:
+    """Epoch seconds of a render_utc string, the calendar taken from datetime.date.
+
+    date stops at year 9999, so a later year is moved back by whole
+    400-year Gregorian cycles of 146,097 days each and the days added back.
+    """
+    date_part, time_part = utc.removesuffix("Z").split("T")
+    year, month, day = map(int, date_part.split("-"))
+    hours, minutes, seconds = map(int, time_part.split(":"))
+    cycles = max(0, (year - 2000) // 400)
+    days = date(year - 400 * cycles, month, day).toordinal() + cycles * 146097 - _EPOCH_ORDINAL
+    return days * 86400 + hours * 3600 + minutes * 60 + seconds
 
 
 def test_seconds_scale_value_from_oximetry_table():
@@ -98,31 +106,6 @@ def test_milliseconds_round_trip_preserves_remainder(raw):
 @given(st.integers(min_value=1, max_value=2 * 10**10))
 def test_render_matches_datetime_oracle(seconds):
     assert render_utc(seconds) == oracle_utc(seconds)
-
-
-def test_make_locator_examples():
-    loc = make_locator("iHealthMyVitals.V2", "iHealthMyVitals.V2/Databases/androidNin.db",
-                       "sqlite-table", "TB_SPO2Result:1")
-    assert loc.detail == "TB_SPO2Result:1"
-    loc = make_locator("com.withings.wiscale2",
-                       "com.withings.wiscale2/databases/withings-wiscale.db",
-                       "sqlite-table", "devices:5595648")
-    assert loc.package_name == "com.withings.wiscale2"
-
-
-def test_make_locator_rejects_empty_fields():
-    with pytest.raises(EmptyFieldError):
-        make_locator("x", "y", "xml-file", "")
-    with pytest.raises(EmptyFieldError):
-        make_locator("", "y", "xml-file", "d")
-    with pytest.raises(EmptyFieldError):
-        make_locator("x", "y", "not-a-container", "d")
-
-
-def test_record_kind_validated():
-    loc = SourceLocator("p", "p/f", "raw-bytes", "d")
-    with pytest.raises(ValueError):
-        ArtifactRecord(kind="nonsense", payload=RawHit("email", "a@b.co"), locator=loc)
 
 
 def test_epoch_seconds_helper():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import zipfile
 from importlib import resources
 
@@ -95,6 +96,22 @@ def test_output_equal_to_evidence_zip_exits_one(tmp_path, capsys, command):
     assert code == 1
     assert "inside the evidence" in capsys.readouterr().err
     assert evidence.read_bytes() == before
+
+
+def test_names_that_are_not_utf8_are_shown_as_the_report_shows_them(tmp_path, capsys):
+    raw = os.path.join(os.fsencode(tmp_path), b"ev\xff")
+    os.makedirs(os.path.join(raw, b"com.x"))
+    with open(os.path.join(raw, b"com.x", b"a.txt"), "wb") as f:
+        f.write(b"data")
+    evidence = os.fsdecode(raw)
+    output = os.fsdecode(os.path.join(os.fsencode(tmp_path), b"out\xff.json"))
+    assert main(["scan", evidence, "--format", "json", "-o", output]) == 0
+    err = capsys.readouterr().err
+    assert f"scanned {tmp_path}/ev\\xff: 1 file(s)," in err
+    assert f" bytes to {tmp_path}/out\\xff.json" in err
+    assert main(["scan", evidence, "-o", os.path.join(evidence, "r.json")]) == 1
+    assert (f"output {tmp_path}/ev\\xff/r.json is inside the evidence {tmp_path}/ev\\xff,"
+            in capsys.readouterr().err)
 
 
 def test_bad_fixed_clock_exits_one(tmp_path, capsys):

@@ -23,6 +23,11 @@ full.
 The plaintext Gluco-Smart tree holds one unencrypted database, which no
 forge spec makes; its PHI reaches the report only through the raw sweep.
 Its report is pinned like a forge spec's, redacted and unredacted.
+
+Over the forge specs, the hostile tree and the plaintext Gluco-Smart tree,
+every locator a report or a scan result holds has four non-empty fields
+and a known container, and every record kind is a known one: nothing
+checks these as the values are built.
 """
 
 from __future__ import annotations
@@ -439,3 +444,34 @@ def test_plaintext_gluco_database_report_matches_golden(tmp_path, redact):
                                       fixed_clock=CLOCK, redact=redact).report)
             for kind in ("directory", "zip")]
     assert shas == [GOLDEN_GLUCO_PLAINTEXT[redact]] * 2
+
+
+# What a report may hold; locators and records are built without a runtime check.
+LOCATOR_CONTAINERS = {"sqlite-table", "xml-file", "raw-bytes"}
+RECORD_KINDS = {"blood-pressure", "oximetry", "weight", "environment", "user-profile",
+                "credential", "device-registration", "raw-hit"}
+
+
+@pytest.mark.parametrize("name", ["replica", *(f"seed{seed}" for seed in range(40)),
+                                  "hostile", "gluco-plaintext"])
+def test_every_locator_is_complete_and_every_record_kind_is_known(tmp_path, name):
+    if name == "hostile":
+        evidence = _hostile_tree(tmp_path)
+    elif name == "gluco-plaintext":  # its raw sweep gives findings
+        evidence = _gluco_plaintext_tree(tmp_path / name, "directory")
+    else:
+        spec = paper_replica_spec() if name == "replica" else random_spec(int(name[4:]))
+        evidence = tmp_path / name
+        generate_fixture(spec, evidence)
+    result = scan_evidence(evidence, fixed_clock=CLOCK)
+    report = result.report
+    locators = [f.locator for f in report.findings]
+    locators += [loc for vs in report.violations.values() for v in vs for loc in v.evidence]
+    locators += [r.locator for r in result.records]
+    if not name.startswith("seed"):  # some random specs plant nothing a locator names
+        assert locators and result.records
+    for loc in locators:
+        fields = (loc.package_name, loc.relative_path, loc.container, loc.detail)
+        assert all(isinstance(field, str) and field for field in fields), loc
+        assert loc.container in LOCATOR_CONTAINERS, loc
+    assert {r.kind for r in result.records} <= RECORD_KINDS

@@ -6,6 +6,7 @@ import ast
 import collections
 import dataclasses
 import functools
+import json
 import random
 import re
 import sqlite3
@@ -29,11 +30,12 @@ from phiscan.fixtures import (
     MyVitalsBlock,
     build_tree,
     generate_fixture,
+    load_spec,
     paper_replica_spec,
     random_spec,
     write_tree,
 )
-from phiscan.parsers import PARSERS, AppParser, ParseResult
+from phiscan.parsers import PARSERS, AppParser, MyVitalsParser, ParseResult
 from phiscan.phi import CAT_NAME, match_raw
 from phiscan.report import render_report
 from phiscan.scanner import scan_evidence
@@ -113,9 +115,20 @@ def test_reports_equal_modulo_clock_fields(tmp_path):
     assert normalized_a == normalized_b
 
 
-@pytest.mark.parametrize("name", ["replica", *(f"seed{seed}" for seed in range(40))])
+# a credential whose values hold an SSN and a card number: their findings sit at
+# the credential's locator, whose detail names the account
+_PATTERNED_CREDENTIAL = {"seed": 1, "apps": {"myvitals": {"bp_rows": 1, "credential": {
+    "account": "pat.doe@example.com", "password": "078-05-1120",
+    "access_token": "4111 1111 1111 1111"}}}}
+
+
+@pytest.mark.parametrize("name", ["replica", *(f"seed{seed}" for seed in range(40)),
+                                  "patterned-credential"])
 def test_no_planted_value_shows_verbatim_in_a_redacted_report(tmp_path, name):
-    spec = paper_replica_spec() if name == "replica" else random_spec(int(name[4:]))
+    if name == "patterned-credential":
+        spec = load_spec(json.dumps(_PATTERNED_CREDENTIAL))
+    else:
+        spec = paper_replica_spec() if name == "replica" else random_spec(int(name[4:]))
     manifest = generate_fixture(spec, tmp_path / "t")
     report = scan_evidence(tmp_path / "t", fixed_clock=CLOCK).report
     rendered = (render_report(report) + render_report(report, "text")).decode()
@@ -123,7 +136,25 @@ def test_no_planted_value_shows_verbatim_in_a_redacted_report(tmp_path, name):
               if isinstance(value, str) and len(value) > 4}
     if name == "replica":
         assert {"medicaldevices2018exper@gmail.com", "MedExp2018"} <= values
+    if name == "patterned-credential":
+        assert {f.category for f in report.findings} >= {"ssn", "payment"}
     assert sorted(value for value in values if value in rendered) == []
+
+
+@pytest.mark.parametrize("output_kind", ["directory", "zip"])
+def test_a_credential_file_without_the_database_is_parsed(tmp_path, output_kind):
+    spec = dataclasses.replace(paper_replica_spec(), output_kind=output_kind)
+    tree, _ = build_tree(spec)
+    del tree["iHealthMyVitals.V2/Databases/androidNin.db"]
+    out = tmp_path / ("t.zip" if output_kind == "zip" else "t")
+    write_tree(tree, spec, out)
+    result = scan_evidence(out, fixed_clock=CLOCK)
+    assert isinstance(result.roots["iHealthMyVitals.V2"], MyVitalsParser)
+    assert [r.kind for r in result.records if r.locator.package_name == "iHealthMyVitals.V2"
+            ] == ["credential"]
+    assert "iHealth MyVitals" in [row.app_name for row in result.report.matrix]
+    assert "plaintext-credential" in [
+        v.kind for v in result.report.violations["iHealth MyVitals"]]
 
 
 def test_zip_source_supports_concurrent_reads(tmp_path):
@@ -290,6 +321,9 @@ class _IdleParser(AppParser):
     """Claims every file under its folder and pulls none of them."""
 
     display_name = "idle"
+
+    def detect(self, source):
+        return True
 
     def claims(self, path):
         return True
