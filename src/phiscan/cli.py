@@ -105,8 +105,9 @@ def cmd_fixtures(args) -> int:
     manifest = generate_fixture(spec, Path(args.output))
     manifest_path = Path(str(args.output).rstrip("/") + ".manifest.json")
     manifest_path.write_bytes(render_manifest(manifest))
-    print(f"generated {spec.output_kind} fixture at {args.output} "
-          f"({len(manifest.files)} file(s)); manifest: {manifest_path}", file=sys.stderr)
+    print(f"generated {spec.output_kind} fixture at {shown_name(args.output)} "
+          f"({len(manifest.files)} file(s)); manifest: {shown_name(manifest_path)}",
+          file=sys.stderr)
     return EXIT_OK
 
 

@@ -97,7 +97,7 @@ def _safe_relpath(name: str) -> str | None:
     return "/".join(parts)
 
 
-def shown_name(name: str) -> str:
+def shown_name(name: str | os.PathLike) -> str:
     """An OS name (a listing's or argv's) as a report shows it: non-UTF-8 bytes as \\xNN."""
     return os.fsencode(name).decode("utf-8", "backslashreplace")
 
@@ -122,7 +122,8 @@ def _open_directory(path: Path) -> tuple[frozenset[str], tuple[str, ...], tuple[
     def unlistable(exc: OSError) -> None:
         rel = Path(exc.filename).relative_to(path).as_posix()
         if rel == ".":
-            raise ScanError(f"{path}: evidence directory cannot be listed ({exc.strerror})")
+            raise ScanError(f"{shown_name(path)}: evidence directory cannot be listed "
+                            f"({exc.strerror})")
         skipped.append(f"{rel} (unreadable directory)")
 
     for dirpath, dirnames, filenames in os.walk(path, onerror=unlistable, followlinks=False):
@@ -149,7 +150,7 @@ def _open_zip(path: Path) -> tuple[zipfile.ZipFile, dict[str, zipfile.ZipInfo],
     except (zipfile.BadZipFile, NotImplementedError, UnicodeDecodeError) as exc:
         # the last two: a member needing a newer zip version, or a member name
         # flagged UTF-8 that is not
-        raise CorruptArchiveError(f"{path}: {exc}") from exc
+        raise CorruptArchiveError(f"{shown_name(path)}: {exc}") from exc
     members: dict[str, zipfile.ZipInfo] = {}
     skipped: list[str] = []
     top_dirs: set[str] = set()
@@ -176,7 +177,7 @@ def open_source(path: str | Path) -> EvidenceSource:
     """Open a directory or zip archive rooted at the extracted /data/data layout."""
     path = Path(path)
     if not path.exists():
-        raise NotFoundError(f"evidence path does not exist: {path}")
+        raise NotFoundError(f"evidence path does not exist: {shown_name(path)}")
     if path.is_dir():
         listing, top_dirs, skipped = _open_directory(path)
         return EvidenceSource(origin=str(path), container_kind=CONTAINER_DIRECTORY,
@@ -188,8 +189,8 @@ def open_source(path: str | Path) -> EvidenceSource:
                               root_listing=frozenset(members), top_level_dirs=top_dirs,
                               skipped_entries=skipped, archive=archive, members=members)
     if path.suffix.lower() == ".zip":
-        raise CorruptArchiveError(f"{path}: zip central directory unreadable")
-    raise UnsupportedContainerError(f"{path}: neither a directory nor a zip archive")
+        raise CorruptArchiveError(f"{shown_name(path)}: zip central directory unreadable")
+    raise UnsupportedContainerError(f"{shown_name(path)}: neither a directory nor a zip archive")
 
 
 def evidence_label(source: EvidenceSource) -> str:

@@ -32,6 +32,7 @@ from ..errors import InvalidSpecError, MalformedRowError
 from .base import AppParser, ParseResult, parse_or_hand_back
 from .tables import (
     Table,
+    column,
     declare,
     email,
     optional_text,
@@ -57,18 +58,27 @@ _PRESSURE_KINDS = frozenset({"systolic", "diastolic", "pulse"})
 _MAC_RE = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
 
 
+def _mac(value, column: str) -> str:
+    """Colon-hex MAC address, normalized to lowercase."""
+    mac = str(value or "").lower()
+    if not _MAC_RE.match(mac):
+        raise MalformedRowError(f"{column} not colon-hex: {value!r}")
+    return mac
+
+
 @dataclass(frozen=True)
 class DeviceRegistration:
-    id: int
-    association_date: EpochInstant
-    last_use_date: EpochInstant
-    modified_date: EpochInstant
-    mac_address: str
-    firmware: int
-    timezone: str | None
-    battery_pct: int
-    device_type: int
-    device_model: int
+    # The MAC is converted first, so a row with a bad MAC reports that.
+    mac_address: str = column("macAddress", _mac)
+    id: int = column("id", require_int)
+    association_date: EpochInstant = column("associationDate", require_instant)
+    last_use_date: EpochInstant = column("lastUseDate", require_instant)
+    modified_date: EpochInstant = column("modifiedDate", require_instant)
+    firmware: int = column("firmware", require_int)
+    timezone: str | None = column("timezone", optional_text)
+    battery_pct: int = column("battery", require_int)
+    device_type: int = column("type", require_int)
+    device_model: int = column("model", require_int)
 
     def timeline_event(self) -> tuple[EpochInstant, str]:
         return self.last_use_date, "device last used"
@@ -95,10 +105,10 @@ class HealthMateMeasurement:
 
 @dataclass(frozen=True)
 class HealthMateUser:
-    name: str
-    gender: str
-    birthday: str
-    email: str
+    name: str = column("name", text)
+    gender: str = column("gender", text)
+    birthday: str = column("birthday", text)
+    email: str = column("email", email)
 
     def phi_excerpts(self) -> dict[str, str]:
         return {"profile_name": self.name, "profile_birth_date": self.birthday}
@@ -135,36 +145,11 @@ def _default_code_map() -> dict[int, str]:
 DEFAULT_CODE_MAP: dict[int, str] = _default_code_map()
 
 
-def _mac(value, column: str) -> str:
-    """Colon-hex MAC address, normalized to lowercase."""
-    mac = str(value or "").lower()
-    if not _MAC_RE.match(mac):
-        raise MalformedRowError(f"{column} not colon-hex: {value!r}")
-    return mac
-
-
-# The MAC is converted first, so a row with a bad MAC reports that.
-DEVICES = declare("devices", KIND_DEVICE_REGISTRATION, DeviceRegistration, (
-    ("macAddress", "mac_address", _mac),
-    ("id", "id", require_int),
-    ("associationDate", "association_date", require_instant),
-    ("lastUseDate", "last_use_date", require_instant),
-    ("modifiedDate", "modified_date", require_instant),
-    ("firmware", "firmware", require_int),
-    ("timezone", "timezone", optional_text),
-    ("battery", "battery_pct", require_int),
-    ("type", "device_type", require_int),
-    ("model", "device_model", require_int),
-), checks=(
+DEVICES = declare("devices", KIND_DEVICE_REGISTRATION, DeviceRegistration, checks=(
     (lambda r: not 0 <= r.battery_pct <= 100, "battery out of [0,100]: {0.battery_pct}"),
 ), order_by="id", id_column="id")
 
-USERS = declare("users", KIND_USER_PROFILE, HealthMateUser, (
-    ("name", "name", text),
-    ("gender", "gender", text),
-    ("birthday", "birthday", text),
-    ("email", "email", email),
-), order_by="id", id_column="id")
+USERS = declare("users", KIND_USER_PROFILE, HealthMateUser, order_by="id", id_column="id")
 
 
 def measure_table(code_map: dict[int, str]) -> Table:

@@ -6,9 +6,10 @@ account's authentication material (password included, in plaintext) in a
 shared-preferences file named sp_user_region_host_info.xml.
 
 Column names for TB_SPO2Result are documented artifacts; the remaining
-four tables are bound to the fixture schema declared in TABLES. Real-device
-schema drift surfaces as MissingTable/malformed-row warnings, never as a
-guess.
+four tables are bound to the fixture schema. Each table's columns are
+declared on the fields of the payload its rows become, and TABLES lists
+the tables in parse order. Real-device schema drift surfaces as
+MissingTable/malformed-row warnings, never as a guess.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from ..errors import NoCredentialKeysError
 from ..shared_prefs import parse_shared_prefs
 from .base import AppParser, ParseResult, parse_or_hand_back
 from .tables import (
+    column,
     declare,
     email,
     optional_text,
@@ -63,15 +65,19 @@ CREDENTIAL_SUFFIXES = {
 }
 
 
+def _int_or_zero(value, column: str) -> int:
+    return require_int(0 if value is None else value, column)
+
+
 @dataclass(frozen=True)
 class BloodPressureReading:
-    systolic: int
-    diastolic: int
-    pulse: int
-    measured_at: EpochInstant
-    device_id: str
-    note: str | None
-    account: str
+    systolic: int = column("Sys", require_int)
+    diastolic: int = column("Dia", require_int)
+    pulse: int = column("Pulse", require_int)
+    measured_at: EpochInstant = column("MeasureTime", require_instant)
+    device_id: str = column("DeviceID", text)
+    note: str | None = column("Note", optional_text)
+    account: str = column("Account", text)
 
     def timeline_event(self) -> tuple[EpochInstant, str]:
         return self.measured_at, f"{KIND_BLOOD_PRESSURE} reading"
@@ -83,17 +89,17 @@ class BloodPressureReading:
 
 @dataclass(frozen=True)
 class OximetryReading:
-    result_spo2: int
-    pulse_rate: int
-    perfusion_index: float
-    measured_at: EpochInstant
-    last_change_at: EpochInstant
-    phone_created_at: EpochInstant
-    health_id: str
-    machine_type: str
-    machine_device_id: str
-    used_user_id: int
-    phone_data_id: str
+    result_spo2: int = column("Result", require_int)
+    pulse_rate: int = column("PR", require_int)
+    perfusion_index: float = column("PI", require_num)
+    measured_at: EpochInstant = column("MeasureTime", require_instant)
+    last_change_at: EpochInstant = column("LastChangeTime", require_instant)
+    phone_created_at: EpochInstant = column("PhoneCreateTime", require_instant)
+    health_id: str = column("iHealthID", text)
+    machine_type: str = column("MachineType", text)
+    machine_device_id: str = column("MachineDeviceID", text)
+    used_user_id: int = column("UsedUserID", _int_or_zero)
+    phone_data_id: str = column("PhoneDataID", text)
 
     def timeline_event(self) -> tuple[EpochInstant, str]:
         return self.measured_at, f"{KIND_OXIMETRY} reading"
@@ -107,15 +113,15 @@ class OximetryReading:
 
 @dataclass(frozen=True)
 class WeightReading:
-    weight: float
-    bmi: float
-    body_fat_pct: float
-    body_water_pct: float
-    muscle_mass: float
-    daily_calorie_intake: float
-    bone_mass: float
-    measured_at: EpochInstant
-    account: str
+    weight: float = column("Weight", require_num)
+    bmi: float = column("BMI", require_num)
+    body_fat_pct: float = column("BodyFat", require_num)
+    body_water_pct: float = column("BodyWater", require_num)
+    muscle_mass: float = column("MuscleMass", require_num)
+    daily_calorie_intake: float = column("DailyCalorie", require_num)
+    bone_mass: float = column("BoneMass", require_num)
+    measured_at: EpochInstant = column("MeasureTime", require_instant)
+    account: str = column("Account", text)
 
     def timeline_event(self) -> tuple[EpochInstant, str]:
         return self.measured_at, f"{KIND_WEIGHT} reading"
@@ -127,10 +133,10 @@ class WeightReading:
 
 @dataclass(frozen=True)
 class EnvironmentReading:
-    humidity: float
-    temperature: float
-    lighting_level: float
-    measured_at: EpochInstant
+    humidity: float = column("Humidity", require_num)
+    temperature: float = column("Temperature", require_num)
+    lighting_level: float = column("Lighting", require_num)
+    measured_at: EpochInstant = column("MeasureTime", require_instant)
 
     def timeline_event(self) -> tuple[EpochInstant, str]:
         return self.measured_at, f"{KIND_ENVIRONMENT} reading"
@@ -141,83 +147,43 @@ class EnvironmentReading:
 
 @dataclass(frozen=True)
 class MyVitalsProfile:
-    name: str
-    date_of_birth: str
-    timezone_location: str
-    email: str
+    name: str = column("Name", text)
+    date_of_birth: str = column("Birthday", text)
+    timezone_location: str = column("TimeZone", text)
+    email: str = column("Email", email)
 
     def phi_excerpts(self) -> dict[str, str]:
         return {"profile_name": self.name, "profile_birth_date": self.date_of_birth,
                 "timezone_address_proxy": self.timezone_location}
 
 
-def _int_or_zero(value, column: str) -> int:
-    return require_int(0 if value is None else value, column)
-
-
 # androidNin.db, in parse order; TB_SPO2Result comes back MeasureTime-ascending.
 TABLES = (
-    declare("TB_BPResult", KIND_BLOOD_PRESSURE, BloodPressureReading, (
-        ("Sys", "systolic", require_int),
-        ("Dia", "diastolic", require_int),
-        ("Pulse", "pulse", require_int),
-        ("MeasureTime", "measured_at", require_instant),
-        ("DeviceID", "device_id", text),
-        ("Note", "note", optional_text),
-        ("Account", "account", text),
-    ), required=("Sys", "Dia", "Pulse", "MeasureTime"), checks=(
+    declare("TB_BPResult", KIND_BLOOD_PRESSURE, BloodPressureReading,
+            required=("Sys", "Dia", "Pulse", "MeasureTime"), checks=(
         (lambda r: not (r.systolic > r.diastolic > 0),
          "systolic/diastolic out of order: {0.systolic}/{0.diastolic}"),
         (lambda r: r.pulse <= 0, "pulse not positive: {0.pulse}"),
     )),
-    declare("TB_SPO2Result", KIND_OXIMETRY, OximetryReading, (
-        ("Result", "result_spo2", require_int),
-        ("PR", "pulse_rate", require_int),
-        ("PI", "perfusion_index", require_num),
-        ("MeasureTime", "measured_at", require_instant),
-        ("LastChangeTime", "last_change_at", require_instant),
-        ("PhoneCreateTime", "phone_created_at", require_instant),
-        ("iHealthID", "health_id", text),
-        ("MachineType", "machine_type", text),
-        ("MachineDeviceID", "machine_device_id", text),
-        ("UsedUserID", "used_user_id", _int_or_zero),
-        ("PhoneDataID", "phone_data_id", text),
-    ), required=("Result", "PR", "PI", "MeasureTime"), checks=(
+    declare("TB_SPO2Result", KIND_OXIMETRY, OximetryReading,
+            required=("Result", "PR", "PI", "MeasureTime"), checks=(
         (lambda r: not 0 < r.result_spo2 <= 100, "Result out of range: {0.result_spo2}"),
         (lambda r: r.pulse_rate <= 0, "PR not positive: {0.pulse_rate}"),
         (lambda r: r.perfusion_index < 0, "PI negative: {0.perfusion_index}"),
     ), order_by="MeasureTime, rowid"),
-    declare("TB_WeightOnlineResult", KIND_WEIGHT, WeightReading, (
-        ("Weight", "weight", require_num),
-        ("BMI", "bmi", require_num),
-        ("BodyFat", "body_fat_pct", require_num),
-        ("BodyWater", "body_water_pct", require_num),
-        ("MuscleMass", "muscle_mass", require_num),
-        ("DailyCalorie", "daily_calorie_intake", require_num),
-        ("BoneMass", "bone_mass", require_num),
-        ("MeasureTime", "measured_at", require_instant),
-        ("Account", "account", text),
-    ), required=("Weight", "BMI", "BodyFat", "BodyWater", "MuscleMass", "DailyCalorie",
-                 "BoneMass", "MeasureTime"), checks=(
+    declare("TB_WeightOnlineResult", KIND_WEIGHT, WeightReading,
+            required=("Weight", "BMI", "BodyFat", "BodyWater", "MuscleMass", "DailyCalorie",
+                      "BoneMass", "MeasureTime"), checks=(
         (lambda r: r.weight <= 0, "Weight not positive: {0.weight}"),
         (lambda r: not 0 <= r.body_fat_pct <= 100, "BodyFat out of [0,100]: {0.body_fat_pct}"),
         (lambda r: not 0 <= r.body_water_pct <= 100,
          "BodyWater out of [0,100]: {0.body_water_pct}"),
     )),
-    declare("TB_TemperatureHumidity", KIND_ENVIRONMENT, EnvironmentReading, (
-        ("Humidity", "humidity", require_num),
-        ("Temperature", "temperature", require_num),
-        ("Lighting", "lighting_level", require_num),
-        ("MeasureTime", "measured_at", require_instant),
-    ), required=("Humidity", "Temperature", "Lighting", "MeasureTime"), checks=(
+    declare("TB_TemperatureHumidity", KIND_ENVIRONMENT, EnvironmentReading,
+            required=("Humidity", "Temperature", "Lighting", "MeasureTime"), checks=(
         (lambda r: not 0 <= r.humidity <= 100, "Humidity out of [0,100]: {0.humidity}"),
     ), null_text="null columns"),
-    declare("TB_Userinfo", KIND_USER_PROFILE, MyVitalsProfile, (
-        ("Name", "name", text),
-        ("Birthday", "date_of_birth", text),
-        ("TimeZone", "timezone_location", text),
-        ("Email", "email", email),
-    )),
+    declare("TB_Userinfo", KIND_USER_PROFILE, MyVitalsProfile),
 )
 
 

@@ -1,14 +1,16 @@
 """Declared SQLite tables and the one loop that turns their rows into records.
 
-A converter takes (cell, column name) and returns a payload field's value,
-or raises MalformedRowError naming the column.
+A payload dataclass declares its table's columns on its own fields: each
+field is a column(name, converter), in conversion order. A converter takes
+(cell, column name) and returns the field's value, or raises
+MalformedRowError naming the column.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from operator import call, itemgetter
+from operator import call
 from typing import Callable
 
 from ..artifacts import (
@@ -76,30 +78,32 @@ class Table:
     null_text: str = "null vital columns"
 
 
-def declare(name: str, kind: str, payload: type, columns: tuple[tuple[str, str, Callable], ...],
-            *, required: tuple[str, ...] = (), checks: tuple[tuple[Callable, str], ...] = (),
-            **options) -> Table:
+def column(name: str, convert: Callable) -> dataclasses.Field:
+    """A payload field filled from column `name` by convert(cell, name)."""
+    return dataclasses.field(metadata={"column": (name, convert)})
+
+
+def declare(name: str, kind: str, payload: type, *, required: tuple[str, ...] = (),
+            checks: tuple[tuple[Callable, str], ...] = (), **options) -> Table:
     """A Table each of whose rows becomes one `payload` record of `kind`.
 
-    columns are (column, payload field, converter) triples in conversion
-    order, so a row's first bad column is the one its warning names.
-    `required` names the null-checked columns, which lead `columns`.
-    checks are (fails, message) pairs, tried in order once a row has
-    converted: a payload for which fails(payload) is true skips the row,
-    with message.format(payload) as the reason. options are passed to
+    Every payload field is a column(...), and the fields' order is the
+    conversion order, so a row's first bad column is the one its warning
+    names. `required` names the null-checked columns, which lead the
+    fields. checks are (fails, message) pairs, tried in order once a row
+    has converted: a payload for which fails(payload) is true skips the
+    row, with message.format(payload) as the reason. options are passed to
     Table: order_by, id_column, null_text.
     """
-    names = tuple(column for column, _, _ in columns)
-    declared = [field for _, field, _ in columns]
-    fields = [f.name for f in dataclasses.fields(payload)]
-    if sorted(declared) != sorted(fields) or names[:len(required)] != required:
-        raise ValueError(f"{name}: columns {names} do not declare {payload.__name__}")
-    converters = tuple(convert for _, _, convert in columns)
-    in_field_order = itemgetter(*(declared.index(field) for field in fields))
+    columns = [f.metadata.get("column") for f in dataclasses.fields(payload)]
+    if None in columns:
+        raise ValueError(f"{name}: a {payload.__name__} field is not a column(...)")
+    names, converters = zip(*columns)
+    if names[:len(required)] != required:
+        raise ValueError(f"{name}: required columns {required} do not lead {names}")
 
     def row(cells: list) -> tuple[str, object]:
-        values = list(map(call, converters, cells, names))  # convert(cell, column)
-        record = payload(*in_field_order(values))
+        record = payload(*map(call, converters, cells, names))  # convert(cell, column)
         for fails, message in checks:
             if fails(record):
                 raise MalformedRowError(message.format(record))

@@ -213,17 +213,18 @@ def _findings(rules: tuple[PhiRule, ...], typed: dict[str, str], texts: list[str
 def shown_locator(record: ArtifactRecord, redact: bool) -> SourceLocator:
     """`record`'s locator as a report shows it.
 
-    With `redact`, redact_value masks the account a credential's detail names.
+    With `redact`, redact_value masks the account that ends a credential's
+    detail, and only there: the account may also occur inside "key prefix".
     """
     locator = record.locator
     if not redact or record.kind != KIND_CREDENTIAL:
         return locator
     account = record.payload.account
-    return dataclasses.replace(locator,
-                               detail=locator.detail.replace(account, redact_value(account)))
+    return dataclasses.replace(
+        locator, detail=locator.detail.removesuffix(account) + redact_value(account))
 
 
-def classify_record(record: ArtifactRecord, *, redact: bool = False) -> list[PhiFinding]:
+def classify_record(record: ArtifactRecord, *, redact: bool) -> list[PhiFinding]:
     """Apply every published rule to one record. Unrecognized records yield [].
 
     Typed rules take the payload's phi_excerpts(), if it has one; the
@@ -373,7 +374,7 @@ def _sorted_locators(findings: list[PhiFinding]) -> tuple[SourceLocator, ...]:
 def evaluate_security_rule(app: str, records: Iterable[ArtifactRecord],
                            findings: list[PhiFinding],
                            db_statuses: Iterable[DatabaseStatus] | None = None, *,
-                           redact: bool = True) -> list[SecurityViolation]:
+                           redact: bool) -> list[SecurityViolation]:
     """Security-Rule outcomes for one app.
 
     `findings` are the app's records already classified (classify_record)

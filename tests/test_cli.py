@@ -114,6 +114,22 @@ def test_names_that_are_not_utf8_are_shown_as_the_report_shows_them(tmp_path, ca
             in capsys.readouterr().err)
 
 
+def test_missing_evidence_whose_name_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    missing = os.fsdecode(os.path.join(os.fsencode(tmp_path), b"ev\xff-missing"))
+    assert main(["scan", missing]) == 1
+    assert capsys.readouterr().err == (
+        f"phiscan: error: evidence path does not exist: {tmp_path}/ev\\xff-missing\n")
+
+
+def test_fixtures_output_whose_name_is_not_utf8_is_shown_escaped(tmp_path, replica_spec_file,
+                                                                  capsys):
+    output = os.fsdecode(os.path.join(os.fsencode(tmp_path), b"t\xff"))
+    assert main(["fixtures", str(replica_spec_file), "-o", output]) == 0
+    err = capsys.readouterr().err
+    assert f"fixture at {tmp_path}/t\\xff (" in err
+    assert err.endswith(f"; manifest: {tmp_path}/t\\xff.manifest.json\n")
+
+
 def test_bad_fixed_clock_exits_one(tmp_path, capsys):
     empty = tmp_path / "e"
     empty.mkdir()

@@ -63,6 +63,18 @@ def test_garbage_zip_is_corrupt(tmp_path):
         open_source(f)
 
 
+@pytest.mark.parametrize("name, error", [(b"notes\xff.txt", UnsupportedContainerError),
+                                         (b"evil\xff.zip", CorruptArchiveError)])
+def test_an_error_shows_a_container_name_that_is_not_utf8_escaped(tmp_path, name, error):
+    path = os.path.join(os.fsencode(tmp_path), name)
+    with open(path, "wb") as f:
+        f.write(b"this is not a zip archive at all")
+    with pytest.raises(error) as raised:
+        open_source(os.fsdecode(path))
+    shown = name.decode("utf-8", "backslashreplace")
+    assert str(raised.value).startswith(f"{tmp_path}/{shown}: ")
+
+
 def _tree_with_files(tmp_path, files: dict[str, bytes]):
     root = tmp_path / "tree"
     for rel, data in files.items():

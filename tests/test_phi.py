@@ -29,6 +29,7 @@ from phiscan.parsers.myvitals import (
     MyVitalsProfile,
     OximetryReading,
     WeightReading,
+    parse_region_host_xml,
 )
 from phiscan.phi import (
     CATEGORY_LABELS,
@@ -64,7 +65,7 @@ def oximetry_record(loc=SQLITE_LOC) -> ArtifactRecord:
 
 
 def test_oximetry_yields_health_and_provision():
-    cats = {f.category for f in classify_record(oximetry_record())}
+    cats = {f.category for f in classify_record(oximetry_record(), redact=False)}
     assert cats == {"health-condition", "provision-of-healthcare"}
 
 
@@ -72,7 +73,7 @@ def test_myvitals_profile_yields_three_identifier_categories():
     record = ArtifactRecord(kind="user-profile", locator=SQLITE_LOC, payload=MyVitalsProfile(
         name="Pat Example", date_of_birth="1985-06-15",
         timezone_location="America/Chicago", email="pat@example.com"))
-    findings = classify_record(record)
+    findings = classify_record(record, redact=False)
     assert {f.category for f in findings} == {"name", "date-of-birth", "address"}
     address = next(f for f in findings if f.category == "address")
     assert "proxy" in address.rule_id  # flagged as a proxy-location rule
@@ -82,14 +83,14 @@ def test_myvitals_profile_yields_three_identifier_categories():
 def test_gluco_profile_yields_name_only():
     record = ArtifactRecord(kind="user-profile", locator=XML_LOC, payload=GlucoProfile(
         username="medicaldevices2018exper@gmail.com", device_identifier="BG5-0012AB"))
-    findings = classify_record(record)
+    findings = classify_record(record, redact=False)
     assert [f.category for f in findings] == ["name"]
 
 
 def test_healthmate_user_has_no_address():
     record = ArtifactRecord(kind="user-profile", locator=SQLITE_LOC, payload=HealthMateUser(
         name="Pat", gender="F", birthday="1985-06-15", email="pat@example.com"))
-    cats = {f.category for f in classify_record(record)}
+    cats = {f.category for f in classify_record(record, redact=False)}
     assert cats == {"name", "date-of-birth"}
 
 
@@ -103,7 +104,7 @@ def test_device_registration_is_provision_only():
                                 mac_address="00:24:e4:5a:ee:6c", firmware=431,
                                 timezone=None, battery_pct=77, device_type=4,
                                 device_model=43))
-    findings = classify_record(record)
+    findings = classify_record(record, redact=False)
     assert [f.category for f in findings] == ["provision-of-healthcare"]
     assert "00:24:e4:5a:ee:6c" in findings[0].value_excerpt
 
@@ -118,21 +119,21 @@ def test_measurement_kinds_classify_as_health():
                                     kind=kind, value=42.0,
                                     measured_at=normalize_timestamp(1541807000000),
                                     device_ref=None))
-        cats = {f.category for f in classify_record(record)}
+        cats = {f.category for f in classify_record(record, redact=False)}
         assert cats == {"health-condition", "provision-of-healthcare"}, kind
 
 
 def test_credential_record_yields_no_phi_findings():
     record = ArtifactRecord(kind="credential", locator=XML_LOC, payload=CredentialSet(
         account="a@b.co", password_plaintext="hunter2"))
-    assert classify_record(record) == []
+    assert classify_record(record, redact=False) == []
 
 
 def test_ssn_pattern_in_string_field():
     record = ArtifactRecord(kind="user-profile", locator=SQLITE_LOC, payload=MyVitalsProfile(
         name="Pat 123-45-6789", date_of_birth="", timezone_location="",
         email="p@example.com"))
-    cats = [f.category for f in classify_record(record)]
+    cats = [f.category for f in classify_record(record, redact=False)]
     assert "ssn" in cats
 
 
@@ -156,7 +157,7 @@ def test_payload_excerpts_and_rule_table_agree(replica_tree):
 def test_every_finding_references_published_rule():
     known = {r.rule_id for r in RULE_TABLE}
     for record in (oximetry_record(),):
-        for finding in classify_record(record):
+        for finding in classify_record(record, redact=False):
             assert finding.rule_id in known
             assert finding.category in PHI_CATEGORIES
     assert len(PHI_CATEGORIES) == 7
@@ -407,7 +408,7 @@ def test_raw_ssn_hit_classifies_as_ssn():
     # A raw hit has no typed excerpts: only the pattern rules run on it.
     hit = ArtifactRecord(kind="raw-hit", locator=SourceLocator(*RAW_AT, "raw-bytes", "sweep"),
                          payload=RawHit(pattern="ssn", value="id 123-45-6789"))
-    assert [f.rule_id for f in classify_record(hit)] == ["ssn-pattern"]
+    assert [f.rule_id for f in classify_record(hit, redact=False)] == ["ssn-pattern"]
 
 
 def test_raw_email_hit_is_not_a_phi_category():
@@ -461,13 +462,13 @@ def credential_record(password=None):
         payload=CredentialSet(account="a@b.co", password_plaintext=password))
 
 
-def _security(app, records, statuses=(), **kwargs):
-    findings = [f for r in records for f in classify_record(r)]
-    return evaluate_security_rule(app, records, findings, list(statuses), **kwargs)
+def _security(app, records, statuses=(), *, redact):
+    findings = [f for r in records for f in classify_record(r, redact=redact)]
+    return evaluate_security_rule(app, records, findings, list(statuses), redact=redact)
 
 
 def test_security_health_in_sqlite_is_ephi_at_rest():
-    violations = _security("App", [oximetry_record()])
+    violations = _security("App", [oximetry_record()], redact=True)
     assert [v.kind for v in violations] == ["plaintext-ephi-at-rest"]
     assert violations[0].evidence
 
@@ -485,7 +486,7 @@ def test_security_credential_with_password():
 
 
 def test_security_credential_redacted_by_default():
-    violations = _security("App", [credential_record("MedExp2018")])
+    violations = _security("App", [credential_record("MedExp2018")], redact=True)
     assert "MedExp2018" not in violations[0].description
     assert "Me******18" in violations[0].description
     # the account is redacted too, in the description and in the key-prefix detail
@@ -495,23 +496,30 @@ def test_security_credential_redacted_by_default():
         credential_record().locator, detail="key prefix a@**co"),)
 
 
+def test_redacted_credential_detail_masks_only_the_account_it_ends_with():
+    # the account "e" also occurs twice inside "key prefix"
+    (record,), _ = parse_region_host_xml(b'<map><string name="e_user_password">pw</string></map>')
+    assert record.locator.detail == "key prefix e"
+    assert phi.shown_locator(record, True).detail == "key prefix *"
+
+
 def test_security_identity_only_is_weak_note():
     gluco = ArtifactRecord(kind="user-profile", locator=XML_LOC, payload=GlucoProfile(
         username="u@example.com", device_identifier="BG5-1"))
     statuses = [DatabaseStatus("p/a.db", "encrypted-or-opaque", False, 7.9)]
-    violations = _security("Gluco-Smart", [gluco], statuses)
+    violations = _security("Gluco-Smart", [gluco], statuses, redact=True)
     assert [v.kind for v in violations] == ["weak-safeguard-note"]
 
 
 def test_security_no_records_no_violations():
-    assert evaluate_security_rule("App", [], [], []) == []
+    assert evaluate_security_rule("App", [], [], [], redact=True) == []
 
 
 @given(st.lists(st.one_of(
     st.booleans().map(lambda has_pw: credential_record("pw" if has_pw else None)),
     st.just(oximetry_record())), max_size=6))
 def test_credential_violation_soundness(records):
-    violations = _security("App", records)
+    violations = _security("App", records, redact=True)
     expects = any(r.kind == "credential" and r.payload.password_plaintext is not None
                   for r in records)
     emitted = any(v.kind == "plaintext-credential" for v in violations)
