@@ -38,8 +38,9 @@ def require_num(value, column: str) -> float:
 
 
 def require_instant(value, column: str) -> EpochInstant:
+    epoch = require_int(value, column)
     try:
-        return normalize_timestamp(require_int(value, column))
+        return normalize_timestamp(epoch)
     except ScanError as exc:
         raise MalformedRowError(f"{column}: {exc}") from exc
 

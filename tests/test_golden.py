@@ -369,7 +369,7 @@ HOSTILE_WARNINGS = (
     'TB_SPO2Result:5: malformed row (Result out of range: 0), row skipped',
     'TB_SPO2Result:6: malformed row (PR not positive: 0), row skipped',
     'TB_SPO2Result:7: malformed row (PI negative: -1.0), row skipped',
-    'TB_SPO2Result:8: malformed row (LastChangeTime: LastChangeTime is not an integer: None), row skipped',
+    'TB_SPO2Result:8: malformed row (LastChangeTime is not an integer: None), row skipped',
     "TB_SPO2Result:10: malformed row (UsedUserID is not an integer: 'u'), row skipped",
     'TB_WeightOnlineResult:2: null vital columns, row skipped',
     "TB_WeightOnlineResult:3: malformed row (BMI is not numeric: 'heavy'), row skipped",
