@@ -7,7 +7,9 @@ or zip form. Alongside the tree comes a manifest listing every planted
 record, the findings a scan is expected to produce for it, the expected
 compliance matrix/violations, and a digest of every written file.
 verify_scan_against_manifest closes the loop: generate -> scan -> verify
-is the central round-trip property of the whole artifact.
+is the central round-trip property of the whole artifact. It compares
+each report section with the manifest's in one loop, findings counted, so
+a finding reported twice fails like one reported never.
 
 Each planted SQLite table is declared once, as a _ForgeTable: one loop
 writes every table from those declarations, one checks explicit rows and
@@ -37,6 +39,7 @@ import random
 import sqlite3
 import tempfile
 import zipfile
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -722,30 +725,18 @@ def _planted_gluco(user_info: dict) -> PlantedRecord:
         ))
 
 
-def _expected_matrix(apps: list[str], planted: list[PlantedRecord]) -> dict:
-    matrix = {}
-    for app in apps:
-        cats = {f.category for p in planted if p.app == app for f in p.expected_findings}
-        matrix[app] = {cat: CELL_RECOVERED if cat in cats else CELL_NOT_RECOVERED
-                       for cat in PHI_CATEGORIES}
-    return matrix
-
-
-def _expected_violations(apps: list[str], planted: list[PlantedRecord]) -> dict:
-    violations: dict[str, list[str]] = {}
-    for app in apps:
-        cats = {f.category for p in planted if p.app == app for f in p.expected_findings}
-        kinds = []
-        if CAT_HEALTH_CONDITION in cats:
-            kinds.append(VIOLATION_PLAINTEXT_EPHI)
-        if any(p.app == app and p.kind == "credential" and p.payload.get("password") is not None
-               for p in planted):
-            kinds.append(VIOLATION_PLAINTEXT_CREDENTIAL)
-        if CAT_HEALTH_CONDITION not in cats and any(c in cats for c in _IDENTITY_CATEGORIES):
-            kinds.append(VIOLATION_WEAK_SAFEGUARD)
-        if kinds:
-            violations[app] = sorted(kinds)
-    return violations
+def _expected(records: list[PlantedRecord]) -> tuple[dict, list[str]]:
+    """One app's expected matrix row and sorted violation kinds, from its planted records."""
+    cats = {f.category for p in records for f in p.expected_findings}
+    kinds = []
+    if CAT_HEALTH_CONDITION in cats:
+        kinds.append(VIOLATION_PLAINTEXT_EPHI)
+    elif not cats.isdisjoint(_IDENTITY_CATEGORIES):
+        kinds.append(VIOLATION_WEAK_SAFEGUARD)
+    if any(p.kind == "credential" and p.payload.get("password") is not None for p in records):
+        kinds.append(VIOLATION_PLAINTEXT_CREDENTIAL)
+    return ({cat: CELL_RECOVERED if cat in cats else CELL_NOT_RECOVERED
+             for cat in PHI_CATEGORIES}, sorted(kinds))
 
 
 # -- generation --------------------------------------------------------------
@@ -754,8 +745,7 @@ def build_tree(spec: FixtureSpec) -> tuple[dict[str, bytes], FixtureManifest]:
     """Materialize all fixture files in memory plus the oracle manifest."""
     rng = random.Random(spec.seed)
     tree: dict[str, bytes] = {}
-    planted: list[PlantedRecord] = []
-    apps: list[str] = []
+    planted: dict[str, list[PlantedRecord]] = {}      # app -> its planted records
     encrypted: list[str] = []
 
     def forge_db(db: _ForgeDb, block, *gens: Callable[[dict], dict]) -> None:
@@ -766,8 +756,7 @@ def build_tree(spec: FixtureSpec) -> tuple[dict[str, bytes], FixtureManifest]:
             rows[table.field] = _resolve_rows(db, table, getattr(block, table.field),
                                               partial(gen, rows))
         tree[db.path] = _sqlite_file(db, rows)
-        apps.append(db.display_name)
-        planted.extend(_planted(db, rows))
+        planted[db.display_name] = _planted(db, rows)
 
     if spec.myvitals is not None:
         block = spec.myvitals
@@ -781,11 +770,11 @@ def build_tree(spec: FixtureSpec) -> tuple[dict[str, bytes], FixtureManifest]:
         if block.credential is not None:
             _validate_credential(block.credential)
             tree[myvitals.DEFAULT_XML_PATH] = _credential_xml(block.credential)
-            planted.append(_planted_credential(block.credential))
+            planted[myvitals.DISPLAY_NAME].append(_planted_credential(block.credential))
 
     if spec.glucosmart is not None:
         block = spec.glucosmart
-        apps.append(glucosmart.DISPLAY_NAME)
+        planted[glucosmart.DISPLAY_NAME] = []
         for i in range(block.encrypted_db_count):
             name = (_ENCRYPTED_DB_NAMES[i] if i < len(_ENCRYPTED_DB_NAMES)
                     else f"data{i}.db")
@@ -801,7 +790,7 @@ def build_tree(spec: FixtureSpec) -> tuple[dict[str, bytes], FixtureManifest]:
                 ("string", "UserName", info["username"]),
                 ("string", "DeviceID", info["device_id"]),
             ])
-            planted.append(_planted_gluco(info))
+            planted[glucosmart.DISPLAY_NAME].append(_planted_gluco(info))
 
     if spec.healthmate is not None:
         used_ids: set[int] = set()
@@ -811,12 +800,13 @@ def build_tree(spec: FixtureSpec) -> tuple[dict[str, bytes], FixtureManifest]:
 
     files = {path: {"sha256": hashlib.sha256(data).hexdigest(), "byte_length": len(data)}
              for path, data in tree.items()}
+    expected = {app: _expected(records) for app, records in planted.items()}
     manifest = FixtureManifest(
         spec=spec_to_dict(spec),
         files=files,
-        planted=tuple(planted),
-        expected_matrix=_expected_matrix(apps, planted),
-        expected_violations=_expected_violations(apps, planted),
+        planted=tuple(p for records in planted.values() for p in records),
+        expected_matrix={app: row for app, (row, _) in expected.items()},
+        expected_violations={app: kinds for app, (_, kinds) in expected.items() if kinds},
         encrypted_dbs=tuple(sorted(encrypted)),
     )
     return tree, manifest
@@ -875,73 +865,47 @@ def render_manifest(manifest: FixtureManifest) -> bytes:
 
 # -- verification ------------------------------------------------------------
 
+def _finding_key(locator: SourceLocator, category: str, rule_id: str, excerpt: str) -> tuple:
+    return (locator.package_name, locator.relative_path, locator.container, locator.detail,
+            category, rule_id, excerpt)
+
+
 def verify_scan_against_manifest(manifest: FixtureManifest,
                                  report: ComplianceReport) -> VerificationResult:
-    """Compare a scan report against what the fixture planted.
+    """Compare a scan report against what the fixture planted, one section at a time.
 
-    Passes iff the file inventory matches digest-for-digest, every
-    expected finding is present (value excerpts included, respecting the
-    report's redaction flag), nothing unexplained was found, and the
-    matrix, violation kinds, and encrypted-database classifications all
-    agree.
+    Both sides of a section map keys to values: files by path to SHA-256,
+    findings by locator, category, rule id and shown excerpt to a count (so
+    a repeat fails), matrix rows and violation kinds by app, and, one way,
+    each planted encrypted database by path to its status. A mismatch reads
+    `missing|unexpected <section>: <key>` or `changed <section>: <key>:
+    expected <value>, got <value>`.
     """
-    mismatches: list[str] = []
-
-    report_files = {d.relative_path: d for d in report.file_digests}
-    for path, meta in sorted(manifest.files.items()):
-        digest = report_files.get(path)
-        if digest is None:
-            mismatches.append(f"file missing from scan: {path}")
-        elif digest.hex_digest != meta["sha256"]:
-            mismatches.append(f"file content changed since generation: {path}")
-    for path in sorted(set(report_files) - set(manifest.files)):
-        mismatches.append(f"unexpected file in evidence: {path}")
-
-    def expected_excerpt(text: str) -> str:
-        return redact_value(text) if report.redacted else text
-
-    expected = {}
-    for p in manifest.planted:
-        for f in p.expected_findings:
-            key = (p.locator.package_name, p.locator.relative_path, p.locator.detail,
-                   f.category, f.rule_id, expected_excerpt(f.excerpt))
-            expected[key] = f"{p.locator.relative_path} {p.locator.detail} {f.category}"
-    actual = {}
-    for f in report.findings:
-        key = (f.locator.package_name, f.locator.relative_path, f.locator.detail,
-               f.category, f.rule_id, f.value_excerpt)
-        actual[key] = f"{f.locator.relative_path} {f.locator.detail} {f.category}"
-    for key in sorted(set(expected) - set(actual)):
-        mismatches.append(f"missing finding: {expected[key]}")
-    for key in sorted(set(actual) - set(expected)):
-        mismatches.append(f"unexpected finding: {actual[key]} ({key[5]!r})")
-
-    matrix_by_app = {row.app_name: row.cells for row in report.matrix}
-    for app, cells in sorted(manifest.expected_matrix.items()):
-        got = matrix_by_app.get(app)
-        if got is None:
-            mismatches.append(f"matrix row missing for {app}")
-            continue
-        for cat, cell in cells.items():
-            if got.get(cat) != cell:
-                mismatches.append(f"matrix cell {app}/{cat}: expected {cell}, got {got.get(cat)}")
-    for app in sorted(set(matrix_by_app) - set(manifest.expected_matrix)):
-        mismatches.append(f"unexpected matrix row for {app}")
-
-    report_kinds = {app: sorted(v.kind for v in vs) for app, vs in report.violations.items()}
-    for app, kinds in sorted(manifest.expected_violations.items()):
-        if report_kinds.get(app, []) != kinds:
-            mismatches.append(f"violations for {app}: expected {kinds}, "
-                              f"got {report_kinds.get(app, [])}")
-    for app in sorted(set(report_kinds) - set(manifest.expected_violations)):
-        mismatches.append(f"unexpected violations for {app}: {report_kinds[app]}")
-
-    classified = {s.relative_path: s for ss in report.database_statuses.values() for s in ss}
-    for path in manifest.encrypted_dbs:
-        status = classified.get(path)
-        if status is None:
-            mismatches.append(f"encrypted db not classified: {path}")
-        elif status.status != STATUS_ENCRYPTED:
-            mismatches.append(f"encrypted db misclassified as {status.status}: {path}")
-
+    shown = redact_value if report.redacted else str
+    classified = {s.relative_path: s.status for ss in report.database_statuses.values()
+                  for s in ss}
+    sections = (
+        ("file", {path: meta["sha256"] for path, meta in manifest.files.items()},
+         {d.relative_path: d.hex_digest for d in report.file_digests}),
+        ("finding", Counter(_finding_key(p.locator, f.category, f.rule_id, shown(f.excerpt))
+                            for p in manifest.planted for f in p.expected_findings),
+         Counter(_finding_key(f.locator, f.category, f.rule_id, f.value_excerpt)
+                 for f in report.findings)),
+        ("matrix row", manifest.expected_matrix,
+         {row.app_name: row.cells for row in report.matrix}),
+        ("violations", manifest.expected_violations,
+         {app: sorted(v.kind for v in vs) for app, vs in report.violations.items()}),
+        ("encrypted db", dict.fromkeys(manifest.encrypted_dbs, STATUS_ENCRYPTED),
+         {path: classified[path] for path in manifest.encrypted_dbs if path in classified}),
+    )
+    mismatches = []
+    for section, expected, actual in sections:
+        for key in sorted(expected.keys() | actual.keys()):
+            want, got = expected.get(key), actual.get(key)
+            if want is None:
+                mismatches.append(f"unexpected {section}: {key}")
+            elif got is None:
+                mismatches.append(f"missing {section}: {key}")
+            elif want != got:
+                mismatches.append(f"changed {section}: {key}: expected {want}, got {got}")
     return VerificationResult(ok=not mismatches, mismatches=tuple(mismatches))

@@ -7,17 +7,24 @@ import xml.etree.ElementTree as ET
 from .errors import MalformedXmlError
 
 
+class _NoDoctype(ET.TreeBuilder):
+    """Refuses a DOCTYPE, which Android never writes: its entities are not stored values."""
+
+    def doctype(self, name, pubid, system):
+        raise MalformedXmlError("a DOCTYPE declaration, which shared preferences never hold")
+
+
 def parse_shared_prefs(xml: bytes) -> dict[str, object]:
     """Decode a shared-preferences document into {key: typed value}.
 
     Supported entry tags: string (element text), boolean, int, long,
-    float (value attribute). Unknown tags are ignored; entries without a
-    name are malformed. An error names an entry by its tag and 1-based
-    position, never by its name: a credential file's names start with the
-    account email.
+    float (value attribute). Unknown tags are ignored; a DOCTYPE and an entry
+    without a name or repeating one are malformed. An error names an entry
+    by its tag and 1-based position, never by its name: a credential file's
+    names start with the account email.
     """
     try:
-        root = ET.fromstring(xml)
+        root = ET.fromstring(xml, parser=ET.XMLParser(target=_NoDoctype()))
     except ET.ParseError as exc:
         raise MalformedXmlError(f"not well-formed XML: {exc}") from exc
     except (LookupError, ValueError) as exc:  # a declared encoding expat cannot use
@@ -29,6 +36,8 @@ def parse_shared_prefs(xml: bytes) -> dict[str, object]:
         name = child.get("name")
         if name is None:
             raise MalformedXmlError(f"<{child.tag}> entry without a name attribute")
+        if name in entries:
+            raise MalformedXmlError(f"<{child.tag}> entry {position} repeats an earlier name")
         if child.tag == "string":
             entries[name] = (child.text or "").strip()
         elif child.tag == "boolean":

@@ -26,10 +26,29 @@ _JOURNAL_VERSIONS = b"\x01\x01"
 # The sqlite3 module's error for a text cell that is not valid UTF-8.
 _UNDECODABLE_RE = re.compile(r"Could not decode to UTF-8 column '(.*?)' with text")
 
+# CREATE VIRTUAL TABLE, with whitespace or SQL comments between the keywords.
+_VIRTUAL_TABLE_RE = re.compile(r"(\s|/\*.*?\*/|--[^\n]*)*CREATE(\s|/\*.*?\*/|--[^\n]*)+VIRTUAL\b",
+                               re.IGNORECASE | re.DOTALL)
+
 
 def is_sqlite(data: bytes) -> bool:
     """True iff the bytes start with the 16-byte SQLite-3 header magic."""
     return data[:16] == SQLITE_MAGIC
+
+
+def _require_stored(conn: sqlite3.Connection, table: str, columns: list[str]) -> None:
+    """Refuse a view, a virtual table or a selected VIRTUAL generated column (table_xinfo
+    hidden = 2; a STORED one, 3, is in each record): their values are the schema's, not stored."""
+    for kind, sql in conn.execute("SELECT type, sql FROM sqlite_master WHERE name = ?"
+                                  " COLLATE NOCASE AND type IN ('table', 'view')", (table,)):
+        if kind == "view" or _VIRTUAL_TABLE_RE.match(sql or ""):
+            raise MissingTableError(f"{table}: a {'view' if kind == 'view' else 'virtual table'},"
+                                    " not a stored table")
+    selected = {column.lower() for column in columns}
+    for (name,) in conn.execute("SELECT name FROM pragma_table_xinfo(?) WHERE hidden = 2",
+                                (table,)):
+        if name.lower() in selected:
+            raise MissingTableError(f"{table}: column {name} is generated, not stored")
 
 
 @contextlib.contextmanager
@@ -48,6 +67,7 @@ def connect_bytes(data: bytes):
     try:
         conn.deserialize(data)  # SQLite takes its own copy of the bytes
         conn.execute("PRAGMA query_only=ON")
+        conn.execute("PRAGMA trusted_schema=OFF")
         yield conn
     finally:
         conn.close()
@@ -60,11 +80,13 @@ def select_rows(conn: sqlite3.Connection, table: str, columns: list[str],
     A text cell that is not valid UTF-8 has the table selected again with
     the bad bytes replaced; the note names the table and the column, never
     the cell's text. Raises MissingTableError when the table or a column is
-    absent, and CorruptDatabaseError when SQLite finds the file damaged (a
-    damaged schema can make SQLite's error message itself undecodable).
+    absent or not stored (_require_stored), and CorruptDatabaseError when
+    SQLite finds the file damaged (a damaged schema can make SQLite's error
+    message itself undecodable).
     """
     sql = f'SELECT rowid, {", ".join(columns)} FROM "{table}" ORDER BY {order_by}'
     try:
+        _require_stored(conn, table, columns)
         try:
             return list(conn.execute(sql)), None
         except sqlite3.OperationalError as exc:

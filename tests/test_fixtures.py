@@ -28,6 +28,7 @@ from phiscan.fixtures import (
     verify_scan_against_manifest,
 )
 from phiscan.parsers import healthmate, myvitals
+from phiscan.phi import PhiMatrixRow, SecurityViolation
 from phiscan.report import canonical_json
 from phiscan.scanner import scan_evidence
 
@@ -173,7 +174,7 @@ def test_verify_flags_dropped_row(tmp_path):
     verdict = verify_scan_against_manifest(manifest, scan_evidence(out, fixed_clock=CLOCK).report)
     assert not verdict.ok
     assert any("missing finding" in m and "TB_BPResult:2" in m for m in verdict.mismatches)
-    assert any("file content changed" in m for m in verdict.mismatches)
+    assert any(m.startswith("changed file: ") and "androidNin.db" in m for m in verdict.mismatches)
 
 
 def test_verify_flags_injected_content(tmp_path):
@@ -202,6 +203,82 @@ def test_verify_flags_spurious_finding(tmp_path):
     verdict = verify_scan_against_manifest(manifest, scan_evidence(out, fixed_clock=CLOCK).report)
     assert not verdict.ok
     assert any("unexpected finding" in m for m in verdict.mismatches)
+
+
+@pytest.fixture(scope="module")
+def clean_replica_scan(tmp_path_factory):
+    out = tmp_path_factory.mktemp("oracle") / "replica"
+    manifest = generate_fixture(paper_replica_spec(), out)
+    report = scan_evidence(out, fixed_clock=CLOCK).report
+    assert verify_scan_against_manifest(manifest, report).ok
+    return manifest, report
+
+
+def _first_replaced(items: tuple, **changes) -> tuple:
+    return (dataclasses.replace(items[0], **changes), *items[1:])
+
+
+MYVITALS_APP, GLUCOSE_DB = "iHealth MyVitals", "jiuana-androidBg.start/Databases/glucose.db"
+
+
+def _glucose_db_as(report, status: str | None):
+    """The report with glucose.db classified as `status`, or not classified when None."""
+    statuses = report.database_statuses["Gluco-Smart"]
+    (glucose,) = (s for s in statuses if s.relative_path == GLUCOSE_DB)
+    others = tuple(s for s in statuses if s is not glucose)
+    edited = others if status is None else (dataclasses.replace(glucose, status=status), *others)
+    return dataclasses.replace(report, database_statuses={"Gluco-Smart": edited})
+
+
+def _finding_key(f) -> tuple:
+    return (*dataclasses.astuple(f.locator), f.category, f.rule_id, f.value_excerpt)
+
+
+# each case edits a clean scan's report, and gives the start of the one mismatch it must cause
+ORACLE_EDITS = {
+    "dropped-digest": lambda r: (
+        dataclasses.replace(r, file_digests=r.file_digests[1:]),
+        f"missing file: {r.file_digests[0].relative_path}"),
+    "changed-digest": lambda r: (
+        dataclasses.replace(r, file_digests=_first_replaced(r.file_digests, hex_digest="0" * 64)),
+        f"changed file: {r.file_digests[0].relative_path}: expected "),
+    "dropped-matrix-row": lambda r: (
+        dataclasses.replace(r, matrix=r.matrix[1:]),
+        f"missing matrix row: {r.matrix[0].app_name}"),
+    "added-matrix-row": lambda r: (
+        dataclasses.replace(r, matrix=(*r.matrix, PhiMatrixRow("com.example.notes", {}))),
+        "unexpected matrix row: com.example.notes"),
+    "changed-matrix-cell": lambda r: (
+        dataclasses.replace(r, matrix=_first_replaced(
+            r.matrix, cells={**r.matrix[0].cells, "ssn": "recovered"})),
+        f"changed matrix row: {r.matrix[0].app_name}: expected "),
+    "dropped-violation": lambda r: (
+        dataclasses.replace(r, violations={**r.violations,
+                                           MYVITALS_APP: r.violations[MYVITALS_APP][1:]}),
+        f"changed violations: {MYVITALS_APP}: expected "),
+    "added-violation": lambda r: (
+        dataclasses.replace(r, violations={**r.violations, MYVITALS_APP: (
+            *r.violations[MYVITALS_APP], SecurityViolation("weak-safeguard-note", (), ""))}),
+        f"changed violations: {MYVITALS_APP}: expected "),
+    "unclassified-encrypted-db": lambda r: (
+        _glucose_db_as(r, None), f"missing encrypted db: {GLUCOSE_DB}"),
+    "reclassified-encrypted-db": lambda r: (
+        _glucose_db_as(r, "plaintext-sqlite"),
+        f"changed encrypted db: {GLUCOSE_DB}: expected encrypted-or-opaque, got plaintext-sqlite"),
+    "repeated-finding": lambda r: (
+        dataclasses.replace(r, findings=(*r.findings, r.findings[0])),
+        f"changed finding: {_finding_key(r.findings[0])}: expected 1, got 2"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(ORACLE_EDITS))
+def test_verify_names_the_section_and_key_of_each_mismatch(clean_replica_scan, edit):
+    manifest, report = clean_replica_scan
+    edited, mismatch = ORACLE_EDITS[edit](report)
+    verdict = verify_scan_against_manifest(manifest, edited)
+    assert not verdict.ok
+    assert len(verdict.mismatches) == 1 and verdict.mismatches[0].startswith(mismatch), (
+        verdict.mismatches)
 
 
 def test_explicit_rows_validated():

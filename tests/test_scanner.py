@@ -474,6 +474,108 @@ def test_bad_shared_prefs_value_is_named_by_tag_and_position(replica_tree, tag, 
         assert b"pat.smith" not in render_report(report, fmt)
 
 
+_ACCOUNT = "pat.smith@example.com"
+
+
+@pytest.mark.parametrize("document, problem", [
+    (f'<!DOCTYPE map [<!ENTITY pw "Hidden2018">]><map>'
+     f'<string name="{_ACCOUNT}_user_password">&pw;</string></map>',
+     "a DOCTYPE declaration, which shared preferences never hold"),
+    (f'<map><string name="{_ACCOUNT}_user_password">First2018</string>'
+     f'<string name="{_ACCOUNT}_user_password">Second2018</string></map>',
+     "<string> entry 2 repeats an earlier name"),
+], ids=["doctype-entity", "repeated-name"])
+def test_shared_prefs_not_as_android_writes_them_cost_one_warning_and_are_swept(
+        replica_tree, document, problem):
+    tree, _ = replica_tree
+    credential = "iHealthMyVitals.V2/shared_prefs/sp_user_region_host_info.xml"
+    (tree / credential).write_text(document)
+
+    result = scan_evidence(tree, fixed_clock=CLOCK, redact=False)
+    assert [w for w in result.report.warnings if credential in w] == [f"{credential}: {problem}"]
+    assert not any(r.locator.relative_path == credential for r in result.records)
+    assert "plaintext-credential" not in {
+        v.kind for v in result.report.violations["iHealth MyVitals"]}
+    _assert_each_file_accounted_once(result)
+
+
+# statements that put other than a stored table's own rows behind the replica's TB_BPResult
+_SCHEMA_PROBES = {
+    "view": (
+        "CREATE VIEW TB_BPResult AS WITH RECURSIVE n(i) AS"
+        " (SELECT 1 UNION ALL SELECT i + 1 FROM n LIMIT 1000)"
+        " SELECT 120 AS Sys, 80 AS Dia, 60 AS Pulse, 1530756000 + i AS MeasureTime,"
+        " '7C669D51AA04' AS DeviceID, NULL AS Note, 'a@example.com' AS Account FROM n",
+        "TB_BPResult: a view, not a stored table"),
+    "virtual-generated-columns": (
+        "CREATE TABLE TB_BPResult (DeviceID TEXT, Account TEXT,"
+        " Sys INTEGER GENERATED ALWAYS AS (120) VIRTUAL,"
+        " Dia INTEGER GENERATED ALWAYS AS (80) VIRTUAL,"
+        " Pulse INTEGER GENERATED ALWAYS AS (60) VIRTUAL,"
+        " MeasureTime INTEGER GENERATED ALWAYS AS (1530756000) VIRTUAL,"
+        " Note TEXT GENERATED ALWAYS AS ('078-05-1120') VIRTUAL);"
+        " INSERT INTO TB_BPResult (DeviceID, Account) VALUES ('7C669D51AA04', 'a@example.com')",
+        "TB_BPResult: column Sys is generated, not stored"),
+    "virtual-table": (
+        "CREATE /* a comment */ VIRTUAL TABLE TB_BPResult USING fts5"
+        "(Sys, Dia, Pulse, MeasureTime, DeviceID, Note, Account);"
+        " INSERT INTO TB_BPResult VALUES"
+        " (120, 80, 60, 1530756000, '7C669D51AA04', '078-05-1120', 'a@example.com')",
+        "TB_BPResult: a virtual table, not a stored table"),
+}
+
+
+DB_PATH = "iHealthMyVitals.V2/Databases/androidNin.db"
+
+
+def _replica_with_bp_schema(tmp_path, output_kind, create):
+    """The replica with TB_BPResult dropped and `create` run in its place."""
+    tree, _ = build_tree(paper_replica_spec())
+    db = tmp_path / "androidNin.db"
+    db.write_bytes(tree[DB_PATH])
+    conn = sqlite3.connect(db)
+    conn.executescript(f"DROP TABLE TB_BPResult; {create}")
+    conn.close()
+    tree[DB_PATH] = db.read_bytes()
+    out = tmp_path / ("replica.zip" if output_kind == "zip" else "replica")
+    write_tree(tree, dataclasses.replace(paper_replica_spec(), output_kind=output_kind), out)
+    return out
+
+
+@pytest.mark.parametrize("output_kind", ["directory", "zip"])
+@pytest.mark.parametrize("probe", sorted(_SCHEMA_PROBES))
+def test_a_view_virtual_table_or_generated_column_is_one_warning_and_no_record(
+        tmp_path, probe, output_kind):
+    create, problem = _SCHEMA_PROBES[probe]
+    generate_fixture(paper_replica_spec(), tmp_path / "intact")
+    intact = scan_evidence(tmp_path / "intact", fixed_clock=CLOCK, redact=False)
+    out = _replica_with_bp_schema(tmp_path, output_kind, create)
+
+    result = scan_evidence(out, fixed_clock=CLOCK, redact=False)
+    assert [w for w in result.report.warnings if w not in intact.report.warnings] == [
+        f"{DB_PATH}: {problem}"]
+    assert not any(r.locator.detail.startswith("TB_BPResult:") for r in result.records)
+    assert not any(f.locator.detail.startswith("TB_BPResult:") for f in result.report.findings)
+    assert "078-05-1120" not in render_report(result.report, "json").decode()
+    assert ([r for r in result.records if r.locator.relative_path == DB_PATH]
+            == [r for r in intact.records if r.locator.relative_path == DB_PATH
+                and not r.locator.detail.startswith("TB_BPResult:")])
+
+
+def test_a_stored_generated_column_is_read(tmp_path):
+    create = ("CREATE TABLE TB_BPResult (Dia INTEGER, Pulse INTEGER, MeasureTime INTEGER,"
+              " DeviceID TEXT, Note TEXT, Account TEXT,"
+              " Sys INTEGER GENERATED ALWAYS AS (Dia + 40) STORED);"
+              " INSERT INTO TB_BPResult (Dia, Pulse, MeasureTime, DeviceID, Account)"
+              " VALUES (80, 60, 1530756000, '7C669D51AA04', 'a@example.com')")
+    out = _replica_with_bp_schema(tmp_path, "directory", create)
+
+    result = scan_evidence(out, fixed_clock=CLOCK, redact=False)
+    assert not any("TB_BPResult" in w for w in result.report.warnings)
+    (reading,) = [r.payload for r in result.records if r.locator.detail == "TB_BPResult:1"]
+    assert (reading.systolic, reading.diastolic) == (120, 80)
+
+
 def _flip_member_byte(path, name):
     """Flip one byte in the middle of a zip member's stored data."""
     with zipfile.ZipFile(path) as zf:
