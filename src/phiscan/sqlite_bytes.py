@@ -37,8 +37,11 @@ def is_sqlite(data: bytes) -> bool:
 
 
 def _require_stored(conn: sqlite3.Connection, table: str, columns: list[str]) -> None:
-    """Refuse a view, a virtual table or a selected VIRTUAL generated column (table_xinfo
-    hidden = 2; a STORED one, 3, is in each record): their values are the schema's, not stored."""
+    """Refuse a view, a virtual table or a selected VIRTUAL generated column.
+
+    Their values come from the schema, not the file. table_xinfo marks a VIRTUAL
+    generated column hidden = 2; a STORED one (3) is in each record and is read.
+    """
     for kind, sql in conn.execute("SELECT type, sql FROM sqlite_master WHERE name = ?"
                                   " COLLATE NOCASE AND type IN ('table', 'view')", (table,)):
         if kind == "view" or _VIRTUAL_TABLE_RE.match(sql or ""):
