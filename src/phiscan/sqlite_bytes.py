@@ -10,6 +10,7 @@ extracted, or leave a copy of the data on disk.
 from __future__ import annotations
 
 import contextlib
+import functools
 import re
 import sqlite3
 
@@ -26,32 +27,27 @@ _JOURNAL_VERSIONS = b"\x01\x01"
 # The sqlite3 module's error for a text cell that is not valid UTF-8.
 _UNDECODABLE_RE = re.compile(r"Could not decode to UTF-8 column '(.*?)' with text")
 
-# CREATE VIRTUAL TABLE, with whitespace or SQL comments between the keywords.
-_VIRTUAL_TABLE_RE = re.compile(r"(\s|/\*.*?\*/|--[^\n]*)*CREATE(\s|/\*.*?\*/|--[^\n]*)+VIRTUAL\b",
-                               re.IGNORECASE | re.DOTALL)
-
 
 def is_sqlite(data: bytes) -> bool:
     """True iff the bytes start with the 16-byte SQLite-3 header magic."""
     return data[:16] == SQLITE_MAGIC
 
 
-def _require_stored(conn: sqlite3.Connection, table: str, columns: list[str]) -> None:
-    """Refuse a view, a virtual table or a selected VIRTUAL generated column.
+class EvidenceConnection(sqlite3.Connection):
+    @functools.cached_property
+    def computed(self) -> dict[tuple[bytes, bytes | None], str]:
+        """What the schema computes rather than the file stores, by lower-cased name.
 
-    Their values come from the schema, not the file. table_xinfo marks a VIRTUAL
-    generated column hidden = 2; a STORED one (3) is in each record and is read.
-    """
-    for kind, sql in conn.execute("SELECT type, sql FROM sqlite_master WHERE name = ?"
-                                  " COLLATE NOCASE AND type IN ('table', 'view')", (table,)):
-        if kind == "view" or _VIRTUAL_TABLE_RE.match(sql or ""):
-            raise MissingTableError(f"{table}: a {'view' if kind == 'view' else 'virtual table'},"
-                                    " not a stored table")
-    selected = {column.lower() for column in columns}
-    for (name,) in conn.execute("SELECT name FROM pragma_table_xinfo(?) WHERE hidden = 2",
-                                (table,)):
-        if name.lower() in selected:
-            raise MissingTableError(f"{table}: column {name} is generated, not stored")
+        Views and virtual tables have no root page and are keyed (name, None);
+        VIRTUAL generated columns (table_xinfo hidden = 2; a STORED one is 3
+        and is read) are keyed (table, column). Names stay bytes, ASCII-folded.
+        """
+        return {(t.lower(), c and c.lower()): what for t, c, what in self.execute(
+            "SELECT CAST(name AS BLOB), NULL, iif(type = 'view', 'a view', 'a virtual table')"
+            " FROM sqlite_master WHERE type IN ('table', 'view') AND NOT ifnull(rootpage, 0)"
+            " UNION ALL SELECT CAST(m.name AS BLOB), CAST(x.name AS BLOB), 'generated'"
+            " FROM sqlite_master AS m, pragma_table_xinfo(m.name) AS x"
+            " WHERE m.type = 'table' AND m.rootpage AND x.hidden = 2")}
 
 
 @contextlib.contextmanager
@@ -66,7 +62,7 @@ def connect_bytes(data: bytes):
         raise NotSqliteError("not a SQLite database (possibly encrypted)")
     if data[18:20] == _WAL_VERSIONS:
         data = data[:18] + _JOURNAL_VERSIONS + data[20:]
-    conn = sqlite3.connect(":memory:")
+    conn = sqlite3.connect(":memory:", factory=EvidenceConnection)
     try:
         conn.deserialize(data)  # SQLite takes its own copy of the bytes
         conn.execute("PRAGMA query_only=ON")
@@ -76,20 +72,24 @@ def connect_bytes(data: bytes):
         conn.close()
 
 
-def select_rows(conn: sqlite3.Connection, table: str, columns: list[str],
+def select_rows(conn: EvidenceConnection, table: str, columns: list[str],
                 order_by: str = "rowid") -> tuple[list[tuple], str | None]:
     """SELECT the named columns (rowid prepended), and a note if text was lossy.
 
     A text cell that is not valid UTF-8 has the table selected again with
     the bad bytes replaced; the note names the table and the column, never
     the cell's text. Raises MissingTableError when the table or a column is
-    absent or not stored (_require_stored), and CorruptDatabaseError when
-    SQLite finds the file damaged (a damaged schema can make SQLite's error
-    message itself undecodable).
+    absent or computed, not stored, and CorruptDatabaseError when SQLite
+    finds the file damaged (a damaged schema can make SQLite's error message
+    itself undecodable).
     """
     sql = f'SELECT rowid, {", ".join(columns)} FROM "{table}" ORDER BY {order_by}'
+    key = table.lower().encode()
     try:
-        _require_stored(conn, table, columns)
+        if what := conn.computed.get((key, None)):
+            raise MissingTableError(f"{table}: {what}, not a stored table")
+        if generated := [c for c in columns if (key, c.lower().encode()) in conn.computed]:
+            raise MissingTableError(f"{table}: column {generated[0]} is generated, not stored")
         try:
             return list(conn.execute(sql)), None
         except sqlite3.OperationalError as exc:

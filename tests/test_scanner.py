@@ -9,6 +9,7 @@ import functools
 import json
 import random
 import re
+import signal
 import sqlite3
 import struct
 import tempfile
@@ -528,13 +529,13 @@ _SCHEMA_PROBES = {
 DB_PATH = "iHealthMyVitals.V2/Databases/androidNin.db"
 
 
-def _replica_with_bp_schema(tmp_path, output_kind, create):
-    """The replica with TB_BPResult dropped and `create` run in its place."""
+def _replica_with_bp_schema(tmp_path, output_kind, script):
+    """The replica with `script` run on its androidNin.db."""
     tree, _ = build_tree(paper_replica_spec())
     db = tmp_path / "androidNin.db"
     db.write_bytes(tree[DB_PATH])
     conn = sqlite3.connect(db)
-    conn.executescript(f"DROP TABLE TB_BPResult; {create}")
+    conn.executescript(script)
     conn.close()
     tree[DB_PATH] = db.read_bytes()
     out = tmp_path / ("replica.zip" if output_kind == "zip" else "replica")
@@ -549,14 +550,15 @@ def test_a_view_virtual_table_or_generated_column_is_one_warning_and_no_record(
     create, problem = _SCHEMA_PROBES[probe]
     generate_fixture(paper_replica_spec(), tmp_path / "intact")
     intact = scan_evidence(tmp_path / "intact", fixed_clock=CLOCK, redact=False)
-    out = _replica_with_bp_schema(tmp_path, output_kind, create)
+    out = _replica_with_bp_schema(tmp_path, output_kind, f"DROP TABLE TB_BPResult; {create}")
 
     result = scan_evidence(out, fixed_clock=CLOCK, redact=False)
     assert [w for w in result.report.warnings if w not in intact.report.warnings] == [
         f"{DB_PATH}: {problem}"]
     assert not any(r.locator.detail.startswith("TB_BPResult:") for r in result.records)
     assert not any(f.locator.detail.startswith("TB_BPResult:") for f in result.report.findings)
-    assert "078-05-1120" not in render_report(result.report, "json").decode()
+    if probe == "virtual-generated-columns":  # the SSN is in the schema text, in no record
+        assert "078-05-1120" not in render_report(result.report, "json").decode()
     assert ([r for r in result.records if r.locator.relative_path == DB_PATH]
             == [r for r in intact.records if r.locator.relative_path == DB_PATH
                 and not r.locator.detail.startswith("TB_BPResult:")])
@@ -568,12 +570,38 @@ def test_a_stored_generated_column_is_read(tmp_path):
               " Sys INTEGER GENERATED ALWAYS AS (Dia + 40) STORED);"
               " INSERT INTO TB_BPResult (Dia, Pulse, MeasureTime, DeviceID, Account)"
               " VALUES (80, 60, 1530756000, '7C669D51AA04', 'a@example.com')")
-    out = _replica_with_bp_schema(tmp_path, "directory", create)
+    out = _replica_with_bp_schema(tmp_path, "directory", f"DROP TABLE TB_BPResult; {create}")
 
     result = scan_evidence(out, fixed_clock=CLOCK, redact=False)
     assert not any("TB_BPResult" in w for w in result.report.warnings)
     (reading,) = [r.payload for r in result.records if r.locator.detail == "TB_BPResult:1"]
     assert (reading.systolic, reading.diastolic) == (120, 80)
+
+
+def _give_up(signum, frame):
+    raise TimeoutError("scan still running after 10 s")
+
+
+# TB_BPResult's stored schema text rewritten as SQLite still parses it into the same table
+@pytest.mark.parametrize("sql", [
+    "'CREATE ' || '" + "-" * 60 + "' || char(10) || substr(sql, 8)",
+    "CAST(CAST(sql AS BLOB) || X'202D2DFF' AS TEXT)",
+], ids=["comment-between-keywords", "not-utf8"])
+def test_a_stored_table_whose_schema_text_is_odd_is_read(tmp_path, sql):
+    generate_fixture(paper_replica_spec(), tmp_path / "intact")
+    intact = scan_evidence(tmp_path / "intact", fixed_clock=CLOCK, redact=False)
+    out = _replica_with_bp_schema(tmp_path, "directory", "PRAGMA writable_schema=ON; UPDATE"
+                                  f" sqlite_master SET sql = {sql} WHERE name = 'TB_BPResult'")
+
+    previous = signal.signal(signal.SIGALRM, _give_up)
+    signal.alarm(10)
+    try:
+        result = scan_evidence(out, fixed_clock=CLOCK, redact=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert result.report.warnings == intact.report.warnings
+    assert result.records == intact.records
 
 
 def _flip_member_byte(path, name):
