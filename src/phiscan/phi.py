@@ -257,7 +257,7 @@ RAW_PATTERNS: tuple[tuple[str, re.Pattern], ...] = (
 
 # The same patterns over bytes. None consumes a byte outside \x20-\x7e, and
 # an ASCII \b treats every other byte as a non-word, so a match never
-# crosses the NUL that scan_raw puts between two printable runs.
+# crosses the NUL that _match_runs puts between two printable runs.
 _RAW_BYTE_PATTERNS = tuple(
     (name, re.compile(rx.pattern.encode("ascii"), rx.flags & ~re.UNICODE))
     for name, rx in RAW_PATTERNS)
@@ -286,17 +286,20 @@ def _keyword_runs(swept: bytes) -> list[tuple[int, int]]:
     return sorted(spans)
 
 
-def match_raw(data: bytes) -> list[tuple[int, str, str]]:
-    """Every raw-pattern hit in `data`, as (byte offset, pattern, value), sorted.
+def _printable_runs(data: bytes) -> list[tuple[int, int]]:
+    """The spans of the runs of 6 or more printable ASCII bytes in `data`."""
+    return [m.span() for m in _MASKED_RUN.finditer(data.translate(_PRINTABLE_MASK))]
 
-    A hit is a pattern match inside a run of 6 or more printable ASCII
-    bytes. The runs are cut out of `data` and joined by NUL bytes, and each
-    pattern is matched once over the joined runs, so the cost follows the
-    printable bytes of `data`, not its size. credential-key is matched only
-    inside the runs of word, '.', '@' and '-' bytes that hold "password" or
-    "token" in any case, and a payment-card match must pass the Luhn check.
+
+def _match_runs(data: bytes, runs: list[tuple[int, int]]) -> list[tuple[int, str, str]]:
+    """Every raw-pattern hit inside the given printable runs of `data`, sorted.
+
+    The runs are cut out of `data` and joined by NUL bytes, and each pattern
+    is matched once over the joined runs, so the cost follows the bytes of
+    the runs, not the size of `data`. credential-key is matched only inside
+    the runs of word, '.', '@' and '-' bytes that hold "password" or "token"
+    in any case, and a payment-card match must pass the Luhn check.
     """
-    runs = [m.span() for m in _MASKED_RUN.finditer(data.translate(_PRINTABLE_MASK))]
     swept = b"\0".join([data[start:end] for start, end in runs])
     # where each run starts in `swept`, to map a match back into `data`
     swept_starts = list(itertools.accumulate(
@@ -319,38 +322,59 @@ def match_raw(data: bytes) -> list[tuple[int, str, str]]:
     return sorted(hits)
 
 
+def match_raw(data: bytes) -> list[tuple[int, str, str]]:
+    r"""Every raw-pattern hit in `data`, as (byte offset, pattern, value), sorted.
+
+    A hit is a pattern match inside a run of 6 or more printable ASCII
+    bytes (emails, password/token key names, SSNs and Luhn-valid card
+    numbers). No pattern consumes a byte outside \x20-\x7e, so every hit
+    lies inside one run, and _match_runs over all the runs finds them all.
+    """
+    return _match_runs(data, _printable_runs(data))
+
+
 # The rules a raw hit's value can fire: it has no typed excerpts.
 _RAW_RULES = tuple(rule for rule in RULE_TABLE if rule.predicate in _PATTERN_PREDICATES)
 
 # Digits become b"d", b" " and b"-" stay and every other byte becomes b"x". A
 # hit's value is bytes of the file, and the SSN rule needs ddd-dd-dddd in it,
 # the card rule 15 or more digits with at most one space or hyphen between two
-# of them: 15 digits in a row once spaces and hyphens are deleted. A file whose
+# of them: 15 digits in a row once spaces and hyphens are deleted. Bytes whose
 # translation holds neither can fire no rule, whatever the patterns' edges.
 _DIGIT_SHAPES = bytes(0x64 if 0x30 <= b <= 0x39 else b if b in b" -" else 0x78
                       for b in range(256))
+
+
+def _may_fire(shapes: bytes) -> bool:
+    """Whether bytes translated by _DIGIT_SHAPES hold an SSN or a card shape."""
+    return b"ddd-dd-dddd" in shapes or b"d" * 15 in shapes.translate(None, b" -")
 
 
 def scan_raw(data: bytes, package_name: str, relative_path: str, *,
              redact: bool) -> list[PhiFinding]:
     """The PHI findings of a sweep of arbitrary bytes for raw patterns.
 
-    Catches what the structured parsers do not cover. Each hit of
-    match_raw (emails, password/token key names, SSNs and card numbers) has
-    the pattern rules applied to its value, as classify_record applies them
-    to a string field; most hits fire none and are dropped. A finding's
-    locator names the package and path, with detail "{pattern}@{offset}",
-    the hit's byte offset in `data`. Findings come in hit order, then in
-    rule order; with `redact`, each excerpt is built redacted. A file whose
-    bytes hold no SSN shape, and no 15 digits in a row once spaces and
-    hyphens are deleted, can fire neither rule, so it is not matched at all
-    (most swept files).
+    Catches what the structured parsers do not cover. Each raw-pattern hit
+    (see match_raw) has the pattern rules applied to its value, as
+    classify_record applies them to a string field; most hits fire none and
+    are dropped. A finding's locator names the package and path, with
+    detail "{pattern}@{offset}", the hit's byte offset in `data`. Findings
+    come in hit order, then in rule order; with `redact`, each excerpt is
+    built redacted.
+
+    A hit fires a rule only if its value holds an SSN or a card shape, and
+    so only if the printable run it lies in holds one. A file with no such
+    shape is not matched at all (most swept files); otherwise only the runs
+    that hold one are matched, and they give the hits match_raw finds in
+    them, since no match crosses the NUL that joins two runs.
     """
     shapes = data.translate(_DIGIT_SHAPES)
-    if b"ddd-dd-dddd" not in shapes and b"d" * 15 not in shapes.translate(None, b" -"):
+    if not _may_fire(shapes):
         return []
+    runs = [(start, end) for start, end in _printable_runs(data)
+            if _may_fire(shapes[start:end])]
     findings = []
-    for offset, pattern, value in match_raw(data):
+    for offset, pattern, value in _match_runs(data, runs):
         locator = SourceLocator(package_name, relative_path, CONTAINER_RAW, f"{pattern}@{offset}")
         findings += _findings(_RAW_RULES, {}, [value], locator, redact)
     return findings

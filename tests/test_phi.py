@@ -346,7 +346,7 @@ def test_digit_dense_findings_equal_the_rule_table_walk(data, redact):
     assert _sweep(data, redact) == expected
 
 
-def _fail_if_matched(data):
+def _fail_if_matched(data, runs):
     raise AssertionError("scan_raw matched bytes that hold no SSN or card shape")
 
 
@@ -358,21 +358,84 @@ def _fail_if_matched(data):
     b"123-45\x00-6789",
 ], ids=["random", "email-token-epoch", "14-digit-run", "ssn-cut-by-nul"])
 def test_scan_raw_matches_nothing_without_an_ssn_or_card_shape(monkeypatch, data):
-    monkeypatch.setattr(phi, "match_raw", _fail_if_matched)
+    monkeypatch.setattr(phi, "_match_runs", _fail_if_matched)
     assert _sweep(data) == []
 
 
+def _record_matched_runs(monkeypatch):
+    """The runs each call of scan_raw's matcher is given, as bytes, from now on."""
+    match, matched = phi._match_runs, []
+
+    def recorded(data, runs):
+        matched.append([data[start:end] for start, end in runs])
+        return match(data, runs)
+
+    monkeypatch.setattr(phi, "_match_runs", recorded)
+    return matched
+
+
 def test_scan_raw_matches_bytes_that_hold_an_ssn_shape(monkeypatch):
-    match, matched = phi.match_raw, []
-
-    def recorded(data):
-        matched.append(data)
-        return match(data)
-
-    monkeypatch.setattr(phi, "match_raw", recorded)
+    matched = _record_matched_runs(monkeypatch)
     data = b"pat@example.com x_user_token 078-05-1120\n"
     assert [f.value_excerpt for f in _sweep(data)] == ["078-05-1120"]
-    assert matched == [data]
+    assert matched == [[b"pat@example.com x_user_token 078-05-1120"]]
+
+
+# A token log: one line holds an SSN at its first byte, one an SSN at its last
+# byte, one a card; the rest hold emails, *_token keys, epochs and a card split
+# by a newline, which no run holds whole.
+_TOKEN_LOG = (
+    b"2018-07-05 22:25:49 sync ok account=pat@example.com x_user_token=Ab1Cd2\n"
+    b"078-05-1120 submitted by jo.doe@example.org\n"
+    b"refreshed auth_token for sam@example.net expires=1541806236000\n"
+    b"\x00\x01password reset for pat@example.com, ssn 123-45-6789\xff"
+    b"card 4111 1111\n1111 1111 end\n"
+    b"saved_card=4111-1111-1111-1111 by api_token\n"
+    b"push registered id=Zq4Rt7Yu8 device=00:24:e4:5a:ee:6c\n")
+
+
+def test_scan_raw_matches_only_the_runs_that_hold_an_ssn_or_card_shape(monkeypatch):
+    matched = _record_matched_runs(monkeypatch)
+    findings = _sweep(_TOKEN_LOG)
+    assert matched == [[b"078-05-1120 submitted by jo.doe@example.org",
+                        b"password reset for pat@example.com, ssn 123-45-6789",
+                        b"saved_card=4111-1111-1111-1111 by api_token"]]
+    assert [(f.value_excerpt, f.rule_id) for f in findings] == [
+        ("078-05-1120", "ssn-pattern"), ("123-45-6789", "ssn-pattern"),
+        ("4111-1111-1111-1111", "payment-pattern")]
+    # match_raw still finds every hit, in every run
+    assert _hits(_TOKEN_LOG) == run_by_run_scan_raw(_TOKEN_LOG)
+    assert [pattern for _, pattern, _ in match_raw(_TOKEN_LOG)] == [
+        "email", "credential-key", "ssn", "email", "credential-key", "email",
+        "credential-key", "email", "ssn", "payment-card", "credential-key"]
+
+
+def test_scan_raw_keeps_an_email_that_holds_an_ssn_beside_other_hits():
+    data = b"login pat@example.com\nx_user_token 123-45-6789@x.io pat@example.com\n"
+    assert [(f.value_excerpt, f.locator.detail) for f in _sweep(data)] == [
+        ("123-45-6789", "email@35"), ("123-45-6789", "ssn@35")]
+
+
+def test_scan_raw_finds_no_card_split_by_a_newline():
+    data = b"ssn 078-05-1120\ncard 4111 1111 1111\n1111 end\n"
+    assert [f.value_excerpt for f in _sweep(data)] == ["078-05-1120"]
+
+
+# Lines of sweep tokens and digit-dense text, each ended by a byte no run holds:
+# dozens of runs per example, few of them holding an SSN or card shape, so
+# scan_raw's run gate picks a few runs out of many.
+_MANY_RUN_DATA = st.lists(
+    st.tuples(st.lists(st.sampled_from(_SWEEP_TOKENS)
+                       | st.text(alphabet="0123456789 -x@._", max_size=16).map(str.encode),
+                       min_size=1, max_size=4).map(b" ".join),
+              st.sampled_from([b"\n", b"\0", b"\xff"])),
+    min_size=24, max_size=48).map(lambda lines: b"".join(line + end for line, end in lines))
+
+
+@given(_MANY_RUN_DATA, st.booleans())
+def test_many_run_findings_equal_the_rule_table_walk(data, redact):
+    expected = [f for hit in oracle_hit_records(data) for f in rule_table_walk(hit, redact)]
+    assert _sweep(data, redact) == expected
 
 
 @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: _SSN_RE's \\b fails where "
