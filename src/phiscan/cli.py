@@ -44,6 +44,15 @@ def _parse_fixed_clock(value: str) -> str:
     return stamp.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of the UTF-8 file at `path`, `what` naming it in an error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScanError(f"{what} {shown_name(path)} is not UTF-8: "
+                        f"byte {exc.start} cannot be decoded") from exc
+
+
 def _emit(data: bytes, out_path: str | None) -> None:
     if out_path:
         Path(out_path).write_bytes(data)
@@ -71,8 +80,7 @@ def _run_scan_pipeline(args):
             Path(args.evidence).resolve()):
         raise ScanError(f"output {shown_name(args.output)} is inside the evidence "
                         f"{shown_name(args.evidence)}, which a scan never writes to")
-    code_map = (load_code_map(Path(args.code_map).read_text(encoding="utf-8"))
-                if args.code_map else None)
+    code_map = load_code_map(_read_text(args.code_map, "code map")) if args.code_map else None
     result = scan_evidence(args.evidence, fixed_clock=fixed_clock,
                            redact=not args.no_redact, code_map=code_map)
     print(f"scanned {shown_name(args.evidence)}: {len(result.source.root_listing)} file(s), "
@@ -101,7 +109,7 @@ def cmd_timeline(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    spec = load_spec(Path(args.spec).read_text(encoding="utf-8"))
+    spec = load_spec(_read_text(args.spec, "fixture spec"))
     manifest = generate_fixture(spec, Path(args.output))
     manifest_path = Path(str(args.output).rstrip("/") + ".manifest.json")
     manifest_path.write_bytes(render_manifest(manifest))

@@ -187,6 +187,26 @@ def test_fixtures_malformed_spec_exits_one_with_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_code_map_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    empty = tmp_path / "e"
+    empty.mkdir()
+    code_map = tmp_path / "map\udcff.txt"
+    code_map.write_bytes(b"\xff\xfe1\x00 \x00=\x00")
+    assert main(["scan", str(empty), "--code-map", str(code_map)]) == 1
+    assert capsys.readouterr().err == (f"phiscan: error: code map {tmp_path}/map\\xff.txt "
+                                       "is not UTF-8: byte 0 cannot be decoded\n")
+
+
+def test_fixture_spec_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b'{"seed": 1, "apps": {"myvitals": {"bp_rows": 1}}, "note": "\xff"}')
+    out = tmp_path / "tree"
+    assert main(["fixtures", str(spec), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (f"phiscan: error: fixture spec {spec} "
+                                       "is not UTF-8: byte 59 cannot be decoded\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("apps", [{"myvitals": 5}, {"healthmate": []},
                                   {"myvitals": {"bp_row": 3}}],
                          ids=["a-number", "a-list", "an-unknown-key"])
