@@ -343,11 +343,8 @@ _RAW_RULES = tuple(rule for rule in RULE_TABLE if rule.predicate in _PATTERN_PRE
 # translation holds neither can fire no rule, whatever the patterns' edges.
 _DIGIT_SHAPES = bytes(0x64 if 0x30 <= b <= 0x39 else b if b in b" -" else 0x78
                       for b in range(256))
-
-
-def _may_fire(shapes: bytes) -> bool:
-    """Whether bytes translated by _DIGIT_SHAPES hold an SSN or a card shape."""
-    return b"ddd-dd-dddd" in shapes or b"d" * 15 in shapes.translate(None, b" -")
+_SSN_SHAPE = b"ddd-dd-dddd"
+_CARD_SHAPE = b"d" * 15
 
 
 def scan_raw(data: bytes, package_name: str, relative_path: str, *,
@@ -369,10 +366,14 @@ def scan_raw(data: bytes, package_name: str, relative_path: str, *,
     them, since no match crosses the NUL that joins two runs.
     """
     shapes = data.translate(_DIGIT_SHAPES)
-    if not _may_fire(shapes):
+    ssn = _SSN_SHAPE in shapes
+    card = _CARD_SHAPE in shapes.translate(None, b" -")
+    if not (ssn or card):
         return []
+    # a run can hold only a shape its file holds, so only those are tested
     runs = [(start, end) for start, end in _printable_runs(data)
-            if _may_fire(shapes[start:end])]
+            if ssn and shapes.find(_SSN_SHAPE, start, end) >= 0
+            or card and _CARD_SHAPE in shapes[start:end].translate(None, b" -")]
     findings = []
     for offset, pattern, value in _match_runs(data, runs):
         locator = SourceLocator(package_name, relative_path, CONTAINER_RAW, f"{pattern}@{offset}")

@@ -7,13 +7,16 @@ an object of its fields, in sorted field-name order, so the JSON keys are
 the field names, and adding a field adds a key (which needs a
 schema_version bump). Each SourceLocator object is encoded once per call,
 however many findings and violations share it, and no instance's __dict__
-is ever materialized. Re-encoding the parse of a rendered document
-reproduces it byte for byte, which is what makes golden-file and
-container-equivalence testing meaningful.
+is ever materialized. The encoder writes UTF-8 into one buffer a block of
+text chunks at a time, so the document never exists as one str beside its
+bytes. Re-encoding the parse of a rendered document reproduces it byte for
+byte, which is what makes golden-file and container-equivalence testing
+meaningful.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring
@@ -102,6 +105,11 @@ def build_timeline(records: list[ArtifactRecord]) -> list[TimelineEvent]:
 
 # -- serialization -----------------------------------------------------------
 
+# The text chunks canonical_json collects before it encodes them into its
+# buffer, checked after each item of a list or tuple: a block of a large
+# report is about 110 KiB of UTF-8.
+_BLOCK_CHUNKS = 4096
+
 # Per dataclass: (text before the field's value, field name), in sorted
 # field-name order; the first text opens the object.
 _LAYOUTS: dict[type, tuple[tuple[str, str], ...]] = {}
@@ -136,10 +144,24 @@ def canonical_json(obj) -> bytes:
     CPython 3.11 materializes the instance's __dict__ and keeps it, and the
     text of each SourceLocator object is kept for the rest of the call: a
     record's locator is shared by its findings and the violations citing it.
+
+    Text chunks collect in a list. After an item of a list or tuple, once the
+    list holds _BLOCK_CHUNKS chunks, they are joined, encoded to UTF-8 and
+    written to one BytesIO, and the list is emptied; on CPython the BytesIO
+    hands back its own bytes, with no copy. So the document never exists as
+    one str, only as its bytes and the text of the block in hand. A
+    SourceLocator's memoized text is cut from the list, so no flush may fall
+    inside it; none can, since a locator's fields are all str and encoding
+    one never reaches a list or tuple.
     """
+    out = io.BytesIO()
     chunks: list[str] = []
     emit = chunks.append
     locators: dict[int, str] = {}
+
+    def flush() -> None:
+        out.write("".join(chunks).encode("utf-8"))
+        chunks.clear()
 
     def encode(value) -> None:
         cls = type(value)
@@ -156,6 +178,8 @@ def canonical_json(obj) -> bytes:
         elif cls is SourceLocator:
             text = locators.get(id(value))
             if text is None:
+                # No flush may fall between start and the del: a locator's
+                # fields are all str, so encoding one never reaches a sequence.
                 start = len(chunks)
                 encode_fields(value, _layout(cls))
                 text = locators[id(value)] = "".join(chunks[start:])
@@ -169,6 +193,8 @@ def canonical_json(obj) -> bytes:
                 if index:
                     emit(",")
                 encode(item)
+                if len(chunks) >= _BLOCK_CHUNKS:
+                    flush()
             emit("]")
         elif isinstance(value, dict):
             emit("{")
@@ -195,7 +221,8 @@ def canonical_json(obj) -> bytes:
 
     encode(obj)
     emit("\n")
-    return "".join(chunks).encode("utf-8")
+    flush()
+    return out.getvalue()
 
 
 def render_report(report: ComplianceReport, fmt: str = FORMAT_JSON) -> bytes:

@@ -7,8 +7,10 @@ import gc
 import importlib
 import json
 import pkgutil
+import tracemalloc
 import typing
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -224,6 +226,14 @@ def test_canonical_json_equals_the_reference_on_nested_values(value):
     assert canonical_json(value) == reference_canonical_json(value)
 
 
+@given(_json_values)
+@example(["\u2028\"\\", {"b": 1, "a": -0.0}, _Twig(zeta=None, alpha=(True, 1e300))])
+def test_canonical_json_equals_the_reference_when_every_item_flushes(value):
+    # a block of one chunk: every item of every list or tuple ends with a flush
+    with mock.patch("phiscan.report._BLOCK_CHUNKS", 1):
+        assert canonical_json(value) == reference_canonical_json(value)
+
+
 @pytest.mark.parametrize("value, error", [
     (float("nan"), ValueError),
     ([float("inf")], ValueError),
@@ -272,6 +282,39 @@ def test_the_locator_memo_does_not_outlive_the_call():
         report = _report_citing([_locator(f"row {n}")], [_locator(f"row {n}")])
         assert render_report(report) == reference_canonical_json(report)
         del report
+
+
+def _many_finding_report() -> ComplianceReport:
+    # 20,000 findings on 5,000 locators, four findings each, 5,000 findings
+    # apart, and one violation citing every locator: a locator's findings and
+    # its citation fall in different blocks of the encoder
+    locators = [SourceLocator(package_name="com.x", relative_path=f"db/{n % 7}.db",
+                              container="sqlite-table", detail=f"TB_Größe:{n}")
+                for n in range(5000)]
+    findings = tuple(PhiFinding(category=PHI_CATEGORIES[n % len(PHI_CATEGORIES)],
+                                value_excerpt=f"Jo**é {n} \u2028😀", locator=locators[n % 5000],
+                                rule_id="name-column")
+                     for n in range(20000))
+    violation = SecurityViolation(kind="plaintext-ephi-at-rest", evidence=tuple(locators),
+                                  description="plaintext ePHI — at rest")
+    return _empty_report(findings=findings, violations={"App": (violation,)})
+
+
+def test_a_many_finding_report_encodes_like_the_reference():
+    report = _many_finding_report()
+    assert render_report(report) == reference_canonical_json(report)
+
+
+def test_rendering_a_many_finding_report_peaks_below_twice_its_size():
+    report = _many_finding_report()
+    size = len(render_report(report))
+    tracemalloc.start()
+    try:
+        render_report(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * size, (peak, size)
 
 
 def test_render_report_materializes_no_instance_dict():
