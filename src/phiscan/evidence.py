@@ -7,7 +7,11 @@ files' stored bytes. Nothing here ever writes to the container, and an
 opened source holds no state that a scan changes.
 
 A zip is opened once and stays open, with a name -> member index, until
-the source is closed. A read that fails raises UnreadableFileError.
+the source is closed. A stored or deflated member is read straight from
+the archive's descriptor, one local header and one data read, each bounded
+by where the next member begins; any other member goes through
+ZipFile.read after the same header checks. A read that fails raises
+UnreadableFileError.
 hash_file digests bytes already in hand, so the custody digests describe
 exactly the bytes analysed and no file is read a second time to hash it.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import struct
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -38,11 +43,21 @@ CONTAINER_ZIP = "zip-archive"
 
 DIGEST_ALGORITHM = "sha-256"
 
-# What reading one file can raise: zipfile.BadZipFile covers a bad CRC,
-# NotImplementedError an unsupported compression method, RuntimeError an
-# encrypted member.
-_READ_ERRORS = (OSError, EOFError, NotImplementedError, RuntimeError,
+# What reading one file can raise: zipfile.BadZipFile covers a bad CRC and
+# overlapped members, NotImplementedError an unsupported compression method,
+# RuntimeError an encrypted member, UnicodeDecodeError a local name flagged
+# UTF-8 that is not.
+_READ_ERRORS = (OSError, EOFError, NotImplementedError, RuntimeError, UnicodeDecodeError,
                 zipfile.BadZipFile, zlib.error)
+
+# A zip local file header: signature, general-purpose flags, and the lengths
+# of the name and extra field that follow it (PKWARE APPNOTE 4.3.7).
+_LOCAL_HEADER = struct.Struct("<4s2xH18xHH")
+_LOCAL_MAGIC = b"PK\x03\x04"
+_MAX_LOCAL_HEADER = _LOCAL_HEADER.size + 2 * 0xFFFF
+_FLAG_ENCRYPTED = 0x01
+_FLAGS_UNSUPPORTED = 0x60  # compressed patched data (bit 5), strong encryption (bit 6)
+_FLAG_UTF8_NAME = 0x0800
 
 
 @dataclass(frozen=True)
@@ -70,8 +85,9 @@ class EvidenceSource:
     top_level_dirs: tuple[str, ...] = ()
     skipped_entries: tuple[str, ...] = ()
     archive: zipfile.ZipFile | None = field(default=None, compare=False, repr=False)
-    members: dict[str, zipfile.ZipInfo] = field(default_factory=dict, compare=False,
-                                                repr=False)
+    # listed name -> (member, the offset its local record must end by)
+    members: dict[str, tuple[zipfile.ZipInfo, int]] = field(default_factory=dict,
+                                                           compare=False, repr=False)
 
     def close(self) -> None:
         if self.archive is not None:
@@ -143,7 +159,7 @@ def _open_directory(path: Path) -> tuple[frozenset[str], tuple[str, ...], tuple[
     return frozenset(listing), tuple(sorted(top_dirs)), tuple(sorted(skipped))
 
 
-def _open_zip(path: Path) -> tuple[zipfile.ZipFile, dict[str, zipfile.ZipInfo],
+def _open_zip(path: Path) -> tuple[zipfile.ZipFile, dict[str, tuple[zipfile.ZipInfo, int]],
                                    tuple[str, ...], tuple[str, ...]]:
     try:
         zf = zipfile.ZipFile(path)
@@ -151,7 +167,16 @@ def _open_zip(path: Path) -> tuple[zipfile.ZipFile, dict[str, zipfile.ZipInfo],
         # the last two: a member needing a newer zip version, or a member name
         # flagged UTF-8 that is not
         raise CorruptArchiveError(f"{shown_name(path)}: {exc}") from exc
-    members: dict[str, zipfile.ZipInfo] = {}
+    # Each entry's local record ends by the next larger header offset, the
+    # last by the central directory; equal offsets keep directory order, so
+    # the second of two entries sharing one local header ends where it starts
+    # (CPython 3.12's end-offset rule, here on every interpreter).
+    ends = {}
+    end = zf.start_dir
+    for info in sorted(zf.infolist(), key=lambda info: info.header_offset, reverse=True):
+        ends[info] = end
+        end = info.header_offset
+    members: dict[str, tuple[zipfile.ZipInfo, int]] = {}
     skipped: list[str] = []
     top_dirs: set[str] = set()
     for info in zf.infolist():
@@ -165,7 +190,7 @@ def _open_zip(path: Path) -> tuple[zipfile.ZipFile, dict[str, zipfile.ZipInfo],
         if safe in members:  # the first member of a name is the one analysed
             skipped.append(f"{info.filename} (duplicate name)")
             continue
-        members[safe] = info
+        members[safe] = (info, ends[info])
         if "/" in safe:
             top_dirs.add(safe.split("/")[0])
     # a folder is an app root even beside a plain member of its name: a zip
@@ -217,11 +242,63 @@ def read_file(source: EvidenceSource, relative_path: str) -> bytes:
         if source.container_kind == CONTAINER_DIRECTORY:
             data = (Path(source.origin) / relative_path).read_bytes()
         else:
-            data = source.archive.read(source.members[relative_path])
+            data = _read_member(source.archive, *source.members[relative_path])
     except _READ_ERRORS as exc:
         # an OSError's text names the absolute path; the report names only the relative one
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         raise UnreadableFileError(f"{relative_path}: unreadable ({reason})") from exc
+    return data
+
+
+def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo, end: int) -> bytes:
+    """One member's bytes, as ZipFile.read gives them, or its exception and text.
+
+    The local header is read once, with os.pread on the open descriptor, and
+    checked in ZipFile.open's order (magic, the flags it refuses, name); then
+    the member's data must end by `end`. A stored or deflated member is read
+    with one more pread, inflated and CRC-checked here. Any other member, and
+    a deflate stream that does not end within its declared size (cut short,
+    damaged, or longer), goes to ZipFile.read, whose reading loop decides.
+    """
+    if archive.fp is None:
+        raise ValueError("Attempt to use ZIP archive that was already closed")
+    fd = archive.fp.fileno()
+    offset = info.header_offset
+    # what lies between the member's start and end besides its data: the
+    # header, name and extra field, and any data descriptor
+    head = os.pread(fd, min(max(end - offset - info.compress_size, _LOCAL_HEADER.size),
+                            _MAX_LOCAL_HEADER), offset)
+    if len(head) < _LOCAL_HEADER.size:
+        raise zipfile.BadZipFile("Truncated file header")
+    magic, flags, name_length, extra_length = _LOCAL_HEADER.unpack_from(head)
+    if magic != _LOCAL_MAGIC:
+        raise zipfile.BadZipFile("Bad magic number for file header")
+    if info.flag_bits & _FLAGS_UNSUPPORTED:
+        return archive.read(info)  # refused before any name check
+    start = _LOCAL_HEADER.size + name_length
+    name = head[_LOCAL_HEADER.size:start]
+    if len(name) < name_length:  # a header that runs past `end`: it overlaps the next
+        name = os.pread(fd, name_length, offset + _LOCAL_HEADER.size)
+    if name.decode("utf-8" if flags & _FLAG_UTF8_NAME else "cp437") != info.orig_filename:
+        raise zipfile.BadZipFile("File name in directory %r and header %r differ."
+                                 % (info.orig_filename, name))
+    start += offset + extra_length
+    if start + info.compress_size > end:
+        raise zipfile.BadZipFile(f"Overlapped entries: {info.orig_filename!r} (possible zip bomb)")
+    if (info.flag_bits & _FLAG_ENCRYPTED
+            or info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)):
+        return archive.read(info)
+    data = os.pread(fd, info.compress_size, start)
+    if len(data) < info.compress_size:
+        return archive.read(info)  # the file ends first: `end` is a bogus offset past it
+    if info.compress_type == zipfile.ZIP_DEFLATED:
+        inflater = zlib.decompressobj(-15)
+        data = inflater.decompress(data, info.file_size + 1)  # a limit of 0 is none
+        if not inflater.eof:
+            return archive.read(info)
+    data = data[:info.file_size]
+    if zlib.crc32(data) != info.CRC:
+        raise zipfile.BadZipFile("Bad CRC-32 for file %r" % info.filename)
     return data
 
 

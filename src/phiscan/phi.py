@@ -25,7 +25,7 @@ import dataclasses
 import functools
 import itertools
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -286,6 +286,34 @@ def _keyword_runs(swept: bytes) -> list[tuple[int, int]]:
     return sorted(spans)
 
 
+# The email pattern's local-part bytes map to themselves, every other byte to
+# NUL, so the run that ends at an "@" starts after the last NUL before it.
+_EMAIL_LOCAL_TABLE = bytes(c if re.fullmatch(rb"[A-Za-z0-9._%+-]", bytes([c])) else 0
+                           for c in range(256))
+
+
+def _email_matches(rx: re.Pattern, swept: bytes) -> Iterator[re.Match]:
+    """The matches of rx.finditer(swept) for the email pattern, in linear time.
+
+    A match's local part is the tail of the local-class run that ends at its
+    "@", and whether the rest matches does not depend on where that part
+    starts, so the leftmost start of each "@" is the only one to try: the
+    run's start, or the previous match's end if that is later. The local
+    runs of two "@"s do not overlap, nor do their domain runs.
+    """
+    at = swept.find(b"@")
+    if at < 0:
+        return
+    local = swept.translate(_EMAIL_LOCAL_TABLE)
+    end = 0
+    while at >= 0:
+        start = max(local.rfind(b"\0", 0, at) + 1, end)
+        if start < at and (match := rx.match(swept, start)):
+            yield match
+            end = match.end()
+        at = swept.find(b"@", at + 1)
+
+
 def _printable_runs(data: bytes) -> list[tuple[int, int]]:
     """The spans of the runs of 6 or more printable ASCII bytes in `data`."""
     return [m.span() for m in _MASKED_RUN.finditer(data.translate(_PRINTABLE_MASK))]
@@ -298,7 +326,8 @@ def _match_runs(data: bytes, runs: list[tuple[int, int]]) -> list[tuple[int, str
     is matched once over the joined runs, so the cost follows the bytes of
     the runs, not the size of `data`. credential-key is matched only inside
     the runs of word, '.', '@' and '-' bytes that hold "password" or "token"
-    in any case, and a payment-card match must pass the Luhn check.
+    in any case, email is tried once per "@" (_email_matches), and a
+    payment-card match must pass the Luhn check.
     """
     swept = b"\0".join([data[start:end] for start, end in runs])
     # where each run starts in `swept`, to map a match back into `data`
@@ -311,6 +340,8 @@ def _match_runs(data: bytes, runs: list[tuple[int, int]]) -> list[tuple[int, str
             # finds what a search of the whole buffer finds in it
             found = itertools.chain.from_iterable(
                 rx.finditer(swept, start, end) for start, end in _keyword_runs(swept))
+        elif pattern_name == "email":
+            found = _email_matches(rx, swept)
         else:
             found = rx.finditer(swept)
         for match in found:

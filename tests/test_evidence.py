@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import pathlib
+import re
+import struct
+import tempfile
 import warnings
 import zipfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, example, given, reject, strategies as st
 
+from phiscan import evidence
 from phiscan.errors import (
     CorruptArchiveError,
     NotFoundError,
@@ -299,6 +304,154 @@ def test_unreadable_zip_member_raises_a_scan_error_naming_it(tmp_path, damage):
         with pytest.raises(UnreadableFileError, match=reason) as err:
             read_file(src, "app/f.txt")
         assert str(err.value).startswith("app/f.txt: unreadable (")
+
+
+def _outcome(read):
+    """What a read gives: its bytes, or the type and text of what it raises."""
+    try:
+        return read()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _damaged_zips(draw) -> bytes:
+    """A small zip of stored, deflated, bzip2 and lzma members, then damaged.
+
+    Damage: byte flips in a member's local header, name or data; the local
+    UTF-8 flag flipped; a declared size or a local-header offset edited in
+    the central directory; a span of bytes cut from before the central
+    directory (last, so that the offsets of the other damage are the
+    written ones).
+    """
+    names = draw(st.lists(st.sampled_from(["a/x.txt", "a/\u00e9.txt", "b/y.bin", "c"]),
+                          min_size=1, max_size=3, unique=True))
+    written = io.BytesIO()
+    with zipfile.ZipFile(written, "w") as zf:
+        for name in names:
+            body = draw(st.binary(min_size=1, max_size=200) | st.sampled_from([b"", b"ab" * 300]))
+            zf.writestr(name, body, compress_type=draw(st.sampled_from(
+                [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED, zipfile.ZIP_BZIP2,
+                 zipfile.ZIP_LZMA])))
+        start_dir = zf.start_dir
+        infos = zf.infolist()
+    data = bytearray(written.getvalue())
+    entries = []  # each member's central directory entry
+    at = start_dir
+    for _ in infos:
+        entries.append(at)
+        at += 46 + sum(struct.unpack_from("<3H", data, at + 28))
+    regions = []  # each member's local header, name and data, as written
+    for info in infos:
+        name_length, extra_length = struct.unpack_from("<2H", data, info.header_offset + 26)
+        regions.append({"header": (info.header_offset, 30),
+                        "name": (info.header_offset + 30, name_length),
+                        "data": (info.header_offset + 30 + name_length + extra_length,
+                                 info.compress_size)})
+    cut = None
+    for _ in range(draw(st.integers(1, 3))):
+        member = draw(st.integers(0, len(infos) - 1))
+        info, entry = infos[member], entries[member]
+        damage = draw(st.sampled_from(["flip", "utf-8 flag", "size", "offset", "cut"]))
+        if damage == "flip":
+            start, length = regions[member][draw(st.sampled_from(["header", "name", "data"]))]
+            if length:
+                data[start + draw(st.integers(0, length - 1))] ^= draw(st.integers(1, 255))
+        elif damage == "utf-8 flag":
+            data[info.header_offset + 7] ^= 0x08  # general-purpose flag bit 11
+        elif damage == "size":
+            at = entry + draw(st.sampled_from([20, 24]))  # compressed or stored size
+            size = struct.unpack_from("<I", data, at)[0]
+            struct.pack_into("<I", data, at, draw(
+                st.integers(max(0, size - 40), size + 40) | st.integers(0, 1 << 20)))
+        elif damage == "offset":
+            struct.pack_into("<I", data, entry + 42, draw(st.integers(0, len(data) + 40)))
+        else:
+            start = draw(st.integers(0, start_dir - 1))
+            cut = (start, start + draw(st.integers(1, 40)))
+    if cut:
+        del data[cut[0]:cut[1]]
+    return bytes(data)
+
+
+_LINES = b"".join(b"line %d of the member\n" % i for i in range(200))
+
+
+def _one_member_zip(method: int, body: bytes, patch) -> bytes:
+    """A zip of one member, a/x.txt, changed by patch(data, central directory entry)."""
+    written = io.BytesIO()
+    with zipfile.ZipFile(written, "w") as zf:
+        zf.writestr("a/x.txt", body, compress_type=method)
+    data = bytearray(written.getvalue())
+    patch(data, data.index(b"PK\x01\x02"))
+    return bytes(data)
+
+
+def _bad_utf8_local_name(data, entry):
+    data[7] |= 0x08  # the local header's flag bit 11: the name is UTF-8
+    data[30] = 0xFF  # the local name's first byte: 0xff, a byte UTF-8 never holds
+
+
+def _bad_deflate_past_the_declared_size(data, entry):
+    struct.pack_into("<I", data, entry + 24, 10)  # declared stored size: 10 bytes
+    data[entry - 197] ^= 0xFF  # zlib: "invalid distance too far back", well past byte 10
+
+
+def _flagged_patched_data(data, entry):
+    data[entry + 8] |= 0x20  # flag bit 5, which zipfile refuses before the name check
+
+
+@given(_damaged_zips())
+@example(_one_member_zip(zipfile.ZIP_DEFLATED, b"data", _bad_utf8_local_name))
+@example(_one_member_zip(zipfile.ZIP_STORED, b"stored member",  # declared shorter than stored
+                         lambda data, entry: struct.pack_into("<I", data, entry + 24, 4)))
+@example(_one_member_zip(zipfile.ZIP_DEFLATED, _LINES, _bad_deflate_past_the_declared_size))
+@example(_one_member_zip(zipfile.ZIP_DEFLATED, b"data", _flagged_patched_data))
+def test_read_member_equals_zipfile_read_on_damaged_zips(archive):
+    # The one allowed difference: a member whose local data runs past the
+    # next member's header or the central directory is refused as
+    # overlapped, which zipfile does only from Python 3.12 on. A local name
+    # flagged UTF-8 that is not raises zipfile's own UnicodeDecodeError on
+    # both paths, so it needs no allowance.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "damaged.zip"
+        path.write_bytes(archive)
+        try:
+            zf, members, _, _ = evidence._open_zip(path)
+        except CorruptArchiveError:
+            reject()
+        with zf:
+            for info, end in members.values():
+                ours = _outcome(lambda: evidence._read_member(zf, info, end))
+                reference = _outcome(lambda: zf.read(info))
+                overlapped = (zipfile.BadZipFile,
+                              f"Overlapped entries: {info.orig_filename!r} (possible zip bomb)")
+                assert ours == reference or ours == overlapped, info
+                event("overlapped" if ours == overlapped
+                      else "bytes" if isinstance(ours, bytes) else ours[0].__name__)
+
+
+@pytest.mark.parametrize("run_on", [0, 1])
+def test_a_member_whose_data_runs_into_the_next_header_is_overlapped(tmp_path, run_on):
+    # the first member's declared compressed size runs `run_on` bytes into the
+    # second's local header; its stored size and CRC still give its own bytes,
+    # which zipfile before 3.12 returns
+    path = tmp_path / "two.zip"
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("a/x.txt", b"first member")
+        zf.writestr("a/y.txt", b"second member")
+    data = bytearray(path.read_bytes())
+    entry = data.index(b"PK\x01\x02")
+    struct.pack_into("<I", data, entry + 20, len(b"first member") + run_on)
+    path.write_bytes(bytes(data))
+    with open_source(path) as src:
+        if run_on:
+            with pytest.raises(UnreadableFileError, match=re.escape(
+                    "a/x.txt: unreadable (Overlapped entries: 'a/x.txt' (possible zip bomb))")):
+                read_file(src, "a/x.txt")
+        else:
+            assert read_file(src, "a/x.txt") == b"first member"
+        assert read_file(src, "a/y.txt") == b"second member"
 
 
 def test_unreadable_directory_file_names_only_the_relative_path(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+import signal
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -436,6 +437,42 @@ _MANY_RUN_DATA = st.lists(
 def test_many_run_findings_equal_the_rule_table_walk(data, redact):
     expected = [f for hit in oracle_hit_records(data) for f in rule_table_walk(hit, redact)]
     assert _sweep(data, redact) == expected
+
+
+_EMAIL_RX = dict(phi._RAW_BYTE_PATTERNS)["email"]
+# bytes dense in "@", dots and the email pattern's local and domain classes
+_EMAIL_DENSE_DATA = st.lists(
+    st.sampled_from([b"@", b".", b"a", b"Z", b"1", b"-", b"_", b"%", b"+", b"co", b"x",
+                     b" ", b"\0", b"pat@example.com"]),
+    max_size=40).map(b"".join)
+
+
+@given(_EMAIL_DENSE_DATA)
+@example(b"a@b.co@c.de")  # a match that ends at the next "@"
+@example(b"a@b.cox.y@c.de")  # the next match starts inside the last one's domain run
+@example(b"@@a@@b.cd")  # "@"s with no local part
+def test_email_matches_equal_finditer(data):
+    assert ([m.span() for m in phi._email_matches(_EMAIL_RX, data)]
+            == [m.span() for m in _EMAIL_RX.finditer(data)])
+
+
+def _give_up(signum, frame):
+    raise TimeoutError("sweep still running after 10 s")
+
+
+def test_a_one_mib_hex_line_is_swept_in_linear_time():
+    # one printable run of lowercase hex, all in the email local-part class, with
+    # no "@" in it; its card shapes and the SSN let it through scan_raw's gate
+    line = random.Random(0).randbytes(1 << 19).hex().encode() + b" ssn 078-05-1120"
+    previous = signal.signal(signal.SIGALRM, _give_up)
+    signal.alarm(10)
+    try:
+        findings = _sweep(line)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [(f.value_excerpt, f.locator.detail) for f in findings] == [
+        ("078-05-1120", f"ssn@{(1 << 20) + 5}")]
 
 
 @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: _SSN_RE's \\b fails where "

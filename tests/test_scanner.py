@@ -6,6 +6,7 @@ import ast
 import collections
 import dataclasses
 import functools
+import itertools
 import json
 import random
 import re
@@ -14,6 +15,7 @@ import sqlite3
 import struct
 import tempfile
 import zipfile
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phiscan
+import phiscan.evidence
 import phiscan.parsers
 import phiscan.phi
 import phiscan.scanner
@@ -247,6 +250,7 @@ def test_zip_scan_opens_the_archive_once_and_reads_each_member_once(tmp_path, mo
     out = _replica_with_sweep(tmp_path, "zip")
     archives = []
     reads = collections.Counter()
+    opened = collections.Counter()
 
     class CountingZipFile(zipfile.ZipFile):
         def __init__(self, *args, **kwargs):
@@ -254,13 +258,22 @@ def test_zip_scan_opens_the_archive_once_and_reads_each_member_once(tmp_path, mo
             archives.append(self)
 
         def open(self, name, *args, **kwargs):
-            reads[getattr(name, "filename", name)] += 1
+            opened[getattr(name, "filename", name)] += 1
             return super().open(name, *args, **kwargs)
 
+    read_member = phiscan.evidence._read_member
+
+    def counting_read_member(archive, info, end):
+        reads[info.filename] += 1
+        return read_member(archive, info, end)
+
     monkeypatch.setattr(zipfile, "ZipFile", CountingZipFile)
+    monkeypatch.setattr(phiscan.evidence, "_read_member", counting_read_member)
     result = scan_evidence(out, fixed_clock=CLOCK)
     assert len(archives) == 1
     assert reads == collections.Counter(result.source.root_listing)
+    # every member is stored or deflated, so none goes through ZipFile.open
+    assert not opened
     with pytest.raises(ValueError):  # the scan closed the archive
         read_file(result.source, "README.txt")
 
@@ -639,6 +652,81 @@ def test_damaged_zip_member_costs_one_warning(tmp_path, member, package, app):
             == [row for row in intact.matrix if row.app_name != app])
     assert ([f for f in damaged.findings if f.locator.package_name != package]
             == [f for f in intact.findings if f.locator.package_name != package])
+
+
+_FIRST, _SECOND = "com.a/first.txt", "com.a/second.txt"
+
+
+def _two_member_zip(path, compression) -> bytearray:
+    """Two members, each holding an SSN the sweep finds; the first's local header is at 0."""
+    with zipfile.ZipFile(path, "w", compression) as zf:
+        for name in (_FIRST, _SECOND):
+            zf.writestr(name, b"ssn 123-45-6789 in " + name.encode())
+    return bytearray(path.read_bytes())
+
+
+def _utf8_flag_over_a_bad_local_name(data):
+    data[7] |= 0x08  # the first local header's flag bit 11: its name is UTF-8
+    data[30 + len("com.a/")] = 0xFF  # the local name's "f": 0xff, a byte UTF-8 never holds
+
+
+def _encrypted_in_the_central_directory(data):
+    data[data.index(b"PK\x01\x02") + 8] |= 0x01
+
+
+def _overlapping_the_next_member(data):
+    # the first member's stored data runs on over the second's local header and
+    # data, with the CRC of all those bytes: a quoted overlap (Fifield, "A better
+    # zip bomb", WOOT 2019), which zipfile reads before Python 3.12
+    entry = data.index(b"PK\x01\x02")
+    start = 30 + len(_FIRST)
+    struct.pack_into("<3I", data, entry + 16, zlib.crc32(data[start:entry]),
+                     entry - start, entry - start)
+
+
+@pytest.mark.parametrize("damage, compression, warning", [
+    (_utf8_flag_over_a_bad_local_name, zipfile.ZIP_DEFLATED, re.escape(
+        f"{_FIRST}: unreadable ('utf-8' codec can't decode byte 0xff in position 6:"
+        " invalid start byte)")),
+    (_utf8_flag_over_a_bad_local_name, zipfile.ZIP_BZIP2, re.escape(
+        f"{_FIRST}: unreadable ('utf-8' codec can't decode byte 0xff in position 6:"
+        " invalid start byte)")),
+    (_encrypted_in_the_central_directory, zipfile.ZIP_DEFLATED, re.escape(
+        f"{_FIRST}: unreadable (File ") + ".* is encrypted, password required for extraction\\)"),
+    (_overlapping_the_next_member, zipfile.ZIP_STORED, re.escape(
+        f"{_FIRST}: unreadable (Overlapped entries: '{_FIRST}' (possible zip bomb))")),
+], ids=["bad-utf8-name-deflated", "bad-utf8-name-bzip2", "encrypted", "overlapped"])
+def test_an_unreadable_member_is_one_warning_and_the_other_is_swept(tmp_path, damage,
+                                                                    compression, warning):
+    # the same warning on every interpreter: zipfile checks no overlap before 3.12
+    path = tmp_path / "two.zip"
+    data = _two_member_zip(path, compression)
+    damage(data)
+    path.write_bytes(bytes(data))
+    report = scan_evidence(path, fixed_clock=CLOCK, redact=False).report
+    (only,) = report.warnings
+    assert re.fullmatch(warning, only), only
+    assert [d.relative_path for d in report.file_digests] == [_SECOND]
+    assert [(f.locator.relative_path, f.value_excerpt) for f in report.findings] == [
+        (_SECOND, "123-45-6789")]
+
+
+def test_a_zip_of_bzip2_and_lzma_members_reports_as_its_directory(tmp_path):
+    # those members go through ZipFile.read, after the same local-header checks
+    directory = _replica_with_sweep(tmp_path / "dir", "directory")
+    deflated = _replica_with_sweep(tmp_path / "deflated", "zip")
+    out = tmp_path / "replica.zip"
+    methods = itertools.cycle([zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA])
+    with zipfile.ZipFile(deflated) as src, zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            info.compress_type = zipfile.ZIP_STORED if info.is_dir() else next(methods)
+            dst.writestr(info, data)
+    with zipfile.ZipFile(out) as zf:
+        assert {info.compress_type for info in zf.infolist() if not info.is_dir()} == {
+            zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA}
+    expected = render_report(scan_evidence(directory, fixed_clock=CLOCK).report)
+    assert render_report(scan_evidence(out, fixed_clock=CLOCK).report) == expected
 
 
 def test_unreadable_files_warn_in_walk_order(tmp_path):
