@@ -76,7 +76,7 @@ class EvidenceSource:
     context manager. `skipped_entries` names what the listing left out and
     why: symlinks, files that are not regular (FIFOs, devices, sockets),
     names that are not UTF-8, unsafe or duplicate zip names, unreadable
-    directories.
+    directories, entries whose type cannot be read.
     """
 
     origin: str
@@ -118,44 +118,45 @@ def shown_name(name: str | os.PathLike) -> str:
     return os.fsencode(name).decode("utf-8", "backslashreplace")
 
 
-def _unlisted(full: Path, rel: str, is_dir: bool) -> str | None:
-    """The skipped-entry text of a directory entry left out of the listing, or None."""
-    shown = shown_name(rel)
-    if shown != rel:  # no report could name it
-        return f"{shown} (name is not UTF-8)"
-    if full.is_symlink():  # evidence must never escape its root
-        return f"{rel} (symlink)"
-    if not is_dir and not full.is_file():  # a FIFO or device: reading it could block
-        return f"{rel} (not a regular file)"
-    return None
+def _open_directory(root: str) -> tuple[frozenset[str], tuple[str, ...], tuple[str, ...]]:
+    """The listing, top-level folders and skipped entries, in one iterative scandir walk.
 
-
-def _open_directory(path: Path) -> tuple[frozenset[str], tuple[str, ...], tuple[str, ...]]:
-    listing: set[str] = set()
-    skipped: list[str] = []
-    top_dirs: set[str] = set()
-
-    def unlistable(exc: OSError) -> None:
-        rel = Path(exc.filename).relative_to(path).as_posix()
-        if rel == ".":
-            raise ScanError(f"{shown_name(path)}: evidence directory cannot be listed "
-                            f"({exc.strerror})")
-        skipped.append(f"{rel} (unreadable directory)")
-
-    for dirpath, dirnames, filenames in os.walk(path, onerror=unlistable, followlinks=False):
-        rel_dir = Path(dirpath).relative_to(path)
-        if rel_dir != Path("."):
-            top_dirs.add(rel_dir.parts[0])
-        for d in list(dirnames):  # a pruned directory is never walked
-            if skip := _unlisted(Path(dirpath) / d, (rel_dir / d).as_posix(), True):
-                dirnames.remove(d)
-                skipped.append(skip)
-        for fn in filenames:
-            rel = (rel_dir / fn).as_posix()
-            if skip := _unlisted(Path(dirpath) / fn, rel, False):
-                skipped.append(skip)
-            else:
-                listing.add(rel)
+    Each entry is judged by its own DirEntry, so no link is followed. A directory
+    that cannot be listed, or fails part-way, keeps no entry.
+    """
+    listing, top_dirs, skipped = [], [], []
+    stack = [(root, "")]  # (directory, its listing prefix)
+    while stack:
+        directory, prefix = stack.pop()
+        files, subdirs, skips = [], [], []
+        try:
+            with os.scandir(directory) as entries:
+                for entry in entries:
+                    rel = prefix + entry.name
+                    try:
+                        if (shown := shown_name(rel)) != rel:  # no report could name it
+                            skips.append(f"{shown} (name is not UTF-8)")
+                        elif entry.is_symlink():  # evidence must never escape its root
+                            skips.append(f"{rel} (symlink)")
+                        elif entry.is_dir(follow_symlinks=False):
+                            subdirs.append((entry.path, rel + "/"))
+                        elif entry.is_file(follow_symlinks=False):
+                            files.append(rel)
+                        else:  # a FIFO or device: reading it could block
+                            skips.append(f"{rel} (not a regular file)")
+                    except OSError:
+                        skips.append(f"{rel} (unreadable entry)")
+        except OSError as exc:
+            if not prefix:
+                raise ScanError(f"{shown_name(root)}: evidence directory cannot be listed "
+                                f"({exc.strerror})") from exc
+            skipped.append(f"{prefix[:-1]} (unreadable directory)")
+            continue
+        listing += files
+        skipped += skips
+        stack += subdirs
+        if prefix.count("/") == 1:
+            top_dirs.append(prefix[:-1])
     return frozenset(listing), tuple(sorted(top_dirs)), tuple(sorted(skipped))
 
 
@@ -204,10 +205,7 @@ def open_source(path: str | Path) -> EvidenceSource:
     if not path.exists():
         raise NotFoundError(f"evidence path does not exist: {shown_name(path)}")
     if path.is_dir():
-        listing, top_dirs, skipped = _open_directory(path)
-        return EvidenceSource(origin=str(path), container_kind=CONTAINER_DIRECTORY,
-                              root_listing=listing, top_level_dirs=top_dirs,
-                              skipped_entries=skipped)
+        return EvidenceSource(str(path), CONTAINER_DIRECTORY, *_open_directory(str(path)))
     if zipfile.is_zipfile(path):
         archive, members, top_dirs, skipped = _open_zip(path)
         return EvidenceSource(origin=str(path), container_kind=CONTAINER_ZIP,
@@ -240,14 +238,13 @@ def read_file(source: EvidenceSource, relative_path: str) -> bytes:
         raise NotFoundError(f"not in evidence listing: {relative_path}")
     try:
         if source.container_kind == CONTAINER_DIRECTORY:
-            data = (Path(source.origin) / relative_path).read_bytes()
-        else:
-            data = _read_member(source.archive, *source.members[relative_path])
+            with open(os.path.join(source.origin, relative_path), "rb", buffering=0) as f:
+                return f.read()
+        return _read_member(source.archive, *source.members[relative_path])
     except _READ_ERRORS as exc:
         # an OSError's text names the absolute path; the report names only the relative one
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         raise UnreadableFileError(f"{relative_path}: unreadable ({reason})") from exc
-    return data
 
 
 def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo, end: int) -> bytes:
@@ -264,6 +261,9 @@ def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo, end: int) -> b
         raise ValueError("Attempt to use ZIP archive that was already closed")
     fd = archive.fp.fileno()
     offset = info.header_offset
+    if offset < 0:  # bytes cut before the central directory: no pread may start here
+        raise zipfile.BadZipFile(f"Local header of {info.orig_filename!r} lies before "
+                                 "the start of the archive")
     # what lies between the member's start and end besides its data: the
     # header, name and extra field, and any data descriptor
     head = os.pread(fd, min(max(end - offset - info.compress_size, _LOCAL_HEADER.size),

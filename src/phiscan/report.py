@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import io
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import islice
 from json.encoder import encode_basestring
 
 from .artifacts import ArtifactRecord, EpochInstant, SourceLocator
@@ -107,7 +109,8 @@ def build_timeline(records: list[ArtifactRecord]) -> list[TimelineEvent]:
 
 # The text chunks canonical_json collects before it encodes them into its
 # buffer, checked after each item of a list or tuple: a block of a large
-# report is about 110 KiB of UTF-8.
+# report is about 110 KiB of UTF-8. The text report encodes as many lines
+# at a time, about 400 KiB.
 _BLOCK_CHUNKS = 4096
 
 # Per dataclass: (text before the field's value, field name), in sorted
@@ -230,69 +233,64 @@ def render_report(report: ComplianceReport, fmt: str = FORMAT_JSON) -> bytes:
     if fmt == FORMAT_JSON:
         return canonical_json(report)
     if fmt == FORMAT_TEXT:
-        return _render_report_text(report).encode("utf-8")
+        out = io.BytesIO()
+        lines = _report_text_lines(report)
+        while block := list(islice(lines, _BLOCK_CHUNKS)):
+            out.write(("\n".join(block) + "\n").encode("utf-8"))  # each line ends with LF
+        return out.getvalue()
     raise ScanError(f"unknown report format: {fmt!r}")
 
 
-def _render_report_text(report: ComplianceReport) -> str:
-    lines = []
-    lines.append("PHI COMPLIANCE SCAN REPORT")
-    lines.append(f"scan id: {report.scan_id}    tool: phiscan {report.tool_version}    "
-                 f"schema: {report.schema_version}")
-    lines.append(f"evidence: {report.evidence_origin}    generated: {report.generated_at}")
-    lines.append(f"files hashed: {len(report.file_digests)} (sha-256)    "
-                 f"redaction: {'on' if report.redacted else 'off'}")
-    lines.append("")
+def _report_text_lines(report: ComplianceReport) -> Iterator[str]:
+    yield "PHI COMPLIANCE SCAN REPORT"
+    yield (f"scan id: {report.scan_id}    tool: phiscan {report.tool_version}    "
+           f"schema: {report.schema_version}")
+    yield f"evidence: {report.evidence_origin}    generated: {report.generated_at}"
+    yield (f"files hashed: {len(report.file_digests)} (sha-256)    "
+           f"redaction: {'on' if report.redacted else 'off'}")
 
-    lines.append("HIPAA PHI RECOVERY MATRIX")
-    apps = [row.app_name for row in report.matrix]
+    yield ""
+    yield "HIPAA PHI RECOVERY MATRIX"
     label_width = max((len(label) for label in CATEGORY_LABELS.values()), default=0)
-    header = "PHI category".ljust(label_width)
-    for app in apps:
-        header += " | " + app
-    lines.append(header)
-    lines.append("-" * len(header))
-    by_app = {row.app_name: row for row in report.matrix}
+    header = "PHI category".ljust(label_width) + "".join(" | " + row.app_name
+                                                         for row in report.matrix)
+    yield header
+    yield "-" * len(header)
     for cat in PHI_CATEGORIES:
-        line = CATEGORY_LABELS[cat].ljust(label_width)
-        for app in apps:
-            mark = "✓" if by_app[app].cells[cat] == CELL_RECOVERED else "X"
-            line += " | " + mark.center(len(app))
-        lines.append(line)
-    lines.append(MATRIX_KEY_LINE)
-    lines.append("")
+        yield CATEGORY_LABELS[cat].ljust(label_width) + "".join(
+            " | " + ("✓" if row.cells[cat] == CELL_RECOVERED else "X").center(len(row.app_name))
+            for row in report.matrix)
+    yield MATRIX_KEY_LINE
 
-    lines.append("SECURITY RULE EVALUATION")
+    yield ""
+    yield "SECURITY RULE EVALUATION"
     if any(report.violations.values()):
         for app in sorted(report.violations):
             for violation in report.violations[app]:
-                lines.append(f"[{app}] {violation.kind}: {violation.description}")
+                yield f"[{app}] {violation.kind}: {violation.description}"
                 for loc in violation.evidence:
-                    lines.append(f"    evidence: {loc.relative_path} ({loc.detail})")
+                    yield f"    evidence: {loc.relative_path} ({loc.detail})"
     else:
-        lines.append("no violations recorded")
-    lines.append("")
+        yield "no violations recorded"
 
     if report.database_statuses:
-        lines.append("DATABASE CLASSIFICATION")
+        yield ""
+        yield "DATABASE CLASSIFICATION"
         for app in sorted(report.database_statuses):
             for status in report.database_statuses[app]:
-                lines.append(f"[{app}] {status.relative_path}: {status.status} "
-                             f"(entropy {status.entropy_bits_per_byte:.2f} bits/byte)")
-        lines.append("")
+                yield (f"[{app}] {status.relative_path}: {status.status} "
+                       f"(entropy {status.entropy_bits_per_byte:.2f} bits/byte)")
 
-    lines.append(f"FINDINGS ({len(report.findings)})")
+    yield ""
+    yield f"FINDINGS ({len(report.findings)})"
     for f in report.findings:
-        lines.append(f"{f.locator.package_name} {f.locator.relative_path} "
-                     f"[{f.locator.detail}] {f.category} ({f.rule_id}): {f.value_excerpt}")
-    lines.append("")
+        yield (f"{f.locator.package_name} {f.locator.relative_path} "
+               f"[{f.locator.detail}] {f.category} ({f.rule_id}): {f.value_excerpt}")
 
     if report.warnings:
-        lines.append(f"WARNINGS ({len(report.warnings)})")
-        lines.extend(f"- {w}" for w in report.warnings)
-        lines.append("")
-
-    return "\n".join(lines)
+        yield ""
+        yield f"WARNINGS ({len(report.warnings)})"
+        yield from (f"- {w}" for w in report.warnings)
 
 
 def render_timeline(events: list[TimelineEvent], fmt: str = FORMAT_JSON) -> bytes:

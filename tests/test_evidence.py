@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -35,6 +36,7 @@ from phiscan.evidence import (
     read_file,
 )
 
+from phiscan.fixtures import build_tree, paper_replica_spec, random_spec, write_tree
 from phiscan.parsers import PARSERS
 from phiscan.scanner import scan_evidence
 
@@ -401,18 +403,26 @@ def _flagged_patched_data(data, entry):
     data[entry + 8] |= 0x20  # flag bit 5, which zipfile refuses before the name check
 
 
+def _cut_before_the_central_directory(data, entry):
+    del data[10:20]  # the central directory's offsets now point 10 bytes early
+
+
 @given(_damaged_zips())
 @example(_one_member_zip(zipfile.ZIP_DEFLATED, b"data", _bad_utf8_local_name))
 @example(_one_member_zip(zipfile.ZIP_STORED, b"stored member",  # declared shorter than stored
                          lambda data, entry: struct.pack_into("<I", data, entry + 24, 4)))
 @example(_one_member_zip(zipfile.ZIP_DEFLATED, _LINES, _bad_deflate_past_the_declared_size))
 @example(_one_member_zip(zipfile.ZIP_DEFLATED, b"data", _flagged_patched_data))
+@example(_one_member_zip(zipfile.ZIP_STORED, b"stored member", _cut_before_the_central_directory))
 def test_read_member_equals_zipfile_read_on_damaged_zips(archive):
-    # The one allowed difference: a member whose local data runs past the
-    # next member's header or the central directory is refused as
-    # overlapped, which zipfile does only from Python 3.12 on. A local name
-    # flagged UTF-8 that is not raises zipfile's own UnicodeDecodeError on
-    # both paths, so it needs no allowance.
+    # Two allowed differences. A member whose local data runs past the next
+    # member's header or the central directory is refused as overlapped,
+    # which zipfile does only from Python 3.12 on. A member whose local
+    # header offset is negative, as bytes cut before the central directory
+    # make it, is refused before any read, where zipfile's seek fails with
+    # a bare "Invalid argument". A local name flagged UTF-8 that is not
+    # raises zipfile's own UnicodeDecodeError on both paths, so it needs no
+    # allowance.
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "damaged.zip"
         path.write_bytes(archive)
@@ -426,9 +436,15 @@ def test_read_member_equals_zipfile_read_on_damaged_zips(archive):
                 reference = _outcome(lambda: zf.read(info))
                 overlapped = (zipfile.BadZipFile,
                               f"Overlapped entries: {info.orig_filename!r} (possible zip bomb)")
-                assert ours == reference or ours == overlapped, info
-                event("overlapped" if ours == overlapped
-                      else "bytes" if isinstance(ours, bytes) else ours[0].__name__)
+                before_start = (zipfile.BadZipFile, f"Local header of {info.orig_filename!r}"
+                                " lies before the start of the archive")
+                if info.header_offset < 0:
+                    assert ours == before_start, info
+                else:
+                    assert ours == reference or ours == overlapped, info
+                event("before the start" if ours == before_start else "overlapped"
+                      if ours == overlapped else "bytes" if isinstance(ours, bytes)
+                      else ours[0].__name__)
 
 
 @pytest.mark.parametrize("run_on", [0, 1])
@@ -457,10 +473,10 @@ def test_a_member_whose_data_runs_into_the_next_header_is_overlapped(tmp_path, r
 def test_unreadable_directory_file_names_only_the_relative_path(tmp_path, monkeypatch):
     root = _tree_with_files(tmp_path, SAMPLE)
 
-    def denied(self):
-        raise PermissionError(13, "Permission denied", str(self))
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
 
-    monkeypatch.setattr(pathlib.Path, "read_bytes", denied)
+    monkeypatch.setattr(evidence, "open", denied, raising=False)
     src = open_source(root)
     with pytest.raises(UnreadableFileError) as err:
         read_file(src, "appA/data/one.bin")
@@ -496,6 +512,236 @@ def test_unlistable_evidence_root_raises_a_scan_error(tmp_path, monkeypatch):
     _deny_scandir(monkeypatch, "tree")
     with pytest.raises(ScanError, match=r"cannot be listed \(Permission denied\)"):
         open_source(root)
+
+
+# -- the directory listing against its reference -------------------------------
+
+def _reference_unlisted(full: pathlib.Path, rel: str, is_dir: bool) -> str | None:
+    """The skipped-entry text of a directory entry left out of the listing, or None."""
+    shown = evidence.shown_name(rel)
+    if shown != rel:  # no report could name it
+        return f"{shown} (name is not UTF-8)"
+    if full.is_symlink():  # evidence must never escape its root
+        return f"{rel} (symlink)"
+    if not is_dir and not full.is_file():  # a FIFO or device: reading it could block
+        return f"{rel} (not a regular file)"
+    return None
+
+
+def _reference_open_directory(path: pathlib.Path):
+    """The listing as os.walk and pathlib gave it, before the scandir walk: the reference."""
+    listing: set[str] = set()
+    skipped: list[str] = []
+    top_dirs: set[str] = set()
+
+    def unlistable(exc: OSError) -> None:
+        rel = pathlib.Path(exc.filename).relative_to(path).as_posix()
+        if rel == ".":
+            raise ScanError(f"{evidence.shown_name(path)}: evidence directory cannot be listed "
+                            f"({exc.strerror})")
+        skipped.append(f"{rel} (unreadable directory)")
+
+    for dirpath, dirnames, filenames in os.walk(path, onerror=unlistable, followlinks=False):
+        rel_dir = pathlib.Path(dirpath).relative_to(path)
+        if rel_dir != pathlib.Path("."):
+            top_dirs.add(rel_dir.parts[0])
+        for d in list(dirnames):  # a pruned directory is never walked
+            if skip := _reference_unlisted(pathlib.Path(dirpath) / d, (rel_dir / d).as_posix(),
+                                           True):
+                dirnames.remove(d)
+                skipped.append(skip)
+        for fn in filenames:
+            rel = (rel_dir / fn).as_posix()
+            if skip := _reference_unlisted(pathlib.Path(dirpath) / fn, rel, False):
+                skipped.append(skip)
+            else:
+                listing.add(rel)
+    return frozenset(listing), tuple(sorted(top_dirs)), tuple(sorted(skipped))
+
+
+# A tree: name -> "file", "fifo", "link:<target>" or a subtree. A directory
+# named "denied" cannot be listed. A link's target is a sibling's name, its
+# own directory, its parent, a name that does not exist, or a directory or
+# file outside the tree.
+_TREE_NAMES = st.sampled_from([b"a", b"b.txt", b"sub", b"com.x", b"denied", b"n\xff", b"d\xfe"])
+_TREE_LEAVES = st.sampled_from(
+    ["file", "fifo"] + [f"link:{target}" for target in (
+        "a", "b.txt", "sub", "com.x", "denied", ".", "..", "nowhere",
+        "{outside}", "{outside}/secret.txt")])
+_TREES = st.dictionaries(_TREE_NAMES, st.recursive(
+    _TREE_LEAVES, lambda subtrees: st.dictionaries(_TREE_NAMES, subtrees, max_size=4),
+    max_leaves=12), max_size=5)
+
+
+def _write_tree(directory: bytes, tree: dict, outside: str) -> None:
+    for name, node in tree.items():
+        path = os.path.join(directory, name)
+        if isinstance(node, dict):
+            os.mkdir(path)
+            _write_tree(path, node, outside)
+        elif node == "file":
+            with open(path, "wb") as f:
+                f.write(name)
+        elif node == "fifo":
+            os.mkfifo(path)
+        else:
+            os.symlink(node.removeprefix("link:").replace("{outside}", outside), path)
+
+
+@given(_TREES)
+@example({b"com.x": {b"sub": {b"sub": {b"a": "file"}}, b"b.txt": "file"}, b"a": "file"})
+@example({b"com.x": {b"b.txt": "file", b"a": "link:b.txt"}})
+@example({b"com.x": {b"sub": {b"a": "file"}, b"a": "link:sub"}})
+@example({b"com.x": {b"a": "link:nowhere", b"sub": "link:."}})
+@example({b"a": "link:{outside}", b"com.x": {b"b.txt": "link:{outside}/secret.txt",
+                                            b"sub": "link:.."}})
+@example({b"com.x": {b"a": "fifo", b"b.txt": "file"}})
+@example({b"com.x": {b"n\xff": "file", b"b.txt": "file"}})
+@example({b"d\xfe": {b"a": "file"}, b"com.x": {b"d\xfe": {b"a": "file"}}})
+@example({b"com.x": {b"denied": {b"a": "file"}, b"b.txt": "file"}, b"denied": {}})
+def test_directory_listing_equals_the_os_walk_reference(tree):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        outside = os.path.join(tmp, "outside")
+        os.mkdir(outside)
+        with open(os.path.join(outside, "secret.txt"), "wb") as f:
+            f.write(b"secret")
+        root = os.path.join(tmp, "tree")
+        os.mkdir(root)
+        _write_tree(os.fsencode(root), tree, outside)
+        _deny_scandir(patch, "/denied")
+        listed = evidence._open_directory(root)
+        assert listed == _reference_open_directory(pathlib.Path(root))
+    event("skips" if listed[2] else "no skips")
+
+
+def _forged_spec(name: str, output_kind: str):
+    spec = paper_replica_spec() if name == "replica" else random_spec(int(name[4:]))
+    return dataclasses.replace(spec, output_kind=output_kind)
+
+
+FORGED = ["replica", *(f"seed{seed}" for seed in range(40))]
+
+
+@pytest.mark.parametrize("name", FORGED)
+def test_a_forged_directory_lists_as_the_reference_does(tmp_path, name):
+    spec = _forged_spec(name, "directory")
+    tree, _ = build_tree(spec)
+    write_tree(tree, spec, tmp_path / name)
+    listed = evidence._open_directory(str(tmp_path / name))
+    assert listed == _reference_open_directory(tmp_path / name)
+    assert listed[0] == frozenset(tree) and listed[2] == ()
+
+
+@pytest.mark.parametrize("name", FORGED)
+def test_a_forged_zip_has_no_gap_between_its_members(tmp_path, name):
+    # each member's local header, name, extra field and data end exactly where
+    # the next member's local header starts, and the last where the central
+    # directory does: no byte of the archive lies outside a member
+    spec = _forged_spec(name, "zip")
+    path = tmp_path / f"{name}.zip"
+    write_tree(build_tree(spec)[0], spec, path)
+    data = path.read_bytes()
+    with zipfile.ZipFile(path) as zf:
+        members, start_dir = zf.infolist(), zf.start_dir
+    at = 0  # where the next member must start
+    for info in sorted(members, key=lambda info: info.header_offset):
+        assert info.header_offset == at, info.filename
+        magic, name_length, extra_length = struct.unpack_from("<4s22xHH", data, at)
+        assert magic == b"PK\x03\x04", info.filename
+        at += 30 + name_length + extra_length + info.compress_size
+    assert at == start_dir
+
+
+def test_a_tree_nested_1200_directories_deep_scans_to_the_end(tmp_path, monkeypatch):
+    # deeper than the interpreter's recursion limit: the walk must not recurse
+    root = tmp_path / "deep"
+    root.mkdir()
+    monkeypatch.chdir(root)
+    for _ in range(1200):  # relative names keep every path the test uses short
+        os.mkdir("d")
+        os.chdir("d")
+    with open("ssn.txt", "wb") as f:
+        f.write(b"ssn 123-45-6789\n")
+    try:
+        report = scan_evidence(root, fixed_clock="2020-01-01T00:00:00Z").report
+    finally:
+        # the bottom-up removal the tmp_path clean-up would do by recursion
+        os.remove("ssn.txt")
+        for _ in range(1200):
+            os.chdir("..")
+            os.rmdir("d")
+    (digest,) = report.file_digests
+    assert digest.relative_path == "d/" * 1200 + "ssn.txt"
+    assert [(f.category, f.locator.relative_path) for f in report.findings] == [
+        ("ssn", digest.relative_path)]
+
+
+class _FailingListing:
+    """A scandir iterator that gives its first entry, then fails as a disk read can."""
+
+    def __init__(self, path, entries):
+        self._path, self._entries, self._given = path, entries, False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self):
+        self._entries.close()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self._given:
+            raise OSError(5, "Input/output error", self._path)
+        self._given = True
+        return next(self._entries)
+
+
+def test_a_directory_that_fails_part_way_keeps_none_of_its_entries(tmp_path, monkeypatch):
+    root = _tree_with_files(tmp_path, {"app/g.txt": b"g", "app/sub/h.txt": b"h",
+                                       "app/sub/i.txt": b"i", "app/sub/deeper/j.txt": b"j",
+                                       "other/k.txt": b"k"})
+    scandir = os.scandir
+    monkeypatch.setattr(os, "scandir", lambda path: _FailingListing(path, scandir(path))
+                        if os.fspath(path).endswith("app/sub") else scandir(path))
+    listed = evidence._open_directory(str(root))
+    assert listed == _reference_open_directory(root)
+    assert listed == (frozenset({"app/g.txt", "other/k.txt"}), ("app", "other"),
+                      ("app/sub (unreadable directory)",))
+
+
+class _Untyped:
+    """A DirEntry whose type tests fail, as lstat can where readdir gives no type."""
+
+    def __init__(self, entry):
+        self.name, self.path = entry.name, entry.path
+
+    def _fails(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", self.path)
+
+    is_symlink = is_dir = is_file = _fails
+
+
+def test_an_entry_whose_type_cannot_be_read_is_a_skipped_entry(tmp_path, monkeypatch):
+    root = _tree_with_files(tmp_path, {"com.x/a.txt": b"a", "com.x/b.txt": b"ssn 123-45-6789"})
+    scandir = os.scandir
+
+    @contextlib.contextmanager
+    def listing(path):
+        with scandir(path) as entries:
+            yield (_Untyped(e) if e.name == "b.txt" else e for e in entries)
+
+    monkeypatch.setattr(os, "scandir", listing)
+    src = open_source(root)
+    assert src.root_listing == frozenset({"com.x/a.txt"})
+    assert src.skipped_entries == ("com.x/b.txt (unreadable entry)",)
+    report = scan_evidence(root, fixed_clock="2020-01-01T00:00:00Z").report
+    assert report.warnings == ("skipped container entry: com.x/b.txt (unreadable entry)",)
+    assert report.findings == ()
 
 
 def test_symlinks_are_treated_as_absent(tmp_path):

@@ -317,6 +317,42 @@ def test_rendering_a_many_finding_report_peaks_below_twice_its_size():
     assert peak < 2 * size, (peak, size)
 
 
+def _vitals_sized_report() -> ComplianceReport:
+    # the size of one vitals-dir benchmark container's report: 15,300 findings,
+    # two violations citing 7,200 locators, four apps in the matrix, whose ✓
+    # makes the text report's characters wider than one byte
+    tables = ("TB_BPResult", "TB_SPO2Result", "TB_WeightOnlineResult", "measure")
+    locators = [SourceLocator(package_name="iHealthMyVitals.V2",
+                              relative_path="iHealthMyVitals.V2/Databases/androidNin.db",
+                              container="sqlite-table", detail=f"{tables[n % 4]}:{n}")
+                for n in range(15300)]
+    findings = tuple(PhiFinding(category=PHI_CATEGORIES[n % len(PHI_CATEGORIES)],
+                                value_excerpt=f"1{n % 10}*", locator=locator,
+                                rule_id="health-reading-column")
+                     for n, locator in enumerate(locators))
+    violations = {app: (SecurityViolation(kind="plaintext-ephi-at-rest", description="plaintext",
+                                          evidence=tuple(locators[start:start + 3600])),)
+                  for app, start in (("Health Mate", 0), ("iHealth MyVitals", 3600))}
+    matrix = tuple(PhiMatrixRow(app_name=app, cells={
+        cat: "recovered" if (i + n) % 2 else "not-recovered" for n, cat in enumerate(PHI_CATEGORIES)})
+        for i, app in enumerate(("Gluco-Smart", "Health Mate", "com.x", "iHealth MyVitals")))
+    return _empty_report(findings=findings, violations=violations, matrix=matrix,
+                         warnings=tuple(f"skipped container entry: com.x/{n}" for n in range(5)))
+
+
+def test_rendering_a_vitals_sized_text_report_peaks_below_twice_its_size():
+    report = _vitals_sized_report()
+    text = render_report(report, "text")
+    assert text.count(b"\n") > 22000 and "✓".encode() in text
+    tracemalloc.start()
+    try:
+        render_report(report, "text")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text), (peak, len(text))
+
+
 def test_render_report_materializes_no_instance_dict():
     if _holds_a_dict(_locator()) or _holds_a_dict(PhiFinding("name", "x", _locator(), "r")):
         pytest.skip("this interpreter shows a dict among a fresh instance's referents")

@@ -684,6 +684,12 @@ def _overlapping_the_next_member(data):
                      entry - start, entry - start)
 
 
+def _bytes_cut_from_the_first_member(data):
+    # the central directory's offsets all move back by the cut, which puts the
+    # second member's right again and the first's before byte 0
+    del data[40:45]
+
+
 @pytest.mark.parametrize("damage, compression, warning", [
     (_utf8_flag_over_a_bad_local_name, zipfile.ZIP_DEFLATED, re.escape(
         f"{_FIRST}: unreadable ('utf-8' codec can't decode byte 0xff in position 6:"
@@ -695,7 +701,11 @@ def _overlapping_the_next_member(data):
         f"{_FIRST}: unreadable (File ") + ".* is encrypted, password required for extraction\\)"),
     (_overlapping_the_next_member, zipfile.ZIP_STORED, re.escape(
         f"{_FIRST}: unreadable (Overlapped entries: '{_FIRST}' (possible zip bomb))")),
-], ids=["bad-utf8-name-deflated", "bad-utf8-name-bzip2", "encrypted", "overlapped"])
+    (_bytes_cut_from_the_first_member, zipfile.ZIP_STORED, re.escape(
+        f"{_FIRST}: unreadable (Local header of '{_FIRST}' lies before the start of the"
+        " archive)")),
+], ids=["bad-utf8-name-deflated", "bad-utf8-name-bzip2", "encrypted", "overlapped",
+        "bytes-cut-before-the-central-directory"])
 def test_an_unreadable_member_is_one_warning_and_the_other_is_swept(tmp_path, damage,
                                                                     compression, warning):
     # the same warning on every interpreter: zipfile checks no overlap before 3.12
