@@ -9,9 +9,9 @@ carries the id of the rule that fired so the classification is auditable.
 This module knows no structured payload type. A typed rule's excerpt comes
 from the payload itself: each structured payload's phi_excerpts() maps the
 typed predicates it can fire to their excerpts, and an empty excerpt fires
-none. The two pattern rules (SSN, Luhn-valid card number) scan every string
-field of a payload, and the matched value of each raw-sweep hit through the
-same code.
+none. The two pattern rules (SSN, Luhn-valid card number) read one text: a
+payload's str fields joined by NUL, or the matched value of a raw-sweep hit.
+One walk over the rule table gives the findings of both.
 
 The Security-Rule evaluation asks two questions of each app: did health
 data sit in plaintext containers at rest, and was an account password
@@ -144,15 +144,11 @@ TYPED_PREDICATES = frozenset({"vital_reading", "device_usage", "profile_name",
                               "profile_birth_date", "timezone_address_proxy"})
 
 
-def _ssn_hits(texts: list[str]) -> list[str]:
-    return sorted({m for text in texts for m in _SSN_RE.findall(text)})
-
-
-def _card_hits(texts: list[str]) -> list[str]:
-    return sorted({m for text in texts for m in _CARD_RE.findall(text) if luhn_ok(m)})
-
-
-_PATTERN_PREDICATES = {"ssn_pattern": _ssn_hits, "payment_pattern": _card_hits}
+# Each pattern predicate's distinct matches in one text, sorted.
+_PATTERN_PREDICATES = {
+    "ssn_pattern": lambda text: sorted(set(_SSN_RE.findall(text))),
+    "payment_pattern": lambda text: sorted({m for m in _CARD_RE.findall(text) if luhn_ok(m)}),
+}
 
 
 def _load_rule_table() -> tuple[PhiRule, ...]:
@@ -179,23 +175,18 @@ def _field_names(payload_type: type) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(payload_type))
 
 
-def _string_fields(payload: object) -> list[str]:
-    return [v for name in _field_names(type(payload))
-            if isinstance(v := getattr(payload, name), str)]
-
-
-def _findings(rules: tuple[PhiRule, ...], typed: dict[str, str], texts: list[str],
-              locator: SourceLocator, redact: bool) -> list[PhiFinding]:
-    """The findings `rules` fire, in rule order, each at `locator`.
+def _findings(typed: dict[str, str], text: str, locator: SourceLocator,
+              redact: bool) -> list[PhiFinding]:
+    """The findings the rule table fires, in rule order, each at `locator`.
 
     A typed rule fires its predicate's entry in `typed`, unless that is
     absent or empty; a pattern rule fires once per distinct match in
-    `texts`, in sorted order. With `redact`, each excerpt is built redacted.
+    `text`, in sorted order. With `redact`, each excerpt is built redacted.
     """
     findings = []
-    for rule in rules:
+    for rule in RULE_TABLE:
         if rule.predicate in _PATTERN_PREDICATES:
-            excerpts = _PATTERN_PREDICATES[rule.predicate](texts)
+            excerpts = _PATTERN_PREDICATES[rule.predicate](text)
         elif typed.get(rule.predicate):
             excerpts = [typed[rule.predicate]]
         else:
@@ -228,15 +219,18 @@ def classify_record(record: ArtifactRecord, *, redact: bool) -> list[PhiFinding]
     """Apply every published rule to one record. Unrecognized records yield [].
 
     Typed rules take the payload's phi_excerpts(), if it has one; the
-    pattern rules read every string field. A raw hit (a Health Mate
+    pattern rules read one text, the payload's str fields joined by NUL. No
+    SSN or card match holds or crosses a NUL, so each field's matches are
+    the ones a search of that field alone finds. A raw hit (a Health Mate
     measure code no map decodes) has no typed excerpts, and its pattern
     name holds no digit, so only its value can fire a pattern rule. With
     `redact`, each excerpt is built redacted and the locator is shown_locator's.
     """
     payload = record.payload
     typed = payload.phi_excerpts() if hasattr(payload, "phi_excerpts") else {}
-    return _findings(RULE_TABLE, typed, _string_fields(payload),
-                     shown_locator(record, redact), redact)
+    text = "\0".join([v for name in _field_names(type(payload))
+                      if isinstance(v := getattr(payload, name), str)])
+    return _findings(typed, text, shown_locator(record, redact), redact)
 
 
 # -- generic raw sweep -------------------------------------------------------
@@ -364,9 +358,6 @@ def match_raw(data: bytes) -> list[tuple[int, str, str]]:
     return _match_runs(data, _printable_runs(data))
 
 
-# The rules a raw hit's value can fire: it has no typed excerpts.
-_RAW_RULES = tuple(rule for rule in RULE_TABLE if rule.predicate in _PATTERN_PREDICATES)
-
 # Digits become b"d", b" " and b"-" stay and every other byte becomes b"x". A
 # hit's value is bytes of the file, and the SSN rule needs ddd-dd-dddd in it,
 # the card rule 15 or more digits with at most one space or hyphen between two
@@ -383,12 +374,12 @@ def scan_raw(data: bytes, package_name: str, relative_path: str, *,
     """The PHI findings of a sweep of arbitrary bytes for raw patterns.
 
     Catches what the structured parsers do not cover. Each raw-pattern hit
-    (see match_raw) has the pattern rules applied to its value, as
-    classify_record applies them to a string field; most hits fire none and
-    are dropped. A finding's locator names the package and path, with
-    detail "{pattern}@{offset}", the hit's byte offset in `data`. Findings
-    come in hit order, then in rule order; with `redact`, each excerpt is
-    built redacted.
+    (see match_raw) goes through classify_record's rule walk, with its value
+    as the text and no typed excerpts, so only the pattern rules can fire;
+    most hits fire none and are dropped. A finding's locator names the
+    package and path, with detail "{pattern}@{offset}", the hit's byte
+    offset in `data`. Findings come in hit order, then in rule order; with
+    `redact`, each excerpt is built redacted.
 
     A hit fires a rule only if its value holds an SSN or a card shape, and
     so only if the printable run it lies in holds one. A file with no such
@@ -408,7 +399,7 @@ def scan_raw(data: bytes, package_name: str, relative_path: str, *,
     findings = []
     for offset, pattern, value in _match_runs(data, runs):
         locator = SourceLocator(package_name, relative_path, CONTAINER_RAW, f"{pattern}@{offset}")
-        findings += _findings(_RAW_RULES, {}, [value], locator, redact)
+        findings += _findings({}, value, locator, redact)
     return findings
 
 
@@ -429,7 +420,7 @@ def _sorted_locators(findings: list[PhiFinding]) -> tuple[SourceLocator, ...]:
 
 def evaluate_security_rule(app: str, records: Iterable[ArtifactRecord],
                            findings: list[PhiFinding],
-                           db_statuses: Iterable[DatabaseStatus] | None = None, *,
+                           db_statuses: Iterable[DatabaseStatus], *,
                            redact: bool) -> list[SecurityViolation]:
     """Security-Rule outcomes for one app.
 
@@ -444,7 +435,6 @@ def evaluate_security_rule(app: str, records: Iterable[ArtifactRecord],
     description. weak-safeguard-note (informational): identity data alone
     in plaintext containers.
     """
-    db_statuses = db_statuses or []
     plaintext = [f for f in findings if f.locator.container in _PLAINTEXT_CONTAINERS]
     violations: list[SecurityViolation] = []
 

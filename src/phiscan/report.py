@@ -130,18 +130,12 @@ def _layout(cls: type) -> tuple[tuple[str, str], ...] | None:
     return layout
 
 
-def _dict_key(key) -> str:
-    # as json.dumps writes a key that is not a str: as its JSON scalar text
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key, allow_nan=False)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def canonical_json(obj) -> bytes:
     """The bytes json.dumps(obj, sort_keys=True, ensure_ascii=False, allow_nan=False,
     separators=(",", ":"), default=vars) gives, plus a final LF.
+
+    That holds for dicts with str keys, the only keys phiscan's dicts have;
+    any other key raises TypeError.
 
     A dataclass is read field by field instead of through vars(), which on
     CPython 3.11 materializes the instance's __dict__ and keeps it, and the
@@ -202,8 +196,6 @@ def canonical_json(obj) -> bytes:
         elif isinstance(value, dict):
             emit("{")
             for index, (key, item) in enumerate(sorted(value.items())):
-                if type(key) is not str:
-                    key = _dict_key(key)
                 emit(("," if index else "") + encode_basestring(key) + ":")
                 encode(item)
             emit("}")

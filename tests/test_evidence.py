@@ -407,6 +407,22 @@ def _cut_before_the_central_directory(data, entry):
     del data[10:20]  # the central directory's offsets now point 10 bytes early
 
 
+def _data_past_the_end_of_the_file() -> bytes:
+    """Two stored members of 40 bytes. The first declares 5,000 compressed
+    bytes, more than the file holds, and the second's local header offset
+    is 1,000,000, so the first's data may run that far before it overlaps."""
+    written = io.BytesIO()
+    with zipfile.ZipFile(written, "w") as zf:
+        zf.writestr("a/x.txt", b"0123456789" * 4)
+        zf.writestr("a/y.txt", b"0123456789" * 4)
+    data = bytearray(written.getvalue())
+    first = data.index(b"PK\x01\x02")
+    struct.pack_into("<I", data, first + 20, 5000)
+    struct.pack_into("<I", data, data.index(b"PK\x01\x02", first + 1) + 42, 1_000_000)
+    return bytes(data)
+
+
+@pytest.mark.equivalence
 @given(_damaged_zips())
 @example(_one_member_zip(zipfile.ZIP_DEFLATED, b"data", _bad_utf8_local_name))
 @example(_one_member_zip(zipfile.ZIP_STORED, b"stored member",  # declared shorter than stored
@@ -414,6 +430,7 @@ def _cut_before_the_central_directory(data, entry):
 @example(_one_member_zip(zipfile.ZIP_DEFLATED, _LINES, _bad_deflate_past_the_declared_size))
 @example(_one_member_zip(zipfile.ZIP_DEFLATED, b"data", _flagged_patched_data))
 @example(_one_member_zip(zipfile.ZIP_STORED, b"stored member", _cut_before_the_central_directory))
+@example(_data_past_the_end_of_the_file())  # the short read goes to ZipFile.read
 def test_read_member_equals_zipfile_read_on_damaged_zips(archive):
     # Two allowed differences. A member whose local data runs past the next
     # member's header or the central directory is refused as overlapped,
@@ -588,6 +605,7 @@ def _write_tree(directory: bytes, tree: dict, outside: str) -> None:
             os.symlink(node.removeprefix("link:").replace("{outside}", outside), path)
 
 
+@pytest.mark.equivalence
 @given(_TREES)
 @example({b"com.x": {b"sub": {b"sub": {b"a": "file"}}, b"b.txt": "file"}, b"a": "file"})
 @example({b"com.x": {b"b.txt": "file", b"a": "link:b.txt"}})
@@ -622,6 +640,7 @@ def _forged_spec(name: str, output_kind: str):
 FORGED = ["replica", *(f"seed{seed}" for seed in range(40))]
 
 
+@pytest.mark.equivalence
 @pytest.mark.parametrize("name", FORGED)
 def test_a_forged_directory_lists_as_the_reference_does(tmp_path, name):
     spec = _forged_spec(name, "directory")
@@ -672,6 +691,31 @@ def test_a_tree_nested_1200_directories_deep_scans_to_the_end(tmp_path, monkeypa
             os.rmdir("d")
     (digest,) = report.file_digests
     assert digest.relative_path == "d/" * 1200 + "ssn.txt"
+    assert [(f.category, f.locator.relative_path) for f in report.findings] == [
+        ("ssn", digest.relative_path)]
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: a directory is listed by its "
+                   "absolute path, so one longer than PATH_MAX is an unreadable directory")
+def test_a_tree_deeper_than_path_max_scans_to_the_end(tmp_path, monkeypatch):
+    root = tmp_path / "deep"
+    (root / "com.x").mkdir(parents=True)
+    monkeypatch.chdir(root / "com.x")
+    for _ in range(2100):  # "d/" * 2100 alone is longer than Linux's 4,096-byte PATH_MAX
+        os.mkdir("d")
+        os.chdir("d")
+    with open("ssn.txt", "wb") as f:
+        f.write(b"ssn 078-05-1120\n")
+    try:
+        report = scan_evidence(root, fixed_clock="2020-01-01T00:00:00Z").report
+    finally:
+        # bottom-up: shutil.rmtree, and so tmp_path's clean-up, recurse too deep here
+        os.remove("ssn.txt")
+        for _ in range(2100):
+            os.chdir("..")
+            os.rmdir("d")
+    (digest,) = report.file_digests
+    assert digest.relative_path == "com.x/" + "d/" * 2100 + "ssn.txt"
     assert [(f.category, f.locator.relative_path) for f in report.findings] == [
         ("ssn", digest.relative_path)]
 

@@ -266,6 +266,7 @@ _SWEEP_DATA = st.lists(st.sampled_from(_SWEEP_TOKENS + _SWEEP_SEPARATORS)
                        | st.binary(max_size=8), max_size=30).map(b"".join)
 
 
+@pytest.mark.equivalence
 @given(_SWEEP_DATA)
 @example(b"token\x00tokens\ntoken")
 @example(b" a-token x.PassWord_1 ")  # a credential-key run holds '-' and any case
@@ -312,6 +313,7 @@ def oracle_hit_records(data):
             for pattern, value, detail in run_by_run_scan_raw(data)]
 
 
+@pytest.mark.equivalence
 @given(_SWEEP_DATA, st.booleans())
 @example(b"123-45-6789@x.io", False)  # an email hit that holds an SSN
 @example(b"pat.4111111111111111@x.io", False)  # an email hit that holds a card
@@ -333,6 +335,7 @@ _DIGIT_DENSE_DATA = st.lists(
     max_size=12).map(b"".join)
 
 
+@pytest.mark.equivalence
 @given(_DIGIT_DENSE_DATA, st.booleans())
 @example(b"card 4111-1111-1111-1111 x", False)  # a card with '-' separators
 @example(b"amex 378282246310005", False)  # a 15-digit Luhn card
@@ -345,6 +348,92 @@ _DIGIT_DENSE_DATA = st.lists(
 def test_digit_dense_findings_equal_the_rule_table_walk(data, redact):
     expected = [f for hit in oracle_hit_records(data) for f in rule_table_walk(hit, redact)]
     assert _sweep(data, redact) == expected
+
+
+def _with_texts(record, **texts):
+    return dataclasses.replace(record, payload=dataclasses.replace(record.payload, **texts))
+
+
+_AT = normalize_timestamp(1530829549)
+_PROFILE = ArtifactRecord(kind="user-profile", locator=SQLITE_LOC, payload=MyVitalsProfile(
+    name="Pat", date_of_birth="1985-06-15", timezone_location="America/Chicago",
+    email="pat@example.com"))
+# One record of each payload type a replica scan yields, and a raw hit, with
+# every field that may hold a str holding one.
+_EACH_PAYLOAD_TYPE = [
+    ArtifactRecord(kind="blood-pressure", locator=SQLITE_LOC, payload=BloodPressureReading(
+        systolic=120, diastolic=80, pulse=70, measured_at=_AT, device_id="BP5",
+        note="note", account="pat")),
+    oximetry_record(),
+    ArtifactRecord(kind="weight", locator=SQLITE_LOC, payload=WeightReading(
+        weight=70.5, bmi=22.1, body_fat_pct=20.0, body_water_pct=55.0, muscle_mass=30.0,
+        daily_calorie_intake=2000.0, bone_mass=3.0, measured_at=_AT, account="pat")),
+    ArtifactRecord(kind="environment", locator=SQLITE_LOC, payload=EnvironmentReading(
+        humidity=40.0, temperature=21.5, lighting_level=300.0, measured_at=_AT)),
+    _PROFILE,
+    ArtifactRecord(kind="device-registration", locator=SQLITE_LOC, payload=DeviceRegistration(
+        mac_address="00:24:e4:5a:ee:6c", id=1, association_date=_AT, last_use_date=_AT,
+        modified_date=_AT, firmware=431, timezone="Europe/Paris", battery_pct=77,
+        device_type=4, device_model=43)),
+    ArtifactRecord(kind="user-profile", locator=SQLITE_LOC, payload=HealthMateUser(
+        name="Pat", gender="f", birthday="1985-06-15", email="pat@example.com")),
+    ArtifactRecord(kind="weight", locator=SQLITE_LOC, payload=HealthMateMeasurement(
+        kind="weight", value=70.5, measured_at=_AT, device_ref=None)),
+    ArtifactRecord(kind="user-profile", locator=XML_LOC, payload=GlucoProfile(
+        username="pat", device_identifier="BG5-1")),
+    ArtifactRecord(kind="credential",
+                   locator=dataclasses.replace(XML_LOC, detail="key prefix pat"),
+                   payload=CredentialSet(account="pat", password_plaintext="hunter2")),
+    ArtifactRecord(kind="raw-hit", locator=SQLITE_LOC, payload=RawHit(
+        pattern="measure-type", value="77")),
+]
+# 078-05-1120 in Arabic-Indic and in fullwidth digits, both \d in a str pattern
+_UNICODE_SSNS = ["\u0660\u0667\u0668-\u0660\u0665-\u0661\u0661\u0662\u0660",
+                 "\uff10\uff17\uff18-\uff10\uff15-\uff11\uff11\uff12\uff10"]
+# Non-empty, since the reference fires an empty typed excerpt that
+# classify_record drops.
+_FIELD_TEXT = st.lists(
+    st.sampled_from(["078-05-1120", "078-05", "-1120", "4111 1111", "1111 1111 ",
+                     "378282246310005", *_UNICODE_SSNS])
+    | st.text(alphabet="0123456789- \0aZ@." + "".join(map(chr, range(0x660, 0x66a)))
+              + "".join(map(chr, range(0xff10, 0xff1a))), max_size=12),
+    min_size=1, max_size=4).map("".join).filter(bool)
+
+
+@st.composite
+def _records_with_drawn_text(draw):
+    record = draw(st.sampled_from(_EACH_PAYLOAD_TYPE))
+    return _with_texts(record, **{f.name: draw(_FIELD_TEXT)
+                                  for f in dataclasses.fields(record.payload)
+                                  if isinstance(getattr(record.payload, f.name), str)})
+
+
+@pytest.mark.equivalence
+@given(_records_with_drawn_text(), st.booleans())
+@example(_with_texts(_PROFILE, name="Pat 078-05", date_of_birth="-1120 x"),
+         False)  # an SSN split across two fields
+@example(_with_texts(_PROFILE, name="card 4111 1111", date_of_birth="1111 1111 x"),
+         False)  # a card whose digits end one field and start the next
+@example(_with_texts(_PROFILE, name="Pat 078-05-1120", date_of_birth="1980-01-01"),
+         True)  # an SSN that ends one field, then a field that starts with a digit
+def test_classify_record_equals_the_per_field_walk(record, redact):
+    # the pattern rules read the str fields joined by NUL; the reference
+    # searches each field on its own
+    expected = rule_table_walk(
+        dataclasses.replace(record, locator=phi.shown_locator(record, redact)), redact)
+    assert classify_record(record, redact=redact) == expected
+
+
+@pytest.mark.parametrize("ssn", _UNICODE_SSNS)
+def test_structured_text_matches_unicode_digits_and_the_raw_sweep_does_not(ssn):
+    # _SSN_RE is a str pattern, whose \d is any Unicode digit, so a str field
+    # fires the ssn rule; the sweep reads the UTF-8 bytes, where the shape
+    # test finds no ASCII digit
+    findings = classify_record(_with_texts(_PROFILE, name=f"Pat {ssn}"), redact=False)
+    assert [f.value_excerpt for f in findings if f.category == "ssn"] == [ssn]
+    data = f"Pat {ssn}".encode()
+    assert b"d" not in data.translate(phi._DIGIT_SHAPES)
+    assert _sweep(data) == []
 
 
 def _fail_if_matched(data, runs):
@@ -433,6 +522,7 @@ _MANY_RUN_DATA = st.lists(
     min_size=24, max_size=48).map(lambda lines: b"".join(line + end for line, end in lines))
 
 
+@pytest.mark.equivalence
 @given(_MANY_RUN_DATA, st.booleans())
 def test_many_run_findings_equal_the_rule_table_walk(data, redact):
     expected = [f for hit in oracle_hit_records(data) for f in rule_table_walk(hit, redact)]
@@ -447,6 +537,7 @@ _EMAIL_DENSE_DATA = st.lists(
     max_size=40).map(b"".join)
 
 
+@pytest.mark.equivalence
 @given(_EMAIL_DENSE_DATA)
 @example(b"a@b.co@c.de")  # a match that ends at the next "@"
 @example(b"a@b.cox.y@c.de")  # the next match starts inside the last one's domain run
