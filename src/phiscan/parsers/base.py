@@ -4,7 +4,7 @@ The scanner binds a parser to the top-level folder named by its `folder`
 when the parser claims a listed file under it (detect may override that),
 reads each file the parser claims exactly once and hands the parser those
 bytes; it sweeps every other file for raw patterns, and each claimed file
-the parser hands back.
+the parser hands back. parse returns a ParseResult, most often parse_each's.
 """
 
 from __future__ import annotations
@@ -60,24 +60,26 @@ class AppParser:
         A file whose parse fails as a whole (not SQLite, corrupt, XML that
         is not well-formed or lacks the keys the parser reads) costs one
         warning and is handed back in ParseResult.sweep, so it is swept:
-        parse_or_hand_back does both for one file.
+        parse_each does both, file by file, and returns the result.
         """
         raise NotImplementedError
 
 
-def parse_or_hand_back(path: str, data: bytes, parse: Callable, warnings: list[str],
-                       sweep: list[tuple[str, bytes]]) -> list[ArtifactRecord]:
-    """The records of `parse(data, relative_path=path)`, its warnings added to `warnings`.
+def parse_each(files: Iterable[tuple[str, bytes]], reader: Callable) -> ParseResult:
+    """The records and warnings of `reader(path)(data, relative_path=path)` for each file.
 
-    `parse` returns (records, warnings) for one file. If it raises ScanError,
-    the file costs the one warning `<path>: <error>` and is handed back in
-    `sweep`, so it is swept, and no record comes back.
+    A per-file reader returns (records, warnings) for one file. If it raises
+    ScanError, the file costs the one warning `<path>: <error>` and is handed
+    back in `sweep`, so it is swept, and no record comes back.
     """
-    try:
-        records, file_warnings = parse(data, relative_path=path)
-    except ScanError as exc:
-        warnings.append(f"{path}: {exc}")
-        sweep.append((path, data))
-        return []
-    warnings.extend(file_warnings)
-    return records
+    records, warnings, sweep = [], [], []
+    for path, data in files:
+        try:
+            file_records, file_warnings = reader(path)(data, relative_path=path)
+        except ScanError as exc:
+            warnings.append(f"{path}: {exc}")
+            sweep.append((path, data))
+            continue
+        records += file_records
+        warnings += file_warnings
+    return ParseResult(records=tuple(records), warnings=tuple(warnings), sweep=tuple(sweep))

@@ -9,6 +9,8 @@ plaintext one back to the scanner's raw sweep, since no schema is known
 for it, and reads the username and device identifier from user_info.xml's
 UserName and DeviceID keys. No other key is read: a user_info.xml without
 both costs one warning and is handed back to the sweep too.
+Only a plaintext database's bytes are kept; the user_info.xml files go
+through parse_each after the databases, so their warnings follow the count.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from ..errors import MissingFieldsError
 from ..evidence import EvidenceSource
 from ..shared_prefs import parse_shared_prefs
 from ..sqlite_bytes import is_sqlite
-from .base import AppParser, ParseResult, parse_or_hand_back
+from .base import AppParser, ParseResult, parse_each
 
 PACKAGE_FOLDER = "jiuana-androidBg.start"
 DISPLAY_NAME = "Gluco-Smart"
@@ -112,27 +114,27 @@ class GlucoSmartParser(AppParser):
         return path.endswith(".db") or path.rsplit("/", 1)[-1] == USER_INFO_XML_NAME
 
     def parse(self, files: Iterable[tuple[str, bytes]], *, code_map=None) -> ParseResult:
-        # user_info.xml warnings come after every database's and the encrypted count
-        records, statuses, warnings, xml_warnings, sweep = [], [], [], [], []
+        statuses, plaintext, user_infos = [], [], []
         for path, data in files:
             if not path.endswith(".db"):
-                records += parse_or_hand_back(path, data, parse_user_info_xml, xml_warnings, sweep)
+                user_infos.append((path, data))
                 continue
             status = classify_database(path, data)
             statuses.append(status)
             if status.status == STATUS_PLAINTEXT:
-                sweep.append((path, data))
-            elif (status.status == STATUS_ENCRYPTED
-                  and status.entropy_bits_per_byte > HIGH_ENTROPY_BITS):
-                warnings.append(
-                    f"{path}: high entropy ({status.entropy_bits_per_byte:.2f} bits/byte), "
-                    "consistent with encryption"
-                )
-        encrypted = sum(s.status == STATUS_ENCRYPTED for s in statuses)
-        if encrypted:
+                plaintext.append((path, data))
+        warnings = [
+            f"{s.relative_path}: high entropy ({s.entropy_bits_per_byte:.2f} bits/byte), "
+            "consistent with encryption"
+            for s in statuses
+            if s.status == STATUS_ENCRYPTED and s.entropy_bits_per_byte > HIGH_ENTROPY_BITS
+        ]
+        if encrypted := sum(s.status == STATUS_ENCRYPTED for s in statuses):
             warnings.append(
                 f"{PACKAGE_FOLDER}: {encrypted} database(s) appear encrypted; "
                 "glucose readings are not recoverable"
             )
-        return ParseResult(records=tuple(records), warnings=tuple(warnings + xml_warnings),
-                           db_statuses=tuple(statuses), sweep=tuple(sweep))
+        # user_info.xml warnings come after every database's and the encrypted count
+        xml = parse_each(user_infos, lambda path: parse_user_info_xml)
+        return ParseResult(records=xml.records, warnings=(*warnings, *xml.warnings),
+                           db_statuses=tuple(statuses), sweep=(*plaintext, *xml.sweep))

@@ -29,7 +29,7 @@ from ..artifacts import (
     RawHit,
 )
 from ..errors import InvalidSpecError, MalformedRowError
-from .base import AppParser, ParseResult, parse_or_hand_back
+from .base import AppParser, ParseResult, parse_each
 from .tables import (
     Table,
     column,
@@ -192,7 +192,4 @@ class HealthMateParser(AppParser):
         tables = (DEVICES, measure_table(DEFAULT_CODE_MAP if code_map is None else code_map),
                   USERS)
         parse = functools.partial(parse_tables, tables=tables, package=PACKAGE_FOLDER)
-        records, warnings, sweep = [], [], []
-        for path, data in files:
-            records += parse_or_hand_back(path, data, parse, warnings, sweep)
-        return ParseResult(records=tuple(records), warnings=tuple(warnings), sweep=tuple(sweep))
+        return parse_each(files, lambda path: parse)

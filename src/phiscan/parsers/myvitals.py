@@ -34,7 +34,7 @@ from ..artifacts import (
 )
 from ..errors import NoCredentialKeysError
 from ..shared_prefs import parse_shared_prefs
-from .base import AppParser, ParseResult, parse_or_hand_back
+from .base import AppParser, ParseResult, parse_each
 from .tables import (
     column,
     declare,
@@ -238,8 +238,5 @@ class MyVitalsParser(AppParser):
 
     def parse(self, files: Iterable[tuple[str, bytes]], *, code_map=None) -> ParseResult:
         parse_db = functools.partial(parse_tables, tables=TABLES, package=PACKAGE_FOLDER)
-        records, warnings, sweep = [], [], []
-        for path, data in files:
-            parse = parse_db if path == DB_PATH else parse_region_host_xml
-            records += parse_or_hand_back(path, data, parse, warnings, sweep)
-        return ParseResult(records=tuple(records), warnings=tuple(warnings), sweep=tuple(sweep))
+        return parse_each(
+            files, lambda path: parse_db if path == DB_PATH else parse_region_host_xml)

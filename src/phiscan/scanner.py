@@ -20,13 +20,7 @@ from .evidence import (
     read_file,
 )
 from .parsers import PARSERS, AppParser, ParseResult
-from .phi import (
-    PhiFinding,
-    classify_record,
-    evaluate_privacy_rule,
-    evaluate_security_rule,
-    scan_raw,
-)
+from .phi import classify_record, evaluate_privacy_rule, evaluate_security_rule, scan_raw
 from .report import ComplianceReport, finding_sort_key
 
 
@@ -74,7 +68,10 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
     Each file is read once, in that order per folder and custody-only
     last, and hashed from the bytes read; an unreadable file is one
     warning instead. Parsed records are classified; a sweep gives findings
-    and no records.
+    and no records. Each top-level folder that is bound or has a finding is
+    one outcome and one matrix row, in (app, folder) order: a folder named
+    like an app gets a row of its own under that label, never a share of
+    the app's.
 
     fixed_clock pins generated_at for reproducible output; without it the
     scan wall clock is used and excluded from report comparisons.
@@ -92,18 +89,15 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
             else:
                 swept[folder].append(rel)
 
-        results: dict[str, ParseResult] = {}
-        findings_by_app: dict[str, list[PhiFinding]] = {}
+        outcomes = []  # (app, folder, ParseResult, findings)
         digests = []
         warnings = [f"skipped container entry: {e}" for e in source.skipped_entries]
 
         for folder, parser in roots.items():
-            app = parser.display_name if parser is not None else folder
-            found = findings_by_app.setdefault(app, [])
-            result = ParseResult()
+            result, found = ParseResult(), []
             if parser is not None:
                 files = _read_each(source, claimed[folder], digests, warnings)
-                result = results[app] = parser.parse(files, code_map=code_map)
+                result = parser.parse(files, code_map=code_map)
                 for _ in files:  # hash the claimed files the parser did not pull
                     pass
                 found.extend(f for r in result.records for f in classify_record(r, redact=redact))
@@ -111,17 +105,17 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
             for rel, data in itertools.chain(
                     result.sweep, _read_each(source, swept[folder], digests, warnings)):
                 found.extend(scan_raw(data, folder, rel, redact=redact))
+            if parser is not None or found:
+                outcomes.append((parser.display_name if parser else folder, folder, result, found))
         for _ in _read_each(source, custody, digests, warnings):
             pass
         digests.sort(key=lambda d: d.relative_path)
 
-    # the matrix holds every app with a parser bound, and every other app with a finding
+    # one matrix row per outcome, by app and then folder: two folders can share a label
     matrix, violations, statuses, findings, records = [], {}, {}, [], []
-    for app, found in sorted(findings_by_app.items()):
-        if app not in results and not found:
-            continue
-        result = results.get(app, ParseResult())
+    for app, _, result, found in sorted(outcomes, key=lambda outcome: outcome[:2]):
         matrix.append(evaluate_privacy_rule(app, found))
+        # violations and statuses come from a bound parser only: no two outcomes share a key
         if broken := evaluate_security_rule(app, result.records, found, result.db_statuses,
                                             redact=redact):
             violations[app] = tuple(broken)

@@ -125,3 +125,27 @@ def test_parser_never_emits_plaintext_vitals(db_count, with_user, seed):
     result = GlucoSmartParser().parse(files)
     assert {r.kind for r in result.records} <= {"user-profile"}
     assert len(result.db_statuses) == db_count
+
+
+def test_user_info_warnings_follow_every_database_warning_and_the_count(replica_tree):
+    # zz/late.db sorts after shared_prefs/, so a plain path order would put the
+    # user_info.xml warning before late.db's
+    tree, _ = replica_tree
+    app = tree / "jiuana-androidBg.start"
+    (app / "shared_prefs" / "user_info.xml").write_bytes(
+        b"<map><string name=\"UserName\">pat</string></map>")
+    (app / "zz").mkdir()
+    (app / "zz" / "late.db").write_bytes(random.Random(7).randbytes(8192))
+
+    report = scan_evidence(tree, fixed_clock="2020-01-01T00:00:00Z").report
+    assert report.warnings == (
+        "jiuana-androidBg.start/Databases/glucose.db: high entropy (7.95 bits/byte),"
+        " consistent with encryption",
+        "jiuana-androidBg.start/Databases/sync.db: high entropy (7.95 bits/byte),"
+        " consistent with encryption",
+        "jiuana-androidBg.start/zz/late.db: high entropy (7.96 bits/byte),"
+        " consistent with encryption",
+        "jiuana-androidBg.start: 3 database(s) appear encrypted;"
+        " glucose readings are not recoverable",
+        "jiuana-androidBg.start/shared_prefs/user_info.xml: device identifier not present",
+    )

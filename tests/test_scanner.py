@@ -98,6 +98,33 @@ def test_ssn_in_unmatched_root_creates_matrix_row(tmp_path):
     assert result.report.violations == {}
 
 
+@pytest.mark.parametrize("output_kind", ["directory", "zip"])
+def test_a_folder_named_like_an_app_never_writes_into_that_apps_row(tmp_path, output_kind):
+    # an unbound top-level folder named "Health Mate" is an outcome of its own:
+    # its finding gets a second "Health Mate" row, sorted by folder, and the
+    # bound com.withings.wiscale2 folder's row, violations and statuses stay as
+    # the replica's
+    spec = dataclasses.replace(paper_replica_spec(), output_kind=output_kind)
+    suffix = ".zip" if output_kind == "zip" else ""
+    tree, _ = build_tree(spec)
+    write_tree(tree, spec, tmp_path / f"replica{suffix}")
+    tree["Health Mate/notes.txt"] = b"ssn 078-05-1120 noted"
+    write_tree(tree, spec, tmp_path / f"named{suffix}")
+
+    replica = scan_evidence(tmp_path / f"replica{suffix}", fixed_clock=CLOCK).report
+    report = scan_evidence(tmp_path / f"named{suffix}", fixed_clock=CLOCK).report
+    (replica_row,) = [row for row in replica.matrix if row.app_name == "Health Mate"]
+    assert replica_row.cells["ssn"] == "not-recovered"
+    folder_row, bound_row = [row for row in report.matrix if row.app_name == "Health Mate"]
+    assert folder_row.cells["ssn"] == "recovered"
+    assert bound_row == replica_row
+    assert [row for row in report.matrix if row is not folder_row] == list(replica.matrix)
+    assert [f.locator.package_name for f in report.findings if f.category == "ssn"] == [
+        "Health Mate"]
+    assert report.violations == replica.violations
+    assert report.database_statuses == replica.database_statuses
+
+
 def test_matched_app_files_are_not_double_swept(tmp_path):
     spec = FixtureSpec(seed=12, myvitals=MyVitalsBlock(spo2_rows=2, user_rows=1))
     out = tmp_path / "t"
