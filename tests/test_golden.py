@@ -7,9 +7,11 @@ derived from them) vary with the SQLite build; the rest of the report does
 not. A directory and a zip of the same spec must both match the pin. The
 report is pinned redacted (the default) and unredacted.
 The timeline JSON is pinned whole, and the same for both containers. The
-manifest is pinned by its canonical JSON with `files` (the forge's file
-digests) removed; its `spec` names the output kind, so a directory and a
-zip each have their own pin.
+text report, the CLI's default form, is pinned whole but for its scan id,
+redacted and unredacted, and so is the text timeline; each is the same for
+both containers too. The manifest is pinned by its canonical JSON with
+`files` (the forge's file digests) removed; its `spec` names the output
+kind, so a directory and a zip each have their own pin.
 
 The forge's own output is pinned by content: for each database, its
 `sqlite_master` entries and every row, each cell with its `typeof` storage
@@ -176,6 +178,75 @@ GOLDEN_MANIFEST = {
 }
 
 
+# the text forms, each the same for both containers: the text report redacted and
+# unredacted, its scan id blanked (it hashes the file digests), and the text timeline
+GOLDEN_TEXT = {
+    "replica": ("e841b678368cedc187712560a1e976b085eede52e30d822502b11216a814886d",
+               "3b3e5cd79b17fed1729c697fdd97c71a99946a927a729dca9b4faf061e67f221",
+               "9c089263eb2fc4b70ee0b1ab18d6251a0a8dcaa11aefe3aa99c8f52e8747c300"),
+    "seed0": ("31bf271f03cf3c541e44109729288c7976ff4d1d6b4a1845d045573e0f5fe2f7",
+             "2f20daff6eadc2ce368b3558e76da85c1daef6c843c5a97af55cfd1171bbf3c5",
+             "0e41e4f85418f8991a6b48e332d1a0733ec59d40196d781dc0b4cfac7968f8dd"),
+    "seed1": ("925d264b0e93839a36f811b6ddd8232a375721ca6709b6056ab7fb506571d571",
+             "902c6467a35ad33582b142d10cc42321e074d9f1fb0be1f6198828811d3c1432",
+             "1a01971a3478b237352085eafeaa9a5d42cfdeb8c41f7ece7f7f6be34a6548ab"),
+    "seed2": ("b098168e471f625c8c2a5dfd4eb590cddbb007176bda85f850c14e2a24483c5d",
+             "7810b36084c0d23cb6361c794596f5eb2ffb2b0338f2acdfc65bd0ec351dff14",
+             "9c29d337fa924fe8d4f254c00dd55bbc8f3af3a1afead132ecf42cabe57eeb1a"),
+    "seed3": ("99e515b94a5711bcb759613ef0fb88fe886db951a6c6bd5741e703d4b7636b74",
+             "5c1681ce515d5b215cc5cd5b2add3c7377aace6405c849965d98cc89e6f90b2e",
+             "6d5d1a5aa2dc23ed0293334ec1b3afc882f393c5498e7669132912aa555126cb"),
+    "seed4": ("5bf19f01946ac51e3ceff7f000b1d58885cb01f7a11637e531147a8e5b16086c",
+             "1e142f0d928be5abecf6c6afe6a4ea04b7afcf94bf2b5ff336a6cda090500870",
+             "5a12ed0d7919d1deb834bb45eafa49422c4a02c9725505c08d6d5166f3f9fd97"),
+    "seed5": ("46e35a3fe64cd551f75a72c721507e39043a0815c07bc50a25ca43a7210870ba",
+             "7197b9515e1ed7b510857bdf0e6351a84dcb10c09aa48c1a8904e3ec8b51f7f8",
+             "101dca090d8b898e52d29be9d28e25de8e503c5805dd9e4313cdfc8679232f07"),
+    "seed6": ("027efca5fa2666929ddc3f701fbabc3614ae41311c2aac6b9a0e7550cc864437",
+             "d1ae0c916d07b242cd0b3a5890130b177058613a8e35341e6cfb79f4651f25d9",
+             "e38a29c4827dbcf1081e609d86afba3a897216b17383e2ab3673619689866002"),
+    "seed7": ("760ddef4eebef52ab467b48bd0ba7877d14ec25b7c36989aba2324cdf5fb3908",
+             "5a808e521d0adb0a2c882ef175ece31b1a8b9d6abec71fd45a18481fc7ad8140",
+             "d4638f979ce75e79bc3ec7cf123e80699d0d34eb6f462d6fd3bc0fc0a2ebb422"),
+    "seed8": ("73cb36a03939d7a3975c42308aa2c1b0d74ae22b2b79a8a993c155f14e4bf785",
+             "22d2d9ca574ddc5cd53e82ef60cd82781be32bfd759140113ca92fb219465079",
+             "07583fd5a7423a618ae29d51a84f0e6076a8ad464a47e0aabff55ef5503e7558"),
+    "seed9": ("ccd6b328cc3efa0c7967da9758088b3bb09283ddae4c6a142bc671882cdae99b",
+             "989eee918a9dd4602183cc3cb54a586d850455946febe99c9a7267c870852e13",
+             "b5e42e857be8eaec003ca35d9156d2289abd6ea8a752e0745276d7214e20bac1"),
+    "seed10": ("eb1ef2ed3a16bd9c689a6774c3c8a25fa07e38c745e434feaf092b9139fa3612",
+              "b5a60cef5afc307f3f474aa54b16c8b54718afd72b16f33b137aabac9cf65c4f",
+              "a512fa9b9cb11ff7d7b1656d1705f0beb25125201d49b479986e0f14930868ce"),
+    "seed11": ("81cc50618fad7303be785a5447fa0d962ce6f70d222eac470bbcaaff935b1a33",
+              "17bb2c47ca432c04fdae13486eb1b223aa917edb65add617fa5ecc50fb159b06",
+              "809497fd6cb4d40804c72ad896b218c0e7099f39f23a454656e7cfab4dccc2b3"),
+    "seed12": ("f1e1d29279e1b0d7bcc3260c8a2f3ac090aaf05e116bc3d2cda40b942ffb7b17",
+              "c54a95262a83e02f57acba87a3c31ee48c9be47af7231c3818cf7a6fa52d2c87",
+              "1f3e477c072b013eadea2ab1296e109e0f3372e09ac0886b2a3e35a8ec9a8bbb"),
+    "seed13": ("a15d1a8ac8081e6db3a1e18744849e24e45cfd9b23636766875e8f4a9a3f4bd8",
+              "829f083095a0a74577a9b6fbb096f58492304b37a2a4664872f182bd7d5e8cee",
+              "507e328fdeb0ec027d68f4717786b114422f108d565a5dbd80fe5215e795a162"),
+    "seed14": ("2a98f8f04531035962913fcd194024c7eebee5c50ab800daf8bb4a18aa5a6dac",
+              "46c726aa0bd99af40dab69b926cb8a4c4b677ba131e61ad2c02735b91a58389b",
+              "37141782e804b78f0b38b92e1dfc7344f81859ec22bb06b6715f562c20fc1a44"),
+    "seed15": ("bc1193ac4acfd870c79f1147469ecfb854b8d67cab807d9c9eaa554eaa741c83",
+              "03e0a1d3833f2a354fc8e2ff12681273a18def867f2dbe5b5e6b0b9acbd50e0e",
+              "8bcd85fc9deadc1ef920e87c51162afed13dbf518ed921f8e4fa8f27d95f3b25"),
+    "seed16": ("53a1359656d73e8afc0c4df26449b035c215c2bf38b9913e50bc9a057a50095d",
+              "9a1f9f5fb146075c9f14980bda2f41a3812c76ec42949a4ceca7787b75cb2b77",
+              "b479872a6faf99300caa6f4a4ffd1225da9121ee11e9e55c97e11425fbfb974e"),
+    "seed17": ("0ab3ed41de936660503598a83a941fcf6cb842fa2868f0952fdcbada61c4df6d",
+              "a9f3b98ad82c9fe40f3cec969e99860c97b1c3dffd6a5f038bb280af776a8610",
+              "6db889fa5cf1d2e57f0f76760c3bcade28c9e757e73c6f8c5cc235d4594691cf"),
+    "seed18": ("80d54cb96a23b24178e5943216b974b289bf763637636d34eb9bd3811b5061fb",
+              "d1b8bb6a95d7c42769d00dc3168780f7bcf9f347f79bcbec6c10a5a05aa8089d",
+              "8357bda29e948600ce1eeeff6457090a93ece72951903a0aa78944cdcdd5c1bf"),
+    "seed19": ("ef976f3613983903a0e8f804739c1b11930f3134eb4f0768236cbf0ac3114bd7",
+              "6012cf01ed065ae235c5f881dc62bf01aa247c5e3214dd7566d712db80421a98",
+              "c2ad92014ef6cc351ae5e9a8ce0ceb44d546d80947f2b56767bbf03ca60fad9b"),
+}
+
+
 GOLDEN_CONTENT = {
     "replica": "aa1e6bbc2be1e5ec443ba534fba4421223001c66c16933d1470a9192008006a6",
     "seed0": "d213c1cd533cd50f5d34298c6d9360c27f64817c0791e35ccefdaba8948ecd1f",
@@ -211,13 +282,15 @@ def _report_sha(report) -> str:
     return _sha(canonical_json(doc))
 
 
-def _pins(spec, output_kind: str, out, redact: bool) -> tuple[str, str, str]:
+def _pins(spec, output_kind: str, out, redact: bool) -> tuple[str, ...]:
     manifest = generate_fixture(dataclasses.replace(spec, output_kind=output_kind), out)
     doc = json.loads(render_manifest(manifest))
     del doc["files"]
     result = scan_evidence(out, fixed_clock=CLOCK, redact=redact)
-    timeline = render_timeline(build_timeline(list(result.records)), "json")
-    return _report_sha(result.report), _sha(timeline), _sha(canonical_json(doc))
+    events = build_timeline(list(result.records))
+    text = render_report(dataclasses.replace(result.report, scan_id=""), "text")
+    return (_report_sha(result.report), _sha(render_timeline(events, "json")),
+            _sha(canonical_json(doc)), _sha(text), _sha(render_timeline(events, "text")))
 
 
 # the redacted report keeps the bare spec name as its id
@@ -232,6 +305,8 @@ def test_forge_reports_match_golden(tmp_path, name, redact):
     assert (dir_pins[0], zip_pins[0]) == (report, report)
     assert (dir_pins[1], zip_pins[1]) == (GOLDEN_TIMELINE[name], GOLDEN_TIMELINE[name])
     assert (dir_pins[2], zip_pins[2]) == GOLDEN_MANIFEST[name]
+    text = GOLDEN_TEXT[name][0 if redact else 1], GOLDEN_TEXT[name][2]
+    assert (dir_pins[3:], zip_pins[3:]) == (text, text)
 
 
 def _forge_content_sha(spec) -> str:
