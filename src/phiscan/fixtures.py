@@ -590,9 +590,10 @@ def _check_ts(value, where: str, unit: str) -> None:
 def _resolve_rows(db: _ForgeDb, table: _ForgeTable, value: int | tuple, gen) -> list[dict]:
     """`value` rows from gen(), or the explicit rows, each checked as the parser would.
 
-    A row with a missing key, an epoch off the app's scale, a null required
-    cell, a failed parser check or the id of an earlier row is rejected,
-    naming `<app>.<field>[i]`.
+    A row with a missing key, an epoch off the app's scale, a cell or a
+    check the parser's table refuses (a null vital reads, for example,
+    `myvitals.bp_rows[0]: Sys is not an integer: None`) or the id of an
+    earlier row is rejected, naming `<app>.<field>[i]`.
     """
     if not isinstance(value, tuple):
         return [gen() for _ in range(value)]
@@ -608,11 +609,8 @@ def _resolve_rows(db: _ForgeDb, table: _ForgeTable, value: int | tuple, gen) -> 
             raise InvalidSpecError(f"{where}: missing fields {missing}")
         for key in table.epoch_keys:
             _check_ts(row[key], where, db.unit)
-        cells = list(map(row.get, cell_keys))
-        if None in cells[:parsed.required]:
-            raise InvalidSpecError(f"{where}: {parsed.null_text}")
         try:
-            parsed.row(cells)
+            parsed.row(list(map(row.get, cell_keys)))
         except MalformedRowError as exc:
             raise InvalidSpecError(f"{where}: {exc}") from exc
         if id_key is not None:

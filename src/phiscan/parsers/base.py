@@ -68,9 +68,11 @@ class AppParser:
 def parse_each(files: Iterable[tuple[str, bytes]], reader: Callable) -> ParseResult:
     """The records and warnings of `reader(path)(data, relative_path=path)` for each file.
 
-    A per-file reader returns (records, warnings) for one file. If it raises
-    ScanError, the file costs the one warning `<path>: <error>` and is handed
-    back in `sweep`, so it is swept, and no record comes back.
+    A per-file reader returns (records, warnings) for one file, and no
+    warning of its names the file: each comes back as `<path>: <warning>`.
+    If the reader raises ScanError, the file costs the one warning
+    `<path>: <error>` and is handed back in `sweep`, so it is swept, and no
+    record comes back.
     """
     records, warnings, sweep = [], [], []
     for path, data in files:
@@ -81,5 +83,5 @@ def parse_each(files: Iterable[tuple[str, bytes]], reader: Callable) -> ParseRes
             sweep.append((path, data))
             continue
         records += file_records
-        warnings += file_warnings
+        warnings += (f"{path}: {warning}" for warning in file_warnings)
     return ParseResult(records=tuple(records), warnings=tuple(warnings), sweep=tuple(sweep))

@@ -159,30 +159,25 @@ class MyVitalsProfile:
 
 # androidNin.db, in parse order; TB_SPO2Result comes back MeasureTime-ascending.
 TABLES = (
-    declare("TB_BPResult", KIND_BLOOD_PRESSURE, BloodPressureReading,
-            required=("Sys", "Dia", "Pulse", "MeasureTime"), checks=(
+    declare("TB_BPResult", KIND_BLOOD_PRESSURE, BloodPressureReading, checks=(
         (lambda r: not (r.systolic > r.diastolic > 0),
          "systolic/diastolic out of order: {0.systolic}/{0.diastolic}"),
         (lambda r: r.pulse <= 0, "pulse not positive: {0.pulse}"),
     )),
-    declare("TB_SPO2Result", KIND_OXIMETRY, OximetryReading,
-            required=("Result", "PR", "PI", "MeasureTime"), checks=(
+    declare("TB_SPO2Result", KIND_OXIMETRY, OximetryReading, checks=(
         (lambda r: not 0 < r.result_spo2 <= 100, "Result out of range: {0.result_spo2}"),
         (lambda r: r.pulse_rate <= 0, "PR not positive: {0.pulse_rate}"),
         (lambda r: r.perfusion_index < 0, "PI negative: {0.perfusion_index}"),
     ), order_by="MeasureTime, rowid"),
-    declare("TB_WeightOnlineResult", KIND_WEIGHT, WeightReading,
-            required=("Weight", "BMI", "BodyFat", "BodyWater", "MuscleMass", "DailyCalorie",
-                      "BoneMass", "MeasureTime"), checks=(
+    declare("TB_WeightOnlineResult", KIND_WEIGHT, WeightReading, checks=(
         (lambda r: r.weight <= 0, "Weight not positive: {0.weight}"),
         (lambda r: not 0 <= r.body_fat_pct <= 100, "BodyFat out of [0,100]: {0.body_fat_pct}"),
         (lambda r: not 0 <= r.body_water_pct <= 100,
          "BodyWater out of [0,100]: {0.body_water_pct}"),
     )),
-    declare("TB_TemperatureHumidity", KIND_ENVIRONMENT, EnvironmentReading,
-            required=("Humidity", "Temperature", "Lighting", "MeasureTime"), checks=(
+    declare("TB_TemperatureHumidity", KIND_ENVIRONMENT, EnvironmentReading, checks=(
         (lambda r: not 0 <= r.humidity <= 100, "Humidity out of [0,100]: {0.humidity}"),
-    ), null_text="null columns"),
+    )),
     declare("TB_Userinfo", KIND_USER_PROFILE, MyVitalsProfile),
 )
 
@@ -211,12 +206,12 @@ def parse_region_host_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH
     # prefixes, never by the prefix itself: it is the account
     warnings: list[str] = []
     if len(by_account) > 1:
-        warnings.append(f"{relative_path}: inconsistent account prefixes in credential XML: "
+        warnings.append(f"inconsistent account prefixes in credential XML: "
                         f"{len(by_account)} accounts")
     records: list[ArtifactRecord] = []
     for position, (account, fields) in enumerate(sorted(by_account.items()), 1):
         if not looks_like_email(account):
-            warnings.append(f"{relative_path}: credential key prefix {position} of "
+            warnings.append(f"credential key prefix {position} of "
                             f"{len(by_account)} is not an email address")
         records.append(ArtifactRecord(
             kind=KIND_CREDENTIAL,

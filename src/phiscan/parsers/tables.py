@@ -65,18 +65,17 @@ class Table:
     """One table of an app database: what to select and what each row becomes.
 
     row(cells) maps the cells of `columns`, in order, to (record kind,
-    payload), or raises MalformedRowError. A row with a null in one of the
-    first `required` columns is skipped with the `null_text` warning.
-    Locator details name a row by `id_column`, or by rowid when that is null.
+    payload), or raises MalformedRowError, whose text is the reason the
+    row is skipped: a null cell is refused, if at all, by its column's
+    converter. Locator details name a row by `id_column`, or by rowid when
+    that is null.
     """
 
     name: str
     columns: tuple[str, ...]
     row: Callable[[list], tuple[str, object]]
-    required: int = 0
     order_by: str = "rowid"
     id_column: str = "rowid"
-    null_text: str = "null vital columns"
 
 
 def column(name: str, convert: Callable) -> dataclasses.Field:
@@ -84,24 +83,21 @@ def column(name: str, convert: Callable) -> dataclasses.Field:
     return dataclasses.field(metadata={"column": (name, convert)})
 
 
-def declare(name: str, kind: str, payload: type, *, required: tuple[str, ...] = (),
+def declare(name: str, kind: str, payload: type, *,
             checks: tuple[tuple[Callable, str], ...] = (), **options) -> Table:
     """A Table each of whose rows becomes one `payload` record of `kind`.
 
     Every payload field is a column(...), and the fields' order is the
-    conversion order, so a row's first bad column is the one its warning
-    names. `required` names the null-checked columns, which lead the
-    fields. checks are (fails, message) pairs, tried in order once a row
-    has converted: a payload for which fails(payload) is true skips the
-    row, with message.format(payload) as the reason. options are passed to
-    Table: order_by, id_column, null_text.
+    conversion order, so a row's first bad column, null or not, is the one
+    its warning names. checks are (fails, message) pairs, tried in order
+    once a row has converted: a payload for which fails(payload) is true
+    skips the row, with message.format(payload) as the reason. options are
+    passed to Table: order_by, id_column.
     """
     columns = [f.metadata.get("column") for f in dataclasses.fields(payload)]
     if None in columns:
         raise ValueError(f"{name}: a {payload.__name__} field is not a column(...)")
     names, converters = zip(*columns)
-    if names[:len(required)] != required:
-        raise ValueError(f"{name}: required columns {required} do not lead {names}")
 
     def row(cells: list) -> tuple[str, object]:
         record = payload(*map(call, converters, cells, names))  # convert(cell, column)
@@ -110,7 +106,7 @@ def declare(name: str, kind: str, payload: type, *, required: tuple[str, ...] = 
                 raise MalformedRowError(message.format(record))
         return kind, record
 
-    return Table(name, names, row, len(required), **options)
+    return Table(name, names, row, **options)
 
 
 def parse_tables(db: bytes, tables: tuple[Table, ...], *, package: str, relative_path: str
@@ -120,10 +116,11 @@ def parse_tables(db: bytes, tables: tuple[Table, ...], *, package: str, relative
     The bytes are opened once, and every table is selected before any row
     is converted. A missing table or column costs that table a warning,
     and so does text that is not valid UTF-8, which keeps the table's rows
-    with the undecodable bytes replaced. Bytes that are not SQLite, or that
-    SQLite finds corrupt, raise connect_bytes' NotSqliteError or
-    select_rows' CorruptDatabaseError, whose text is the warning without
-    the path.
+    with the undecodable bytes replaced. A row the table refuses costs the
+    warning `<table>:<id>: malformed row (<reason>), row skipped`. Bytes
+    that are not SQLite, or that SQLite finds corrupt, raise connect_bytes'
+    NotSqliteError or select_rows' CorruptDatabaseError. No warning names
+    the file: parse_each adds its path.
     """
     selected = []
     with connect_bytes(db) as conn:
@@ -139,13 +136,10 @@ def parse_tables(db: bytes, tables: tuple[Table, ...], *, package: str, relative
     warnings: list[str] = []
     for table, rows, note in selected:
         if note is not None:
-            warnings.append(f"{relative_path}: {note}")
-        name, row, required = table.name, table.row, table.required
+            warnings.append(note)
+        name, row = table.name, table.row
         for rowid, key, *cells in rows:
             detail = f"{name}:{rowid if key is None else key}"
-            if None in cells[:required]:
-                warnings.append(f"{detail}: {table.null_text}, row skipped")
-                continue
             try:
                 kind, payload = row(cells)
             except MalformedRowError as exc:

@@ -74,10 +74,10 @@ def test_undecodable_text_cell_keeps_the_table(tmp_path):
     conn.execute("UPDATE TB_BPResult SET Note = CAST(x'41ff42' AS TEXT) WHERE rowid = 1")
     conn.commit()
     conn.close()
-    records, warnings = parse(path.read_bytes())
-    assert [r.payload.note for r in records] == ["A\ufffdB", "ok"]
-    assert warnings == [f"{DB_PATH}: TB_BPResult: column Note holds text that is not "
-                        "valid UTF-8, undecodable bytes replaced"]
+    result = MyVitalsParser().parse([(DB_PATH, path.read_bytes())])
+    assert [r.payload.note for r in result.records] == ["A\ufffdB", "ok"]
+    assert result.warnings == (f"{DB_PATH}: TB_BPResult: column Note holds text that is not "
+                               "valid UTF-8, undecodable bytes replaced",)
 
 
 def test_bp_empty_table(db_bytes):
@@ -116,10 +116,10 @@ def test_missing_table_is_a_warning_per_table(tmp_path):
     conn.execute("CREATE TABLE unrelated (x)")
     conn.commit()
     conn.close()
-    records, warnings = parse(path.read_bytes())
-    assert records == []
-    assert warnings == [f"{DB_PATH}: {table.name}: no such table: {table.name}"
-                        for table in TABLES]
+    result = MyVitalsParser().parse([(DB_PATH, path.read_bytes())])
+    assert result.records == ()
+    assert result.warnings == tuple(f"{DB_PATH}: {table.name}: no such table: {table.name}"
+                                    for table in TABLES)
 
 
 def test_spo2_first_documented_row(db_bytes):
