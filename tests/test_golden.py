@@ -418,44 +418,48 @@ def _hostile_tree(tmp_path):
     return tree
 
 
+# the two databases of the hostile tree that a row warning names
+HM_DB = "com.withings.wiscale2/databases/withings-wiscale.db: "
+MV_DB = "iHealthMyVitals.V2/Databases/androidNin.db: "
+
 HOSTILE_WARNINGS = (
     'com.withings.wiscale2/databases/old/withings-wiscale.db: users: no such column: email',
-    "devices:2: malformed row (macAddress not colon-hex: 'not-a-mac'), row skipped",
-    "devices:3: malformed row (firmware is not an integer: 'x'), row skipped",
-    'devices:4: malformed row (battery out of [0,100]: 150), row skipped',
-    'devices:5: malformed row (associationDate: raw epoch must be positive, got 0), row skipped',
-    'devices:6: malformed row (battery is not an integer: None), row skipped',
-    'devices:8: malformed row (macAddress not colon-hex: None), row skipped',
-    'measure:4: malformed row (value not positive: -5.0), row skipped',
-    "measure:5: malformed row (type is not an integer: 'x'), row skipped",
-    "measure:6: malformed row (value is not numeric: 'heavy'), row skipped",
-    'measure:7: malformed row (date: raw epoch must be positive, got 0), row skipped',
-    "measure:8: malformed row (deviceid is not an integer: 'dev'), row skipped",
-    'measure:9: malformed row (type is not an integer: None), row skipped',
-    "users:2: malformed row (bad email 'bad-email'), row skipped",
-    'TB_BPResult:2: null vital columns, row skipped',
-    "TB_BPResult:3: malformed row (Pulse is not an integer: 'fast'), row skipped",
-    'TB_BPResult:4: malformed row (systolic/diastolic out of order: 80/120), row skipped',
-    'TB_BPResult:5: malformed row (pulse not positive: 0), row skipped',
-    'TB_BPResult:6: malformed row (MeasureTime: 500000000000 is in the ambiguous band [10^11, 10^12): too large for epoch seconds, too small for epoch milliseconds), row skipped',
-    'TB_SPO2Result:2: null vital columns, row skipped',
-    "TB_SPO2Result:3: malformed row (PR is not an integer: 'x'), row skipped",
-    "TB_SPO2Result:4: malformed row (PR is not an integer: 'x'), row skipped",
-    'TB_SPO2Result:5: malformed row (Result out of range: 0), row skipped',
-    'TB_SPO2Result:6: malformed row (PR not positive: 0), row skipped',
-    'TB_SPO2Result:7: malformed row (PI negative: -1.0), row skipped',
-    'TB_SPO2Result:8: malformed row (LastChangeTime is not an integer: None), row skipped',
-    "TB_SPO2Result:10: malformed row (UsedUserID is not an integer: 'u'), row skipped",
-    'TB_WeightOnlineResult:2: null vital columns, row skipped',
-    "TB_WeightOnlineResult:3: malformed row (BMI is not numeric: 'heavy'), row skipped",
-    'TB_WeightOnlineResult:4: malformed row (Weight not positive: 0.0), row skipped',
-    'TB_WeightOnlineResult:5: malformed row (BodyFat out of [0,100]: 120.0), row skipped',
-    'TB_WeightOnlineResult:6: malformed row (BodyWater out of [0,100]: -1.0), row skipped',
-    'TB_WeightOnlineResult:7: malformed row (MeasureTime: raw epoch must be positive, got 0), row skipped',
-    'TB_TemperatureHumidity:2: null columns, row skipped',
-    "TB_TemperatureHumidity:3: malformed row (Temperature is not numeric: 'warm'), row skipped",
-    'TB_TemperatureHumidity:4: malformed row (Humidity out of [0,100]: 101.0), row skipped',
-    "TB_Userinfo:2: malformed row (bad email 'not-an-email'), row skipped",
+    HM_DB + "devices:2: malformed row (macAddress not colon-hex: 'not-a-mac'), row skipped",
+    HM_DB + "devices:3: malformed row (firmware is not an integer: 'x'), row skipped",
+    HM_DB + 'devices:4: malformed row (battery out of [0,100]: 150), row skipped',
+    HM_DB + 'devices:5: malformed row (associationDate: raw epoch must be positive, got 0), row skipped',
+    HM_DB + 'devices:6: malformed row (battery is not an integer: None), row skipped',
+    HM_DB + 'devices:8: malformed row (macAddress not colon-hex: None), row skipped',
+    HM_DB + 'measure:4: malformed row (value not positive: -5.0), row skipped',
+    HM_DB + "measure:5: malformed row (type is not an integer: 'x'), row skipped",
+    HM_DB + "measure:6: malformed row (value is not numeric: 'heavy'), row skipped",
+    HM_DB + 'measure:7: malformed row (date: raw epoch must be positive, got 0), row skipped',
+    HM_DB + "measure:8: malformed row (deviceid is not an integer: 'dev'), row skipped",
+    HM_DB + 'measure:9: malformed row (type is not an integer: None), row skipped',
+    HM_DB + "users:2: malformed row (bad email 'bad-email'), row skipped",
+    MV_DB + 'TB_BPResult:2: malformed row (Sys is not an integer: None), row skipped',
+    MV_DB + "TB_BPResult:3: malformed row (Pulse is not an integer: 'fast'), row skipped",
+    MV_DB + 'TB_BPResult:4: malformed row (systolic/diastolic out of order: 80/120), row skipped',
+    MV_DB + 'TB_BPResult:5: malformed row (pulse not positive: 0), row skipped',
+    MV_DB + 'TB_BPResult:6: malformed row (MeasureTime: 500000000000 is in the ambiguous band [10^11, 10^12): too large for epoch seconds, too small for epoch milliseconds), row skipped',
+    MV_DB + 'TB_SPO2Result:2: malformed row (Result is not an integer: None), row skipped',
+    MV_DB + "TB_SPO2Result:3: malformed row (PR is not an integer: 'x'), row skipped",
+    MV_DB + "TB_SPO2Result:4: malformed row (PR is not an integer: 'x'), row skipped",
+    MV_DB + 'TB_SPO2Result:5: malformed row (Result out of range: 0), row skipped',
+    MV_DB + 'TB_SPO2Result:6: malformed row (PR not positive: 0), row skipped',
+    MV_DB + 'TB_SPO2Result:7: malformed row (PI negative: -1.0), row skipped',
+    MV_DB + 'TB_SPO2Result:8: malformed row (LastChangeTime is not an integer: None), row skipped',
+    MV_DB + "TB_SPO2Result:10: malformed row (UsedUserID is not an integer: 'u'), row skipped",
+    MV_DB + 'TB_WeightOnlineResult:2: malformed row (BMI is not numeric: None), row skipped',
+    MV_DB + "TB_WeightOnlineResult:3: malformed row (BMI is not numeric: 'heavy'), row skipped",
+    MV_DB + 'TB_WeightOnlineResult:4: malformed row (Weight not positive: 0.0), row skipped',
+    MV_DB + 'TB_WeightOnlineResult:5: malformed row (BodyFat out of [0,100]: 120.0), row skipped',
+    MV_DB + 'TB_WeightOnlineResult:6: malformed row (BodyWater out of [0,100]: -1.0), row skipped',
+    MV_DB + 'TB_WeightOnlineResult:7: malformed row (MeasureTime: raw epoch must be positive, got 0), row skipped',
+    MV_DB + 'TB_TemperatureHumidity:2: malformed row (Lighting is not numeric: None), row skipped',
+    MV_DB + "TB_TemperatureHumidity:3: malformed row (Temperature is not numeric: 'warm'), row skipped",
+    MV_DB + 'TB_TemperatureHumidity:4: malformed row (Humidity out of [0,100]: 101.0), row skipped',
+    MV_DB + "TB_Userinfo:2: malformed row (bad email 'not-an-email'), row skipped",
 )
 
 HOSTILE_KINDS = {
