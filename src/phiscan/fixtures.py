@@ -877,9 +877,11 @@ def verify_scan_against_manifest(manifest: FixtureManifest,
     a repeat fails), matrix rows and violation kinds by app, and, one way,
     each planted encrypted database by path to its status. A mismatch reads
     `missing|unexpected <section>: <key>` or `changed <section>: <key>:
-    expected <value>, got <value>`.
+    expected <value>, got <value>`; an app label that n > 1 matrix rows
+    carry reads `unexpected matrix row: <app> (n rows)`.
     """
     shown = redact_value if report.redacted else str
+    labels = Counter(row.app_name for row in report.matrix)
     classified = {s.relative_path: s.status for ss in report.database_statuses.values()
                   for s in ss}
     sections = (
@@ -900,7 +902,9 @@ def verify_scan_against_manifest(manifest: FixtureManifest,
     for section, expected, actual in sections:
         for key in sorted(expected.keys() | actual.keys()):
             want, got = expected.get(key), actual.get(key)
-            if want is None:
+            if section == "matrix row" and labels[key] > 1:
+                mismatches.append(f"unexpected {section}: {key} ({labels[key]} rows)")
+            elif want is None:
                 mismatches.append(f"unexpected {section}: {key}")
             elif got is None:
                 mismatches.append(f"missing {section}: {key}")

@@ -26,6 +26,7 @@ from phiscan.fixtures import (
     render_manifest,
     spec_to_dict,
     verify_scan_against_manifest,
+    write_tree,
 )
 from phiscan.parsers import healthmate, myvitals
 from phiscan.phi import PhiMatrixRow, SecurityViolation
@@ -203,6 +204,21 @@ def test_verify_flags_spurious_finding(tmp_path):
     verdict = verify_scan_against_manifest(manifest, scan_evidence(out, fixed_clock=CLOCK).report)
     assert not verdict.ok
     assert any("unexpected finding" in m for m in verdict.mismatches)
+
+
+@pytest.mark.parametrize("output_kind", ["directory", "zip"])
+def test_verify_flags_a_matrix_label_two_rows_share(tmp_path, output_kind):
+    # an unbound folder named like an app gets a matrix row under the same label
+    spec = dataclasses.replace(paper_replica_spec(), output_kind=output_kind)
+    tree, manifest = build_tree(spec)
+    tree["Health Mate/notes.txt"] = b"ssn 078-05-1120 noted"
+    out = tmp_path / ("named.zip" if output_kind == "zip" else "named")
+    write_tree(tree, spec, out)
+    verdict = verify_scan_against_manifest(manifest, scan_evidence(out, fixed_clock=CLOCK).report)
+    assert [m.split(":", 1)[0] for m in verdict.mismatches] == [
+        "unexpected file", "unexpected finding", "unexpected matrix row"]
+    assert verdict.mismatches[0] == "unexpected file: Health Mate/notes.txt"
+    assert verdict.mismatches[2] == "unexpected matrix row: Health Mate (2 rows)"
 
 
 @pytest.fixture(scope="module")
