@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 from .errors import AmbiguousUnitError, NonPositiveTimestampError
 
-_EMAIL_RE = re.compile(r"^[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}$")
+# unanchored: the raw sweep searches text with it, looks_like_email a whole value
+EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
 
 
 def looks_like_email(value: str) -> bool:
-    return bool(_EMAIL_RE.match(value))
+    return EMAIL_RE.fullmatch(value) is not None
 
 SECONDS_BAND_MAX = 10 ** 11   # raw < this  -> seconds
 MILLIS_BAND_MIN = 10 ** 12    # raw >= this -> milliseconds

@@ -35,6 +35,7 @@ from .artifacts import (
     CONTAINER_SQLITE,
     CONTAINER_XML,
     DatabaseStatus,
+    EMAIL_RE,
     KIND_CREDENTIAL,
     SourceLocator,
     STATUS_ENCRYPTED,
@@ -243,7 +244,7 @@ _PRINTABLE_MASK = bytes(0x70 if 0x20 <= b <= 0x7e else 0 for b in range(256))
 _MASKED_RUN = re.compile(b"p" * _MIN_RUN + b"p*")
 
 RAW_PATTERNS: tuple[tuple[str, re.Pattern], ...] = (
-    ("email", re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")),
+    ("email", EMAIL_RE),
     ("credential-key", re.compile(r"(?i)\b[\w.@-]*(?:password|token)[\w.@-]*\b")),
     ("ssn", _SSN_RE),
     ("payment-card", _CARD_RE),

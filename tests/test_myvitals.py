@@ -198,6 +198,14 @@ def test_user_info_rows(db_bytes):
     assert len(records) == 2
 
 
+def test_email_with_a_trailing_newline_is_refused(db_bytes):
+    # the whole cell must be an address: a trailing newline is not one
+    records, warnings = parse(db_bytes(users=[("Pat", "1980-01-02", "UTC", "pat@example.com\n")]))
+    assert records == []
+    assert warnings == [
+        "TB_Userinfo:1: malformed row (bad email 'pat@example.com\\n'), row skipped"]
+
+
 def test_parse_is_layout_independent(tmp_path, db_bytes):
     # same rows, different page layout after VACUUM: identical payloads
     rows = [(120 + i, 80, 60 + i, 1530829549 + i, "dev", None, "a@b.co")
