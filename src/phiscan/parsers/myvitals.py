@@ -206,7 +206,7 @@ def parse_region_host_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH
     # prefixes, never by the prefix itself: it is the account
     warnings: list[str] = []
     if len(by_account) > 1:
-        warnings.append(f"inconsistent account prefixes in credential XML: "
+        warnings.append("inconsistent account prefixes in credential XML: "
                         f"{len(by_account)} accounts")
     records: list[ArtifactRecord] = []
     for position, (account, fields) in enumerate(sorted(by_account.items()), 1):
