@@ -25,7 +25,7 @@ def test_declare_refuses_a_payload_field_that_is_not_a_column():
 
 
 T, MS = 1530829549, 1541807000000
-# a valid row of each declared table; the app tests hold what its records say
+# a row of each declared table that every converter and check accepts
 VALID_ROWS = {
     "TB_BPResult": {"Sys": 120, "Dia": 80, "Pulse": 65, "MeasureTime": T, "DeviceID": "dev",
                     "Note": "ok", "Account": "a@b.co"},
