@@ -221,6 +221,24 @@ def test_verify_flags_a_matrix_label_two_rows_share(tmp_path, output_kind):
     assert verdict.mismatches[2] == "unexpected matrix row: Health Mate (2 rows)"
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 21(a): a matrix row does not name its folder, so the oracle "
+    "compares neither row of a label that two rows share"))
+def test_verify_names_a_changed_cell_in_the_bound_row_of_a_shared_label(tmp_path):
+    spec = paper_replica_spec()
+    tree, manifest = build_tree(spec)
+    tree["Health Mate/notes.txt"] = b"ssn 078-05-1120 noted"
+    write_tree(tree, spec, tmp_path / "named")
+    report = scan_evidence(tmp_path / "named", fixed_clock=CLOCK).report
+    # rows sort by (app, folder): the com.withings.wiscale2 row comes second
+    _, bound_row = [row for row in report.matrix if row.app_name == "Health Mate"]
+    edited = dataclasses.replace(report, matrix=tuple(
+        dataclasses.replace(row, cells={**row.cells, "payment": "recovered"})
+        if row is bound_row else row for row in report.matrix))
+    assert (verify_scan_against_manifest(manifest, edited).mismatches
+            != verify_scan_against_manifest(manifest, report).mismatches)
+
+
 @pytest.fixture(scope="module")
 def clean_replica_scan(tmp_path_factory):
     out = tmp_path_factory.mktemp("oracle") / "replica"

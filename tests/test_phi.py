@@ -214,6 +214,12 @@ def test_scan_raw_hits_sit_in_printable_runs_of_six(data, expected):
     assert _hits(data) == expected
 
 
+def test_both_ends_of_printable_ascii_are_in_a_run():
+    # " " (0x20) and "~" (0x7e) are printable; 0x1f and 0x7f, just outside, are not
+    data = b"\x1f" + b"~" * 6 + b"\x7f" + b" " * 6 + b"\x1f"
+    assert phi._printable_runs(data) == [(1, 7), (8, 14)]
+
+
 def test_scan_raw_offsets_point_at_match():
     data = b"\x00\x00AAAA 123-45-6789\x00"
     (offset, _, _), = [h for h in match_raw(data) if h[1] == "ssn"]

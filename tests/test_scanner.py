@@ -6,6 +6,7 @@ import ast
 import collections
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -764,6 +765,45 @@ def test_a_zip_of_bzip2_and_lzma_members_reports_as_its_directory(tmp_path):
             zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA}
     expected = render_report(scan_evidence(directory, fixed_clock=CLOCK).report)
     assert render_report(scan_evidence(out, fixed_clock=CLOCK).report) == expected
+
+
+def test_a_zip_whose_members_carry_an_extra_field_reports_as_its_directory(tmp_path):
+    # the zip tool writes an Info-ZIP extended-timestamp field ("UT") into every
+    # local header, so each member's data starts after that field
+    spec = paper_replica_spec()
+    tree, _ = build_tree(spec)
+    write_tree(tree, spec, tmp_path / "replica")
+    forged = tmp_path / "forged.zip"
+    write_tree(tree, dataclasses.replace(spec, output_kind="zip"), forged)
+    out = tmp_path / "replica.zip"  # the report's evidence_origin is the basename
+    extra = b"UT\x05\x00\x01" + struct.pack("<I", 1577836800)
+    with zipfile.ZipFile(forged) as src, zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            info.extra = extra
+            dst.writestr(info, src.read(info))
+    with zipfile.ZipFile(out) as zf:
+        infos = zf.infolist()
+    raw = out.read_bytes()
+    # each local header's extra-field length (offset 28) is the field's
+    assert {struct.unpack_from("<H", raw, info.header_offset + 28)[0] for info in infos} == {
+        len(extra)}
+    expected = render_report(scan_evidence(tmp_path / "replica", fixed_clock=CLOCK).report)
+    assert render_report(scan_evidence(out, fixed_clock=CLOCK).report) == expected
+
+
+@pytest.mark.parametrize("output_kind", ["directory", "zip"])
+def test_the_scan_id_is_recomputed_from_the_report_alone(tmp_path, output_kind):
+    # the first 16 hex digits of SHA-256 over the origin, the clock and each
+    # file digest in the report's order
+    spec = dataclasses.replace(paper_replica_spec(), output_kind=output_kind)
+    out = tmp_path / ("replica.zip" if output_kind == "zip" else "replica")
+    generate_fixture(spec, out)
+    report = json.loads(render_report(scan_evidence(out, fixed_clock=CLOCK).report))
+    h = hashlib.sha256(report["evidence_origin"].encode() + report["generated_at"].encode())
+    for digest in report["file_digests"]:
+        h.update(digest["hex_digest"].encode())
+    assert report["file_digests"]
+    assert report["scan_id"] == h.hexdigest()[:16]
 
 
 def test_unreadable_files_warn_in_walk_order(tmp_path):
