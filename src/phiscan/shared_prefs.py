@@ -14,6 +14,10 @@ class _NoDoctype(ET.TreeBuilder):
         raise MalformedXmlError("a DOCTYPE declaration, which shared preferences never hold")
 
 
+# numeric entry tags: the value attribute's converter, and its name in an error
+_NUMBERS = {"int": (int, "integer"), "long": (int, "integer"), "float": (float, "float")}
+
+
 def parse_shared_prefs(xml: bytes) -> dict[str, object]:
     """Decode a shared-preferences document into {key: typed value}.
 
@@ -42,17 +46,12 @@ def parse_shared_prefs(xml: bytes) -> dict[str, object]:
             entries[name] = (child.text or "").strip()
         elif child.tag == "boolean":
             entries[name] = child.get("value") == "true"
-        elif child.tag in ("int", "long"):
+        elif number := _NUMBERS.get(child.tag):
+            convert, what = number
             try:
-                entries[name] = int(child.get("value", ""))
+                entries[name] = convert(child.get("value", ""))
             except ValueError as exc:
                 raise MalformedXmlError(
-                    f"bad integer value in <{child.tag}> entry {position}") from exc
-        elif child.tag == "float":
-            try:
-                entries[name] = float(child.get("value", ""))
-            except ValueError as exc:
-                raise MalformedXmlError(
-                    f"bad float value in <{child.tag}> entry {position}") from exc
+                    f"bad {what} value in <{child.tag}> entry {position}") from exc
         # other tags (set, etc.) carry nothing we recover
     return entries
