@@ -43,10 +43,6 @@ class CorruptDatabaseError(ScanError):
     """SQLite reports the database file as malformed or not a database."""
 
 
-class MissingTableError(ScanError):
-    """Expected table (or column) absent from the database schema."""
-
-
 class MalformedRowError(ScanError):
     """Row violates the reading's type or range invariants (tallied, not fatal)."""
 

@@ -9,7 +9,7 @@ Column names for TB_SPO2Result are documented artifacts; the remaining
 four tables are bound to the fixture schema. Each table's columns are
 declared on the fields of the payload its rows become, and TABLES lists
 the tables in parse order. Real-device schema drift surfaces as
-MissingTable/malformed-row warnings, never as a guess.
+missing-table and malformed-row warnings, never as a guess.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from ..artifacts import (
     looks_like_email,
     normalize_timestamp,
 )
-from ..errors import MalformedRowError, MissingTableError, ScanError
+from ..errors import MalformedRowError, ScanError
 from ..sqlite_bytes import connect_bytes, select_rows
 
 
@@ -114,23 +114,20 @@ def parse_tables(db: bytes, tables: tuple[Table, ...], *, package: str, relative
     """Records and warnings from every table of one database's bytes.
 
     The bytes are opened once, and every table is selected before any row
-    is converted. A missing table or column costs that table a warning,
-    and so does text that is not valid UTF-8, which keeps the table's rows
-    with the undecodable bytes replaced. A row the table refuses costs the
-    warning `<table>:<id>: malformed row (<reason>), row skipped`. Bytes
-    that are not SQLite, or that SQLite finds corrupt, raise connect_bytes'
-    NotSqliteError or select_rows' CorruptDatabaseError. No warning names
-    the file: parse_each adds its path.
+    is converted. A note from select_rows is one warning for its table: a
+    table or column that is missing, or computed rather than stored, gives
+    no rows, and text that is not valid UTF-8 keeps the table's rows with
+    the undecodable bytes replaced. A row the table refuses costs the warning
+    `<table>:<id>: malformed row (<reason>), row skipped`. Only a
+    whole-file failure raises: bytes that are not SQLite, or that SQLite
+    finds corrupt, raise connect_bytes' NotSqliteError or select_rows'
+    CorruptDatabaseError. No warning names the file: parse_each adds its
+    path.
     """
-    selected = []
     with connect_bytes(db) as conn:
-        for table in tables:
-            try:
-                rows, note = select_rows(conn, table.name,
-                                         [table.id_column, *table.columns], table.order_by)
-            except MissingTableError as exc:
-                rows, note = [], str(exc)
-            selected.append((table, rows, note))
+        selected = [(table, *select_rows(conn, table.name, [table.id_column, *table.columns],
+                                         table.order_by))
+                    for table in tables]
 
     records: list[ArtifactRecord] = []
     warnings: list[str] = []

@@ -14,7 +14,7 @@ import functools
 import re
 import sqlite3
 
-from .errors import CorruptDatabaseError, MissingTableError, NotSqliteError
+from .errors import CorruptDatabaseError, NotSqliteError
 
 SQLITE_MAGIC = b"SQLite format 3\x00"
 
@@ -73,23 +73,23 @@ def connect_bytes(data: bytes):
 
 
 def select_rows(conn: EvidenceConnection, table: str, columns: list[str],
-                order_by: str = "rowid") -> tuple[list[tuple], str | None]:
-    """SELECT the named columns (rowid prepended), and a note if text was lossy.
+                order_by: str) -> tuple[list[tuple], str | None]:
+    """Rows of the named columns (rowid first), and a note for a refused table or lossy text.
 
-    A text cell that is not valid UTF-8 has the table selected again with
-    the bad bytes replaced; the note names the table and the column, never
-    the cell's text. Raises MissingTableError when the table or a column is
-    absent or computed, not stored, and CorruptDatabaseError when SQLite
-    finds the file damaged (a damaged schema can make SQLite's error message
-    itself undecodable).
+    A table or column that is absent, or computed rather than stored, gives
+    no rows and a note naming it. A text cell that is not valid UTF-8 has
+    the table selected again with the bad bytes replaced; the note names the
+    table and the column, never the cell's text. Only a whole-file failure
+    raises: CorruptDatabaseError when SQLite finds the file damaged (a
+    damaged schema can make SQLite's error message itself undecodable).
     """
     sql = f'SELECT rowid, {", ".join(columns)} FROM "{table}" ORDER BY {order_by}'
     key = table.lower().encode()
     try:
         if what := conn.computed.get((key, None)):
-            raise MissingTableError(f"{table}: {what}, not a stored table")
+            return [], f"{table}: {what}, not a stored table"
         if generated := [c for c in columns if (key, c.lower().encode()) in conn.computed]:
-            raise MissingTableError(f"{table}: column {generated[0]} is generated, not stored")
+            return [], f"{table}: column {generated[0]} is generated, not stored"
         try:
             return list(conn.execute(sql)), None
         except sqlite3.OperationalError as exc:
@@ -101,7 +101,7 @@ def select_rows(conn: EvidenceConnection, table: str, columns: list[str],
         finally:
             conn.text_factory = str
     except sqlite3.OperationalError as exc:
-        raise MissingTableError(f"{table}: {exc}") from exc
+        return [], f"{table}: {exc}"
     except (sqlite3.DatabaseError, UnicodeDecodeError) as exc:
         raise CorruptDatabaseError(
             f"corrupt SQLite database, not parsed ({table}: {exc})") from exc
