@@ -42,7 +42,7 @@ KIND_DEVICE_REGISTRATION = "device-registration"
 KIND_RAW_HIT = "raw-hit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpochInstant:
     """A raw epoch integer plus its inferred unit and UTC rendering.
 
@@ -62,7 +62,7 @@ class EpochInstant:
         return self.raw_value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceLocator:
     """Where a recovered value came from: package, file, and in-file detail."""
 
@@ -72,7 +72,7 @@ class SourceLocator:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawHit:
     """A value kept undecoded: a Health Mate measure type code no code map knows."""
 
@@ -86,7 +86,7 @@ STATUS_ENCRYPTED = "encrypted-or-opaque"
 STATUS_EMPTY = "empty"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatabaseStatus:
     """How one database file's bytes were classified, with entropy as evidence."""
 
@@ -96,7 +96,7 @@ class DatabaseStatus:
     entropy_bits_per_byte: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CredentialSet:
     """Account credentials recovered from a shared-preferences file.
 
@@ -112,7 +112,7 @@ class CredentialSet:
     is_online_flag: bool | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArtifactRecord:
     """One typed unit of recovered data with provenance."""
 
@@ -159,15 +159,10 @@ def normalize_timestamp(raw: int) -> EpochInstant:
     if raw <= 0:
         raise NonPositiveTimestampError(f"raw epoch must be positive, got {raw}")
     if raw < SECONDS_BAND_MAX:
-        return EpochInstant(raw_value=raw, unit=UNIT_SECONDS, utc=render_utc(raw))
+        return EpochInstant(raw, UNIT_SECONDS, render_utc(raw))
     if raw >= MILLIS_BAND_MIN:
         seconds, remainder = divmod(raw, 1000)
-        return EpochInstant(
-            raw_value=raw,
-            unit=UNIT_MILLISECONDS,
-            utc=render_utc(seconds),
-            millis_remainder=remainder,
-        )
+        return EpochInstant(raw, UNIT_MILLISECONDS, render_utc(seconds), remainder)
     raise AmbiguousUnitError(
         f"{raw} is in the ambiguous band [10^11, 10^12): too large for "
         "epoch seconds, too small for epoch milliseconds"

@@ -60,7 +60,7 @@ _FLAGS_UNSUPPORTED = 0x60  # compressed patched data (bit 5), strong encryption 
 _FLAG_UTF8_NAME = 0x0800
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileDigest:
     relative_path: str
     algorithm: str

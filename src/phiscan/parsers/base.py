@@ -17,7 +17,7 @@ from ..errors import ScanError
 from ..evidence import EvidenceSource, files_under
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseResult:
     """Everything one parser recovered from one app root.
 

@@ -44,7 +44,7 @@ HIGH_ENTROPY_BITS = 7.5
 ENTROPY_WINDOW = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlucoProfile:
     username: str
     device_identifier: str
@@ -70,12 +70,8 @@ def classify_database(relative_path: str, data: bytes) -> DatabaseStatus:
     if len(data) == 0:
         return DatabaseStatus(relative_path, STATUS_EMPTY, False, 0.0)
     magic = is_sqlite(data)
-    return DatabaseStatus(
-        relative_path=relative_path,
-        status=STATUS_PLAINTEXT if magic else STATUS_ENCRYPTED,
-        header_magic_present=magic,
-        entropy_bits_per_byte=shannon_entropy(data[:ENTROPY_WINDOW]),
-    )
+    return DatabaseStatus(relative_path, STATUS_PLAINTEXT if magic else STATUS_ENCRYPTED,
+                          magic, shannon_entropy(data[:ENTROPY_WINDOW]))
 
 
 def parse_user_info_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH
@@ -94,10 +90,8 @@ def parse_user_info_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH
     if missing:
         raise MissingFieldsError(f"{' and '.join(missing)} not present")
     return [ArtifactRecord(
-        kind=KIND_USER_PROFILE,
-        payload=GlucoProfile(username=username, device_identifier=device_id),
-        locator=SourceLocator(PACKAGE_FOLDER, relative_path, CONTAINER_XML, "UserName/DeviceID"),
-    )], []
+        KIND_USER_PROFILE, GlucoProfile(username, device_id),
+        SourceLocator(PACKAGE_FOLDER, relative_path, CONTAINER_XML, "UserName/DeviceID"))], []
 
 
 class GlucoSmartParser(AppParser):

@@ -66,7 +66,7 @@ def _mac(value, column: str) -> str:
     return mac
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviceRegistration:
     # The MAC is converted first, so a row with a bad MAC reports that.
     mac_address: str = column("macAddress", _mac)
@@ -87,7 +87,7 @@ class DeviceRegistration:
         return {"device_usage": f"device {self.mac_address}, last used {self.last_use_date.utc}"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HealthMateMeasurement:
     kind: str
     value: float
@@ -103,7 +103,7 @@ class HealthMateMeasurement:
                 "device_usage": f"{prefix}measured at {self.measured_at.utc}"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HealthMateUser:
     name: str = column("name", text)
     gender: str = column("gender", text)
@@ -165,11 +165,8 @@ def measure_table(code_map: dict[int, str]) -> Table:
         if kind is None:
             return KIND_RAW_HIT, RawHit(pattern="measure-type-code", value=str(code))
         measurement = HealthMateMeasurement(
-            kind=kind,
-            value=require_num(value, "value"),
-            measured_at=require_instant(date, "date"),
-            device_ref=None if device_ref is None else require_int(device_ref, "deviceid"),
-        )
+            kind, require_num(value, "value"), require_instant(date, "date"),
+            None if device_ref is None else require_int(device_ref, "deviceid"))
         if measurement.value <= 0:
             raise MalformedRowError(f"value not positive: {measurement.value}")
         return (KIND_BLOOD_PRESSURE if kind in _PRESSURE_KINDS else KIND_WEIGHT), measurement

@@ -69,7 +69,7 @@ def _int_or_zero(value, column: str) -> int:
     return require_int(0 if value is None else value, column)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BloodPressureReading:
     systolic: int = column("Sys", require_int)
     diastolic: int = column("Dia", require_int)
@@ -87,7 +87,7 @@ class BloodPressureReading:
                 "device_usage": f"device {self.device_id or 'unknown'} at {self.measured_at.utc}"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OximetryReading:
     result_spo2: int = column("Result", require_int)
     pulse_rate: int = column("PR", require_int)
@@ -111,7 +111,7 @@ class OximetryReading:
                                  f"at {self.measured_at.utc}")}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightReading:
     weight: float = column("Weight", require_num)
     bmi: float = column("BMI", require_num)
@@ -131,7 +131,7 @@ class WeightReading:
                 "device_usage": f"measured at {self.measured_at.utc}"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnvironmentReading:
     humidity: float = column("Humidity", require_num)
     temperature: float = column("Temperature", require_num)
@@ -145,7 +145,7 @@ class EnvironmentReading:
         return {"device_usage": f"measured at {self.measured_at.utc}"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MyVitalsProfile:
     name: str = column("Name", text)
     date_of_birth: str = column("Birthday", text)
@@ -214,11 +214,8 @@ def parse_region_host_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH
             warnings.append(f"credential key prefix {position} of "
                             f"{len(by_account)} is not an email address")
         records.append(ArtifactRecord(
-            kind=KIND_CREDENTIAL,
-            payload=CredentialSet(account=account, **fields),
-            locator=SourceLocator(PACKAGE_FOLDER, relative_path, CONTAINER_XML,
-                                  f"key prefix {account}"),
-        ))
+            KIND_CREDENTIAL, CredentialSet(account=account, **fields),
+            SourceLocator(PACKAGE_FOLDER, relative_path, CONTAINER_XML, f"key prefix {account}")))
     return records, warnings
 
 

@@ -60,7 +60,7 @@ def email(value, column: str) -> str:
     return address
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Table:
     """One table of an app database: what to select and what each row becomes.
 
@@ -143,8 +143,5 @@ def parse_tables(db: bytes, tables: tuple[Table, ...], *, package: str, relative
                 warnings.append(f"{detail}: malformed row ({exc}), row skipped")
                 continue
             records.append(ArtifactRecord(
-                kind=kind,
-                payload=payload,
-                locator=SourceLocator(package, relative_path, CONTAINER_SQLITE, detail),
-            ))
+                kind, payload, SourceLocator(package, relative_path, CONTAINER_SQLITE, detail)))
     return records, warnings

@@ -25,7 +25,7 @@ import dataclasses
 import functools
 import itertools
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -89,9 +89,12 @@ _IDENTITY_CATEGORIES = frozenset({CAT_NAME, CAT_DATE_OF_BIRTH, CAT_ADDRESS})
 
 _SSN_RE = re.compile(r"\b\d{3}-\d{2}-\d{4}\b")
 _CARD_RE = re.compile(r"\b(?:\d[ -]?){14,15}\d\b")
+# Every match of _SSN_RE or _CARD_RE holds a match of this shape, whose \d is
+# Unicode's too. Most texts hold none, and then no pattern rule can fire.
+_PATTERN_SHAPE = re.compile(r"\d{3}-\d{2}-\d{4}|(?:\d[ -]?){14}\d")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhiFinding:
     category: str
     value_excerpt: str
@@ -99,20 +102,20 @@ class PhiFinding:
     rule_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SecurityViolation:
     kind: str
     evidence: tuple[SourceLocator, ...]
     description: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhiMatrixRow:
     app_name: str
     cells: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhiRule:
     rule_id: str
     predicate: str
@@ -170,10 +173,10 @@ def _load_rule_table() -> tuple[PhiRule, ...]:
 
 RULE_TABLE = _load_rule_table()
 
-
-@functools.cache
-def _field_names(payload_type: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(payload_type))
+# The rule table as _findings walks it: (predicate, its pattern function or
+# None for a typed predicate, category, rule id), in rule order.
+_RULE_WALK = tuple((rule.predicate, _PATTERN_PREDICATES.get(rule.predicate), rule.category,
+                    rule.rule_id) for rule in RULE_TABLE)
 
 
 def _findings(typed: dict[str, str], text: str, locator: SourceLocator,
@@ -182,23 +185,23 @@ def _findings(typed: dict[str, str], text: str, locator: SourceLocator,
 
     A typed rule fires its predicate's entry in `typed`, unless that is
     absent or empty; a pattern rule fires once per distinct match in
-    `text`, in sorted order. With `redact`, each excerpt is built redacted.
+    `text`, in sorted order, and is not run unless `text` holds an SSN or
+    card shape. With `redact`, each excerpt is built redacted.
     """
+    shaped = _PATTERN_SHAPE.search(text) is not None
     findings = []
-    for rule in RULE_TABLE:
-        if rule.predicate in _PATTERN_PREDICATES:
-            excerpts = _PATTERN_PREDICATES[rule.predicate](text)
-        elif typed.get(rule.predicate):
-            excerpts = [typed[rule.predicate]]
+    for predicate, pattern, category, rule_id in _RULE_WALK:
+        if pattern is not None:
+            if not shaped:
+                continue
+            excerpts = pattern(text)
+        elif excerpt := typed.get(predicate):
+            excerpts = (excerpt,)
         else:
             continue
         for excerpt in excerpts:
             findings.append(PhiFinding(
-                category=rule.category,
-                value_excerpt=redact_value(excerpt) if redact else excerpt,
-                locator=locator,
-                rule_id=rule.rule_id,
-            ))
+                category, redact_value(excerpt) if redact else excerpt, locator, rule_id))
     return findings
 
 
@@ -216,6 +219,14 @@ def shown_locator(record: ArtifactRecord, redact: bool) -> SourceLocator:
         locator, detail=locator.detail.removesuffix(account) + redact_value(account))
 
 
+# How classify_record reads a payload type: its phi_excerpts function or
+# None, and its field names.
+@functools.cache
+def _plan(payload_type: type) -> tuple[Callable | None, tuple[str, ...]]:
+    return (getattr(payload_type, "phi_excerpts", None),
+            tuple(f.name for f in dataclasses.fields(payload_type)))
+
+
 def classify_record(record: ArtifactRecord, *, redact: bool) -> list[PhiFinding]:
     """Apply every published rule to one record. Unrecognized records yield [].
 
@@ -228,10 +239,10 @@ def classify_record(record: ArtifactRecord, *, redact: bool) -> list[PhiFinding]
     `redact`, each excerpt is built redacted and the locator is shown_locator's.
     """
     payload = record.payload
-    typed = payload.phi_excerpts() if hasattr(payload, "phi_excerpts") else {}
-    text = "\0".join([v for name in _field_names(type(payload))
-                      if isinstance(v := getattr(payload, name), str)])
-    return _findings(typed, text, shown_locator(record, redact), redact)
+    excerpts, names = _plan(type(payload))
+    text = "\0".join([v for name in names if isinstance(v := getattr(payload, name), str)])
+    return _findings(excerpts(payload) if excerpts else {}, text,
+                     shown_locator(record, redact), redact)
 
 
 # -- generic raw sweep -------------------------------------------------------

@@ -3,13 +3,14 @@
 JSON output is canonical: UTF-8, LF, sorted keys, compact separators,
 shortest round-trip float formatting. Reports, timelines and fixture
 manifests are encoded straight from their dataclasses: an instance becomes
-an object of its fields, in sorted field-name order, so the JSON keys are
+the object of its fields, in sorted field-name order, so the JSON keys are
 the field names, and adding a field adds a key (which needs a
-schema_version bump). Each SourceLocator object is encoded once per call,
-however many findings and violations share it, and no instance's __dict__
-is ever materialized. The encoder writes UTF-8 into one buffer a block of
-text chunks at a time, so the document never exists as one str beside its
-bytes. Re-encoding the parse of a rendered document reproduces it byte for
+schema_version bump). The record, report and timeline types are slotted.
+Each SourceLocator object is encoded once per call, however many findings
+and violations share it. The encoder writes UTF-8 into one buffer a block
+of text chunks at a time, so the document never exists as one str beside
+its bytes; both text renders write a block of lines at a time the same way.
+Re-encoding the parse of a rendered document reproduces it byte for
 byte, which is what makes golden-file and container-equivalence testing
 meaningful.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import io
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import islice
 from json.encoder import encode_basestring
@@ -42,7 +43,7 @@ FORMAT_JSON = "json"
 FORMAT_TEXT = "text"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimelineEvent:
     at: EpochInstant
     app: str
@@ -51,7 +52,7 @@ class TimelineEvent:
     locator: SourceLocator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplianceReport:
     scan_id: str
     tool_version: str
@@ -92,13 +93,8 @@ def build_timeline(records: list[ArtifactRecord]) -> list[TimelineEvent]:
         if timeline_event is None:
             continue
         instant, summary = timeline_event()
-        events.append(TimelineEvent(
-            at=instant,
-            app=display_name_for(record.locator.package_name),
-            kind=record.kind,
-            summary=summary,
-            locator=record.locator,
-        ))
+        events.append(TimelineEvent(instant, display_name_for(record.locator.package_name),
+                                    record.kind, summary, record.locator))
     events.sort(key=lambda e: (e.at.epoch_seconds(), e.app, e.locator.package_name,
                                e.locator.relative_path, e.locator.detail,
                                e.kind, e.summary))
@@ -109,8 +105,8 @@ def build_timeline(records: list[ArtifactRecord]) -> list[TimelineEvent]:
 
 # The text chunks canonical_json collects before it encodes them into its
 # buffer, checked after each item of a list or tuple: a block of a large
-# report is about 110 KiB of UTF-8. The text report encodes as many lines
-# at a time, about 400 KiB.
+# report is about 110 KiB of UTF-8. The text report and the text timeline
+# encode as many lines at a time, about 400 KiB.
 _BLOCK_CHUNKS = 4096
 
 # Per dataclass: (text before the field's value, field name), in sorted
@@ -132,15 +128,16 @@ def _layout(cls: type) -> tuple[tuple[str, str], ...] | None:
 
 def canonical_json(obj) -> bytes:
     """The bytes json.dumps(obj, sort_keys=True, ensure_ascii=False, allow_nan=False,
-    separators=(",", ":"), default=vars) gives, plus a final LF.
+    separators=(",", ":")) gives, with each dataclass encoded as the object of
+    its fields, plus a final LF.
 
     That holds for dicts with str keys, the only keys phiscan's dicts have;
     any other key raises TypeError.
 
-    A dataclass is read field by field instead of through vars(), which on
-    CPython 3.11 materializes the instance's __dict__ and keeps it, and the
-    text of each SourceLocator object is kept for the rest of the call: a
-    record's locator is shared by its findings and the violations citing it.
+    A dataclass is read field by field, so a slotted one, which has no
+    __dict__, encodes as any other does. The text of each SourceLocator
+    object is kept for the rest of the call: a record's locator is shared
+    by its findings and the violations citing it.
 
     Text chunks collect in a list. After an item of a list or tuple, once the
     list holds _BLOCK_CHUNKS chunks, they are joined, encoded to UTF-8 and
@@ -225,12 +222,18 @@ def render_report(report: ComplianceReport, fmt: str = FORMAT_JSON) -> bytes:
     if fmt == FORMAT_JSON:
         return canonical_json(report)
     if fmt == FORMAT_TEXT:
-        out = io.BytesIO()
-        lines = _report_text_lines(report)
-        while block := list(islice(lines, _BLOCK_CHUNKS)):
-            out.write(("\n".join(block) + "\n").encode("utf-8"))  # each line ends with LF
-        return out.getvalue()
+        return _encode_lines(_report_text_lines(report))
     raise ScanError(f"unknown report format: {fmt!r}")
+
+
+def _encode_lines(lines: Iterable[str]) -> bytes:
+    """The UTF-8 of `lines`, each ended by LF, encoded _BLOCK_CHUNKS lines at a
+    time into one buffer, so the text never exists as one str beside its bytes."""
+    out = io.BytesIO()
+    lines = iter(lines)
+    while block := list(islice(lines, _BLOCK_CHUNKS)):
+        out.write(("\n".join(block) + "\n").encode("utf-8"))
+    return out.getvalue()
 
 
 def _report_text_lines(report: ComplianceReport) -> Iterator[str]:
@@ -289,7 +292,7 @@ def render_timeline(events: list[TimelineEvent], fmt: str = FORMAT_JSON) -> byte
     if fmt == FORMAT_JSON:
         return canonical_json(events)
     if fmt == FORMAT_TEXT:
-        lines = [f"{e.at.utc}  {e.app}  {e.summary}  "
-                 f"({e.locator.relative_path} {e.locator.detail})" for e in events]
-        return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+        return _encode_lines([f"{e.at.utc}  {e.app}  {e.summary}  "
+                              f"({e.locator.relative_path} {e.locator.detail})"
+                              for e in events])
     raise ScanError(f"unknown timeline format: {fmt!r}")

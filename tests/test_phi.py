@@ -572,6 +572,31 @@ def test_a_one_mib_hex_line_is_swept_in_linear_time():
         ("078-05-1120", f"ssn@{(1 << 20) + 5}")]
 
 
+def _classify_within_ten_seconds(record):
+    def give_up(signum, frame):
+        raise TimeoutError("classify_record still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        return classify_record(record, redact=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# 1 MiB of digit-dense text in one str field: runs that pass the shape gate
+# and give the card pattern a match every 16 digits, and near misses of an
+# SSN that the gate turns away
+@pytest.mark.parametrize("unit", ["1-", "1 ", "1", "078-05-112x "],
+                         ids=["digit-hyphen", "digit-space", "one-digit", "ssn-near-miss"])
+def test_a_one_mib_digit_dense_field_is_classified_in_linear_time(unit):
+    record = _with_texts(_PROFILE, name=unit * ((1 << 20) // len(unit)))
+    assert _classify_within_ten_seconds(record) == rule_table_walk(record)
+    short = _with_texts(_PROFILE, name=record.payload.name[:64])
+    assert classify_record(short, redact=False) == rule_table_walk(short)
+
+
 @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: _SSN_RE's \\b fails where "
                    "the next SQLite cell or an email follows the SSN directly")
 @pytest.mark.parametrize("data", [

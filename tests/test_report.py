@@ -29,11 +29,13 @@ from phiscan.phi import (
     PHI_CATEGORIES,
     PhiFinding,
     PhiMatrixRow,
+    PhiRule,
     SecurityViolation,
     evaluate_privacy_rule,
 )
 from phiscan.report import (
     ComplianceReport,
+    TimelineEvent,
     build_timeline,
     canonical_json,
     render_report,
@@ -165,9 +167,13 @@ def test_canonical_json_refuses_objects_that_are_not_dataclasses():
 # -- the canonical encoder against its reference -------------------------------
 
 def reference_canonical_json(obj) -> bytes:
-    """What canonical_json must give: the C encoder, with vars() for a dataclass."""
+    """What canonical_json must give: the C encoder, with a dataclass as the object
+    of its fields."""
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"),
-                      allow_nan=False, default=vars).encode("utf-8") + b"\n"
+                      allow_nan=False,
+                      default=lambda o: {f.name: getattr(o, f.name)
+                                         for f in dataclasses.fields(o)}
+                      ).encode("utf-8") + b"\n"
 
 
 @pytest.mark.parametrize("name", ["replica", *(f"seed{seed}" for seed in range(40))])
@@ -422,6 +428,24 @@ def test_a_payload_with_an_instant_names_its_timeline_event():
         checked.append(cls.__name__)
     assert {"BloodPressureReading", "OximetryReading", "WeightReading", "EnvironmentReading",
             "DeviceRegistration", "HealthMateMeasurement", "CredentialSet"} <= set(checked)
+
+
+# Every type a record, a report or a timeline is made of: the payload
+# dataclasses, found by module so that a new one is checked too, and the rest.
+_RECORD_TYPES = sorted({*_payload_dataclasses(), PhiFinding, SecurityViolation, PhiMatrixRow,
+                        PhiRule, TimelineEvent, ComplianceReport, FileDigest},
+                       key=lambda cls: (cls.__module__, cls.__qualname__))
+
+
+@pytest.mark.parametrize("cls", _RECORD_TYPES, ids=lambda cls: cls.__qualname__)
+def test_record_report_and_timeline_types_are_slotted_and_frozen(cls):
+    # a scan makes tens of thousands of these; a slotted instance has no __dict__
+    assert "__slots__" in vars(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    instance = cls(**dict.fromkeys(names))
+    assert not hasattr(instance, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(instance, names[0], "changed")
 
 
 def test_empty_timeline():
