@@ -17,7 +17,8 @@ one plants the manifest records. An explicit row must carry its table's
 keys, give epochs on the app's scale and pass the parser's own declared
 checks; generated rows are not checked, so the round trip still tests
 the parsers against independent data. The expected findings are written
-here by hand, never derived from the parsers.
+here by hand, never derived from the parsers. Each database is built in
+SQLite's memdb VFS, so nothing is written outside the output.
 
 Encrypted Gluco-Smart databases are simulated as seeded pseudorandom
 bytes. The scanner only ever classifies them, never decrypts, so random
@@ -34,10 +35,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import random
 import sqlite3
-import tempfile
 import zipfile
 from collections import Counter
 from dataclasses import dataclass
@@ -623,28 +622,26 @@ def _resolve_rows(db: _ForgeDb, table: _ForgeTable, value: int | tuple, gen) -> 
 # -- file builders -----------------------------------------------------------
 
 def _sqlite_file(db: _ForgeDb, rows: dict[str, list[dict]]) -> bytes:
-    """The database of `db` holding `rows`: every CREATE, then every INSERT."""
-    fd, path = tempfile.mkstemp(suffix=".db", prefix="phiscan-forge-")
-    os.close(fd)
+    """The database of `db` holding `rows`: every CREATE, then every INSERT.
+
+    It is built in SQLite's memdb VFS, whose pager writes the header a file
+    gets; a ":memory:" database skips the file change counter. A name that
+    does not begin with "/" keeps the database private to this connection.
+    """
+    conn = sqlite3.connect("file:forge?vfs=memdb", uri=True)
     try:
-        conn = sqlite3.connect(path)
-        try:
-            # a scratch file, read back by this process and unlinked: no need to sync
-            conn.execute("PRAGMA synchronous=OFF")
-            for table in db.tables:
-                columns = ", ".join(f"{column} {type_}" for column, type_, _ in table.columns)
-                conn.execute(f"CREATE TABLE {table.name} ({columns})")
-            for table in db.tables:
-                # a None key inserts NULL, which an INTEGER PRIMARY KEY turns into the position
-                keys = [key for _, _, key in table.columns]
-                conn.executemany(f"INSERT INTO {table.name} VALUES ({','.join('?' * len(keys))})",
-                                 [tuple(map(row.get, keys)) for row in rows[table.field]])
-            conn.commit()
-        finally:
-            conn.close()
-        return Path(path).read_bytes()
+        for table in db.tables:
+            columns = ", ".join(f"{column} {type_}" for column, type_, _ in table.columns)
+            conn.execute(f"CREATE TABLE {table.name} ({columns})")
+        for table in db.tables:
+            # a None key inserts NULL, which an INTEGER PRIMARY KEY turns into the position
+            keys = [key for _, _, key in table.columns]
+            conn.executemany(f"INSERT INTO {table.name} VALUES ({','.join('?' * len(keys))})",
+                             [tuple(map(row.get, keys)) for row in rows[table.field]])
+        conn.commit()
+        return conn.serialize()
     finally:
-        os.unlink(path)
+        conn.close()
 
 
 def _prefs_xml(entries: list[tuple[str, str, object]]) -> bytes:
@@ -829,10 +826,8 @@ def write_tree(tree: dict[str, bytes], spec: FixtureSpec, out: Path) -> None:
         out.mkdir(parents=True, exist_ok=True)
         for rel in _tree_dirs(tree, spec):
             (out / rel).mkdir(parents=True, exist_ok=True)
-        for rel in sorted(tree):
-            target = out / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(tree[rel])
+        for rel in sorted(tree):  # _tree_dirs made every parent
+            (out / rel).write_bytes(tree[rel])
         return
     out.parent.mkdir(parents=True, exist_ok=True)
     # pinned entry metadata keeps archives byte-identical per (spec, seed)

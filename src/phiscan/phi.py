@@ -228,7 +228,10 @@ def _plan(payload_type: type) -> tuple[Callable | None, tuple[str, ...]]:
 
 
 def classify_record(record: ArtifactRecord, *, redact: bool) -> list[PhiFinding]:
-    """Apply every published rule to one record. Unrecognized records yield [].
+    """Apply every published rule to one record.
+
+    The payload must be a dataclass instance, as every payload type is;
+    any other payload raises TypeError.
 
     Typed rules take the payload's phi_excerpts(), if it has one; the
     pattern rules read one text, the payload's str fields joined by NUL. No

@@ -246,7 +246,7 @@ def _report_text_lines(report: ComplianceReport) -> Iterator[str]:
 
     yield ""
     yield "HIPAA PHI RECOVERY MATRIX"
-    label_width = max((len(label) for label in CATEGORY_LABELS.values()), default=0)
+    label_width = max(len(label) for label in CATEGORY_LABELS.values())
     header = "PHI category".ljust(label_width) + "".join(" | " + row.app_name
                                                          for row in report.matrix)
     yield header

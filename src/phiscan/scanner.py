@@ -82,7 +82,7 @@ def scan_evidence(path, *, fixed_clock: str | None = None, redact: bool = True,
         claimed, swept, custody = defaultdict(list), defaultdict(list), []
         for rel in sorted(source.root_listing):
             folder, sep, _ = rel.partition("/")
-            if not sep or folder not in roots:
+            if not sep:
                 custody.append(rel)
             elif roots[folder] is not None and roots[folder].claims(rel):
                 claimed[folder].append(rel)

@@ -16,7 +16,7 @@ import warnings
 import zipfile
 
 import pytest
-from hypothesis import event, example, given, reject, strategies as st
+from hypothesis import event, example, given, reject, settings, strategies as st
 
 from phiscan import evidence
 from phiscan.errors import (
@@ -423,6 +423,7 @@ def _data_past_the_end_of_the_file() -> bytes:
 
 
 @pytest.mark.equivalence
+@settings(deadline=None)  # an LZMA member can take over 200 ms under -X dev
 @given(_damaged_zips())
 @example(_one_member_zip(zipfile.ZIP_DEFLATED, b"data", _bad_utf8_local_name))
 @example(_one_member_zip(zipfile.ZIP_STORED, b"stored member",  # declared shorter than stored

@@ -5,10 +5,15 @@ from __future__ import annotations
 import collections
 import dataclasses
 import json
+import pathlib
 import re
 import sqlite3
+import tempfile
+import zipfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phiscan.errors import InvalidSpecError
 from phiscan.fixtures import (
@@ -460,3 +465,64 @@ def test_directory_and_zip_forms_have_identical_content(tmp_path):
     assert src_d.root_listing == src_z.root_listing
     for rel in sorted(src_d.root_listing):
         assert read_file(src_d, rel) == read_file(src_z, rel)
+
+
+_REAL_CONNECT = sqlite3.connect
+
+
+@pytest.mark.equivalence
+@settings(deadline=None)  # the reference commits each database to a file
+@given(st.none() | st.integers(min_value=0))
+@example(None)  # the replica
+def test_memdb_databases_equal_file_databases(seed):
+    # The reference opens each database on a fresh file, and serialize() of a
+    # file-backed connection returns that file's bytes. This runs with the
+    # interpreter's own SQLite, where perfbench's pins hold for one version.
+    spec = paper_replica_spec() if seed is None else random_spec(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+
+        def connect_a_file(*args, **kwargs):
+            files.append(pathlib.Path(tmp) / f"{len(files)}.db")
+            return _REAL_CONNECT(files[-1])
+
+        with mock.patch.object(sqlite3, "connect", connect_a_file):
+            on_file, _ = build_tree(spec)
+        written = sorted(path.read_bytes() for path in files)
+    assert build_tree(spec)[0] == on_file
+    assert written == sorted(data for data in on_file.values()
+                             if data.startswith(b"SQLite format 3\x00"))
+
+
+def test_the_forge_writes_no_file_of_its_own(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the forge made a temporary file")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    monkeypatch.chdir(tmp_path)  # a database named as a file would land here
+    tree, _ = build_tree(paper_replica_spec())
+    assert any(data.startswith(b"SQLite format 3\x00") for data in tree.values())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_forged_zip_pins_each_entry_s_metadata(tmp_path):
+    spec = dataclasses.replace(paper_replica_spec(), output_kind="zip")
+    tree, _ = build_tree(spec)
+    write_tree(tree, spec, tmp_path / "replica.zip")
+    with zipfile.ZipFile(tmp_path / "replica.zip") as zf:
+        entries = zf.infolist()
+    dirs = [info for info in entries if info.filename.endswith("/")]
+    files = entries[len(dirs):]
+    assert entries[:len(dirs)] == dirs  # every directory entry comes first
+    assert [info.filename for info in dirs] == sorted(info.filename for info in dirs)
+    assert {rel.rpartition("/")[0] + "/" for rel in tree if "/" in rel} <= {
+        info.filename for info in dirs}
+    assert [info.filename for info in files] == sorted(tree)
+    for info in dirs:
+        assert info.is_dir()
+        assert info.external_attr == (0o755 << 16) | 0x10
+        assert info.compress_type == zipfile.ZIP_STORED
+    for info in files:
+        assert info.external_attr == 0o644 << 16
+        assert info.compress_type == zipfile.ZIP_DEFLATED
+    assert {info.date_time for info in entries} == {(2020, 1, 1, 0, 0, 0)}
