@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import AmbiguousUnitError, NonPositiveTimestampError
 
-# unanchored: the raw sweep searches text with it, looks_like_email a whole value
+# looks_like_email's pattern, matched against a whole value
 EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
 
 

@@ -9,9 +9,10 @@ carries the id of the rule that fired so the classification is auditable.
 This module knows no structured payload type. A typed rule's excerpt comes
 from the payload itself: each structured payload's phi_excerpts() maps the
 typed predicates it can fire to their excerpts, and an empty excerpt fires
-none. The two pattern rules (SSN, Luhn-valid card number) read one text: a
-payload's str fields joined by NUL, or the matched value of a raw-sweep hit.
-One walk over the rule table gives the findings of both.
+none. The two pattern rules (SSN, Luhn-valid card number) read one text, a
+payload's str fields joined by NUL. The raw sweep runs the same two patterns
+over the printable runs of a file's bytes, so a swept run gives the matches
+that the same text in a str field gives.
 
 The Security-Rule evaluation asks two questions of each app: did health
 data sit in plaintext containers at rest, and was an account password
@@ -25,7 +26,7 @@ import dataclasses
 import functools
 import itertools
 import re
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from importlib import resources
 
@@ -35,7 +36,6 @@ from .artifacts import (
     CONTAINER_SQLITE,
     CONTAINER_XML,
     DatabaseStatus,
-    EMAIL_RE,
     KIND_CREDENTIAL,
     SourceLocator,
     STATUS_ENCRYPTED,
@@ -148,10 +148,11 @@ TYPED_PREDICATES = frozenset({"vital_reading", "device_usage", "profile_name",
                               "profile_birth_date", "timezone_address_proxy"})
 
 
-# Each pattern predicate's distinct matches in one text, sorted.
+# Each pattern predicate's pattern, the check that a match must also pass
+# (None for none), and the name a raw-sweep finding's detail gives the match.
 _PATTERN_PREDICATES = {
-    "ssn_pattern": lambda text: sorted(set(_SSN_RE.findall(text))),
-    "payment_pattern": lambda text: sorted({m for m in _CARD_RE.findall(text) if luhn_ok(m)}),
+    "ssn_pattern": (_SSN_RE, None, "ssn"),
+    "payment_pattern": (_CARD_RE, luhn_ok, "payment-card"),
 }
 
 
@@ -173,36 +174,10 @@ def _load_rule_table() -> tuple[PhiRule, ...]:
 
 RULE_TABLE = _load_rule_table()
 
-# The rule table as _findings walks it: (predicate, its pattern function or
-# None for a typed predicate, category, rule id), in rule order.
-_RULE_WALK = tuple((rule.predicate, _PATTERN_PREDICATES.get(rule.predicate), rule.category,
-                    rule.rule_id) for rule in RULE_TABLE)
-
-
-def _findings(typed: dict[str, str], text: str, locator: SourceLocator,
-              redact: bool) -> list[PhiFinding]:
-    """The findings the rule table fires, in rule order, each at `locator`.
-
-    A typed rule fires its predicate's entry in `typed`, unless that is
-    absent or empty; a pattern rule fires once per distinct match in
-    `text`, in sorted order, and is not run unless `text` holds an SSN or
-    card shape. With `redact`, each excerpt is built redacted.
-    """
-    shaped = _PATTERN_SHAPE.search(text) is not None
-    findings = []
-    for predicate, pattern, category, rule_id in _RULE_WALK:
-        if pattern is not None:
-            if not shaped:
-                continue
-            excerpts = pattern(text)
-        elif excerpt := typed.get(predicate):
-            excerpts = (excerpt,)
-        else:
-            continue
-        for excerpt in excerpts:
-            findings.append(PhiFinding(
-                category, redact_value(excerpt) if redact else excerpt, locator, rule_id))
-    return findings
+# The rule table as classify_record walks it: (predicate, its pattern and
+# check, or None and None for a typed predicate, category, rule id), in rule order.
+_RULE_WALK = tuple((rule.predicate, *_PATTERN_PREDICATES.get(rule.predicate, (None,) * 3)[:2],
+                    rule.category, rule.rule_id) for rule in RULE_TABLE)
 
 
 def shown_locator(record: ArtifactRecord, redact: bool) -> SourceLocator:
@@ -228,99 +203,62 @@ def _plan(payload_type: type) -> tuple[Callable | None, tuple[str, ...]]:
 
 
 def classify_record(record: ArtifactRecord, *, redact: bool) -> list[PhiFinding]:
-    """Apply every published rule to one record.
+    """Apply every published rule to one record, in rule order.
 
     The payload must be a dataclass instance, as every payload type is;
     any other payload raises TypeError.
 
-    Typed rules take the payload's phi_excerpts(), if it has one; the
-    pattern rules read one text, the payload's str fields joined by NUL. No
-    SSN or card match holds or crosses a NUL, so each field's matches are
-    the ones a search of that field alone finds. A raw hit (a Health Mate
-    measure code no map decodes) has no typed excerpts, and its pattern
-    name holds no digit, so only its value can fire a pattern rule. With
-    `redact`, each excerpt is built redacted and the locator is shown_locator's.
+    A typed rule fires the entry for its predicate in the payload's
+    phi_excerpts(), if it has one and that entry is not empty. A pattern
+    rule fires once per distinct match in one text, in sorted order: the
+    payload's str fields joined by NUL. No SSN or card match holds or
+    crosses a NUL, so each field's matches are the ones a search of that
+    field alone finds; the pattern rules are not run unless the text holds
+    an SSN or card shape. A raw hit (a Health Mate measure code no map
+    decodes) has no typed excerpts, and its pattern name holds no digit, so
+    only its value can fire a pattern rule. With `redact`, each excerpt is
+    built redacted and the locator is shown_locator's.
     """
     payload = record.payload
     excerpts, names = _plan(type(payload))
+    typed = excerpts(payload) if excerpts else {}
     text = "\0".join([v for name in names if isinstance(v := getattr(payload, name), str)])
-    return _findings(excerpts(payload) if excerpts else {}, text,
-                     shown_locator(record, redact), redact)
+    shaped = _PATTERN_SHAPE.search(text) is not None
+    locator = shown_locator(record, redact)
+    findings = []
+    for predicate, rx, check, category, rule_id in _RULE_WALK:
+        if rx is not None:
+            if not shaped:
+                continue
+            found = sorted({m for m in rx.findall(text) if check is None or check(m)})
+        elif excerpt := typed.get(predicate):
+            found = (excerpt,)
+        else:
+            continue
+        for excerpt in found:
+            findings.append(PhiFinding(
+                category, redact_value(excerpt) if redact else excerpt, locator, rule_id))
+    return findings
 
 
 # -- generic raw sweep -------------------------------------------------------
 
-# A hit must sit in a run of at least this many printable ASCII bytes.
+# A match must sit in a run of at least this many printable ASCII bytes.
 _MIN_RUN = 6
 # Printable ASCII bytes become b"p" and all others NUL, so the runs are found
 # by a literal search over the mask, not by a class test at every byte.
 _PRINTABLE_MASK = bytes(0x70 if 0x20 <= b <= 0x7e else 0 for b in range(256))
 _MASKED_RUN = re.compile(b"p" * _MIN_RUN + b"p*")
 
-RAW_PATTERNS: tuple[tuple[str, re.Pattern], ...] = (
-    ("email", EMAIL_RE),
-    ("credential-key", re.compile(r"(?i)\b[\w.@-]*(?:password|token)[\w.@-]*\b")),
-    ("ssn", _SSN_RE),
-    ("payment-card", _CARD_RE),
-)
-
-# The same patterns over bytes. None consumes a byte outside \x20-\x7e, and
-# an ASCII \b treats every other byte as a non-word, so a match never
-# crosses the NUL that _match_runs puts between two printable runs.
-_RAW_BYTE_PATTERNS = tuple(
-    (name, re.compile(rx.pattern.encode("ascii"), rx.flags & ~re.UNICODE))
-    for name, rx in RAW_PATTERNS)
-
-# A credential-key match holds "password" or "token" in any case and lies
-# inside one run of [\w.@-] bytes, whose neighbours are non-word bytes. This
-# table lowercases the run bytes and turns every other byte into NUL, so the
-# runs that hold a keyword are found by a literal search.
-_CREDENTIAL_KEYWORDS = (b"password", b"token")
-_KEY_RUN_TABLE = bytes(c if re.fullmatch(rb"[\w.@-]", bytes([c])) else 0
-                       for c in bytes(range(256)).lower())
-
-
-def _keyword_runs(swept: bytes) -> list[tuple[int, int]]:
-    r"""The spans of the [\w.@-] runs of `swept` that hold a credential keyword."""
-    keyed = swept.translate(_KEY_RUN_TABLE)
-    spans = set()
-    for keyword in _CREDENTIAL_KEYWORDS:
-        at = keyed.find(keyword)
-        while at >= 0:
-            end = keyed.find(b"\0", at)
-            if end < 0:
-                end = len(keyed)
-            spans.add((keyed.rfind(b"\0", 0, at) + 1, end))
-            at = keyed.find(keyword, end)
-    return sorted(spans)
-
-
-# The email pattern's local-part bytes map to themselves, every other byte to
-# NUL, so the run that ends at an "@" starts after the last NUL before it.
-_EMAIL_LOCAL_TABLE = bytes(c if re.fullmatch(rb"[A-Za-z0-9._%+-]", bytes([c])) else 0
-                           for c in range(256))
-
-
-def _email_matches(rx: re.Pattern, swept: bytes) -> Iterator[re.Match]:
-    """The matches of rx.finditer(swept) for the email pattern, in linear time.
-
-    A match's local part is the tail of the local-class run that ends at its
-    "@", and whether the rest matches does not depend on where that part
-    starts, so the leftmost start of each "@" is the only one to try: the
-    run's start, or the previous match's end if that is later. The local
-    runs of two "@"s do not overlap, nor do their domain runs.
-    """
-    at = swept.find(b"@")
-    if at < 0:
-        return
-    local = swept.translate(_EMAIL_LOCAL_TABLE)
-    end = 0
-    while at >= 0:
-        start = max(local.rfind(b"\0", 0, at) + 1, end)
-        if start < at and (match := rx.match(swept, start)):
-            yield match
-            end = match.end()
-        at = swept.find(b"@", at + 1)
+# The pattern rules as the sweep runs them, in rule order: (detail name,
+# pattern over bytes, check, category, rule id). A bytes pattern's \d and \b
+# are ASCII's, so no match consumes a byte outside \x20-\x7e, \b treats every
+# other byte as a non-word, and no match crosses the NUL that _match_runs puts
+# between two printable runs.
+_SWEEP_RULES = tuple(
+    (name, re.compile(rx.pattern.encode("ascii")), check, rule.category, rule.rule_id)
+    for rule in RULE_TABLE if rule.predicate in _PATTERN_PREDICATES
+    for rx, check, name in [_PATTERN_PREDICATES[rule.predicate]])
 
 
 def _printable_runs(data: bytes) -> list[tuple[int, int]]:
@@ -328,56 +266,32 @@ def _printable_runs(data: bytes) -> list[tuple[int, int]]:
     return [m.span() for m in _MASKED_RUN.finditer(data.translate(_PRINTABLE_MASK))]
 
 
-def _match_runs(data: bytes, runs: list[tuple[int, int]]) -> list[tuple[int, str, str]]:
-    """Every raw-pattern hit inside the given printable runs of `data`, sorted.
+def _match_runs(data: bytes, runs: list[tuple[int, int]]) -> list[tuple[int, int, str]]:
+    """Every pattern-rule match inside the given printable runs of `data`, sorted.
 
-    The runs are cut out of `data` and joined by NUL bytes, and each pattern
-    is matched once over the joined runs, so the cost follows the bytes of
-    the runs, not the size of `data`. credential-key is matched only inside
-    the runs of word, '.', '@' and '-' bytes that hold "password" or "token"
-    in any case, email is tried once per "@" (_email_matches), and a
-    payment-card match must pass the Luhn check.
+    Each match is (byte offset in `data`, its rule's index in _SWEEP_RULES,
+    value), and passes its rule's check. The runs are cut out of `data` and
+    joined by NUL bytes, and each pattern is matched once over the joined
+    runs, so the cost follows the bytes of the runs, not the size of `data`.
     """
     swept = b"\0".join([data[start:end] for start, end in runs])
     # where each run starts in `swept`, to map a match back into `data`
     swept_starts = list(itertools.accumulate(
         (end - start + 1 for start, end in runs), initial=0))
-    hits = []
-    for pattern_name, rx in _RAW_BYTE_PATTERNS:
-        if pattern_name == "credential-key":
-            # a run's edges are non-word bytes, so a search cut to the run
-            # finds what a search of the whole buffer finds in it
-            found = itertools.chain.from_iterable(
-                rx.finditer(swept, start, end) for start, end in _keyword_runs(swept))
-        elif pattern_name == "email":
-            found = _email_matches(rx, swept)
-        else:
-            found = rx.finditer(swept)
-        for match in found:
+    matches = []
+    for index, (_, rx, check, _, _) in enumerate(_SWEEP_RULES):
+        for match in rx.finditer(swept):
             value = match.group().decode("ascii")
-            if pattern_name == "payment-card" and not luhn_ok(value):
-                continue
-            run = bisect.bisect_right(swept_starts, match.start()) - 1
-            hits.append((runs[run][0] + match.start() - swept_starts[run], pattern_name, value))
-    return sorted(hits)
+            if check is None or check(value):
+                run = bisect.bisect_right(swept_starts, match.start()) - 1
+                matches.append((runs[run][0] + match.start() - swept_starts[run], index, value))
+    return sorted(matches)
 
 
-def match_raw(data: bytes) -> list[tuple[int, str, str]]:
-    r"""Every raw-pattern hit in `data`, as (byte offset, pattern, value), sorted.
-
-    A hit is a pattern match inside a run of 6 or more printable ASCII
-    bytes (emails, password/token key names, SSNs and Luhn-valid card
-    numbers). No pattern consumes a byte outside \x20-\x7e, so every hit
-    lies inside one run, and _match_runs over all the runs finds them all.
-    """
-    return _match_runs(data, _printable_runs(data))
-
-
-# Digits become b"d", b" " and b"-" stay and every other byte becomes b"x". A
-# hit's value is bytes of the file, and the SSN rule needs ddd-dd-dddd in it,
-# the card rule 15 or more digits with at most one space or hyphen between two
-# of them: 15 digits in a row once spaces and hyphens are deleted. Bytes whose
-# translation holds neither can fire no rule, whatever the patterns' edges.
+# Digits become b"d", b" " and b"-" stay and every other byte becomes b"x". An
+# SSN match is ddd-dd-dddd, a card match 15 or 16 digits with at most one space
+# or hyphen between two of them: 15 digits in a row once spaces and hyphens are
+# deleted. Bytes whose translation holds neither shape hold no match.
 _DIGIT_SHAPES = bytes(0x64 if 0x30 <= b <= 0x39 else b if b in b" -" else 0x78
                       for b in range(256))
 _SSN_SHAPE = b"ddd-dd-dddd"
@@ -386,21 +300,19 @@ _CARD_SHAPE = b"d" * 15
 
 def scan_raw(data: bytes, package_name: str, relative_path: str, *,
              redact: bool) -> list[PhiFinding]:
-    """The PHI findings of a sweep of arbitrary bytes for raw patterns.
+    """The PHI findings of a sweep of arbitrary bytes for the pattern rules.
 
-    Catches what the structured parsers do not cover. Each raw-pattern hit
-    (see match_raw) goes through classify_record's rule walk, with its value
-    as the text and no typed excerpts, so only the pattern rules can fire;
-    most hits fire none and are dropped. A finding's locator names the
-    package and path, with detail "{pattern}@{offset}", the hit's byte
-    offset in `data`. Findings come in hit order, then in rule order; with
-    `redact`, each excerpt is built redacted.
+    Catches what the structured parsers do not cover. Each pattern rule's
+    pattern is matched over the runs of 6 or more printable ASCII bytes in
+    `data`, and each match that passes the rule's check (Luhn, for a card)
+    is one finding. A finding's locator names the package and path, with
+    detail "ssn@{offset}" or "payment-card@{offset}", the match's byte
+    offset in `data`. Findings come in offset order, then in rule order;
+    with `redact`, each excerpt is built redacted.
 
-    A hit fires a rule only if its value holds an SSN or a card shape, and
-    so only if the printable run it lies in holds one. A file with no such
-    shape is not matched at all (most swept files); otherwise only the runs
-    that hold one are matched, and they give the hits match_raw finds in
-    them, since no match crosses the NUL that joins two runs.
+    A file with no SSN or card shape is not matched at all (most swept
+    files); otherwise only the runs that hold a shape are matched, since a
+    match lies inside one run and holds its rule's shape.
     """
     shapes = data.translate(_DIGIT_SHAPES)
     ssn = _SSN_SHAPE in shapes
@@ -412,9 +324,11 @@ def scan_raw(data: bytes, package_name: str, relative_path: str, *,
             if ssn and shapes.find(_SSN_SHAPE, start, end) >= 0
             or card and _CARD_SHAPE in shapes[start:end].translate(None, b" -")]
     findings = []
-    for offset, pattern, value in _match_runs(data, runs):
-        locator = SourceLocator(package_name, relative_path, CONTAINER_RAW, f"{pattern}@{offset}")
-        findings += _findings({}, value, locator, redact)
+    for offset, index, value in _match_runs(data, runs):
+        name, _, _, category, rule_id = _SWEEP_RULES[index]
+        locator = SourceLocator(package_name, relative_path, CONTAINER_RAW, f"{name}@{offset}")
+        findings.append(PhiFinding(
+            category, redact_value(value) if redact else value, locator, rule_id))
     return findings
 
 

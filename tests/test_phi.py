@@ -36,13 +36,11 @@ from phiscan.phi import (
     CATEGORY_LABELS,
     PHI_CATEGORIES,
     PhiFinding,
-    RAW_PATTERNS,
     RULE_TABLE,
     classify_record,
     evaluate_privacy_rule,
     evaluate_security_rule,
     luhn_ok,
-    match_raw,
     redact_value,
     scan_raw,
 )
@@ -174,44 +172,36 @@ def _sweep(data, redact=False):
     return scan_raw(data, *RAW_AT, redact=redact)
 
 
-def test_scan_raw_finds_email():
-    data = b"\x00\x01 medicaldevices2018exper@gmail.com rest\xff"
-    assert match_raw(data) == [(3, "email", "medicaldevices2018exper@gmail.com")]
+def _found(data):
+    return [(f.value_excerpt, f.locator.detail) for f in _sweep(data)]
 
 
 def test_scan_raw_keeps_no_mac_date_or_epoch_token():
-    # no output reads such a match, and none can hold an SSN or card finding
+    # none can hold an SSN or card match
     for token in (b"00:24:e4:5a:ee:6c", b"2018-07-05", b"2018-07-05T22:25:49Z",
                   b"1541806236", b"1541806236000"):
-        assert match_raw(b"junk " + token + b" junk") == []
+        assert _sweep(b"junk " + token + b" junk") == []
 
 
 def test_scan_raw_empty_input():
-    assert match_raw(b"") == []
     assert _sweep(b"") == []
 
 
-def _hits(data):
-    return [(pattern, value, f"{pattern}@{offset}") for offset, pattern, value in match_raw(data)]
-
-
 @pytest.mark.parametrize("data, expected", [
-    (b"\x00token\x00", []),  # a 5-byte match alone in a 5-byte run
-    (b"token", []),
-    (b"\x00tokens\x00", [("credential-key", "tokens", "credential-key@1")]),
-    (b"a token", [("credential-key", "token", "credential-key@2")]),
-    (b"token \xff", [("credential-key", "token", "credential-key@0")]),
-    (b"\x00\x00 token", [("credential-key", "token", "credential-key@3")]),
-    (b"\n123-45-6789\n", [("ssn", "123-45-6789", "ssn@1")]),
-    (b"x@y.com\ntoken!", [("email", "x@y.com", "email@0"),
-                          ("credential-key", "token", "credential-key@8")]),
+    (b"\n123-45-6789\n", [("123-45-6789", "ssn@1")]),
+    (b"\x00123-45-6789\xff", [("123-45-6789", "ssn@1")]),
+    (b"\x00\x00 123-45-6789", [("123-45-6789", "ssn@3")]),
+    (b"ssn 123-45\x7f-6789", []),  # a byte outside the runs cuts the SSN
+    (b"x@y.com\n123-45-6789!", [("123-45-6789", "ssn@8")]),
+    # two SSNs in one email; an SSN glued to the email before it has no \b
+    (b"123-45-6789.123-45-6780@x.io", [("123-45-6789", "ssn@0"), ("123-45-6780", "ssn@12")]),
+    (b"a@b.co123-45-6789@x.io", []),
     # a match never joins two runs, though a space between them would
     (b"card 4111 1111\x001111 1111 x", []),
-    (b"card 4111 1111 1111 1111 x", [("payment-card", "4111 1111 1111 1111",
-                                      "payment-card@5")]),
+    (b"card 4111 1111 1111 1111 x", [("4111 1111 1111 1111", "payment-card@5")]),
 ])
-def test_scan_raw_hits_sit_in_printable_runs_of_six(data, expected):
-    assert _hits(data) == expected
+def test_scan_raw_matches_sit_in_printable_runs(data, expected):
+    assert _found(data) == expected
 
 
 def test_both_ends_of_printable_ascii_are_in_a_run():
@@ -222,44 +212,69 @@ def test_both_ends_of_printable_ascii_are_in_a_run():
 
 def test_scan_raw_offsets_point_at_match():
     data = b"\x00\x00AAAA 123-45-6789\x00"
-    (offset, _, _), = [h for h in match_raw(data) if h[1] == "ssn"]
-    assert data[offset:offset + 11] == b"123-45-6789"
     (finding,) = _sweep(data)
+    offset = data.index(b"123-45-6789")
     assert finding.locator == SourceLocator(*RAW_AT, "raw-bytes", f"ssn@{offset}")
 
 
-def test_scan_raw_credential_key_names():
-    hits = match_raw(b"<string name='x_user_password'>s3cret</string>")
-    assert [(pattern, value) for _, pattern, value in hits] == [
-        ("credential-key", "x_user_password")]
-
-
 def test_scan_raw_card_requires_luhn():
-    ok = match_raw(b"card 4111111111111111 end")
-    assert any(pattern == "payment-card" for _, pattern, _ in ok)
-    bad = match_raw(b"card 4111111111111112 end")
-    assert not any(pattern == "payment-card" for _, pattern, _ in bad)
+    assert _found(b"card 4111111111111111 end") == [("4111111111111111", "payment-card@5")]
+    assert _sweep(b"card 4111111111111112 end") == []
     # millisecond epochs are 13 digits and must not look like cards
-    epoch = match_raw(b"ts 1541806236000 end")
-    assert not any(pattern == "payment-card" for _, pattern, _ in epoch)
+    assert _sweep(b"ts 1541806236000 end") == []
 
 
 _PRINTABLE_RUN = re.compile(rb"[\x20-\x7e]{6,}")
+# The pattern rules as a reference writes them, in rule-table order: detail
+# name, pattern, check, category and rule id.
+_REFERENCE_RULES = (
+    ("ssn", re.compile(r"\b\d{3}-\d{2}-\d{4}\b"), lambda match: True, "ssn", "ssn-pattern"),
+    ("payment-card", re.compile(r"\b(?:\d[ -]?){14,15}\d\b"), luhn_ok, "payment",
+     "payment-pattern"),
+)
 
 
-def run_by_run_scan_raw(data):
-    """The earlier sweep: every pattern over each printable run of 6+ bytes."""
-    hits = []
+def run_by_run_findings(data, redact=False):
+    """The sweep's reference: both pattern rules over each printable run of 6+ bytes."""
+    found = []
     for run in _PRINTABLE_RUN.finditer(data):
         text = run.group().decode("ascii")
-        for pattern_name, rx in RAW_PATTERNS:
-            for match in rx.finditer(text):
-                value = match.group()
-                if pattern_name == "payment-card" and not luhn_ok(value):
-                    continue
-                hits.append((run.start() + match.start(), pattern_name, value))
-    hits.sort()
-    return [(pattern, value, f"{pattern}@{offset}") for offset, pattern, value in hits]
+        for order, (_, rx, check, _, _) in enumerate(_REFERENCE_RULES):
+            found += [(run.start() + m.start(), order, m.group())
+                      for m in rx.finditer(text) if check(m.group())]
+    findings = []
+    for offset, order, value in sorted(found):
+        name, _, _, category, rule_id = _REFERENCE_RULES[order]
+        findings.append(PhiFinding(category, redact_value(value) if redact else value,
+                                   SourceLocator(*RAW_AT, "raw-bytes", f"{name}@{offset}"),
+                                   rule_id))
+    return findings
+
+
+def classified_runs(data, redact=False):
+    """The distinct (category, rule, excerpt) of classify_record over each run as a str field."""
+    return {(f.category, f.rule_id, f.value_excerpt)
+            for run in _PRINTABLE_RUN.finditer(data)
+            for f in classify_record(ArtifactRecord(
+                kind="raw-hit", locator=SourceLocator(*RAW_AT, "raw-bytes", "run"),
+                payload=RawHit(pattern="run", value=run.group().decode("ascii"))),
+                redact=redact)}
+
+
+_RULE_OF_DETAIL = {"ssn": "ssn-pattern", "payment-card": "payment-pattern"}
+
+
+def check_sweep(data, redact):
+    """scan_raw's findings equal both references, and each points at its excerpt."""
+    findings = _sweep(data, redact)
+    assert findings == run_by_run_findings(data, redact)
+    assert ({(f.category, f.rule_id, f.value_excerpt) for f in findings}
+            == classified_runs(data, redact))
+    for finding in findings if not redact else ():
+        name, offset = finding.locator.detail.split("@")
+        excerpt = finding.value_excerpt.encode("ascii")
+        assert data[int(offset):int(offset) + len(excerpt)] == excerpt
+        assert _RULE_OF_DETAIL[name] == finding.rule_id
 
 
 _SWEEP_TOKENS = [b"token", b"TOKEN", b"password", b"x_user_Password", b"123-45-6789",
@@ -273,17 +288,42 @@ _SWEEP_DATA = st.lists(st.sampled_from(_SWEEP_TOKENS + _SWEEP_SEPARATORS)
 
 
 @pytest.mark.equivalence
-@given(_SWEEP_DATA)
-@example(b"token\x00tokens\ntoken")
-@example(b" a-token x.PassWord_1 ")  # a credential-key run holds '-' and any case
-@example(random.Random(0).randbytes(1 << 16) + b" pat@example.com token\x00")
-def test_scan_raw_equals_the_run_by_run_sweep(data):
-    # at hit level, hits that fire no rule included
-    assert _hits(data) == run_by_run_scan_raw(data)
+@given(_SWEEP_DATA, st.booleans())
+@example(b"123-45-6789@x.io", False)  # an SSN inside an email
+@example(b"pat.4111111111111111@x.io", False)  # a card inside an email
+@example(b"a.123-45-6789.token", True)  # an SSN inside a key name
+@example(b"card 123-45-6789-0123452", False)  # a card and an SSN at one offset
+@example(b"123-45-6789.123-45-6780@x.io", False)  # two SSNs in one email
+@example(b"a@b.co123-45-6789@x.io", False)  # an SSN glued to the email before it
+@example(b"pat@example.com x_token 078-05-1120", True)  # an SSN beside an email and a key
+@example(random.Random(0).randbytes(1 << 16) + b" pat@example.com 078-05-1120\x00", False)
+def test_scan_raw_equals_the_run_by_run_sweep(data, redact):
+    check_sweep(data, redact)
 
 
-_SSN_RX = dict(RAW_PATTERNS)["ssn"]
-_CARD_RX = dict(RAW_PATTERNS)["payment-card"]
+# digits dense enough that SSN and card shapes form, break and sit at the edges,
+# so scan_raw's byte test for those shapes is exercised on both sides
+_DIGIT_DENSE_DATA = st.lists(
+    st.sampled_from(_SWEEP_TOKENS)
+    | st.text(alphabet="0123456789 -x@._\n\0", max_size=24).map(str.encode),
+    max_size=12).map(b"".join)
+
+
+@pytest.mark.equivalence
+@given(_DIGIT_DENSE_DATA, st.booleans())
+@example(b"card 4111-1111-1111-1111 x", False)  # a card with '-' separators
+@example(b"amex 378282246310005", False)  # a 15-digit Luhn card
+@example(b"078-05-1120 pat", True)  # an SSN at the first byte
+@example(b"pat 078-05-1120", False)  # an SSN at the last byte
+@example(b"ssn 078-05\x00-1120 x", False)  # an SSN cut by a NUL
+@example(b"ssn 078-05-\x7f1120 x", False)  # an SSN cut by a \x7f
+@example(b"run 12345678901234 x", False)  # a 14-digit run
+@example(b"card 4111  1111 1111 1111 x", False)  # card digits split by two spaces
+def test_digit_dense_sweep_equals_the_run_by_run_sweep(data, redact):
+    check_sweep(data, redact)
+
+
+_SSN_RX, _CARD_RX = (rx for _, rx, *_ in _REFERENCE_RULES)
 _PATTERN_RULES = {
     "ssn_pattern": lambda texts: sorted({m for t in texts for m in _SSN_RX.findall(t)}),
     "payment_pattern": lambda texts: sorted(
@@ -310,50 +350,6 @@ def rule_table_walk(record, redact=False):
                                 locator=record.locator, rule_id=rule.rule_id)
                      for excerpt in excerpts]
     return findings
-
-
-def oracle_hit_records(data):
-    """The run-by-run sweep's hits, each as the raw-hit record the sweep once built."""
-    return [ArtifactRecord(kind="raw-hit", payload=RawHit(pattern=pattern, value=value),
-                           locator=SourceLocator(*RAW_AT, "raw-bytes", detail))
-            for pattern, value, detail in run_by_run_scan_raw(data)]
-
-
-@pytest.mark.equivalence
-@given(_SWEEP_DATA, st.booleans())
-@example(b"123-45-6789@x.io", False)  # an email hit that holds an SSN
-@example(b"pat.4111111111111111@x.io", False)  # an email hit that holds a card
-@example(b"a.123-45-6789.token", True)  # a credential-key hit that holds an SSN
-@example(b"card 123-45-6789-0123452", False)  # a card hit that holds an SSN shape
-@example(b"123-45-6789.123-45-6780@x.io", False)  # one hit, two SSN excerpts
-@example(b"pat@example.com x_token 078-05-1120", True)  # hits that fire nothing beside one
-def test_raw_hit_findings_equal_the_rule_table_walk(data, redact):
-    # at findings level: the sweep's findings are the walk over the oracle's hits
-    expected = [f for hit in oracle_hit_records(data) for f in rule_table_walk(hit, redact)]
-    assert _sweep(data, redact) == expected
-
-
-# digits dense enough that SSN and card shapes form, break and sit at the edges,
-# so scan_raw's byte test for those shapes is exercised on both sides
-_DIGIT_DENSE_DATA = st.lists(
-    st.sampled_from(_SWEEP_TOKENS)
-    | st.text(alphabet="0123456789 -x@._\n\0", max_size=24).map(str.encode),
-    max_size=12).map(b"".join)
-
-
-@pytest.mark.equivalence
-@given(_DIGIT_DENSE_DATA, st.booleans())
-@example(b"card 4111-1111-1111-1111 x", False)  # a card with '-' separators
-@example(b"amex 378282246310005", False)  # a 15-digit Luhn card
-@example(b"078-05-1120 pat", True)  # an SSN at the first byte
-@example(b"pat 078-05-1120", False)  # an SSN at the last byte
-@example(b"ssn 078-05\x00-1120 x", False)  # an SSN cut by a NUL
-@example(b"ssn 078-05-\x7f1120 x", False)  # an SSN cut by a \x7f
-@example(b"run 12345678901234 x", False)  # a 14-digit run
-@example(b"card 4111  1111 1111 1111 x", False)  # card digits split by two spaces
-def test_digit_dense_findings_equal_the_rule_table_walk(data, redact):
-    expected = [f for hit in oracle_hit_records(data) for f in rule_table_walk(hit, redact)]
-    assert _sweep(data, redact) == expected
 
 
 def _with_texts(record, **texts):
@@ -499,17 +495,13 @@ def test_scan_raw_matches_only_the_runs_that_hold_an_ssn_or_card_shape(monkeypat
     assert [(f.value_excerpt, f.rule_id) for f in findings] == [
         ("078-05-1120", "ssn-pattern"), ("123-45-6789", "ssn-pattern"),
         ("4111-1111-1111-1111", "payment-pattern")]
-    # match_raw still finds every hit, in every run
-    assert _hits(_TOKEN_LOG) == run_by_run_scan_raw(_TOKEN_LOG)
-    assert [pattern for _, pattern, _ in match_raw(_TOKEN_LOG)] == [
-        "email", "credential-key", "ssn", "email", "credential-key", "email",
-        "credential-key", "email", "ssn", "payment-card", "credential-key"]
+    # the gated runs give what every run gives
+    assert findings == run_by_run_findings(_TOKEN_LOG)
 
 
-def test_scan_raw_keeps_an_email_that_holds_an_ssn_beside_other_hits():
+def test_scan_raw_finds_an_ssn_inside_an_email_once():
     data = b"login pat@example.com\nx_user_token 123-45-6789@x.io pat@example.com\n"
-    assert [(f.value_excerpt, f.locator.detail) for f in _sweep(data)] == [
-        ("123-45-6789", "email@35"), ("123-45-6789", "ssn@35")]
+    assert _found(data) == [("123-45-6789", "ssn@35")]
 
 
 def test_scan_raw_finds_no_card_split_by_a_newline():
@@ -530,37 +522,27 @@ _MANY_RUN_DATA = st.lists(
 
 @pytest.mark.equivalence
 @given(_MANY_RUN_DATA, st.booleans())
-def test_many_run_findings_equal_the_rule_table_walk(data, redact):
-    expected = [f for hit in oracle_hit_records(data) for f in rule_table_walk(hit, redact)]
-    assert _sweep(data, redact) == expected
-
-
-_EMAIL_RX = dict(phi._RAW_BYTE_PATTERNS)["email"]
-# bytes dense in "@", dots and the email pattern's local and domain classes
-_EMAIL_DENSE_DATA = st.lists(
-    st.sampled_from([b"@", b".", b"a", b"Z", b"1", b"-", b"_", b"%", b"+", b"co", b"x",
-                     b" ", b"\0", b"pat@example.com"]),
-    max_size=40).map(b"".join)
-
-
-@pytest.mark.equivalence
-@given(_EMAIL_DENSE_DATA)
-@example(b"a@b.co@c.de")  # a match that ends at the next "@"
-@example(b"a@b.cox.y@c.de")  # the next match starts inside the last one's domain run
-@example(b"@@a@@b.cd")  # "@"s with no local part
-def test_email_matches_equal_finditer(data):
-    assert ([m.span() for m in phi._email_matches(_EMAIL_RX, data)]
-            == [m.span() for m in _EMAIL_RX.finditer(data)])
+def test_many_run_sweep_equals_the_run_by_run_sweep(data, redact):
+    check_sweep(data, redact)
 
 
 def _give_up(signum, frame):
     raise TimeoutError("sweep still running after 10 s")
 
 
-def test_a_one_mib_hex_line_is_swept_in_linear_time():
-    # one printable run of lowercase hex, all in the email local-part class, with
-    # no "@" in it; its card shapes and the SSN let it through scan_raw's gate
-    line = random.Random(0).randbytes(1 << 19).hex().encode() + b" ssn 078-05-1120"
+# 1 MiB lines, each one printable run: lowercase hex with an SSN at its end;
+# digit-dense units whose every digit starts a card try, though no match passes
+# the Luhn check; near misses of an SSN that the shape gate turns away; and an
+# SSN glued to an email in every unit
+@pytest.mark.parametrize("unit, count", [
+    (None, 1), (b"1-", 0), (b"1 ", 0), (b"1", 0), (b"078-05-112x ", 0),
+    (b"078-05-1120@x.io ", (1 << 20) // 17),
+], ids=["hex", "digit-hyphen", "digit-space", "one-digit", "ssn-near-miss", "ssn-in-email"])
+def test_a_one_mib_line_is_swept_in_linear_time(unit, count):
+    if unit is None:
+        line = random.Random(0).randbytes(1 << 19).hex().encode() + b" ssn 078-05-1120"
+    else:
+        line = unit * ((1 << 20) // len(unit))
     previous = signal.signal(signal.SIGALRM, _give_up)
     signal.alarm(10)
     try:
@@ -568,8 +550,8 @@ def test_a_one_mib_hex_line_is_swept_in_linear_time():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert [(f.value_excerpt, f.locator.detail) for f in findings] == [
-        ("078-05-1120", f"ssn@{(1 << 20) + 5}")]
+    assert len(findings) == count
+    assert findings == run_by_run_findings(line)
 
 
 def _classify_within_ten_seconds(record):
@@ -607,14 +589,14 @@ def test_scan_raw_finds_an_ssn_that_runs_into_the_next_value(data):
     assert [f.value_excerpt for f in _sweep(data)] == ["078-05-1120"]
 
 
-def test_raw_hits_carrying_pattern_findings():
-    carried = {(f.locator.detail.split("@")[0], f.rule_id)
-               for data in (b"123-45-6789@x.io", b"pat.4111111111111111@x.io",
-                            b"a.123-45-6789.token", b"card 123-45-6789-0123452")
-               for f in _sweep(data)}
-    assert carried == {("email", "ssn-pattern"), ("email", "payment-pattern"),
-                       ("credential-key", "ssn-pattern"), ("ssn", "ssn-pattern"),
-                       ("payment-card", "ssn-pattern"), ("payment-card", "payment-pattern")}
+def test_a_sweep_finding_is_named_for_its_rule():
+    # a match inside an email or a key name is its own rule's match, and one
+    # offset gives findings in rule order
+    assert [_found(data) for data in (b"123-45-6789@x.io", b"pat.4111111111111111@x.io",
+                                      b"a.123-45-6789.token", b"card 123-45-6789-0123452")
+            ] == [[("123-45-6789", "ssn@0")], [("4111111111111111", "payment-card@4")],
+                  [("123-45-6789", "ssn@2")],
+                  [("123-45-6789", "ssn@5"), ("123-45-6789-0123452", "payment-card@5")]]
 
 
 def test_luhn():
@@ -633,11 +615,9 @@ def test_raw_ssn_hit_classifies_as_ssn():
     assert [f.rule_id for f in classify_record(hit, redact=False)] == ["ssn-pattern"]
 
 
-def test_raw_email_hit_is_not_a_phi_category():
-    # email is not one of the seven Table-style categories: the hit yields no finding
-    data = b"mail me: someone@example.com"
-    assert [pattern for _, pattern, _ in match_raw(data)] == ["email"]
-    assert _sweep(data) == []
+def test_an_email_alone_gives_no_sweep_finding():
+    # email is not one of the seven Table-style categories
+    assert _sweep(b"mail me: someone@example.com") == []
 
 
 # -- privacy rule -------------------------------------------------------------
