@@ -480,8 +480,8 @@ def test_hostile_rows_warnings_and_counts_match_golden(tmp_path):
 
 
 GOLDEN_GLUCO_PLAINTEXT = {
-    True: "242635744790a368fc84726adda91403c5f0c60e332033f0a78e3059be0c157d",
-    False: "27f15343709ddc222704e395b545fc1eeb2fcfb89663d7f8211aa6d2f87bfdf9",
+    True: "bc7a047bc40ee43ed903b6ae46206c5d4da8538ab05d1f0f803df733ff526eb4",
+    False: "97acd56d6f33462bf1dbf48b4c730747e5dcae52c23f4eb36506ac49d1cfddae",
 }
 
 
