@@ -210,14 +210,15 @@ def classify_record(record: ArtifactRecord, *, redact: bool) -> list[PhiFinding]
 
     A typed rule fires the entry for its predicate in the payload's
     phi_excerpts(), if it has one and that entry is not empty. A pattern
-    rule fires once per distinct match in one text, in sorted order: the
-    payload's str fields joined by NUL. No SSN or card match holds or
-    crosses a NUL, so each field's matches are the ones a search of that
-    field alone finds; the pattern rules are not run unless the text holds
-    an SSN or card shape. A raw hit (a Health Mate measure code no map
-    decodes) has no typed excerpts, and its pattern name holds no digit, so
-    only its value can fire a pattern rule. With `redact`, each excerpt is
-    built redacted and the locator is shown_locator's.
+    rule fires once per distinct match that passes its check, in sorted
+    order, in one text: the payload's str fields joined by NUL. No SSN or
+    card match holds or crosses a NUL, so each field's matches are the ones
+    a search of that field alone finds; the pattern rules are not run
+    unless the text holds an SSN or card shape. A raw hit (a Health Mate
+    measure code no map decodes) has no typed excerpts, and its pattern name
+    holds no digit, so only its value can fire a pattern rule. With
+    `redact`, each excerpt is built redacted and the locator is
+    shown_locator's.
     """
     payload = record.payload
     excerpts, names = _plan(type(payload))
