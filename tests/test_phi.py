@@ -270,7 +270,9 @@ def check_sweep(data, redact):
     assert findings == run_by_run_findings(data, redact)
     assert ({(f.category, f.rule_id, f.value_excerpt) for f in findings}
             == classified_runs(data, redact))
-    for finding in findings if not redact else ():
+    if redact:
+        return
+    for finding in findings:
         name, offset = finding.locator.detail.split("@")
         excerpt = finding.value_excerpt.encode("ascii")
         assert data[int(offset):int(offset) + len(excerpt)] == excerpt
