@@ -49,6 +49,7 @@ from .artifacts import (
     CONTAINER_SQLITE,
     CONTAINER_XML,
     STATUS_ENCRYPTED,
+    EpochInstant,
     SourceLocator,
     normalize_timestamp,
 )
@@ -479,7 +480,6 @@ class _ForgeTable:
     field: str
     name: str
     columns: tuple[tuple[str, str, str | None], ...]
-    epoch_keys: tuple[str, ...]
     plant: Callable[[dict], _Planting]
     optional: tuple[str, ...] = ()
     order_key: str | None = None
@@ -508,7 +508,7 @@ _MYVITALS = _ForgeDb("myvitals", myvitals.DISPLAY_NAME, myvitals.PACKAGE_FOLDER,
         ("Pulse", "INTEGER", "pulse"), ("MeasureTime", "INTEGER", "measure_time"),
         ("DeviceID", "TEXT", "device_id"), ("Note", "TEXT", "note"),
         ("Account", "TEXT", "account"),
-    ), ("measure_time",), lambda r: _vitals(
+    ), lambda r: _vitals(
         "blood-pressure", f"{r['systolic']}/{r['diastolic']} mmHg, pulse {r['pulse']} bpm",
         f"device {r['device_id'] or 'unknown'} at {_utc(r['measure_time'])}"),
         optional=("note",)),
@@ -521,7 +521,7 @@ _MYVITALS = _ForgeDb("myvitals", myvitals.DISPLAY_NAME, myvitals.PACKAGE_FOLDER,
         ("PhoneCreateTime", "INTEGER", "phone_create_time"),
         ("Result", "INTEGER", "result_spo2"), ("PR", "INTEGER", "pulse_rate"),
         ("PI", "REAL", "perfusion_index"),
-    ), ("measure_time", "last_change_time", "phone_create_time"), lambda r: _vitals(
+    ), lambda r: _vitals(
         "oximetry", f"SpO2 {r['result_spo2']}%, pulse {r['pulse_rate']} bpm, "
                     f"PI {float(r['perfusion_index'])}",
         f"device {r['machine_device_id']} ({r['machine_type']}) at {_utc(r['measure_time'])}"),
@@ -532,20 +532,19 @@ _MYVITALS = _ForgeDb("myvitals", myvitals.DISPLAY_NAME, myvitals.PACKAGE_FOLDER,
         ("MuscleMass", "REAL", "muscle_mass"), ("DailyCalorie", "REAL", "daily_calorie_intake"),
         ("BoneMass", "REAL", "bone_mass"), ("MeasureTime", "INTEGER", "measure_time"),
         ("Account", "TEXT", "account"),
-    ), ("measure_time",), lambda r: _vitals(
+    ), lambda r: _vitals(
         "weight", f"weight {float(r['weight'])}, BMI {float(r['bmi'])}",
         f"measured at {_utc(r['measure_time'])}")),
     _ForgeTable("env_rows", "TB_TemperatureHumidity", (
         ("Humidity", "REAL", "humidity"), ("Temperature", "REAL", "temperature"),
         ("Lighting", "REAL", "lighting_level"), ("MeasureTime", "INTEGER", "measure_time"),
-    ), ("measure_time",),
-        lambda r: _usage("environment", f"measured at {_utc(r['measure_time'])}")),
+    ), lambda r: _usage("environment", f"measured at {_utc(r['measure_time'])}")),
     _ForgeTable("user_rows", "TB_Userinfo", (
         ("Name", "TEXT", "name"), ("Birthday", "TEXT", "date_of_birth"),
         ("TimeZone", "TEXT", "timezone_location"), ("Email", "TEXT", "email"),
-    ), (), partial(_profile, ((CAT_NAME, "profile-name", "name"),
-                              (CAT_DATE_OF_BIRTH, "profile-birth-date", "date_of_birth"),
-                              (CAT_ADDRESS, "address-timezone-proxy", "timezone_location")))),
+    ), partial(_profile, ((CAT_NAME, "profile-name", "name"),
+                          (CAT_DATE_OF_BIRTH, "profile-birth-date", "date_of_birth"),
+                          (CAT_ADDRESS, "address-timezone-proxy", "timezone_location")))),
 ), {t.name: t for t in myvitals.TABLES})
 
 _HEALTHMATE = _ForgeDb("healthmate", healthmate.DISPLAY_NAME, healthmate.PACKAGE_FOLDER,
@@ -557,7 +556,7 @@ _HEALTHMATE = _ForgeDb("healthmate", healthmate.DISPLAY_NAME, healthmate.PACKAGE
         ("macAddress", "TEXT", "mac_address"), ("firmware", "INTEGER", "firmware"),
         ("timezone", "TEXT", "timezone"), ("battery", "INTEGER", "battery_pct"),
         ("type", "INTEGER", "device_type"), ("model", "INTEGER", "device_model"),
-    ), ("association_date", "last_use_date", "modified_date"), lambda r: _usage(
+    ), lambda r: _usage(
         "device-registration",
         f"device {r['mac_address'].lower()}, last used {_utc(r['last_use_date'])}"),
         optional=("timezone",)),
@@ -565,26 +564,17 @@ _HEALTHMATE = _ForgeDb("healthmate", healthmate.DISPLAY_NAME, healthmate.PACKAGE
         ("id", "INTEGER PRIMARY KEY", None), ("date", "INTEGER", "measured_at"),
         ("type", "INTEGER", "code"), ("value", "REAL", "value"),
         ("deviceid", "INTEGER", "device_ref"),
-    ), ("measured_at",), _plant_measure, optional=("device_ref",)),
+    ), _plant_measure, optional=("device_ref",)),
     _ForgeTable("user_rows", "users", (
         ("id", "INTEGER PRIMARY KEY", None), ("name", "TEXT", "name"),
         ("gender", "TEXT", "gender"), ("birthday", "TEXT", "birthday"),
         ("email", "TEXT", "email"),
-    ), (), partial(_profile, ((CAT_NAME, "profile-name", "name"),
-                              (CAT_DATE_OF_BIRTH, "profile-birth-date", "birthday")))),
+    ), partial(_profile, ((CAT_NAME, "profile-name", "name"),
+                          (CAT_DATE_OF_BIRTH, "profile-birth-date", "birthday")))),
 ), {t.name: t for t in (healthmate.DEVICES, healthmate.measure_table(healthmate.DEFAULT_CODE_MAP),
                         healthmate.USERS)})
 
 # -- row validation (explicit rows must pass the parsers' own checks) --------
-
-def _check_ts(value, where: str, unit: str) -> None:
-    try:
-        instant = normalize_timestamp(value)
-    except Exception as exc:
-        raise InvalidSpecError(f"{where}: bad timestamp {value!r} ({exc})") from exc
-    if instant.unit != unit:
-        raise InvalidSpecError(f"{where}: timestamp {value} is not {unit}-scale")
-
 
 def _resolve_rows(db: _ForgeDb, table: _ForgeTable, value: int | tuple, gen) -> list[dict]:
     """`value` rows from gen(), or the explicit rows, each checked as the parser would.
@@ -606,12 +596,14 @@ def _resolve_rows(db: _ForgeDb, table: _ForgeTable, value: int | tuple, gen) -> 
         missing = [key for key in needed if key not in row]
         if missing:
             raise InvalidSpecError(f"{where}: missing fields {missing}")
-        for key in table.epoch_keys:
-            _check_ts(row[key], where, db.unit)
         try:
-            parsed.row(list(map(row.get, cell_keys)))
+            _, payload = parsed.row(list(map(row.get, cell_keys)))
         except MalformedRowError as exc:
             raise InvalidSpecError(f"{where}: {exc}") from exc
+        for f in dataclasses.fields(payload):
+            v = getattr(payload, f.name)
+            if isinstance(v, EpochInstant) and v.unit != db.unit:
+                raise InvalidSpecError(f"{where}: {f.name} {v.raw_value} is not {db.unit}-scale")
         if id_key is not None:
             if row[id_key] in ids:
                 raise InvalidSpecError(f"{where}: duplicate {id_key} {row[id_key]}")

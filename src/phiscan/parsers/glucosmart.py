@@ -79,11 +79,12 @@ def parse_user_info_xml(xml: bytes, *, relative_path: str = DEFAULT_XML_PATH
     """([profile record], []): the username and device identifier of user_info.xml.
 
     The app's key names are fixture-normative ("UserName", "DeviceID"), and
-    no other key is read. Missing either field raises MissingFieldsError,
-    which names only the missing fields: the caller adds the path, and a
-    recovered value is PHI.
+    no other key is read. Either field missing or blank raises
+    MissingFieldsError, which names only the missing fields: the caller adds
+    the path, and a recovered value is PHI.
     """
-    strings = {k: v for k, v in parse_shared_prefs(xml).items() if isinstance(v, str) and v}
+    strings = {k: v for k, v in parse_shared_prefs(xml).items()
+               if isinstance(v, str) and v.strip()}
     username = strings.get("UserName")
     device_id = strings.get("DeviceID")
     missing = [n for n, v in (("username", username), ("device identifier", device_id)) if not v]

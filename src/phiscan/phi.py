@@ -21,10 +21,8 @@ recoverable in plaintext.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import functools
-import itertools
 import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -251,11 +249,10 @@ _MIN_RUN = 6
 _PRINTABLE_MASK = bytes(0x70 if 0x20 <= b <= 0x7e else 0 for b in range(256))
 _MASKED_RUN = re.compile(b"p" * _MIN_RUN + b"p*")
 
-# The pattern rules as the sweep runs them, in rule order: (detail name,
-# pattern over bytes, check, category, rule id). A bytes pattern's \d and \b
-# are ASCII's, so no match consumes a byte outside \x20-\x7e, \b treats every
-# other byte as a non-word, and no match crosses the NUL that _match_runs puts
-# between two printable runs.
+# The pattern rules as the sweep runs them, in rule order: (detail name, bytes
+# pattern, check, category, rule id). A match is only digits, spaces and hyphens,
+# so it lies in one printable run; ASCII \b reads each byte next to a run (outside
+# \x20-\x7e) as a non-word byte, as it reads a slice's end, so a slice is exact.
 _SWEEP_RULES = tuple(
     (name, re.compile(rx.pattern.encode("ascii")), check, rule.category, rule.rule_id)
     for rule in RULE_TABLE if rule.predicate in _PATTERN_PREDICATES
@@ -271,21 +268,17 @@ def _match_runs(data: bytes, runs: list[tuple[int, int]]) -> list[tuple[int, int
     """Every pattern-rule match inside the given printable runs of `data`, sorted.
 
     Each match is (byte offset in `data`, its rule's index in _SWEEP_RULES,
-    value), and passes its rule's check. The runs are cut out of `data` and
-    joined by NUL bytes, and each pattern is matched once over the joined
-    runs, so the cost follows the bytes of the runs, not the size of `data`.
+    value) and passes its rule's check. Each run is matched as a slice of its
+    own, so the cost follows the bytes of the runs, not the size of `data`.
     """
-    swept = b"\0".join([data[start:end] for start, end in runs])
-    # where each run starts in `swept`, to map a match back into `data`
-    swept_starts = list(itertools.accumulate(
-        (end - start + 1 for start, end in runs), initial=0))
     matches = []
-    for index, (_, rx, check, _, _) in enumerate(_SWEEP_RULES):
-        for match in rx.finditer(swept):
-            value = match.group().decode("ascii")
-            if check is None or check(value):
-                run = bisect.bisect_right(swept_starts, match.start()) - 1
-                matches.append((runs[run][0] + match.start() - swept_starts[run], index, value))
+    for start, end in runs:
+        run = data[start:end]
+        for index, (_, rx, check, _, _) in enumerate(_SWEEP_RULES):
+            for match in rx.finditer(run):
+                value = match.group().decode("ascii")
+                if check is None or check(value):
+                    matches.append((start + match.start(), index, value))
     return sorted(matches)
 
 

@@ -1,4 +1,4 @@
-"""Android shared-preferences XML: a <map> of typed key/value entries."""
+"""Android shared-preferences XML: a <map> of typed entries, each string kept verbatim."""
 
 from __future__ import annotations
 
@@ -21,11 +21,12 @@ _NUMBERS = {"int": (int, "integer"), "long": (int, "integer"), "float": (float, 
 def parse_shared_prefs(xml: bytes) -> dict[str, object]:
     """Decode a shared-preferences document into {key: typed value}.
 
-    Supported entry tags: string (element text), boolean, int, long,
-    float (value attribute). Unknown tags are ignored; a DOCTYPE and an entry
-    without a name or repeating one are malformed. An error names an entry
-    by its tag and 1-based position, never by its name: a credential file's
-    names start with the account email.
+    Supported entry tags: string (element text, kept verbatim, as Android
+    writes and reads it), boolean, int, long, float (value attribute).
+    Unknown tags are ignored; a DOCTYPE and an entry without a name or
+    repeating one are malformed. An error names an entry by its tag and
+    1-based position, never by its name: a credential file's names start
+    with the account email.
     """
     try:
         root = ET.fromstring(xml, parser=ET.XMLParser(target=_NoDoctype()))
@@ -43,7 +44,7 @@ def parse_shared_prefs(xml: bytes) -> dict[str, object]:
         if name in entries:
             raise MalformedXmlError(f"<{child.tag}> entry {position} repeats an earlier name")
         if child.tag == "string":
-            entries[name] = (child.text or "").strip()
+            entries[name] = child.text or ""
         elif child.tag == "boolean":
             entries[name] = child.get("value") == "true"
         elif number := _NUMBERS.get(child.tag):

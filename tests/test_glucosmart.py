@@ -98,6 +98,14 @@ def test_user_info_partial_missing_fields():
         parse_user_info_xml(xml)
 
 
+def test_user_info_blank_field_is_missing():
+    # a prefs string is kept verbatim, so a blank name must not read as a recovered one
+    xml = (b"<map><string name=\"UserName\"> \n </string>"
+           b"<string name=\"DeviceID\">BG5-0012AB</string></map>")
+    with pytest.raises(MissingFieldsError, match="^username not present$"):
+        parse_user_info_xml(xml)
+
+
 def test_detect_exact_folder_name_only(tmp_path):
     for name, expected in (("jiuana-androidBg.start", True),
                            ("iHealthMyVitals.V2", False),

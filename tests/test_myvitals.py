@@ -16,6 +16,7 @@ from phiscan.parsers.myvitals import TABLES, MyVitalsParser, parse_region_host_x
 from phiscan.parsers.tables import parse_tables
 from phiscan.report import render_report
 from phiscan.scanner import scan_evidence
+from phiscan.shared_prefs import parse_shared_prefs
 
 from conftest import FIG1_SPO2_ROWS, FIG2_CREDENTIAL_XML, make_myvitals_db
 
@@ -237,6 +238,16 @@ def test_documented_credential_xml(tmp_path):
     assert cred.region_host == "http://ap2.1hoad"
     assert records[0].kind == "credential"
     assert records[0].locator.container == "xml-file"
+
+
+def test_a_string_entry_is_recovered_as_stored():
+    # Android writes and reads a <string>'s text verbatim, whitespace included
+    assert parse_shared_prefs(b"<map><string name=\"k\"> pad \n</string></map>") == {
+        "k": " pad \n"}
+    xml = b"<map><string name=\"a@b.co_user_password\"> Passw0rd1 </string></map>"
+    records, warnings = parse_region_host_xml(xml)
+    assert warnings == []
+    assert records[0].payload.password_plaintext == " Passw0rd1 "
 
 
 def test_empty_map_has_no_credential_keys():

@@ -321,6 +321,9 @@ _DIGIT_DENSE_DATA = st.lists(
 @example(b"ssn 078-05-\x7f1120 x", False)  # an SSN cut by a \x7f
 @example(b"run 12345678901234 x", False)  # a 14-digit run
 @example(b"card 4111  1111 1111 1111 x", False)  # card digits split by two spaces
+# an SSN and a card each between bytes >= 0x80: a run's edge is a non-word byte
+@example(b"\xe9078-05-1120\xe94111111111111111\x80", False)
+@example(b"4111 1111 1111 1111", True)  # a card that is the whole file
 def test_digit_dense_sweep_equals_the_run_by_run_sweep(data, redact):
     check_sweep(data, redact)
 
